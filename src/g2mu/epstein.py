@@ -45,13 +45,6 @@ class TwistedLattice:
     gram: object          # rank x rank Fraction matrix (numpy object array)
     twist: tuple          # rank rational exponents; phase of x is e(sum w_i x_i)
 
-    def quadratic_form(self, x):
-        v = linalg.frac_vector(x)
-        return v @ self.gram @ v
-
-    def twist_exponent(self, x):
-        return sum(w * xi for w, xi in zip(self.twist, x)) % 1
-
     def is_twist_trivial(self):
         return all(w == 0 for w in self.twist)
 

@@ -297,20 +297,25 @@ class Metric7:
         return self._inverse
 
     def lambda_gram(self, p):
-        """Gram matrix of <theta^I, theta^J>_g on grade p (via inverse metric minors)."""
+        """Gram matrix of <theta^I, theta^J>_g on grade p.
+
+        Entry (I, J) is the minor det(g^-1)[I, J], so the matrix is the p-th
+        compound of the inverse metric (exact minors for exact metrics).
+        """
         if p not in self._lambda_gram:
-            if p == 0:
-                out = linalg.frac_matrix([[1]]) if self.is_exact else np.ones((1, 1))
+            if self.is_exact:
+                out = linalg.compound(self.inverse_gram(), p)
+            elif p == 0:
+                out = np.ones((1, 1))
             else:
                 ginv = self.inverse_gram()
                 idx = INDICES[p]
                 n = len(idx)
-                out = linalg.zeros_frac(n, n) if self.is_exact else np.zeros((n, n))
+                out = np.zeros((n, n))
                 for i, I in enumerate(idx):
                     for j, J in enumerate(idx):
                         sub = [[ginv[a - 1, b - 1] for b in J] for a in I]
-                        out[i, j] = linalg.det(sub) if self.is_exact \
-                            else float(np.linalg.det(np.array(sub)))
+                        out[i, j] = float(np.linalg.det(np.array(sub)))
             out.flags.writeable = False
             self._lambda_gram[p] = out
         return self._lambda_gram[p]
@@ -405,16 +410,19 @@ def pullback(frame, a):
 
 
 def pullback_matrix(frame, p, exact=True):
-    """Matrix of F* on grade-p coefficient vectors (the p-th compound)."""
+    """Matrix of F* on grade-p coefficient vectors.
+
+    Entry (J, I) is det F[I, J], so the matrix is the transpose of the p-th
+    compound of F; the exact branch takes it from linalg.compound.
+    """
     if exact:
-        F = linalg.frac_matrix(frame)
-    else:
-        F = np.array(frame, dtype=float)
+        return linalg.compound(frame, p).T
+    F = np.array(frame, dtype=float)
     idx = INDICES[p]
     n = len(idx)
-    out = linalg.zeros_frac(n, n) if exact else np.zeros((n, n))
+    out = np.zeros((n, n))
     for j, J in enumerate(idx):
         for i, I in enumerate(idx):
             sub = [[F[a - 1, b - 1] for b in J] for a in I]
-            out[j, i] = linalg.det(sub) if exact else float(np.linalg.det(np.array(sub)))
+            out[j, i] = float(np.linalg.det(np.array(sub)))
     return out

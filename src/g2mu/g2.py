@@ -24,7 +24,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import linalg
-from .exterior import (DIM, ExteriorForm, Metric7, hodge_star, interior,
+from .exterior import (DIM, INDICES, ExteriorForm, Metric7, hodge_star, interior,
                        metric_from_frame, pullback, pullback_matrix, wedge)
 
 PHI0_TERMS = {
@@ -103,11 +103,11 @@ def _base_data():
     # Lambda^2_14 = ker(alpha -> alpha ^ psi), Lambda^3_27 = ker(a -> (a^phi, a^psi))
     wedge_psi = np.stack(
         [np.array(wedge(ExteriorForm.from_terms(2, {idx: 1}), psi).coeffs)
-         for idx in _basis_indices(2)], axis=1)
+         for idx in INDICES[2]], axis=1)
     basis[(2, 14)] = linalg.nullspace(wedge_psi)
 
     rows = []
-    for idx in _basis_indices(3):
+    for idx in INDICES[3]:
         b = ExteriorForm.from_terms(3, {idx: 1})
         rows.append(np.concatenate([np.array(wedge(b, phi).coeffs),
                                     np.array(wedge(b, psi).coeffs)]))
@@ -130,11 +130,6 @@ def _base_projectors():
     return _base_data()[0]
 
 
-def _basis_indices(p):
-    from .exterior import INDICES
-    return INDICES[p]
-
-
 def _star_matrix(metric, p, exact):
     from math import comb
     n = comb(DIM, p)
@@ -154,7 +149,7 @@ class G2Structure:
     """A flat G2-structure F*phi0 with its 4-form, metric and projectors."""
 
     __slots__ = ("frame", "phi", "psi", "metric", "_proj_cache", "_star_cache",
-                 "_pullback_cache", "_fiber_cache", "is_exact")
+                 "_pullback_cache", "_fiber_cache", "is_exact", "_phi_int")
 
     def __init__(self, frame=None):
         if frame is None:
@@ -177,6 +172,7 @@ class G2Structure:
         object.__setattr__(self, "_star_cache", {})
         object.__setattr__(self, "_pullback_cache", {})
         object.__setattr__(self, "_fiber_cache", {})
+        object.__setattr__(self, "_phi_int", _integer_terms(phi) if exact else None)
         # phi ^ psi = 7 vol is the structural sanity check of the pair
         sanity = wedge(self.phi, self.psi)
         vol7 = 7 * (metric.vol if exact else float(metric.vol))
@@ -219,7 +215,7 @@ class G2Structure:
         cache = self._fiber_cache
         if key not in cache:
             base = _base_data()[1][(grade, component)]
-            if self.is_exact and _is_identity(self.frame):
+            if self.is_exact and linalg.is_identity(self.frame):
                 cols = base
             elif self.is_exact:
                 M = self.frame_pullback_matrix(grade)
@@ -256,7 +252,7 @@ class G2Structure:
             if grade in (2, 3):
                 base = _base_projectors()[key]
                 if self.is_exact:
-                    if _is_identity(self.frame):
+                    if linalg.is_identity(self.frame):
                         P = base
                     else:
                         M = self.frame_pullback_matrix(grade)
@@ -310,11 +306,11 @@ class G2Structure:
             raw = [np.array(interior(v, psi).coeffs) for v in e]
         elif (grade, comp) == (2, 14):
             cols = [np.array(wedge(ExteriorForm.from_terms(2, {idx: 1}, exact=self.is_exact),
-                                   psi).coeffs) for idx in _basis_indices(2)]
+                                   psi).coeffs) for idx in INDICES[2]]
             raw = _nullspace_cols(cols, self.is_exact)
         elif (grade, comp) == (3, 27):
             cols = []
-            for idx in _basis_indices(3):
+            for idx in INDICES[3]:
                 b = ExteriorForm.from_terms(3, {idx: 1}, exact=self.is_exact)
                 cols.append(np.concatenate([np.array(wedge(b, phi).coeffs),
                                             np.array(wedge(b, psi).coeffs)]))
@@ -362,19 +358,33 @@ class G2Structure:
         return out
 
     def is_g2_element(self, A, tol=1e-9):
-        """Whether A preserves this structure's 3-form: A*(F*phi0) = F*phi0."""
-        try:
-            pulled = pullback(A, self.phi)
-        except ValueError:
-            raise
-        if pulled.is_exact and self.phi.is_exact:
-            return pulled == self.phi
-        return pulled.allclose(self.phi, tol=tol)
+        """Whether A preserves this structure's 3-form: A*(F*phi0) = F*phi0.
+
+        For an exact structure this is an exact test in integers: with
+        phi = c / s for an integer vector c and A = B / d for an integer
+        matrix B, it checks sum_I det B[I, J] c_I = d^3 c_J for every J,
+        where I runs over the nonzero terms of phi only.  A must then be
+        rational.  Float frames compare the pullback within tol.
+        """
+        if not self.is_exact:
+            return pullback(A, self.phi).allclose(self.phi, tol=tol)
+        B, d = linalg.clear_denominators(A)
+        if len(B) != DIM or any(len(row) != DIM for row in B):
+            raise ValueError("A must be 7x7")
+        rows, coeffs, target = self._phi_int
+        minors = linalg.int_compound(B, 3, rows)
+        d3 = d ** 3
+        return all(sum(c * m[J] for c, m in zip(coeffs, minors)) == d3 * t
+                   for J, t in enumerate(target))
 
 
-def _is_identity(mat):
-    n = mat.shape[0]
-    return all(mat[i, j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+def _integer_terms(phi):
+    """The smallest integer multiple c of the exact 3-form phi, as
+    (0-based index triples I with c_I != 0, those c_I, all 35 entries of c)."""
+    scale = lcm(*(x.denominator for x in phi.coeffs))
+    c = [int(x * scale) for x in phi.coeffs]
+    terms = [(tuple(a - 1 for a in I), x) for I, x in zip(INDICES[3], c) if x]
+    return tuple(I for I, _ in terms), tuple(x for _, x in terms), tuple(c)
 
 
 def _nullspace_cols(cols, exact):

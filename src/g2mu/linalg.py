@@ -1,13 +1,18 @@
 """Exact linear algebra over the rationals and integers.
 
-Everything here is dense and small (dimensions <= ~50), so plain Gaussian
-elimination with Fraction arithmetic is fast enough.  Integer matrices get
-fraction-free (Bareiss) elimination and a Hermite-style kernel routine so
-that lattice computations never leave Z.
+Everything here is dense and small (dimensions <= ~50).  Row reduction
+(rref, nullspace, inverse) runs in Fraction arithmetic.  Determinants and
+minors clear denominators once and then stay in Python ints: determinants
+by fraction-free (Bareiss) elimination, compound matrices by Laplace
+expansion of each minor into minors one size smaller.  Integer matrices
+also get a Hermite-style kernel routine so that lattice computations never
+leave Z.
 """
 
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
+from math import isqrt, lcm
+from operator import index
 
 import numpy as np
 
@@ -59,8 +64,10 @@ def to_float(a):
         if getattr(a, "ndim", 1) == 2 else np.array([float(x) for x in a], dtype=float)
 
 
-def _as_rows(a):
-    return [list(row) for row in a]
+def is_identity(m):
+    """Whether the square array m is the identity matrix."""
+    n = m.shape[0]
+    return all(m[i, j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
 
 def rref(a):
@@ -124,32 +131,114 @@ def inverse(a):
     return red[:, n:]
 
 
-def det(a):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    rows = [[frac(x) for x in row] for row in a]
+def clear_denominators(a):
+    """(b, d) with b an integer matrix (lists of ints) and a = b / d.
+
+    d is the lcm of the entry denominators, so b is the smallest integer
+    multiple of a.
+    """
+    rows = [[x if type(x) is int else frac(x) for x in row] for row in a]
+    d = lcm(1, *(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _bareiss(rows):
+    """Determinant of a square integer matrix; eliminates in place."""
     n = len(rows)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if rows[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return 0
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top = rows[k]
+        pk = top[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            # exact division: Bareiss' theorem
             for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) / prev
-            rows[i][k] = Fraction(0)
-        prev = rows[k][k]
-    return sign * rows[n - 1][n - 1] if n else Fraction(1)
+                row[j] = (row[j] * pk - f * top[j]) // prev
+        prev = pk
+    return sign * rows[n - 1][n - 1] if n else 1
+
+
+def det(a):
+    """Exact determinant: clear denominators, then integer Bareiss."""
+    b, d = clear_denominators(a)
+    return Fraction(_bareiss(b), d ** len(b))
 
 
 def int_det(a):
-    d = det(a)
-    if d.denominator != 1:
+    """Determinant of an integer matrix, in Python ints throughout.
+
+    Raises ValueError if an entry is not an integer.
+    """
+    b, d = clear_denominators(a)
+    if d != 1:
         raise ValueError("matrix is not integral")
-    return d.numerator
+    return _bareiss(b)
+
+
+def int_compound(b, p, rows=None):
+    """Minors det b[I, J] of an integer matrix, in Python ints.
+
+    Returns one list per increasing row p-subset I (all of them, or the
+    0-based tuples in `rows`), holding the minors over the increasing
+    column p-subsets J in lexicographic order.  Each k-minor is the Laplace
+    expansion along its first row into (k-1)-minors of the remaining rows;
+    those are shared between all I with the same tail and skipped where the
+    expanding entry is 0.
+    """
+    b = [[index(x) for x in row] for row in b]
+    m = len(b)
+    n = len(b[0]) if m else 0
+    if not 0 <= p <= min(m, n):
+        raise ValueError(f"no {p}x{p} minors in a {m}x{n} matrix")
+    # plans[k][c] = (j, position of J minus j among (k-1)-subsets, odd) for J = k-subset c
+    plans = [None]
+    position = {(): 0}
+    for k in range(1, p + 1):
+        subsets = list(combinations(range(n), k))
+        plans.append([[(j, position[J[:t] + J[t + 1:]], t % 2) for t, j in enumerate(J)]
+                      for J in subsets])
+        position = {J: c for c, J in enumerate(subsets)}
+    known = {(): [1]}
+
+    def minors(I):
+        out = known.get(I)
+        if out is None:
+            tail = minors(I[1:])
+            first = b[I[0]]
+            out = []
+            for plan in plans[len(I)]:
+                s = 0
+                for j, c, odd in plan:
+                    x = first[j]
+                    if x:
+                        y = tail[c]
+                        if y:
+                            s = s - x * y if odd else s + x * y
+                out.append(s)
+            known[I] = out
+        return out
+
+    return [minors(tuple(I)) for I in (combinations(range(m), p) if rows is None else rows)]
+
+
+def compound(a, p):
+    """The p-th compound matrix C[I, J] = det a[I, J], exact.
+
+    I and J run over the increasing p-subsets of rows and columns in
+    lexicographic order.  Denominators are cleared once (a = b / d), the
+    minors of b are taken in ints, and each is divided by d^p at the end.
+    """
+    b, d = clear_denominators(a)
+    scale = d ** p
+    return np.array([[Fraction(x, scale) for x in row] for row in int_compound(b, p)],
+                    dtype=object)
 
 
 def int_rank(a):
@@ -306,14 +395,10 @@ def enumerate_ellipsoid(gram, bound, shift=None):
                 new_partial = partial.copy()
                 for j in range(i):
                     new_partial[j] += R[j, i] * (xi + wf[i])
-                prev = partial
-                partial_stack.append(prev)
                 descend(i - 1, x, new_partial)
-                partial_stack.pop()
         x[i] = 0
 
     budget_left = [0.0] * r
     budget_left[r - 1] = budget0
-    partial_stack = []
     descend(r - 1, [0] * r, [0.0] * r)
     return sorted(results)

@@ -191,7 +191,7 @@ def _restricted_trace(structure, mat_pullback, basis):
     """
     grade = {21: 2, 35: 3}[mat_pullback.shape[0]]
     gram = structure.metric.lambda_gram(grade)
-    euclidean = structure.is_exact and _is_identity_matrix(gram)
+    euclidean = structure.is_exact and linalg.is_identity(gram)
     if euclidean and mat_pullback.dtype == np.int64:
         try:
             B = np.stack([np.array([int(x) for x in v], dtype=np.int64)
@@ -215,11 +215,6 @@ def _restricted_trace(structure, mat_pullback, basis):
     BtG = B.T @ gram
     C = linalg.inverse(BtG @ B) @ (BtG @ (M @ B))
     return sum(C[i, i] for i in range(C.shape[0]))
-
-
-def _is_identity_matrix(m):
-    n = m.shape[0]
-    return all(m[i, j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
 
 class _PhaseSum:
@@ -333,16 +328,15 @@ def _integer_average(acc, order):
 
 
 def pullback_matrix_cached(structure, element, grade):
-    """Compound (pullback) matrix of the matrix part, int64 where possible."""
+    """Pullback matrix of the matrix part (transposed compound), int64 where possible."""
     key = ("pullback", element.matrix, grade)
     cache = structure._fiber_cache
     if key not in cache:
-        from .exterior import pullback_matrix
-        mat = pullback_matrix(element.matrix, grade, exact=True)
-        entries = [[linalg.frac(x) for x in row] for row in mat]
-        if all(x.denominator == 1 and abs(x) < 2 ** 31 for row in entries for x in row):
-            mat = np.array([[int(x) for x in row] for row in entries], dtype=np.int64)
-        cache[key] = mat
+        mat = [list(col) for col in zip(*linalg.int_compound(element.matrix, grade))]
+        if all(abs(x) < 2 ** 31 for row in mat for x in row):
+            cache[key] = np.array(mat, dtype=np.int64)
+        else:
+            cache[key] = linalg.frac_matrix(mat)
     return cache[key]
 
 

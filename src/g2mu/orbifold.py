@@ -8,8 +8,6 @@ roots of unity.
 
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .exterior import DIM
 from .g2 import G2Structure
@@ -66,9 +64,6 @@ class AffineElement:
 
     def is_identity(self):
         return self == AffineElement.identity()
-
-    def matrix_array(self):
-        return np.array(self.matrix, dtype=object)
 
     def apply(self, x):
         """Image of the rational point x under x -> A x + t (mod 1)."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from g2mu import linalg
-from g2mu.exterior import DIM, ExteriorForm, inner, interior, wedge
+from g2mu.exterior import DIM, ExteriorForm, inner, interior, pullback, wedge
 from g2mu.g2 import G2Structure, TypeLabel, standard_phi0
 
 COMPONENTS = {2: (7, 14), 3: (1, 7, 27)}
@@ -180,3 +180,65 @@ def test_rational_frame_structure():
     p7 = s2.project(TypeLabel(2, 7), a)
     p14 = s2.project(TypeLabel(2, 14), a)
     assert abs(inner(p7, p14, s2.metric)) < 1e-9
+
+
+def _signed_permutation(perm, signs):
+    """A e_j = signs[j] e_perm[j] (0-based)."""
+    A = [[0] * DIM for _ in range(DIM)]
+    for j, (i, e) in enumerate(zip(perm, signs)):
+        A[i][j] = e
+    return A
+
+
+# generators of the signed permutations in G2: sign changes, and coordinate
+# permutations of orders 3 and 7 that permute the terms of phi0
+G2_GENERATORS = [
+    _signed_permutation(range(DIM), (1, 1, 1, -1, -1, -1, -1)),
+    _signed_permutation(range(DIM), (1, -1, -1, 1, 1, -1, -1)),
+    _signed_permutation(range(DIM), (-1, 1, -1, 1, -1, 1, -1)),
+    _signed_permutation((0, 3, 4, 5, 6, 1, 2), (1,) * DIM),
+    _signed_permutation((1, 3, 5, 2, 0, 6, 4), (1,) * DIM),
+]
+
+MEMBERSHIP_FRAMES = {
+    "identity": linalg.identity_frac(DIM).tolist(),
+    "diagonal": [[(2 if i == j == 0 else 3 if i == j == 5 else int(i == j))
+                  for j in range(DIM)] for i in range(DIM)],
+    "non_integer_gram": [[(Fraction(1, 2) if i == j == 6 else int(i == j))
+                          for j in range(DIM)] for i in range(DIM)],
+    "non_diagonal": [[Fraction(1, 2) if (i, j) == (0, 2) else Fraction(-1, 3) if (i, j) == (4, 1)
+                      else 2 if i == j == 3 else int(i == j)
+                      for j in range(DIM)] for i in range(DIM)],
+}
+
+
+def _membership_cases(rng, frame):
+    """Signed permutations, small integer matrices and conjugated members."""
+    F = linalg.frac_matrix(frame)
+    Finv = linalg.inverse(F)
+    cases = []
+    for _ in range(90):
+        cases.append(_signed_permutation(rng.permutation(DIM), rng.choice([-1, 1], DIM)))
+    for _ in range(90):
+        cases.append(rng.integers(-2, 3, size=(DIM, DIM)).tolist())
+    for k in range(120):
+        B = linalg.identity_frac(DIM)
+        for g in rng.integers(0, len(G2_GENERATORS), size=int(rng.integers(1, 7))):
+            B = B @ linalg.frac_matrix(G2_GENERATORS[g])
+        if k % 4 == 3:
+            # a near miss: one more coordinate sign change outside G2
+            B = B @ linalg.frac_matrix(_signed_permutation(range(DIM), (-1,) + (1,) * 6))
+        cases.append((Finv @ B @ F).tolist())
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_FRAMES))
+def test_is_g2_element_matches_pullback(name):
+    rng = np.random.default_rng(sorted(MEMBERSHIP_FRAMES).index(name))
+    s2 = G2Structure(MEMBERSHIP_FRAMES[name])
+    members = 0
+    for A in _membership_cases(rng, MEMBERSHIP_FRAMES[name]):
+        expected = pullback(A, s2.phi) == s2.phi
+        assert s2.is_g2_element(A) == expected, A
+        members += expected
+    assert members >= 90

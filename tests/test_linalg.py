@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -103,3 +104,49 @@ def test_enumerate_ellipsoid_general_gram():
             if 2 * x * x + 2 * x * y + 2 * y * y <= 2:
                 expected.append((x, y))
     assert sorted(pts) == sorted(expected)
+
+
+def _random_matrix(rng, rational):
+    if rational:
+        return [[Fraction(int(rng.integers(-5, 6)), int(rng.choice([1, 2, 3, 4, 7])))
+                 for _ in range(7)] for _ in range(7)]
+    return rng.integers(-3, 4, size=(7, 7)).tolist()
+
+
+def test_compound_matches_submatrix_determinants():
+    rng = np.random.default_rng(11)
+    for rational in (False, False, True, True):
+        a = _random_matrix(rng, rational)
+        for p in range(1, 8):
+            C = linalg.compound(a, p)
+            subsets = list(combinations(range(7), p))
+            assert C.shape == (len(subsets), len(subsets))
+            for i, I in enumerate(subsets):
+                for j, J in enumerate(subsets):
+                    assert C[i, j] == linalg.det([[a[r][c] for c in J] for r in I])
+
+
+def test_compound_selected_rows_and_bounds():
+    rng = np.random.default_rng(12)
+    b = rng.integers(-3, 4, size=(7, 7)).tolist()
+    rows = [(0, 3, 5), (1, 2, 6)]
+    full = linalg.int_compound(b, 3)
+    position = {I: k for k, I in enumerate(combinations(range(7), 3))}
+    assert linalg.int_compound(b, 3, rows) == [full[position[I]] for I in rows]
+    assert linalg.compound(b, 7)[0, 0] == linalg.det(b)
+    with pytest.raises(ValueError):
+        linalg.int_compound(b, 8)
+    with pytest.raises(TypeError):
+        linalg.int_compound([[Fraction(1, 2)]], 1)
+
+
+def test_int_det_is_exact_and_rejects_non_integral():
+    rng = np.random.default_rng(13)
+    for n in range(1, 8):
+        for _ in range(5):
+            a = rng.integers(-4, 5, size=(n, n)).tolist()
+            assert linalg.int_det(a) == linalg.det(a)
+            assert isinstance(linalg.int_det(a), int)
+    assert linalg.int_det([[0, 1], [1, 0]]) == -1
+    with pytest.raises(ValueError):
+        linalg.int_det([[Fraction(1, 2), 0], [0, 2]])

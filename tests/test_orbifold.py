@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from g2mu import linalg
+from g2mu.exterior import pullback
 from g2mu.orbifold import (AffineElement, NonFinite, NonUnimodular,
                            NotG2Compatible, compose, generate, inverse,
                            validate_joyce)
@@ -113,3 +114,19 @@ def test_matrix_parts_have_finite_order():
                 break
         else:
             pytest.fail("element of infinite order")
+
+
+def test_validate_joyce_rational_frame_names_first_non_member():
+    # under the shear-and-scale frame F, F A F^-1 stays in G2 for ALPHA
+    # (it commutes with F) but not for BETA or GAMMA
+    frame = [[Fraction(1) if i == j else 0 for j in range(7)] for i in range(7)]
+    frame[0][1] = Fraction(1, 2)
+    frame[6][6] = Fraction(3)
+    group = generate([ALPHA, BETA, GAMMA])
+    structure = validate_joyce(generate([ALPHA]), frame).structure
+    expected = next(e for e in group if pullback(e.matrix, structure.phi) != structure.phi)
+    assert expected.matrix != ALPHA.matrix
+    with pytest.raises(NotG2Compatible) as err:
+        validate_joyce(group, frame)
+    assert err.value.element == expected
+    assert repr(expected) in str(err.value)
