@@ -21,9 +21,11 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from .epstein import closed_form_mu, fixed_lattice, value_at_zero
-from .fourier import (hessian_blocks, random_fourier, split_S4, verify_appendix,
-                      coexterior_d, l2_norm, project_type)
+from .fourier import (coexterior_d, exterior_d, hessian_blocks, l2_inner, l2_norm,
+                      project_type, random_fourier, residual, split_S4, verify_appendix)
 from .invariants import mu_invariants
 from .oracle import spectral_reports
 from .orbifold import (AffineElement, NonFinite, NonUnimodular, NotG2Compatible,
@@ -106,21 +108,18 @@ def build_orbifold(config):
     return validate_joyce(group, config["frame"])
 
 
-def _element_dict(e):
+def _generator_dict(matrix, translation):
+    """A generator or group element as in a config: row-major matrix, string translation."""
     return {
-        "matrix": [x for row in e.matrix for x in row],
-        "translation": [str(t) for t in e.translation],
+        "matrix": [x for row in matrix for x in row],
+        "translation": [str(t) for t in translation],
     }
 
 
 def _echo_config(config):
     out = {
         "name": config["name"],
-        "generators": [
-            {"matrix": [x for row in rows for x in row],
-             "translation": [str(t) for t in trans]}
-            for rows, trans in config["generators"]
-        ],
+        "generators": [_generator_dict(rows, trans) for rows, trans in config["generators"]],
         "oracle_radius_sq": str(config["oracle_radius_sq"]),
         "trials": config["trials"],
         "seed": config["seed"],
@@ -139,9 +138,11 @@ def cmd_check(config, args):
     except NotG2Compatible as exc:
         return 1, {
             "valid": False,
-            "error": {"type": "NotG2Compatible", "element": _element_dict(exc.element)},
+            "error": {"type": "NotG2Compatible",
+                      "element": _generator_dict(exc.element.matrix, exc.element.translation)},
         }
-    elements = [dict(_element_dict(e), g2_compatible=True) for e in orbifold.group]
+    elements = [dict(_generator_dict(e.matrix, e.translation), g2_compatible=True)
+                for e in orbifold.group]
     return 0, {"valid": True, "order": len(orbifold.group), "elements": elements}
 
 
@@ -190,7 +191,6 @@ def cmd_identities(config, args):
                              strict=args.strict_types)
 
     # property suites for the Hessian block structure, seeded separately
-    import numpy as np
     rng = np.random.default_rng(seed + 1)
     split_checks = {"pi27_d_plus": 0.0, "pi7_d_minus": 0.0,
                     "plus_minus_inner": 0.0, "split_reassembles": 0.0}
@@ -202,7 +202,6 @@ def cmd_identities(config, args):
         omega = blocks.blocks["S_plus"] + blocks.blocks["S_minus"]
         if omega.is_zero(1e-14):
             continue
-        from .fourier import exterior_d, l2_inner, residual
         plus, minus = split_S4(omega)
         split_checks["pi27_d_plus"] = max(
             split_checks["pi27_d_plus"],
@@ -247,7 +246,7 @@ def cmd_zeta(config, args):
         deviation = abs(v0 + 1.0)
         worst = max(worst, deviation)
         rows.append({
-            "element": _element_dict(e),
+            "element": _generator_dict(e.matrix, e.translation),
             "rank": lat.rank,
             "twist": [str(t) for t in lat.twist],
             "value_at_zero": v0,
@@ -328,13 +327,21 @@ def run(argv=None):
                         help="invariants: also run the zeta-function consistency bridge")
     args = parser.parse_args(argv)
 
+    flag_error = None
     if args.radius_sq is not None:
         try:
             args.radius_sq = Fraction(str(args.radius_sq))
         except (ValueError, ZeroDivisionError):
-            print(json.dumps({"error": {"type": "ConfigError",
-                                        "detail": "bad --radius-sq"}}), file=sys.stderr)
-            return 2
+            flag_error = "bad --radius-sq"
+        else:
+            if args.radius_sq < 0:
+                flag_error = "--radius-sq must be nonnegative"
+    if args.trials is not None and args.trials < 1:
+        flag_error = "--trials must be a positive integer"
+    if flag_error is not None:
+        print(json.dumps({"error": {"type": "ConfigError", "detail": flag_error}}),
+              file=sys.stderr)
+        return 2
 
     try:
         with open(args.config) as fh:

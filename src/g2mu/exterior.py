@@ -1,10 +1,15 @@
-"""Exterior algebra on (R^7)* with exact-rational and complex-float backends.
+"""Exterior algebra on (R^7)*: metrics are exact; forms keep both backends.
 
 Forms are stored densely: a grade-p form is a vector of C(7,p) coefficients
 indexed by the lexicographically ordered strictly increasing multi-indices
 with entries in 1..7.  The exact backend uses Fraction coefficients in a
-numpy object array; the floating backend uses complex128.  All operations
-are pure; forms are never mutated after construction.
+numpy object array; the floating backend uses complex128, for values that
+really are floating (random Fourier coefficients).  All operations are
+pure; forms are never mutated after construction.
+
+Frames, Gram matrices and pullback matrices are exact only: a float frame
+or Gram matrix raises TypeError.  A metric converts its Gram matrices to
+float once, for the floating form backend.
 
 Sign conventions are pinned by a single rule: the Hodge star satisfies
 a ^ star(b) = <a, b>_g vol_g with vol_g = sqrt(det g) * theta^{1...7}.
@@ -222,7 +227,7 @@ def interior(v, a):
     """Interior product v ⌟ a of a vector v (7 components) with a form."""
     if a.grade == 0:
         raise ValueError("interior product needs grade >= 1")
-    exact = a.is_exact and all(isinstance(x, (int, Fraction, np.integer)) for x in v)
+    exact = a.is_exact and _is_rational(v)
     if not exact:
         a = a.to_float()
         v = [complex(x) for x in v]
@@ -237,135 +242,126 @@ def interior(v, a):
 
 
 class Metric7:
-    """Flat metric on R^7: Gram matrix plus its volume factor sqrt(det)."""
+    """Flat metric on R^7: exact Gram matrix plus its volume factor sqrt(det).
 
-    __slots__ = ("gram", "vol", "_inverse", "_lambda_gram")
+    Float views (gram_float, lambda_gram_float) are converted once and serve
+    the floating form backend.
+    """
+
+    __slots__ = ("gram", "gram_float", "vol", "_inverse", "_lambda_gram",
+                 "_lambda_gram_float")
 
     def __init__(self, gram, vol=None):
-        exact = True
-        try:
-            gram = linalg.frac_matrix(gram)
-        except TypeError:
-            gram = np.array(gram, dtype=float)
-            exact = False
+        gram = linalg.frac_matrix(gram)
         if gram.shape != (DIM, DIM):
             raise ValueError("metric needs a 7x7 Gram matrix")
-        if exact:
-            if any(gram[i, j] != gram[j, i] for i in range(DIM) for j in range(i)):
-                raise ValueError("Gram matrix must be symmetric")
-            if not linalg.principal_minors_positive(gram):
-                raise ValueError("Gram matrix must be positive definite")
+        if any(gram[i, j] != gram[j, i] for i in range(DIM) for j in range(i)):
+            raise ValueError("Gram matrix must be symmetric")
+        if not linalg.principal_minors_positive(gram):
+            raise ValueError("Gram matrix must be positive definite")
+        if vol is None:
+            vol = linalg.rational_sqrt(linalg.det(gram))
             if vol is None:
-                vol = linalg.rational_sqrt(linalg.det(gram))
-                if vol is None:
-                    raise ValueError("det(gram) is not a rational square; pass vol explicitly")
-            else:
-                vol = linalg.frac(vol)
-                if vol * vol != linalg.det(gram) or vol <= 0:
-                    raise ValueError("vol must equal sqrt(det gram)")
+                raise ValueError("det(gram) is not a rational square; pass vol explicitly")
         else:
-            if not np.allclose(gram, gram.T):
-                raise ValueError("Gram matrix must be symmetric")
-            if np.min(np.linalg.eigvalsh(gram)) <= 0:
-                raise ValueError("Gram matrix must be positive definite")
-            if vol is None:
-                vol = float(np.sqrt(np.linalg.det(gram)))
-            else:
-                vol = float(vol)
+            vol = linalg.frac(vol)
+            if vol * vol != linalg.det(gram) or vol <= 0:
+                raise ValueError("vol must equal sqrt(det gram)")
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram_float", read_only(linalg.to_float(gram)))
         object.__setattr__(self, "vol", vol)
         object.__setattr__(self, "_inverse", None)
         object.__setattr__(self, "_lambda_gram", {})
+        object.__setattr__(self, "_lambda_gram_float", {})
 
     def __setattr__(self, *_):
         raise AttributeError("Metric7 is immutable")
 
-    @property
-    def is_exact(self):
-        return self.gram.dtype == object
-
     @classmethod
-    def euclidean(cls, exact=True):
-        if exact:
-            return cls(linalg.identity_frac(DIM), vol=1)
-        return cls(np.eye(DIM), vol=1.0)
+    def euclidean(cls):
+        return cls(linalg.identity_frac(DIM), vol=1)
 
     def inverse_gram(self):
         if self._inverse is None:
-            inv = linalg.inverse(self.gram) if self.is_exact else np.linalg.inv(self.gram)
-            object.__setattr__(self, "_inverse", inv)
+            object.__setattr__(self, "_inverse", linalg.inverse(self.gram))
         return self._inverse
 
     def lambda_gram(self, p):
         """Gram matrix of <theta^I, theta^J>_g on grade p.
 
         Entry (I, J) is the minor det(g^-1)[I, J], so the matrix is the p-th
-        compound of the inverse metric (exact minors for exact metrics).
+        compound of the inverse metric, from the exact minor kernel.
         """
         if p not in self._lambda_gram:
-            if self.is_exact:
-                out = linalg.compound(self.inverse_gram(), p)
-            elif p == 0:
-                out = np.ones((1, 1))
-            else:
-                ginv = self.inverse_gram()
-                idx = INDICES[p]
-                n = len(idx)
-                out = np.zeros((n, n))
-                for i, I in enumerate(idx):
-                    for j, J in enumerate(idx):
-                        sub = [[ginv[a - 1, b - 1] for b in J] for a in I]
-                        out[i, j] = float(np.linalg.det(np.array(sub)))
-            out.flags.writeable = False
-            self._lambda_gram[p] = out
+            self._lambda_gram[p] = read_only(linalg.compound(self.inverse_gram(), p))
         return self._lambda_gram[p]
 
+    def lambda_gram_float(self, p):
+        """Float view of lambda_gram(p), converted once."""
+        if p not in self._lambda_gram_float:
+            self._lambda_gram_float[p] = read_only(linalg.to_float(self.lambda_gram(p)))
+        return self._lambda_gram_float[p]
+
     def norm_sq_vector(self, v):
-        """g(v, v) for a tangent vector v."""
-        if self.is_exact and all(isinstance(x, (int, Fraction, np.integer)) for x in v):
-            vv = linalg.frac_vector([linalg.frac(x) for x in v])
+        """g(v, v) for a tangent vector v: exact for integer or rational v."""
+        if _is_rational(v):
+            vv = linalg.frac_vector(v)
             return vv @ self.gram @ vv
         vv = np.array([float(x) for x in v])
-        return float(vv @ (self.gram if not self.is_exact else linalg.to_float(self.gram)) @ vv)
+        return float(vv @ self.gram_float @ vv)
 
     def flat(self, v):
         """Musical isomorphism: the covector g(v, .) as a 1-form."""
-        if self.is_exact and all(isinstance(x, (int, Fraction, np.integer)) for x in v):
-            vv = linalg.frac_vector([linalg.frac(x) for x in v])
-            return ExteriorForm(1, list(self.gram @ vv))
-        gf = self.gram if not self.is_exact else linalg.to_float(self.gram)
-        return ExteriorForm(1, np.array(gf @ np.array([complex(x) for x in v]), dtype=complex))
+        if _is_rational(v):
+            return ExteriorForm(1, list(self.gram @ linalg.frac_vector(v)))
+        return ExteriorForm(1, np.array(self.gram_float @ np.array([complex(x) for x in v]),
+                                        dtype=complex))
+
+
+def read_only(arr):
+    """Mark a cached array read-only and return it."""
+    arr.flags.writeable = False
+    return arr
+
+
+def _is_rational(v):
+    return all(isinstance(x, (int, Fraction, np.integer)) for x in v)
 
 
 def inner(a, b, metric):
-    """<a, b>_g, conjugate-linear in b on the floating backend."""
+    """<a, b>_g: exact for exact forms, conjugate-linear in b on the floating backend."""
     a, b = _same_backend(a, b)
     if a.grade != b.grade:
         raise ValueError("inner product needs equal grades")
-    gp = metric.lambda_gram(a.grade)
-    if a.is_exact and metric.is_exact:
-        return a.coeffs @ gp @ b.coeffs
-    gp = gp if not metric.is_exact else linalg.to_float(gp)
-    return complex(a.to_float().coeffs @ gp @ np.conj(b.to_float().coeffs))
+    if a.is_exact:
+        return a.coeffs @ metric.lambda_gram(a.grade) @ b.coeffs
+    return complex(a.coeffs @ metric.lambda_gram_float(a.grade) @ np.conj(b.coeffs))
 
 
 def hodge_star(a, metric):
     """Hodge star fixed by a ^ star(b) = <a,b>_g vol_g."""
     p = a.grade
-    exact = a.is_exact and metric.is_exact
-    if not exact:
-        a = a.to_float()
-    gp = metric.lambda_gram(p)
-    if exact:
-        weighted = (gp @ a.coeffs) * metric.vol
+    if a.is_exact:
+        weighted = (metric.lambda_gram(p) @ a.coeffs) * metric.vol
         out = [Fraction(0)] * comb(DIM, DIM - p)
     else:
-        gpf = gp if not metric.is_exact else linalg.to_float(gp)
-        weighted = (gpf @ a.coeffs) * float(metric.vol)
+        weighted = (metric.lambda_gram_float(p) @ a.coeffs) * float(metric.vol)
         out = np.zeros(comb(DIM, DIM - p), dtype=complex)
     for pos_in, pos_out, sign in hodge_table(p):
         out[pos_out] = sign * weighted[pos_in]
     return ExteriorForm(DIM - p, out)
+
+
+def orthonormal_forms(grade, vectors, metric):
+    """Floating orthonormal forms spanning the exact coefficient vectors.
+
+    Gram-Schmidt runs in exact arithmetic w.r.t. the metric; only the final
+    unit normalisation is floating.
+    """
+    ortho, norms = linalg.gram_schmidt([list(v) for v in vectors], metric.lambda_gram(grade))
+    return [ExteriorForm(grade,
+                         (np.array([float(x) for x in v]) / np.sqrt(float(n2))).astype(complex))
+            for v, n2 in zip(ortho, norms)]
 
 
 def metric_from_frame(frame):
@@ -374,15 +370,10 @@ def metric_from_frame(frame):
     Convention (F*w)(u_1,..,u_p) = w(F u_1,..,F u_p), so the Gram matrix is
     F^T F and the volume factor is det F (must be positive).
     """
-    try:
-        F = linalg.frac_matrix(frame)
-        exact = True
-    except TypeError:
-        F = np.array(frame, dtype=float)
-        exact = False
+    F = linalg.frac_matrix(frame)
     if F.shape != (DIM, DIM):
         raise ValueError("frame must be 7x7")
-    d = linalg.det(F) if exact else float(np.linalg.det(F))
+    d = linalg.det(F)
     if d == 0:
         raise ValueError("frame is singular")
     if d < 0:
@@ -392,37 +383,15 @@ def metric_from_frame(frame):
 
 def pullback(frame, a):
     """Pullback F*a with (F*a)_J = sum_I det(F[I, J]) a_I (minor expansion)."""
-    try:
-        F = linalg.frac_matrix(frame)
-        exact = a.is_exact
-    except TypeError:
-        F = np.array(frame, dtype=float)
-        exact = False
-    p = a.grade
-    if p == 0:
-        return a if exact else a.to_float()
-    if not exact:
-        a = a.to_float()
-    mat = pullback_matrix(frame, p, exact=exact)
-    if exact:
-        return ExteriorForm(p, list(mat @ a.coeffs))
-    return ExteriorForm(p, np.array(mat @ a.coeffs, dtype=complex))
+    if a.grade == 0:
+        return a
+    return ExteriorForm(a.grade, list(pullback_matrix(frame, a.grade) @ a.coeffs))
 
 
-def pullback_matrix(frame, p, exact=True):
+def pullback_matrix(frame, p):
     """Matrix of F* on grade-p coefficient vectors.
 
     Entry (J, I) is det F[I, J], so the matrix is the transpose of the p-th
-    compound of F; the exact branch takes it from linalg.compound.
+    compound of F, taken from linalg.compound.
     """
-    if exact:
-        return linalg.compound(frame, p).T
-    F = np.array(frame, dtype=float)
-    idx = INDICES[p]
-    n = len(idx)
-    out = np.zeros((n, n))
-    for j, J in enumerate(idx):
-        for i, I in enumerate(idx):
-            sub = [[F[a - 1, b - 1] for b in J] for a in I]
-            out[j, i] = float(np.linalg.det(np.array(sub)))
-    return out
+    return linalg.compound(frame, p).T

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linalg
 from .exterior import (DIM, ExteriorForm, hodge_star, inner, interior,
-                       interior_table, wedge, wedge_table)
+                       interior_table, read_only, wedge, wedge_table)
 
 TWO_PI = 2.0 * np.pi
 
@@ -262,19 +262,12 @@ def star(f):
 
 def project_type(f, grade, component):
     """Mode-wise orthogonal type projection."""
-    P = f.structure.projector(grade, component)
-    return f.map_modes(lambda _, c: _apply_fiber_matrix(P, c, f.grade))
+    structure = f.structure
+    return f.map_modes(lambda _, c: structure.apply_projector(grade, component, c))
 
 
 def apply_I(f):
     return f.map_modes(lambda _, c: f.structure.apply_I(c))
-
-
-def _apply_fiber_matrix(P, c, grade):
-    if c.is_exact and isinstance(P, np.ndarray) and P.dtype == object:
-        return ExteriorForm(grade, list(P @ c.coeffs))
-    Pf = P if P.dtype != object else linalg.to_float(P)
-    return ExteriorForm(grade, np.asarray(Pf @ c.to_float().coeffs, dtype=complex))
 
 
 # -- refined operators ---------------------------------------------------------
@@ -327,76 +320,50 @@ def _wedge_matrix_covector(cov, p, exact):
     return out
 
 
-def _interior_matrix(l, p, exact):
-    """Matrix of v -> l . v on grade-p coefficient vectors (l a vector)."""
-    n_out = comb(DIM, p - 1)
-    n_in = comb(DIM, p)
-    out = linalg.zeros_frac(n_out, n_in) if exact else np.zeros((n_out, n_in))
+def _interior_matrix(l, p):
+    """Exact matrix of v -> l . v on grade-p coefficient vectors (l a vector)."""
+    out = linalg.zeros_frac(comb(DIM, p - 1), comb(DIM, p))
     for axis, pos_in, pos_out, s in interior_table(p):
         c = l[axis - 1]
         if c:
-            out[pos_out, pos_in] = out[pos_out, pos_in] + s * (linalg.frac(c) if exact else float(c))
+            out[pos_out, pos_in] = out[pos_out, pos_in] + s * linalg.frac(c)
     return out
 
 
-def _float_cached(structure, tag, producer):
-    cache = structure._fiber_cache
-    if tag not in cache:
-        M = producer()
-        M = M if M.dtype != object else linalg.to_float(M)
-        cache[tag] = M
-    return cache[tag]
-
-
-def _gram_float(structure, p):
-    return _float_cached(structure, ("gramf", p),
-                         lambda: structure.metric.lambda_gram(p))
-
-
 def _gram_inv_float(structure, p):
-    key = ("graminvf", p)
-    cache = structure._fiber_cache
-    if key not in cache:
-        cache[key] = np.linalg.inv(_gram_float(structure, p))
-    return cache[key]
+    return np.linalg.inv(structure.metric.lambda_gram_float(p))
 
 
-def _fiber_matrix(structure, name, l, want_float=False):
+def _fiber_matrix(structure, name, l, exact):
     """Mode-level matrix of a refined operator (the (2 pi i) is implicit).
 
     Exact matrices serve the rational backend; the floating variant is
-    assembled from float-converted primitives so that random-form sweeps
-    never touch Fraction arithmetic.
+    assembled from the structure's float views so that random-form sweeps
+    never touch Fraction arithmetic.  Memoised per (name, mode, backend).
     """
-    key = ("refinedf" if want_float else "refined", name, _mode_key(l))
-    cache = structure._fiber_cache
-    if key in cache:
-        return cache[key]
-    exact = structure.is_exact and not want_float
     op = REFINED_OPS[name]
+    metric = structure.metric
     if op.adjoint_of is not None:
         primal = REFINED_OPS[op.adjoint_of]
-        T = _fiber_matrix(structure, op.adjoint_of, l, want_float=want_float)
+        T = structure.memo(_fiber_matrix, op.adjoint_of, l, exact)
         if exact:
-            g_dom = structure.metric.lambda_gram(primal.domain[0])
-            g_cod = structure.metric.lambda_gram(primal.codomain[0])
+            g_dom = metric.lambda_gram(primal.domain[0])
+            g_cod = metric.lambda_gram(primal.codomain[0])
             M = -(linalg.inverse(g_dom) @ T.T @ g_cod)
         else:
-            M = -(_gram_inv_float(structure, primal.domain[0]) @ T.T
-                  @ _gram_float(structure, primal.codomain[0]))
+            M = -(structure.memo(_gram_inv_float, primal.domain[0]) @ T.T
+                  @ metric.lambda_gram_float(primal.codomain[0]))
     else:
         if exact:
             star = structure.star_matrix
             proj = structure.projector
             psi = structure.psi
-            lflat = structure.metric.flat(l)
+            lflat = metric.flat(l)
         else:
-            star = lambda p: _float_cached(structure, ("starf", p),
-                                           lambda: structure.star_matrix(p))
-            proj = lambda g_, c_: _float_cached(structure, ("projf", g_, c_),
-                                                lambda: structure.projector(g_, c_))
+            star = structure.star_matrix_float
+            proj = structure.projector_float
             psi = structure.psi.to_float()
-            lflat = structure.metric.flat(l).to_float()
+            lflat = metric.flat(l).to_float()
         eps = lambda p: _wedge_matrix_covector(lflat, p, exact)
         if name == "d1_7":
             M = eps(0)
@@ -417,10 +384,7 @@ def _fiber_matrix(structure, name, l, want_float=False):
             raise ValueError(f"unknown refined operator {name}")
         if not exact:
             M = np.ascontiguousarray(M.real.astype(float)) if M.dtype == complex else M
-    if isinstance(M, np.ndarray):
-        M.flags.writeable = False
-    cache[key] = M
-    return M
+    return read_only(M)
 
 
 def refined(name, f, strict=False, tol=1e-9):
@@ -448,11 +412,10 @@ def refined(name, f, strict=False, tol=1e-9):
     def step(l, c):
         if l == ZERO_MODE:
             return None
-        if c.is_exact and f.structure.is_exact:
-            M = _fiber_matrix(f.structure, name, l)
+        M = f.structure.memo(_fiber_matrix, name, l, c.is_exact)
+        if c.is_exact:
             return ExteriorForm(cod_grade, list(M @ c.coeffs))
-        M = _fiber_matrix(f.structure, name, l, want_float=True)
-        return ExteriorForm(cod_grade, np.asarray(M @ c.to_float().coeffs, dtype=complex))
+        return ExteriorForm(cod_grade, np.asarray(M @ c.coeffs, dtype=complex))
 
     return f.map_modes(step, grade=cod_grade, pow_shift=1)
 
@@ -460,19 +423,12 @@ def refined(name, f, strict=False, tol=1e-9):
 # -- mode fibre subspaces -------------------------------------------------------
 
 def _typed_basis_int64(structure, grade, component):
-    """The typed-subspace basis matrix as int64 (exact structures only)."""
-    key = ("type_basis_int64", grade, component)
-    cache = structure._fiber_cache
-    if key not in cache:
-        mat = None
-        if structure.is_exact:
-            cols = structure.type_space_basis(grade, component)
-            entries = [[linalg.frac(x) for x in col] for col in cols]
-            if all(x.denominator == 1 and abs(x) < 2 ** 31 for row in entries for x in row):
-                mat = np.array([[int(x) for x in row] for row in entries],
-                               dtype=np.int64).T
-        cache[key] = mat
-    return cache[key]
+    """The typed-subspace basis matrix as int64, or None if it does not fit."""
+    cols = structure.type_space_basis(grade, component)
+    entries = [[linalg.frac(x) for x in col] for col in cols]
+    if all(x.denominator == 1 and abs(x) < 2 ** 31 for row in entries for x in row):
+        return np.array([[int(x) for x in row] for row in entries], dtype=np.int64).T
+    return None
 
 
 def _interior_matrix_int64(l, p):
@@ -488,11 +444,11 @@ def _interior_matrix_int64(l, p):
 
 def _contraction_on_type(structure, lc, grade, component):
     """iota_l composed with the typed-subspace parametrisation, small matrix."""
-    B64 = _typed_basis_int64(structure, grade, component)
+    B64 = structure.memo(_typed_basis_int64, grade, component)
     if B64 is not None and max(abs(x) for x in lc) < 2 ** 20:
         return _interior_matrix_int64(lc, grade) @ B64
     B = np.stack(structure.type_space_basis(grade, component), axis=1)
-    return _interior_matrix(lc, grade, structure.is_exact) @ B
+    return _interior_matrix(lc, grade) @ B
 
 
 def typed_contraction_kernel(structure, l, grade, component):
@@ -502,48 +458,27 @@ def typed_contraction_kernel(structure, l, grade, component):
     dimension 8) and H'_l (grade 3, component 27, dimension 12).  The typed
     subspace is parametrised once by an exact basis matrix B, so only the
     small system (iota_l B) x = 0 is solved per mode.  Basis vectors are
-    scaled to primitive integer vectors.  Cached per (grade, component, l);
-    l and -l share a basis.
+    scaled to primitive integer vectors.  Memoised per (l, grade, component)
+    on the structure; l and -l share a basis.
     """
-    lc = _canonical_sign(_mode_key(l))
-    key = ("ker", grade, component, lc)
-    cache = structure._fiber_cache
-    if key not in cache:
-        if structure.is_exact:
-            from .g2 import _primitive_integer
-            C = _contraction_on_type(structure, lc, grade, component)
-            B = np.stack(structure.type_space_basis(grade, component), axis=1)
-            basis = tuple(_primitive_integer(B @ x) for x in linalg.nullspace(C))
-        else:
-            Bf = np.asarray(np.stack(structure.type_space_basis(grade, component),
-                                     axis=1), dtype=float)
-            C = _interior_matrix(lc, grade, False) @ Bf
-            u, s, vh = np.linalg.svd(C)
-            tolr = max(C.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
-            basis = tuple(Bf @ row for row in vh[np.sum(s > tolr):])
-        cache[key] = basis
-    return cache[key]
+    return structure.memo(_kernel_basis, _canonical_sign(_mode_key(l)), grade, component)
+
+
+def _kernel_basis(structure, lc, grade, component):
+    C = _contraction_on_type(structure, lc, grade, component)
+    B = np.stack(structure.type_space_basis(grade, component), axis=1)
+    return tuple(linalg.primitive_integer(B @ x) for x in linalg.nullspace(C))
 
 
 def typed_contraction_kernel_dim(structure, l, grade, component):
     """Dimension of the fibre, via an exact integer rank when possible."""
-    lc = _canonical_sign(_mode_key(l))
-    key = ("kerdim", grade, component, lc)
-    cache = structure._fiber_cache
-    if key not in cache:
-        if structure.is_exact:
-            C = _contraction_on_type(structure, lc, grade, component)
-            k = C.shape[1]
-            if C.dtype == np.int64:
-                r = linalg.int_rank(C.tolist())
-            else:
-                r = linalg.rank(C)
-        else:
-            C = _contraction_on_type(structure, lc, grade, component)
-            k = C.shape[1]
-            r = int(np.linalg.matrix_rank(C))
-        cache[key] = k - r
-    return cache[key]
+    return structure.memo(_kernel_dim, _canonical_sign(_mode_key(l)), grade, component)
+
+
+def _kernel_dim(structure, lc, grade, component):
+    C = _contraction_on_type(structure, lc, grade, component)
+    r = linalg.int_rank(C.tolist()) if C.dtype == np.int64 else linalg.rank(C)
+    return C.shape[1] - r
 
 
 def _canonical_sign(l):
@@ -581,8 +516,7 @@ def random_fourier(structure, grade, rng, n_modes=3, linf=3, component=None,
 def _identity_suite(structure, strict=False):
     """List of (name, input kind, lhs builder, rhs builder)."""
     phi, psi = structure.phi, structure.psi
-    vol = hodge_star(ExteriorForm.from_terms(0, {(): 1}, exact=structure.is_exact),
-                     structure.metric)
+    vol = hodge_star(ExteriorForm.from_terms(0, {(): 1}), structure.metric)
 
     def R(name, f):
         return refined(name, f, strict=strict)
@@ -777,7 +711,7 @@ def hessian_blocks(kind, f, tol=1e-9):
                       for v in np.eye(DIM, dtype=int)]
         cols = [np.asarray(interior(l, wedge(lflat, b.to_float())).coeffs)
                 for b in basis7]
-        P = _span_proj_cols(cols, g.lambda_gram(grade))
+        P = _span_proj_cols(cols, g.lambda_gram_float(grade))
         c_co7 = ExteriorForm(grade, np.asarray(P @ c_co.coeffs, dtype=complex))
         rest = c_co - c_co7
         blocks["coexact_7"][l] = c_co7
@@ -786,7 +720,7 @@ def hessian_blocks(kind, f, tol=1e-9):
         else:
             kernel = typed_contraction_kernel(structure, l, 3, 27)
             colsm = [np.array([complex(x) for x in v]) for v in kernel]
-            Pm = _span_proj_cols(colsm, g.lambda_gram(3))
+            Pm = _span_proj_cols(colsm, g.lambda_gram_float(3))
             c_minus = ExteriorForm(3, np.asarray(Pm @ rest.coeffs, dtype=complex))
             blocks["S_minus"][l] = c_minus
             blocks["S_plus"][l] = rest - c_minus
@@ -834,8 +768,7 @@ def _block_action(kind, label):
     raise ValueError(label)
 
 
-def _span_proj_cols(cols, gram):
-    gramf = gram if gram.dtype != object else linalg.to_float(gram)
+def _span_proj_cols(cols, gram_float):
     B = np.stack([np.asarray(c, dtype=complex) for c in cols], axis=1)
-    BtG = B.T @ gramf
+    BtG = B.T @ gram_float
     return B @ np.linalg.inv(BtG @ B) @ BtG

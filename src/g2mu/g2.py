@@ -11,21 +11,27 @@ exterior powers split into irreducible pieces
     Lambda^2 = Lambda^2_7 + Lambda^2_14,
     Lambda^3 = Lambda^3_1 + Lambda^3_7 + Lambda^3_27,
 
-with the grade-4/5 splittings obtained by Hodge duality.  Projections are
-assembled from the defining descriptions of the pieces (spans of
-contractions, kernels of wedge maps), which keeps every projector an exact
-rational matrix whenever the frame is rational.
+with the grade-4/5 splittings obtained by Hodge duality.  The type spaces
+of the standard structure are derived once from their defining
+descriptions (spans of contractions, kernels of wedge maps); a structure
+F*phi0 with a rational frame F transports them by the exact pullback
+matrices of F, so every basis and projector is an exact rational matrix.
+
+A G2Structure owns every cache that depends on it: one memo keyed by the
+producing function and its arguments, which also holds the float views of
+its projectors and star matrices for the floating form backend.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, lcm
 
 import numpy as np
 
 from . import linalg
 from .exterior import (DIM, INDICES, ExteriorForm, Metric7, hodge_star, interior,
-                       metric_from_frame, pullback, pullback_matrix, wedge)
+                       metric_from_frame, orthonormal_forms, pullback, pullback_matrix,
+                       read_only, wedge)
 
 PHI0_TERMS = {
     (1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1, (2, 4, 6): 1,
@@ -35,9 +41,9 @@ PHI0_TERMS = {
 VALID_COMPONENTS = {2: (7, 14), 3: (1, 7, 27), 4: (1, 7, 27), 5: (7, 14)}
 
 
-def standard_phi0(exact=True):
+def standard_phi0():
     """The model G2 3-form with unit coefficients."""
-    return ExteriorForm.from_terms(3, PHI0_TERMS, exact=exact)
+    return ExteriorForm.from_terms(3, PHI0_TERMS)
 
 
 class TypeLabel:
@@ -75,18 +81,6 @@ def _span_projector(basis_columns, gram):
     return B @ inv @ BtG
 
 
-def _primitive_integer(vec):
-    """Scale a rational vector to a primitive integer vector."""
-    denom = lcm(*(linalg.frac(x).denominator for x in vec)) if len(vec) else 1
-    ints = [int(linalg.frac(x) * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    g = g or 1
-    out = np.array([x // g for x in ints], dtype=object)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _base_data():
     """Exact type-space bases and projectors for the standard structure."""
@@ -119,67 +113,108 @@ def _base_data():
     bases = {}
     for (grade, comp), cols in basis.items():
         gram = gram2 if grade == 2 else gram3
-        P = _span_projector(cols, gram)
-        P.flags.writeable = False
-        projectors[(grade, comp)] = P
-        bases[(grade, comp)] = tuple(_primitive_integer(v) for v in cols)
+        projectors[(grade, comp)] = read_only(_span_projector(cols, gram))
+        bases[(grade, comp)] = tuple(linalg.primitive_integer(v) for v in cols)
     return projectors, bases
 
 
-def _base_projectors():
-    return _base_data()[0]
-
-
-def _star_matrix(metric, p, exact):
-    from math import comb
+def _star_matrix(structure, p):
     n = comb(DIM, p)
     cols = []
     for k in range(n):
         coeffs = [0] * n
         coeffs[k] = 1
-        form = ExteriorForm(p, coeffs) if exact else ExteriorForm(p, np.array(coeffs, dtype=complex))
-        cols.append(np.array(hodge_star(form, metric).coeffs))
-    out = np.stack(cols, axis=1)
-    if not exact:
-        out = out.astype(complex)
-    return out
+        cols.append(np.array(hodge_star(ExteriorForm(p, coeffs), structure.metric).coeffs))
+    return np.stack(cols, axis=1)
+
+
+def _frame_pullback_matrix(structure, p, inverse):
+    F = linalg.inverse(structure.frame) if inverse else structure.frame
+    return pullback_matrix(F, p)
+
+
+def _type_space_basis(structure, grade, component):
+    base = _base_data()[1][(grade, component)]
+    if linalg.is_identity(structure.frame):
+        return base
+    M = structure.frame_pullback_matrix(grade)
+    return tuple(linalg.primitive_integer(M @ v) for v in base)
+
+
+def _projector(structure, grade, component):
+    if grade in (2, 3):
+        base = _base_data()[0][(grade, component)]
+        if linalg.is_identity(structure.frame):
+            return base
+        M = structure.frame_pullback_matrix(grade)
+        Minv = structure.frame_pullback_matrix(grade, inverse=True)
+        return read_only(M @ base @ Minv)
+    # grades 4, 5 via star conjugation: pi_q = star o pi_q o star
+    dual = structure.projector(DIM - grade, component)
+    s_to3 = structure.star_matrix(grade)        # Lambda^grade -> Lambda^(7-grade)
+    s_back = structure.star_matrix(DIM - grade)  # and back
+    # star o star = id in odd dimension, so no sign correction
+    return read_only(s_back @ dual @ s_to3)
+
+
+def _float_view(structure, method, *args):
+    return read_only(linalg.to_float(method(structure, *args)))
+
+
+class Memo:
+    """The one cache of a G2Structure: memo(fn, *args) is fn(structure, *args),
+    computed once per structure and kept under the key (fn, args).
+
+    It grows by a fixed number of entries per grade and component (bases,
+    projectors, star and pullback matrices, their float views), plus a
+    fixed number per lattice vector, Fourier mode or group element that a
+    command visits (fibre kernels and their dimensions, refined-operator
+    matrices, pullback matrices of group elements), plus one per oracle
+    radius.  Nothing is evicted; a CLI command builds one structure.
+
+    A callable object rather than a method, so that the time fn takes is
+    booked to the public function that asked for it in a per-function
+    profile, not to the cache.
+    """
+
+    __slots__ = ("_structure", "_values")
+
+    def __init__(self, structure):
+        self._structure = structure
+        self._values = {}
+
+    def __call__(self, fn, *args):
+        key = (fn, args)
+        values = self._values
+        if key not in values:
+            values[key] = fn(self._structure, *args)
+        return values[key]
 
 
 class G2Structure:
-    """A flat G2-structure F*phi0 with its 4-form, metric and projectors."""
+    """A flat G2-structure F*phi0 with its 4-form, metric and projectors.
 
-    __slots__ = ("frame", "phi", "psi", "metric", "_proj_cache", "_star_cache",
-                 "_pullback_cache", "_fiber_cache", "is_exact", "_phi_int")
+    The frame F is exact (rational); a float frame raises TypeError.
+    Everything derived from the structure is kept in its Memo, `memo`.
+    """
+
+    __slots__ = ("frame", "phi", "psi", "metric", "memo", "_phi_int")
 
     def __init__(self, frame=None):
         if frame is None:
             frame = linalg.identity_frac(DIM)
-        try:
-            frame = linalg.frac_matrix(frame)
-            exact = True
-        except TypeError:
-            frame = np.array(frame, dtype=float)
-            exact = False
+        frame = linalg.frac_matrix(frame)
         metric = metric_from_frame(frame)
-        phi = pullback(frame, standard_phi0(exact=exact))
+        phi = pullback(frame, standard_phi0())
         psi = hodge_star(phi, metric)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "is_exact", exact)
-        object.__setattr__(self, "_proj_cache", {})
-        object.__setattr__(self, "_star_cache", {})
-        object.__setattr__(self, "_pullback_cache", {})
-        object.__setattr__(self, "_fiber_cache", {})
-        object.__setattr__(self, "_phi_int", _integer_terms(phi) if exact else None)
+        object.__setattr__(self, "_phi_int", _integer_terms(phi))
+        object.__setattr__(self, "memo", Memo(self))
         # phi ^ psi = 7 vol is the structural sanity check of the pair
-        sanity = wedge(self.phi, self.psi)
-        vol7 = 7 * (metric.vol if exact else float(metric.vol))
-        if exact:
-            if sanity.coeffs[0] != vol7:
-                raise ValueError("phi ^ star(phi) != 7 vol; inconsistent construction")
-        elif abs(sanity.coeffs[0] - vol7) > 1e-9 * abs(vol7):
+        if wedge(phi, psi).coeffs[0] != 7 * metric.vol:
             raise ValueError("phi ^ star(phi) != 7 vol; inconsistent construction")
 
     def __setattr__(self, *_):
@@ -193,150 +228,80 @@ class G2Structure:
 
     @classmethod
     def for_frame(cls, frame=None):
-        """Shared instance per frame so fibre caches are reused across runs."""
-        if frame is None:
-            key = "identity"
-        else:
-            try:
-                key = tuple(tuple(linalg.frac(x) for x in row) for row in frame)
-            except TypeError:
-                key = tuple(tuple(float(x) for x in row) for row in frame)
+        """Shared instance per frame so that memoised data is reused across runs.
+
+        The shared instances grow by one per distinct frame asked for; a
+        command asks for one.
+        """
+        key = "identity" if frame is None else \
+            tuple(tuple(linalg.frac(x) for x in row) for row in frame)
         if key not in cls._shared_instances:
             cls._shared_instances[key] = cls(frame)
         return cls._shared_instances[key]
 
     def type_space_basis(self, grade, component):
-        """Exact basis vectors (coefficient arrays) of a typed subspace."""
+        """Exact basis vectors (primitive integer arrays) of a typed subspace."""
         if component not in VALID_COMPONENTS.get(grade, ()):
             raise ValueError(f"no component {component} in grade {grade}")
         if grade not in (2, 3):
             raise ValueError("exact bases are kept for grades 2 and 3 only")
-        key = ("type_basis", grade, component)
-        cache = self._fiber_cache
-        if key not in cache:
-            base = _base_data()[1][(grade, component)]
-            if self.is_exact and linalg.is_identity(self.frame):
-                cols = base
-            elif self.is_exact:
-                M = self.frame_pullback_matrix(grade)
-                cols = tuple(_primitive_integer(M @ v) for v in base)
-            else:
-                M = self.frame_pullback_matrix(grade)
-                cols = tuple(M @ np.array([float(x) for x in v]) for v in base)
-            cache[key] = cols
-        return cache[key]
+        return self.memo(_type_space_basis, grade, component)
 
     # -- matrices ---------------------------------------------------------
 
     def star_matrix(self, p):
-        if p not in self._star_cache:
-            mat = _star_matrix(self.metric, p, self.is_exact)
-            self._star_cache[p] = mat
-        return self._star_cache[p]
+        """Exact matrix of the Hodge star on grade-p coefficient vectors."""
+        return self.memo(_star_matrix, p)
+
+    def star_matrix_float(self, p):
+        """Float view of star_matrix(p), converted once."""
+        return self.memo(_float_view, G2Structure.star_matrix, p)
 
     def frame_pullback_matrix(self, p, inverse=False):
-        key = (p, inverse)
-        if key not in self._pullback_cache:
-            F = self.frame
-            if inverse:
-                F = linalg.inverse(F) if self.is_exact else np.linalg.inv(F)
-            self._pullback_cache[key] = pullback_matrix(F, p, exact=self.is_exact)
-        return self._pullback_cache[key]
+        return self.memo(_frame_pullback_matrix, p, inverse)
 
     def projector(self, grade, component):
         """Matrix of the orthogonal projection onto Lambda^grade_component."""
         if component not in VALID_COMPONENTS.get(grade, ()):
             raise ValueError(f"no component {component} in grade {grade}")
-        key = (grade, component)
-        if key not in self._proj_cache:
-            if grade in (2, 3):
-                base = _base_projectors()[key]
-                if self.is_exact:
-                    if linalg.is_identity(self.frame):
-                        P = base
-                    else:
-                        M = self.frame_pullback_matrix(grade)
-                        Minv = self.frame_pullback_matrix(grade, inverse=True)
-                        P = M @ base @ Minv
-                else:
-                    M = self.frame_pullback_matrix(grade)
-                    P = M @ linalg.to_float(base) @ np.linalg.inv(M)
-            else:
-                # grades 4, 5 via star conjugation: pi_q = star o pi_q o star
-                dual = self.projector(DIM - grade, component)
-                s_to3 = self.star_matrix(grade)        # Lambda^grade -> Lambda^(7-grade)
-                s_back = self.star_matrix(DIM - grade)  # and back
-                P = s_back @ dual @ s_to3
-                # star o star = id in odd dimension, so no sign correction
-            if isinstance(P, np.ndarray):
-                P.flags.writeable = False
-            self._proj_cache[key] = P
-        return self._proj_cache[key]
+        return self.memo(_projector, grade, component)
+
+    def projector_float(self, grade, component):
+        """Float view of projector(grade, component), converted once."""
+        return self.memo(_float_view, G2Structure.projector, grade, component)
 
     # -- operations ---------------------------------------------------------
+
+    def apply_projector(self, grade, component, a):
+        """pi_component of the grade-`grade` form a.
+
+        Exact forms are projected exactly; floating forms through the float
+        view of the projector.
+        """
+        if a.is_exact:
+            return ExteriorForm(a.grade, list(self.projector(grade, component) @ a.coeffs))
+        return ExteriorForm(a.grade, np.asarray(
+            self.projector_float(grade, component) @ a.coeffs, dtype=complex))
 
     def project(self, label, a):
         """Orthogonal projection of a onto the labelled component.
 
         Accepts forms of the label's grade or its Hodge-dual grade 7-grade.
         """
-        if a.grade == label.grade:
-            P = self.projector(label.grade, label.component)
-        elif a.grade == DIM - label.grade:
-            P = self.projector(a.grade, label.component)
-        else:
+        if a.grade not in (label.grade, DIM - label.grade):
             raise ValueError(
                 f"form of grade {a.grade} does not match label grade {label.grade}")
-        return _apply_matrix(P, a)
+        return self.apply_projector(a.grade, label.component, a)
 
     def type_basis(self, label):
-        """Orthonormal basis of the component, from its defining description.
+        """Orthonormal basis of the component, as floating-point forms.
 
-        Spans and kernels are computed exactly when the frame is rational;
-        the returned forms are floating-point after unit normalisation.
+        Gram-Schmidt runs exactly over type_space_basis; only the final unit
+        normalisation is floating.
         """
-        grade, comp = label.grade, label.component
-        phi, psi = self.phi, self.psi
-        e = [[1 if j == i else 0 for j in range(DIM)] for i in range(DIM)]
-        if (grade, comp) == (2, 7):
-            raw = [np.array(interior(v, phi).coeffs) for v in e]
-        elif (grade, comp) == (3, 1):
-            raw = [np.array(phi.coeffs)]
-        elif (grade, comp) == (3, 7):
-            raw = [np.array(interior(v, psi).coeffs) for v in e]
-        elif (grade, comp) == (2, 14):
-            cols = [np.array(wedge(ExteriorForm.from_terms(2, {idx: 1}, exact=self.is_exact),
-                                   psi).coeffs) for idx in INDICES[2]]
-            raw = _nullspace_cols(cols, self.is_exact)
-        elif (grade, comp) == (3, 27):
-            cols = []
-            for idx in INDICES[3]:
-                b = ExteriorForm.from_terms(3, {idx: 1}, exact=self.is_exact)
-                cols.append(np.concatenate([np.array(wedge(b, phi).coeffs),
-                                            np.array(wedge(b, psi).coeffs)]))
-            raw = _nullspace_cols(cols, self.is_exact)
-        else:
-            raise ValueError(f"unsupported label {label}")
-        gram = self.metric.lambda_gram(grade)
-        if self.is_exact:
-            ortho, norms = linalg.gram_schmidt([list(v) for v in raw], gram)
-            out = []
-            for v, n2 in zip(ortho, norms):
-                vf = np.array([float(x) for x in v]) / np.sqrt(float(n2))
-                out.append(ExteriorForm(grade, vf.astype(complex)))
-            return out
-        gramf = gram
-        vecs = [np.array([complex(x) for x in v]) for v in raw]
-        out = []
-        ortho = []
-        for v in vecs:
-            w = v.astype(complex)
-            for u in ortho:
-                w = w - (w @ gramf @ np.conj(u)) * u
-            w = w / np.sqrt(abs(w @ gramf @ np.conj(w)))
-            ortho.append(w)
-            out.append(ExteriorForm(grade, w))
-        return out
+        grade = label.grade
+        return orthonormal_forms(grade, self.type_space_basis(grade, label.component),
+                                 self.metric)
 
     def apply_I(self, a):
         """(4/3) pi_1 + pi_7 - pi_27 on 3-forms (Hessian symbol of the 3-form functional)."""
@@ -353,21 +318,18 @@ class G2Structure:
     def _combo(self, a, grade, weights):
         out = None
         for comp, w in weights.items():
-            piece = _apply_matrix(self.projector(grade, comp), a).scale(w)
+            piece = self.apply_projector(grade, comp, a).scale(w)
             out = piece if out is None else out + piece
         return out
 
-    def is_g2_element(self, A, tol=1e-9):
+    def is_g2_element(self, A):
         """Whether A preserves this structure's 3-form: A*(F*phi0) = F*phi0.
 
-        For an exact structure this is an exact test in integers: with
-        phi = c / s for an integer vector c and A = B / d for an integer
-        matrix B, it checks sum_I det B[I, J] c_I = d^3 c_J for every J,
-        where I runs over the nonzero terms of phi only.  A must then be
-        rational.  Float frames compare the pullback within tol.
+        An exact test in integers: with phi = c / s for an integer vector c
+        and A = B / d for an integer matrix B, it checks
+        sum_I det B[I, J] c_I = d^3 c_J for every J, where I runs over the
+        nonzero terms of phi only.  A must be rational.
         """
-        if not self.is_exact:
-            return pullback(A, self.phi).allclose(self.phi, tol=tol)
         B, d = linalg.clear_denominators(A)
         if len(B) != DIM or any(len(row) != DIM for row in B):
             raise ValueError("A must be 7x7")
@@ -385,21 +347,3 @@ def _integer_terms(phi):
     c = [int(x * scale) for x in phi.coeffs]
     terms = [(tuple(a - 1 for a in I), x) for I, x in zip(INDICES[3], c) if x]
     return tuple(I for I, _ in terms), tuple(x for _, x in terms), tuple(c)
-
-
-def _nullspace_cols(cols, exact):
-    mat = np.stack(cols, axis=1)
-    if exact:
-        return linalg.nullspace(mat)
-    # floating nullspace via SVD
-    u, s, vh = np.linalg.svd(np.array(mat, dtype=complex))
-    tol = max(mat.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
-    null = vh[np.sum(s > tol):].conj()
-    return [row for row in null]
-
-
-def _apply_matrix(P, a):
-    if a.is_exact and P.dtype == object:
-        return ExteriorForm(a.grade, list(P @ a.coeffs))
-    Pf = P if P.dtype != object else linalg.to_float(P)
-    return ExteriorForm(a.grade, np.array(Pf @ a.to_float().coeffs, dtype=complex))

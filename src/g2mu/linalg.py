@@ -11,7 +11,7 @@ leave Z.
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import index
 
 import numpy as np
@@ -304,6 +304,17 @@ def integer_kernel(a):
         lead = next((x for x in v if x != 0), 1)
         out.append(tuple(-x for x in v) if lead < 0 else v)
     return out
+
+
+def primitive_integer(vec):
+    """Scale a rational vector to a primitive integer vector (object array)."""
+    denom = lcm(*(frac(x).denominator for x in vec)) if len(vec) else 1
+    ints = [int(frac(x) * denom) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    g = g or 1
+    return np.array([x // g for x in ints], dtype=object)
 
 
 def gram_schmidt(vectors, gram):

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .exterior import DIM, ExteriorForm, pullback
+from .exterior import DIM, orthonormal_forms, pullback
 from .fourier import typed_contraction_kernel, typed_contraction_kernel_dim
 from .invariants import tr8_su3, tr12_su3
 
@@ -92,15 +92,14 @@ def enumerate_classes(orbifold, radius_sq):
     radius_sq = linalg.frac(radius_sq)
     if radius_sq < 0:
         raise ValueError("radius_sq must be nonnegative")
-    structure = orbifold.structure
-    key = ("classes", radius_sq)
-    if key in structure._fiber_cache:
-        return structure._fiber_cache[key]
+    return orbifold.structure.memo(_classes, radius_sq)
+
+
+def _classes(structure, radius_sq):
     gram = structure.metric.gram
     points = linalg.enumerate_ellipsoid(gram, radius_sq)
     by_norm = {}
-    integer_gram = structure.is_exact and all(
-        linalg.frac(x).denominator == 1 for x in gram.flat)
+    integer_gram = all(x.denominator == 1 for x in gram.flat)
     if integer_gram and points:
         V = np.array(points, dtype=np.int64)
         G = np.array([[int(x) for x in row] for row in gram], dtype=np.int64)
@@ -114,10 +113,8 @@ def enumerate_classes(orbifold, radius_sq):
                 continue
             v = linalg.frac_vector(l)
             by_norm.setdefault(v @ gram @ v, []).append(l)
-    classes = [EigenClass(norm_sq=n2, vectors=tuple(sorted(by_norm[n2])))
-               for n2 in sorted(by_norm)]
-    structure._fiber_cache[key] = classes
-    return classes
+    return [EigenClass(norm_sq=n2, vectors=tuple(sorted(by_norm[n2])))
+            for n2 in sorted(by_norm)]
 
 
 class ModeSpace:
@@ -143,11 +140,7 @@ class ModeSpace:
 
     def orthonormal_fiber_basis(self, l):
         """Floating orthonormal version of fiber_basis (w.r.t. the metric)."""
-        gram = self.structure.metric.lambda_gram(self.grade)
-        ortho, norms = linalg.gram_schmidt([list(v) for v in self.fiber_basis(l)], gram)
-        return [ExteriorForm(self.grade,
-                             (np.array([float(x) for x in v]) / np.sqrt(float(n2))).astype(complex))
-                for v, n2 in zip(ortho, norms)]
+        return orthonormal_forms(self.grade, self.fiber_basis(l), self.structure.metric)
 
 
 def group_action_on_mode(element, l, alpha, metric=None, gram_inv=None):
@@ -191,19 +184,14 @@ def _restricted_trace(structure, mat_pullback, basis):
     """
     grade = {21: 2, 35: 3}[mat_pullback.shape[0]]
     gram = structure.metric.lambda_gram(grade)
-    euclidean = structure.is_exact and linalg.is_identity(gram)
-    if euclidean and mat_pullback.dtype == np.int64:
+    if linalg.is_identity(gram) and mat_pullback.dtype == np.int64:
         try:
             B = np.stack([np.array([int(x) for x in v], dtype=np.int64)
                           for v in basis], axis=1)
         except (TypeError, ValueError):
             B = None
         if B is not None:
-            key = ("invBtB", B.tobytes(), B.shape)
-            inv = structure._fiber_cache.get(key)
-            if inv is None:
-                inv = linalg.inverse(linalg.frac_matrix((B.T @ B).tolist()))
-                structure._fiber_cache[key] = inv
+            inv = structure.memo(_inverse_btb, B.tobytes(), B.shape)
             BtMB = (B.T @ (mat_pullback @ B)).tolist()
             k = len(BtMB)
             # trace of inv @ BtMB without forming the product
@@ -215,6 +203,12 @@ def _restricted_trace(structure, mat_pullback, basis):
     BtG = B.T @ gram
     C = linalg.inverse(BtG @ B) @ (BtG @ (M @ B))
     return sum(C[i, i] for i in range(C.shape[0]))
+
+
+def _inverse_btb(structure, data, shape):
+    """Exact (B^T B)^-1 for the int64 basis matrix B with these bytes and shape."""
+    B = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    return linalg.inverse(linalg.frac_matrix((B.T @ B).tolist()))
 
 
 class _PhaseSum:
@@ -329,15 +323,14 @@ def _integer_average(acc, order):
 
 def pullback_matrix_cached(structure, element, grade):
     """Pullback matrix of the matrix part (transposed compound), int64 where possible."""
-    key = ("pullback", element.matrix, grade)
-    cache = structure._fiber_cache
-    if key not in cache:
-        mat = [list(col) for col in zip(*linalg.int_compound(element.matrix, grade))]
-        if all(abs(x) < 2 ** 31 for row in mat for x in row):
-            cache[key] = np.array(mat, dtype=np.int64)
-        else:
-            cache[key] = linalg.frac_matrix(mat)
-    return cache[key]
+    return structure.memo(_element_pullback_matrix, element.matrix, grade)
+
+
+def _element_pullback_matrix(structure, matrix, grade):
+    mat = [list(col) for col in zip(*linalg.int_compound(matrix, grade))]
+    if all(abs(x) < 2 ** 31 for row in mat for x in row):
+        return np.array(mat, dtype=np.int64)
+    return linalg.frac_matrix(mat)
 
 
 def su3_trace_check(orbifold, element, l):

@@ -186,10 +186,11 @@ class JoyceOrbifold:
 def validate_joyce(group, frame=None):
     """Check F A F^-1 in G2 for every element; assemble the orbifold.
 
-    The membership test is the pullback condition A*(F*phi0) = F*phi0,
-    exact for rational frames.  Raises NotG2Compatible naming the first
-    failing element.  Structures are shared per frame so downstream fibre
-    caches are reused between orbifolds over the same flat metric.
+    The membership test is the pullback condition A*(F*phi0) = F*phi0, in
+    exact integer arithmetic; the frame must be rational (a float frame
+    raises TypeError).  Raises NotG2Compatible naming the first failing
+    element.  The structure comes from G2Structure.for_frame, so orbifolds
+    over the same frame share its memoised bases, kernels and matrices.
     """
     structure = G2Structure.for_frame(frame)
     for elem in group:

@@ -171,3 +171,26 @@ def test_reports_deterministic(capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     r1.pop("wall_time_s"), r2.pop("wall_time_s")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+@pytest.mark.parametrize("flag,value,detail", [
+    ("--radius-sq", "-1", "--radius-sq must be nonnegative"),
+    ("--radius-sq", "1/0", "bad --radius-sq"),
+    ("--trials", "0", "--trials must be a positive integer"),
+    ("--trials", "-3", "--trials must be a positive integer"),
+])
+def test_bad_flag_values_rejected_as_malformed_input(capsys, flag, value, detail):
+    command = "spectrum" if flag == "--radius-sq" else "identities"
+    code, out, err = run_cli(capsys, command, "--config", str(CONFIG_DIR / "t7.json"),
+                             f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": {"type": "ConfigError", "detail": detail}}
+
+
+def test_bad_config_values_rejected_as_malformed_input(capsys, tmp_path):
+    for field, value in [("oracle_radius_sq", "-1"), ("trials", 0), ("trials", -3)]:
+        cfg = write_config(tmp_path, {"name": "x", "generators": [], field: value})
+        code, out, err = run_cli(capsys, "check", "--config", cfg)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "ConfigError"

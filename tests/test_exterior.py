@@ -6,8 +6,8 @@ import pytest
 
 from g2mu import linalg
 from g2mu.exterior import (DIM, ExteriorForm, Metric7, hodge_star, inner,
-                           interior, metric_from_frame, pullback, wedge)
-from g2mu.g2 import standard_phi0
+                           interior, metric_from_frame, pullback, pullback_matrix, wedge)
+from g2mu.g2 import G2Structure, standard_phi0
 
 
 def rand_form(rng, p, exact=False):
@@ -89,6 +89,14 @@ def test_hodge_star_phi0_pairing():
     assert pairing == ExteriorForm.from_terms(7, {tuple(range(1, 8)): 7})
 
 
+def random_frame(rng):
+    """A seeded random integer frame with det F > 0."""
+    F = rng.integers(-2, 3, size=(7, 7))
+    while round(np.linalg.det(F)) <= 0:
+        F = rng.integers(-2, 3, size=(7, 7))
+    return F.tolist()
+
+
 def test_star_defining_identity_exact_and_float():
     rng = np.random.default_rng(3)
     g = Metric7.euclidean()
@@ -96,15 +104,38 @@ def test_star_defining_identity_exact_and_float():
         a, b = rand_form(rng, p, exact=True), rand_form(rng, p, exact=True)
         lhs = wedge(a, hodge_star(b, g))
         assert lhs.coeffs[0] == inner(a, b, g)
-    gen = rng.normal(size=(7, 7))
-    gf = Metric7(gen.T @ gen + 7 * np.eye(7))
+    gf = metric_from_frame(random_frame(rng))
+    assert gf.vol != 1 and not linalg.is_identity(gf.gram)
+    for p in range(8):
+        a, b = rand_form(rng, p, exact=True), rand_form(rng, p, exact=True)
+        assert wedge(a, hodge_star(b, gf)).coeffs[0] == inner(a, b, gf) * gf.vol
     for p in range(8):
         # real forms so the hermitian pairing coincides with the bilinear one
         a = ExteriorForm(p, rng.uniform(-1, 1, comb(DIM, p)) + 0j)
         b = ExteriorForm(p, rng.uniform(-1, 1, comb(DIM, p)) + 0j)
         lhs = wedge(a, hodge_star(b, gf)).coeffs[0]
-        val = inner(a, b, gf) * gf.vol
+        val = inner(a, b, gf) * float(gf.vol)
         assert abs(lhs - val) < 1e-9 * max(1.0, abs(lhs))
+
+
+def test_float_frames_and_grams_are_rejected():
+    eye = np.eye(7)
+    for bad in (eye, eye.tolist(), (2.0 * eye).tolist()):
+        for build in (G2Structure, Metric7, metric_from_frame,
+                      lambda F: pullback_matrix(F, 2)):
+            with pytest.raises(TypeError):
+                build(bad)
+
+
+def test_metric_float_views_are_converted_once():
+    g = metric_from_frame(random_frame(np.random.default_rng(8)))
+    assert np.array_equal(g.gram_float, linalg.to_float(g.gram))
+    assert not g.gram_float.flags.writeable
+    for p in range(8):
+        view = g.lambda_gram_float(p)
+        assert view is g.lambda_gram_float(p)
+        assert np.array_equal(view, linalg.to_float(g.lambda_gram(p)))
+        assert not view.flags.writeable
 
 
 def test_interior_is_adjoint_of_covector_wedge():

@@ -294,3 +294,30 @@ def test_exact_power_mixing_rejected(s):
         _ = f + g
     # but float forms fold the power in
     assert (f.to_float() + g.to_float()).scale_pow == 0
+
+
+def test_contraction_kernels_are_per_structure():
+    diag = [[(2 if i == j == 0 else 3 if i == j == 5 else int(i == j)) for j in range(7)]
+            for i in range(7)]
+    l = (1, 1, 0, 0, 0, 1, 0)
+    shared = {"identity": G2Structure.for_frame(None), "diagonal": G2Structure.for_frame(diag)}
+    fresh = {"identity": G2Structure(None), "diagonal": G2Structure(diag)}
+    bases = {}
+    for name in shared:
+        for grade, component in [(2, 14), (3, 27)]:
+            got = fr.typed_contraction_kernel(shared[name], l, grade, component)
+            want = fr.typed_contraction_kernel(fresh[name], l, grade, component)
+            assert [list(v) for v in got] == [list(v) for v in want]
+            bases[name, grade] = [list(v) for v in got]
+    for grade in (2, 3):
+        assert bases["identity", grade] != bases["diagonal", grade]
+
+
+def test_contraction_kernel_shared_by_opposite_modes(s):
+    l = (1, -2, 0, 0, 1, 0, 0)
+    minus = tuple(-x for x in l)
+    for grade, component in [(2, 14), (3, 27)]:
+        assert fr.typed_contraction_kernel(s, l, grade, component) is \
+            fr.typed_contraction_kernel(s, minus, grade, component)
+        assert fr.typed_contraction_kernel_dim(s, l, grade, component) == \
+            fr.typed_contraction_kernel_dim(s, minus, grade, component)

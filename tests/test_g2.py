@@ -242,3 +242,38 @@ def test_is_g2_element_matches_pullback(name):
         assert s2.is_g2_element(A) == expected, A
         members += expected
     assert members >= 90
+
+
+FLOAT_VIEW_FRAMES = [None, [[(2 if i == j == 0 else 3 if i == j == 5 else int(i == j))
+                             for j in range(DIM)] for i in range(DIM)]]
+
+
+@pytest.mark.parametrize("frame", FLOAT_VIEW_FRAMES, ids=["identity", "diagonal"])
+def test_float_views_match_exact_matrices_and_are_read_only(frame):
+    s2 = G2Structure(frame)
+    for grade, comps in {**COMPONENTS, 4: (1, 7, 27), 5: (7, 14)}.items():
+        for comp in comps:
+            view = s2.projector_float(grade, comp)
+            assert view is s2.projector_float(grade, comp)
+            assert np.array_equal(view, linalg.to_float(s2.projector(grade, comp)))
+            assert not view.flags.writeable
+    for p in range(DIM + 1):
+        view = s2.star_matrix_float(p)
+        assert view is s2.star_matrix_float(p)
+        assert np.array_equal(view, linalg.to_float(s2.star_matrix(p)))
+        assert not view.flags.writeable
+
+
+def test_memo_is_keyed_by_function_and_arguments():
+    s2 = G2Structure.standard()
+    calls = []
+
+    def producer(structure, *args):
+        calls.append(args)
+        return object()
+
+    first = s2.memo(producer, 1, (2, 3))
+    assert s2.memo(producer, 1, (2, 3)) is first
+    assert s2.memo(producer, 2, (2, 3)) is not first
+    assert G2Structure.standard().memo(producer, 1, (2, 3)) is not first
+    assert calls == [(1, (2, 3)), (2, (2, 3)), (1, (2, 3))]
