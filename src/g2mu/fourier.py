@@ -425,9 +425,8 @@ def refined(name, f, strict=False, tol=1e-9):
 def _typed_basis_int64(structure, grade, component):
     """The typed-subspace basis matrix as int64, or None if it does not fit."""
     cols = structure.type_space_basis(grade, component)
-    entries = [[linalg.frac(x) for x in col] for col in cols]
-    if all(x.denominator == 1 and abs(x) < 2 ** 31 for row in entries for x in row):
-        return np.array([[int(x) for x in row] for row in entries], dtype=np.int64).T
+    if all(abs(x) < 2 ** 31 for col in cols for x in col):
+        return np.array(cols, dtype=np.int64).T
     return None
 
 
@@ -467,7 +466,9 @@ def typed_contraction_kernel(structure, l, grade, component):
 def _kernel_basis(structure, lc, grade, component):
     C = _contraction_on_type(structure, lc, grade, component)
     B = np.stack(structure.type_space_basis(grade, component), axis=1)
-    return tuple(linalg.primitive_integer(B @ x) for x in linalg.nullspace(C))
+    # B is integral: clear each kernel vector first, so B @ x stays in ints
+    return tuple(linalg.primitive_integer(B @ linalg.primitive_integer(x))
+                 for x in linalg.nullspace(C))
 
 
 def typed_contraction_kernel_dim(structure, l, grade, component):

@@ -13,9 +13,21 @@ exterior powers split into irreducible pieces
 
 with the grade-4/5 splittings obtained by Hodge duality.  The type spaces
 of the standard structure are derived once from their defining
-descriptions (spans of contractions, kernels of wedge maps); a structure
-F*phi0 with a rational frame F transports them by the exact pullback
-matrices of F, so every basis and projector is an exact rational matrix.
+descriptions (spans of contractions, kernels of wedge maps) as primitive
+integer bases.  Its projectors are built apart from the bases, each on
+first use, in integers and without an inverse: pi_1 = phi phi^T / 7,
+pi_7 = B B^T / k for the contraction basis B = (e_i -| phi) or
+(e_i -| psi) with B^T B = k I, and pi_14, pi_27 as complements, each
+checked to fix its kernel basis (a failed check raises ArithmeticError).
+Grades 4 and 5 are conjugated by the Euclidean star, a signed permutation.
+
+A structure F*phi0 with a rational frame F (det F > 0) transports all of
+this by the exact pullback matrices M_p of F: bases are M_p v scaled to
+primitive integers, and every projector on grades 2 to 5 is
+M_p pi M_p^-1, since F* commutes with the star; the products run in
+integers (linalg.matmul).  The star matrix on grade p is vol times the
+rows of the metric's lambda_gram(p), signed and permuted as the Euclidean
+star.  Every basis, projector and star matrix is exact.
 
 A G2Structure owns every cache that depends on it: one memo keyed by the
 producing function and its arguments, which also holds the float views of
@@ -29,9 +41,9 @@ from math import comb, lcm
 import numpy as np
 
 from . import linalg
-from .exterior import (DIM, INDICES, ExteriorForm, Metric7, hodge_star, interior,
-                       metric_from_frame, orthonormal_forms, pullback, pullback_matrix,
-                       read_only, wedge)
+from .exterior import (DIM, INDICES, ExteriorForm, Metric7, hodge_star, hodge_table,
+                       interior, metric_from_frame, orthonormal_forms, pullback,
+                       pullback_matrix, read_only, wedge)
 
 PHI0_TERMS = {
     (1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1, (2, 4, 6): 1,
@@ -73,20 +85,11 @@ class TypeLabel:
         return f"TypeLabel(grade={self.grade}, component={self.component})"
 
 
-def _span_projector(basis_columns, gram):
-    """Orthogonal projector onto span(B) w.r.t. gram: B (B^T G B)^-1 B^T G."""
-    B = np.stack(basis_columns, axis=1)
-    BtG = B.T @ gram
-    inv = linalg.inverse(BtG @ B)
-    return B @ inv @ BtG
-
-
 @lru_cache(maxsize=None)
-def _base_data():
-    """Exact type-space bases and projectors for the standard structure."""
-    g = Metric7.euclidean()
+def _standard_bases():
+    """Exact type-space bases of phi0, as primitive integer vectors."""
     phi = standard_phi0()
-    psi = hodge_star(phi, g)
+    psi = hodge_star(phi, Metric7.euclidean())
     basis = {}
 
     e = [[1 if j == i else 0 for j in range(DIM)] for i in range(DIM)]
@@ -106,26 +109,64 @@ def _base_data():
         rows.append(np.concatenate([np.array(wedge(b, phi).coeffs),
                                     np.array(wedge(b, psi).coeffs)]))
     basis[(3, 27)] = linalg.nullspace(np.stack(rows, axis=1))
+    return {key: tuple(linalg.primitive_integer(v) for v in cols)
+            for key, cols in basis.items()}
 
-    gram2 = g.lambda_gram(2)
-    gram3 = g.lambda_gram(3)
-    projectors = {}
-    bases = {}
-    for (grade, comp), cols in basis.items():
-        gram = gram2 if grade == 2 else gram3
-        projectors[(grade, comp)] = read_only(_span_projector(cols, gram))
-        bases[(grade, comp)] = tuple(linalg.primitive_integer(v) for v in cols)
-    return projectors, bases
+
+def _contraction_projector(B):
+    """(N, k) with N / k the Euclidean orthogonal projector onto the span of
+    the integer columns B, which must satisfy B^T B = k I."""
+    BtB = B.T @ B
+    k = BtB[0, 0]
+    if not np.array_equal(BtB, k * np.identity(len(BtB), dtype=object)):
+        raise ArithmeticError("contraction basis is not orthogonal with equal norms")
+    return B @ B.T, k
+
+
+def _complement(parts, B):
+    """(N, k) with N / k = I minus the projectors (N_i, k_i) in parts,
+    checked to fix every column of the integer kernel basis B."""
+    k = lcm(*(k_i for _, k_i in parts))
+    N = k * np.identity(len(B), dtype=object)
+    for N_i, k_i in parts:
+        N = N - N_i * (k // k_i)
+    if not np.array_equal(N @ B, k * B):
+        raise ArithmeticError("complementary projector does not fix its kernel basis")
+    return N, k
+
+
+def _euclidean_star(p):
+    """The Euclidean Hodge star on grade p, a signed permutation matrix."""
+    S = np.zeros((comb(DIM, DIM - p), comb(DIM, p)), dtype=object)
+    for pos_in, pos_out, sign in hodge_table(p):
+        S[pos_out, pos_in] = sign
+    return S
+
+
+@lru_cache(maxsize=None)
+def _standard_projectors():
+    """Exact type projectors of phi0 on grades 2 to 5, built in integers.
+
+    pi_1 = phi phi^T / 7 and pi_7 = B B^T / k for the contraction basis
+    B = (e_i -| phi) or (e_i -| psi); pi_14 and pi_27 are the complements.
+    Grades 4 and 5 are conjugated by the Euclidean star.
+    """
+    B = {key: np.stack(cols, axis=1) for key, cols in _standard_bases().items()}
+    raw = {key: _contraction_projector(B[key]) for key in ((2, 7), (3, 1), (3, 7))}
+    raw[(2, 14)] = _complement([raw[(2, 7)]], B[(2, 14)])
+    raw[(3, 27)] = _complement([raw[(3, 1)], raw[(3, 7)]], B[(3, 27)])
+    for (grade, comp), (N, k) in list(raw.items()):
+        raw[(DIM - grade, comp)] = (_euclidean_star(grade) @ N @ _euclidean_star(DIM - grade), k)
+    return {key: read_only(linalg.scaled(N, k)) for key, (N, k) in raw.items()}
 
 
 def _star_matrix(structure, p):
-    n = comb(DIM, p)
-    cols = []
-    for k in range(n):
-        coeffs = [0] * n
-        coeffs[k] = 1
-        cols.append(np.array(hodge_star(ExteriorForm(p, coeffs), structure.metric).coeffs))
-    return np.stack(cols, axis=1)
+    """Rows of vol * lambda_gram(p), signed and permuted as the Euclidean star."""
+    weighted = structure.metric.lambda_gram(p) * structure.metric.vol
+    out = np.empty_like(weighted)
+    for pos_in, pos_out, sign in hodge_table(p):
+        out[pos_out] = sign * weighted[pos_in]
+    return read_only(out)
 
 
 def _frame_pullback_matrix(structure, p, inverse):
@@ -134,27 +175,21 @@ def _frame_pullback_matrix(structure, p, inverse):
 
 
 def _type_space_basis(structure, grade, component):
-    base = _base_data()[1][(grade, component)]
+    base = _standard_bases()[(grade, component)]
     if linalg.is_identity(structure.frame):
         return base
-    M = structure.frame_pullback_matrix(grade)
+    M = np.array(linalg.clear_denominators(structure.frame_pullback_matrix(grade))[0],
+                 dtype=object)
     return tuple(linalg.primitive_integer(M @ v) for v in base)
 
 
 def _projector(structure, grade, component):
-    if grade in (2, 3):
-        base = _base_data()[0][(grade, component)]
-        if linalg.is_identity(structure.frame):
-            return base
-        M = structure.frame_pullback_matrix(grade)
-        Minv = structure.frame_pullback_matrix(grade, inverse=True)
-        return read_only(M @ base @ Minv)
-    # grades 4, 5 via star conjugation: pi_q = star o pi_q o star
-    dual = structure.projector(DIM - grade, component)
-    s_to3 = structure.star_matrix(grade)        # Lambda^grade -> Lambda^(7-grade)
-    s_back = structure.star_matrix(DIM - grade)  # and back
-    # star o star = id in odd dimension, so no sign correction
-    return read_only(s_back @ dual @ s_to3)
+    # F* commutes with the star when det F > 0, so every grade transports alike
+    base = _standard_projectors()[(grade, component)]
+    if linalg.is_identity(structure.frame):
+        return base
+    return read_only(linalg.matmul(structure.frame_pullback_matrix(grade), base,
+                                   structure.frame_pullback_matrix(grade, inverse=True)))
 
 
 def _float_view(structure, method, *args):

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals and integers.
 
 Everything here is dense and small (dimensions <= ~50).  Row reduction
-(rref, nullspace, inverse) runs in Fraction arithmetic.  Determinants and
-minors clear denominators once and then stay in Python ints: determinants
-by fraction-free (Bareiss) elimination, compound matrices by Laplace
-expansion of each minor into minors one size smaller.  Integer matrices
+(rref, nullspace, inverse) runs in Fraction arithmetic.  Determinants,
+minors and matrix products clear denominators once and then stay in Python
+ints: determinants by fraction-free (Bareiss) elimination, compound
+matrices by Laplace expansion of each minor into minors one size smaller,
+products by integer matmul with one division at the end.  Integer matrices
 also get a Hermite-style kernel routine so that lattice computations never
 leave Z.
 """
@@ -137,9 +138,30 @@ def clear_denominators(a):
     d is the lcm of the entry denominators, so b is the smallest integer
     multiple of a.
     """
-    rows = [[x if type(x) is int else frac(x) for x in row] for row in a]
+    rows = [[x if type(x) in (int, Fraction) else frac(x) for x in row] for row in a]
     d = lcm(1, *(x.denominator for row in rows for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def scaled(b, d):
+    """The exact matrix b / d of an integer matrix b, as Fractions."""
+    return np.array([[Fraction(x, d) for x in row] for row in b], dtype=object)
+
+
+def matmul(*factors):
+    """Exact product of rational matrices, in Python ints.
+
+    Each factor is cleared of denominators once (a = b / d), the integer
+    matrices are multiplied, and each entry is divided by the product of
+    the d's at the end.  A float entry raises TypeError.
+    """
+    out, scale = None, 1
+    for a in factors:
+        b, d = clear_denominators(a)
+        b = np.array(b, dtype=object)
+        out = b if out is None else out @ b
+        scale *= d
+    return scaled(out, scale)
 
 
 def _bareiss(rows):
@@ -236,9 +258,7 @@ def compound(a, p):
     minors of b are taken in ints, and each is divided by d^p at the end.
     """
     b, d = clear_denominators(a)
-    scale = d ** p
-    return np.array([[Fraction(x, scale) for x in row] for row in int_compound(b, p)],
-                    dtype=object)
+    return scaled(int_compound(b, p), d ** p)
 
 
 def int_rank(a):

@@ -18,7 +18,7 @@ class NonUnimodular(ValueError):
 
 
 class NonFinite(ValueError):
-    """Group closure exceeded the safety cap."""
+    """A generator has infinite order, or group closure exceeded the safety cap."""
 
 
 class NotG2Compatible(ValueError):
@@ -30,6 +30,13 @@ class NotG2Compatible(ValueError):
 
 
 DEFAULT_CAP = 10_000
+
+# The largest finite order of an element of GL(7,Z).  An element of finite
+# order m has an eigenvalue that is a primitive d-th root of unity for each
+# d in some set with lcm m, and its characteristic polynomial holds the
+# cyclotomic factors Phi_d, of degrees phi(d) summing to at most 7; the
+# largest lcm is lcm(5, 3, 2) = 30, from degrees 4 + 2 + 1.
+MAX_FINITE_ORDER = 30
 
 
 def _reduce_mod1(t):
@@ -136,16 +143,35 @@ class OrbifoldGroup:
         return iter(self.elements)
 
 
+def _has_finite_order(matrix):
+    """Whether A^k = I for some k <= MAX_FINITE_ORDER, for an integer 7x7 A."""
+    ident = AffineElement.identity().matrix
+    power = matrix
+    for _ in range(MAX_FINITE_ORDER):
+        if power == ident:
+            return True
+        power = tuple(tuple(sum(power[i][k] * matrix[k][j] for k in range(DIM))
+                            for j in range(DIM)) for i in range(DIM))
+    return False
+
+
 def generate(generators, cap=DEFAULT_CAP):
     """Closure of the generators under composition and inverse.
 
-    Raises NonFinite if the closure would exceed `cap` elements and
-    NonUnimodular if any generator is outside SL(7,Z) (checked on
-    construction of the AffineElements themselves).
+    Raises NonFinite at once if a generator's linear part A has no A^k = I
+    with k <= 30, the largest finite order in GL(7,Z) (MAX_FINITE_ORDER);
+    rational translations then keep every element of finite order.  Raises
+    NonFinite if the closure would exceed `cap` elements and NonUnimodular
+    if any generator is outside SL(7,Z) (checked on construction of the
+    AffineElements themselves).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     gens = list(generators)
+    for gen in gens:
+        if not _has_finite_order(gen.matrix):
+            raise NonFinite(f"generator {gen} has infinite order: no A^k = I for "
+                            f"k <= {MAX_FINITE_ORDER}")
     seen = {AffineElement.identity()}
     frontier = list(seen)
     gens_and_inverses = []

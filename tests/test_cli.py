@@ -129,6 +129,17 @@ def test_non_g2_generator_reports_element(capsys, tmp_path):
     assert report["results"]["error"]["type"] == "NotG2Compatible"
 
 
+def test_infinite_order_generator_fails_with_code_1(capsys, tmp_path):
+    shear = [1 if i == j else 0 for i in range(7) for j in range(7)]
+    shear[1] = 1
+    cfg = write_config(tmp_path, {"name": "shear", "generators": [
+        {"matrix": shear, "translation": ["0"] * 7}]})
+    code, out, _ = run_cli(capsys, "check", "--config", cfg)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "NonFinite" and "infinite order" in error["detail"]
+
+
 def test_unknown_field_rejected(capsys, tmp_path):
     cfg = write_config(tmp_path, {"name": "x", "generators": [], "radius": 4})
     code, out, err = run_cli(capsys, "check", "--config", cfg)

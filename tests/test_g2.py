@@ -4,9 +4,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from g2mu import linalg
-from g2mu.exterior import DIM, ExteriorForm, inner, interior, pullback, wedge
-from g2mu.g2 import G2Structure, TypeLabel, standard_phi0
+from g2mu import g2, linalg
+from g2mu.exterior import DIM, ExteriorForm, hodge_star, inner, interior, pullback, wedge
+from g2mu.g2 import VALID_COMPONENTS, G2Structure, TypeLabel, standard_phi0
 
 COMPONENTS = {2: (7, 14), 3: (1, 7, 27)}
 
@@ -277,3 +277,68 @@ def test_memo_is_keyed_by_function_and_arguments():
     assert s2.memo(producer, 2, (2, 3)) is not first
     assert G2Structure.standard().memo(producer, 1, (2, 3)) is not first
     assert calls == [(1, (2, 3)), (2, (2, 3)), (1, (2, 3))]
+
+
+@pytest.fixture(scope="module", params=sorted(MEMBERSHIP_FRAMES))
+def framed(request):
+    return G2Structure(MEMBERSHIP_FRAMES[request.param])
+
+
+def _typed_vectors(structure, grade, component):
+    """Exact spanning vectors of Lambda^grade_component (4 and 5 by the star)."""
+    if grade in (2, 3):
+        return structure.type_space_basis(grade, component)
+    star = structure.star_matrix(DIM - grade)
+    return [star @ v for v in structure.type_space_basis(DIM - grade, component)]
+
+
+def test_framed_projectors_are_exact_orthogonal_splittings(framed):
+    for grade, comps in VALID_COMPONENTS.items():
+        G = framed.metric.lambda_gram(grade)
+        total = linalg.zeros_frac(comb(DIM, grade), comb(DIM, grade))
+        for comp in comps:
+            P = framed.projector(grade, comp)
+            assert np.equal(linalg.matmul(P, P), P).all()
+            assert np.equal(linalg.matmul(G, P), linalg.matmul(P.T, G)).all()
+            assert linalg.int_rank(linalg.clear_denominators(P)[0]) == comp
+            for v in _typed_vectors(framed, grade, comp):
+                assert np.equal(P @ v, v).all()
+            total = total + P
+        assert np.equal(total, linalg.identity_frac(comb(DIM, grade))).all()
+
+
+def test_framed_dual_projectors_match_star_conjugation(framed):
+    for grade in (4, 5):
+        for comp in VALID_COMPONENTS[grade]:
+            conjugated = linalg.matmul(framed.star_matrix(DIM - grade),
+                                       framed.projector(DIM - grade, comp),
+                                       framed.star_matrix(grade))
+            assert np.equal(framed.projector(grade, comp), conjugated).all()
+
+
+def test_star_matrix_matches_hodge_star_and_squares_to_identity(framed):
+    for p in range(DIM + 1):
+        S = framed.star_matrix(p)
+        for k in range(comb(DIM, p)):
+            coeffs = [0] * comb(DIM, p)
+            coeffs[k] = 1
+            column = hodge_star(ExteriorForm(p, coeffs), framed.metric).coeffs
+            assert np.equal(S[:, k], column).all()
+        assert np.equal(linalg.matmul(framed.star_matrix(DIM - p), S),
+                        linalg.identity_frac(comb(DIM, p))).all()
+
+
+def _spoiled_bases(key):
+    """The standard bases with the first vector of `key` moved off its type space."""
+    bases = dict(g2._standard_bases())
+    other = bases[(key[0], 7)][0]
+    bases[key] = (bases[key][0] + other,) + bases[key][1:]
+    return lambda: bases
+
+
+@pytest.mark.parametrize("key", [(2, 14), (3, 27), (3, 7)], ids=str)
+def test_projector_build_check_can_fail(monkeypatch, key):
+    assert g2._standard_projectors.__wrapped__() is not None
+    monkeypatch.setattr(g2, "_standard_bases", _spoiled_bases(key))
+    with pytest.raises(ArithmeticError):
+        g2._standard_projectors.__wrapped__()

@@ -150,3 +150,27 @@ def test_int_det_is_exact_and_rejects_non_integral():
     assert linalg.int_det([[0, 1], [1, 0]]) == -1
     with pytest.raises(ValueError):
         linalg.int_det([[Fraction(1, 2), 0], [0, 2]])
+
+
+def test_matmul_matches_fraction_matmul():
+    rng = np.random.default_rng(14)
+    for rational in (False, True):
+        for shapes in (((7, 7), (7, 7)), ((3, 5), (5, 4), (4, 6)), ((1, 7), (7, 1))):
+            factors = [
+                [[Fraction(int(rng.integers(-5, 6)), int(rng.choice([1, 2, 3, 4, 7])))
+                  if rational else int(rng.integers(-3, 4)) for _ in range(n)]
+                 for _ in range(m)] for m, n in shapes]
+            expected = linalg.frac_matrix(factors[0])
+            for a in factors[1:]:
+                expected = expected @ linalg.frac_matrix(a)
+            got = linalg.matmul(*factors)
+            assert got.shape == expected.shape
+            assert all(type(x) is Fraction for x in got.flat)
+            assert np.equal(got, expected).all()
+
+
+def test_matmul_rejects_float_input():
+    with pytest.raises(TypeError):
+        linalg.matmul([[1, 0], [0, 1]], [[0.5, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        linalg.matmul(np.eye(2), linalg.identity_frac(2))

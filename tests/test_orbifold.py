@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,31 @@ def test_generate_cap():
     shear[0][1] = 1
     with pytest.raises(NonFinite):
         generate([AffineElement(shear)], cap=50)
+
+
+def _shear():
+    shear = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
+    shear[0][1] = 1
+    return shear
+
+
+def test_infinite_order_generator_rejected_at_once():
+    start = time.perf_counter()
+    with pytest.raises(NonFinite, match="infinite order"):
+        generate([ALPHA, AffineElement(_shear())])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_order_30_generator_is_accepted():
+    # companion matrices of Phi_10 (order 10) and Phi_3 (order 3): order 30,
+    # the largest finite order in GL(7,Z)
+    A = [[0] * 7 for _ in range(7)]
+    for i, c in enumerate((-1, 1, -1, 1)):
+        A[i][3] = c
+    for i in range(1, 4):
+        A[i][i - 1] = 1
+    A[4][5], A[5][4], A[5][5], A[6][6] = -1, 1, -1, 1
+    assert len(generate([AffineElement(A)])) == 30
 
 
 def test_generate_idempotent():
