@@ -320,16 +320,6 @@ def _wedge_matrix_covector(cov, p, exact):
     return out
 
 
-def _interior_matrix(l, p):
-    """Exact matrix of v -> l . v on grade-p coefficient vectors (l a vector)."""
-    out = linalg.zeros_frac(comb(DIM, p - 1), comb(DIM, p))
-    for axis, pos_in, pos_out, s in interior_table(p):
-        c = l[axis - 1]
-        if c:
-            out[pos_out, pos_in] = out[pos_out, pos_in] + s * linalg.frac(c)
-    return out
-
-
 def _gram_inv_float(structure, p):
     return np.linalg.inv(structure.metric.lambda_gram_float(p))
 
@@ -422,32 +412,19 @@ def refined(name, f, strict=False, tol=1e-9):
 
 # -- mode fibre subspaces -------------------------------------------------------
 
-def _typed_basis_int64(structure, grade, component):
-    """The typed-subspace basis matrix as int64, or None if it does not fit."""
-    cols = structure.type_space_basis(grade, component)
-    if all(abs(x) < 2 ** 31 for col in cols for x in col):
-        return np.array(cols, dtype=np.int64).T
-    return None
-
-
-def _interior_matrix_int64(l, p):
-    n_out = comb(DIM, p - 1)
-    n_in = comb(DIM, p)
-    out = np.zeros((n_out, n_in), dtype=np.int64)
-    for axis, pos_in, pos_out, s in interior_table(p):
-        c = l[axis - 1]
-        if c:
-            out[pos_out, pos_in] += s * c
-    return out
-
-
 def _contraction_on_type(structure, lc, grade, component):
-    """iota_l composed with the typed-subspace parametrisation, small matrix."""
-    B64 = structure.memo(_typed_basis_int64, grade, component)
-    if B64 is not None and max(abs(x) for x in lc) < 2 ** 20:
-        return _interior_matrix_int64(lc, grade) @ B64
+    """iota_l B for the typed-subspace basis matrix B, an integer matrix."""
+    K = structure.memo(_axis_contractions, grade, component)
+    return np.tensordot(np.array(lc, dtype=object), K, axes=1)
+
+
+def _axis_contractions(structure, grade, component):
+    """K[a] = iota_{e_a} B, so that iota_l B = sum_a l_a K[a], in Python ints."""
     B = np.stack(structure.type_space_basis(grade, component), axis=1)
-    return _interior_matrix(lc, grade) @ B
+    K = np.zeros((DIM, comb(DIM, grade - 1), B.shape[1]), dtype=object)
+    for axis, pos_in, pos_out, s in interior_table(grade):
+        K[axis - 1, pos_out] += s * B[pos_in]
+    return K
 
 
 def typed_contraction_kernel(structure, l, grade, component):
@@ -455,10 +432,12 @@ def typed_contraction_kernel(structure, l, grade, component):
 
     This is the fibre of the eigenspaces H_l (grade 2, component 14,
     dimension 8) and H'_l (grade 3, component 27, dimension 12).  The typed
-    subspace is parametrised once by an exact basis matrix B, so only the
-    small system (iota_l B) x = 0 is solved per mode.  Basis vectors are
-    scaled to primitive integer vectors.  Memoised per (l, grade, component)
-    on the structure; l and -l share a basis.
+    subspace is parametrised once by an integer basis matrix B, so only the
+    small system (iota_l B) x = 0 is solved per mode; iota_l B is the
+    integer combination sum_a l_a iota_{e_a} B of seven per-structure
+    matrices.  Basis vectors are scaled to primitive integer vectors.
+    Memoised per (l, grade, component) on the structure; l and -l share a
+    basis.
     """
     return structure.memo(_kernel_basis, _canonical_sign(_mode_key(l)), grade, component)
 
@@ -472,14 +451,13 @@ def _kernel_basis(structure, lc, grade, component):
 
 
 def typed_contraction_kernel_dim(structure, l, grade, component):
-    """Dimension of the fibre, via an exact integer rank when possible."""
+    """Dimension of the fibre, via an exact integer rank."""
     return structure.memo(_kernel_dim, _canonical_sign(_mode_key(l)), grade, component)
 
 
 def _kernel_dim(structure, lc, grade, component):
     C = _contraction_on_type(structure, lc, grade, component)
-    r = linalg.int_rank(C.tolist()) if C.dtype == np.int64 else linalg.rank(C)
-    return C.shape[1] - r
+    return C.shape[1] - linalg.int_rank(C)
 
 
 def _canonical_sign(l):

@@ -327,13 +327,12 @@ def integer_kernel(a):
 
 
 def primitive_integer(vec):
-    """Scale a rational vector to a primitive integer vector (object array)."""
-    denom = lcm(*(frac(x).denominator for x in vec)) if len(vec) else 1
-    ints = [int(frac(x) * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    g = g or 1
+    """Scale a rational vector to a primitive integer vector (object array).
+
+    The sign is kept: the result is vec times a positive rational.
+    """
+    (ints,), _ = clear_denominators([vec])
+    g = gcd(*ints) or 1
     return np.array([x // g for x in ints], dtype=object)
 
 

@@ -11,7 +11,10 @@ pullback; the dimension of the invariant subspace is the group average of
 the character.  This module computes that dimension two independent ways:
 
   * brute force: explicit bases of the fibres, explicit pullback matrices,
-    exact restricted traces and exact root-of-unity phases;
+    exact restricted traces and exact root-of-unity phases.  Bases,
+    pullback matrices and the Lambda-Gram matrix (cleared of its
+    denominator once per structure) are integer matrices, so each trace
+    is computed in Python ints with one division at the end;
   * closed form: the tr8/tr12 trace polynomials weighted by the same phases
     over the fixed vectors of each element.
 
@@ -97,24 +100,15 @@ def enumerate_classes(orbifold, radius_sq):
 
 def _classes(structure, radius_sq):
     gram = structure.metric.gram
-    points = linalg.enumerate_ellipsoid(gram, radius_sq)
+    G, d = linalg.clear_denominators(gram)
+    points = [l for l in linalg.enumerate_ellipsoid(gram, radius_sq) if any(l)]
+    V = np.array(points, dtype=object).reshape(-1, DIM)
+    # d * |l|^2 in Python ints, one Fraction per class
     by_norm = {}
-    integer_gram = all(x.denominator == 1 for x in gram.flat)
-    if integer_gram and points:
-        V = np.array(points, dtype=np.int64)
-        G = np.array([[int(x) for x in row] for row in gram], dtype=np.int64)
-        norms = np.einsum("ij,jk,ik->i", V, G, V)
-        for l, n2 in zip(points, norms):
-            if any(l):
-                by_norm.setdefault(Fraction(int(n2)), []).append(l)
-    else:
-        for l in points:
-            if not any(l):
-                continue
-            v = linalg.frac_vector(l)
-            by_norm.setdefault(v @ gram @ v, []).append(l)
-    return [EigenClass(norm_sq=n2, vectors=tuple(sorted(by_norm[n2])))
-            for n2 in sorted(by_norm)]
+    for l, n in zip(points, ((V @ np.array(G, dtype=object)) * V).sum(axis=1)):
+        by_norm.setdefault(n, []).append(l)
+    return [EigenClass(norm_sq=Fraction(n, d), vectors=tuple(sorted(by_norm[n])))
+            for n in sorted(by_norm)]
 
 
 class ModeSpace:
@@ -143,7 +137,7 @@ class ModeSpace:
         return orthonormal_forms(self.grade, self.fiber_basis(l), self.structure.metric)
 
 
-def group_action_on_mode(element, l, alpha, metric=None, gram_inv=None):
+def group_action_on_mode(element, l, alpha, metric=None):
     """Pullback of chi_l * alpha by the affine map x -> Ax + t.
 
     Returns (phase exponent q, l_out, A* alpha) with the actual phase equal
@@ -159,9 +153,7 @@ def group_action_on_mode(element, l, alpha, metric=None, gram_inv=None):
     G = metric.gram
     lv = linalg.frac_vector(l)
     At = linalg.frac_matrix([[A[j][i] for j in range(DIM)] for i in range(DIM)])
-    if gram_inv is None:
-        gram_inv = metric.inverse_gram()
-    l_exact = gram_inv @ (At @ (G @ lv))
+    l_exact = metric.inverse_gram() @ (At @ (G @ lv))
     if any(x.denominator != 1 for x in l_exact):
         raise ValueError(f"mode map of {l} under {element} is not integral")
     l_out = tuple(int(x) for x in l_exact)
@@ -180,35 +172,27 @@ def _restricted_trace(structure, mat_pullback, basis):
     This is the diagonal-block trace of the big representation matrix: the
     action composed with the orthogonal projection back onto the fibre,
     tr((B^T G B)^-1 B^T G M B).  When the fibre is invariant (fixed modes)
-    the projection is a no-op.  Integer data takes an int64 fast path.
+    the projection is a no-op.  G may be any integer multiple of the
+    Lambda-Gram matrix, since the scalar cancels; with (B^T G B)^-1 = A / D
+    the trace is sum(A * N^T) / D for the integer matrix N = B^T G M B.
     """
-    grade = {21: 2, 35: 3}[mat_pullback.shape[0]]
-    gram = structure.metric.lambda_gram(grade)
-    if linalg.is_identity(gram) and mat_pullback.dtype == np.int64:
-        try:
-            B = np.stack([np.array([int(x) for x in v], dtype=np.int64)
-                          for v in basis], axis=1)
-        except (TypeError, ValueError):
-            B = None
-        if B is not None:
-            inv = structure.memo(_inverse_btb, B.tobytes(), B.shape)
-            BtMB = (B.T @ (mat_pullback @ B)).tolist()
-            k = len(BtMB)
-            # trace of inv @ BtMB without forming the product
-            return sum(inv[i, j] * BtMB[j][i] for i in range(k) for j in range(k))
-    B = np.stack([np.array([linalg.frac(x) for x in v], dtype=object)
-                  for v in basis], axis=1)
-    M = mat_pullback if mat_pullback.dtype == object else \
-        linalg.frac_matrix(mat_pullback.tolist())
-    BtG = B.T @ gram
-    C = linalg.inverse(BtG @ B) @ (BtG @ (M @ B))
-    return sum(C[i, i] for i in range(C.shape[0]))
+    B, BtG, A, D = structure.memo(_fibre_trace_data, tuple(map(tuple, basis)))
+    N = BtG @ (mat_pullback @ B)
+    return Fraction((A * N.T).sum(), D)
 
 
-def _inverse_btb(structure, data, shape):
-    """Exact (B^T B)^-1 for the int64 basis matrix B with these bytes and shape."""
-    B = np.frombuffer(data, dtype=np.int64).reshape(shape)
-    return linalg.inverse(linalg.frac_matrix((B.T @ B).tolist()))
+def _fibre_trace_data(structure, basis):
+    """(B, B^T G, A, D) for an integer fibre basis, G the integer-cleared Lambda-Gram."""
+    G = structure.memo(_integer_lambda_gram, {21: 2, 35: 3}[len(basis[0])])
+    B = np.array(basis, dtype=object).T
+    BtG = B.T @ G
+    A, D = linalg.clear_denominators(linalg.inverse(BtG @ B))
+    return B, BtG, np.array(A, dtype=object), D
+
+
+def _integer_lambda_gram(structure, grade):
+    return np.array(linalg.clear_denominators(structure.metric.lambda_gram(grade))[0],
+                    dtype=object)
 
 
 class _PhaseSum:
@@ -322,15 +306,12 @@ def _integer_average(acc, order):
 
 
 def pullback_matrix_cached(structure, element, grade):
-    """Pullback matrix of the matrix part (transposed compound), int64 where possible."""
+    """Pullback matrix of the matrix part (transposed compound), in Python ints."""
     return structure.memo(_element_pullback_matrix, element.matrix, grade)
 
 
 def _element_pullback_matrix(structure, matrix, grade):
-    mat = [list(col) for col in zip(*linalg.int_compound(matrix, grade))]
-    if all(abs(x) < 2 ** 31 for row in mat for x in row):
-        return np.array(mat, dtype=np.int64)
-    return linalg.frac_matrix(mat)
+    return np.array(linalg.int_compound(matrix, grade), dtype=object).T
 
 
 def su3_trace_check(orbifold, element, l):
@@ -383,11 +364,11 @@ def partial_morse_sum(orbifold, kind, s, radius_sq, use_formula=False):
     return total
 
 
-def spectral_reports(orbifold, radius_sq, kinds=("H", "Hprime")):
+def spectral_reports(orbifold, radius_sq):
     """One SpectralReport per (class, kind); the oracle's main entry point."""
     out = []
     for cls in enumerate_classes(orbifold, radius_sq):
-        for kind in kinds:
+        for kind in KINDS:
             out.append(SpectralReport(
                 norm_sq=cls.norm_sq,
                 kind=kind,

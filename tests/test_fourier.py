@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from g2mu import fourier as fr
-from g2mu.exterior import ExteriorForm
+from g2mu.exterior import ExteriorForm, interior
 from g2mu.g2 import G2Structure
 
 TWO_PI = 2 * np.pi
@@ -321,3 +321,18 @@ def test_contraction_kernel_shared_by_opposite_modes(s):
             fr.typed_contraction_kernel(s, minus, grade, component)
         assert fr.typed_contraction_kernel_dim(s, l, grade, component) == \
             fr.typed_contraction_kernel_dim(s, minus, grade, component)
+
+
+def test_contraction_kernel_at_large_mode():
+    l = (2 ** 20 + 3, -5, 0, 2 ** 21, 0, 1, -(2 ** 33))
+    frame = [[2 if i == j == 0 else 3 if i == j == 5 else int(i == j) for j in range(7)]
+             for i in range(7)]
+    for s in (G2Structure(None), G2Structure(frame)):
+        for grade, component, dim in [(2, 14, 8), (3, 27, 12)]:
+            basis = fr.typed_contraction_kernel(s, l, grade, component)
+            assert len(basis) == dim
+            assert fr.typed_contraction_kernel_dim(s, l, grade, component) == dim
+            for v in basis:
+                a = ExteriorForm(grade, list(v))
+                assert interior(l, a).is_zero()
+                assert s.apply_projector(grade, component, a) == a

@@ -174,3 +174,18 @@ def test_matmul_rejects_float_input():
         linalg.matmul([[1, 0], [0, 1]], [[0.5, 0], [0, 1]])
     with pytest.raises(TypeError):
         linalg.matmul(np.eye(2), linalg.identity_frac(2))
+
+
+def test_primitive_integer():
+    cases = [
+        ([4, -6, 0, 10], [2, -3, 0, 5]),
+        (np.array([3, 9, -12], dtype=np.int64), [1, 3, -4]),
+        ([Fraction(1, 2), Fraction(-1, 3), 2, Fraction(4, 6)], [3, -2, 12, 4]),
+        ([-2, Fraction(-4, 3), -6], [-3, -2, -9]),
+        ([0, 0, 0], [0, 0, 0]),
+        ([], []),
+    ]
+    for vec, expected in cases:
+        out = linalg.primitive_integer(vec)
+        assert out.dtype == object and list(out) == expected
+        assert all(type(x) is int for x in out)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from g2mu import fourier as fr
+from g2mu import linalg
 from g2mu import oracle as orc
 from g2mu.exterior import ExteriorForm
+from g2mu.g2 import G2Structure
 from g2mu.orbifold import AffineElement, generate, validate_joyce
 
 
@@ -111,6 +113,40 @@ def test_oracle_equivalence_small_radius(m1, m3):
             for kind in ("H", "Hprime"):
                 assert orc.invariant_dimension_formula(orb, cls, kind) == \
                     orc.invariant_dimension_bruteforce(orb, cls, kind)
+
+
+def _reference_trace(structure, M, basis):
+    """tr((B^T G B)^-1 B^T G M B) in Fractions, G the Lambda-Gram matrix."""
+    grade = {21: 2, 35: 3}[len(basis[0])]
+    G = structure.metric.lambda_gram(grade)
+    B = linalg.frac_matrix([list(v) for v in basis]).T
+    BtG = B.T @ G
+    C = linalg.inverse(BtG @ B) @ (BtG @ (linalg.frac_matrix(M.tolist()) @ B))
+    return sum(C[i, i] for i in range(C.shape[0]))
+
+
+@pytest.mark.parametrize("frame", [
+    None,
+    diag(2, 1, 1, 1, 1, 3, 1),
+    diag(1, 1, 1, 1, 1, 1, Fraction(1, 2)),
+    [[1, Fraction(1, 2), 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, -1, 0, 0],
+     [0, 0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1, 0],
+     [Fraction(1, 3), 0, 0, 0, 0, 0, Fraction(2, 3)]],
+], ids=["identity", "diag23", "diag-half", "non-diagonal"])
+def test_restricted_trace_matches_fraction_formula(frame):
+    structure = G2Structure(frame)
+    rng = np.random.default_rng(11)
+    l = (1, 1, 0, 0, 0, 1, 0)
+    for kind in ("H", "Hprime"):
+        basis = orc.ModeSpace(structure, kind).fiber_basis(l)
+        n = len(basis[0])
+        M = np.array([[int(x) for x in row] for row in rng.integers(-3, 4, size=(n, n))],
+                     dtype=object)
+        M[0, 0], M[3, 1], M[n - 1, 2] = 2 ** 31 + 5, -(2 ** 40), 3 * 2 ** 62
+        tr = orc._restricted_trace(structure, M, basis)
+        assert isinstance(tr, Fraction) and tr == _reference_trace(structure, M, basis)
+        identity = np.array([[int(i == j) for j in range(n)] for i in range(n)], dtype=object)
+        assert orc._restricted_trace(structure, identity, basis) == len(basis)
 
 
 def test_su3_trace_check_examples(torus, m1):
