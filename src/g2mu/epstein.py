@@ -201,7 +201,7 @@ def epstein_value(lat, s, dps=30):
         ms = mpmath.mpc(s)
         det = linalg.det(lat.gram)
         det_root = mpmath.sqrt(mpmath.mpf(det.numerator) / det.denominator)
-        inv_gram = linalg.inverse(lat.gram)
+        inv_gram = linalg.scaled(*linalg.inverse(lat.gram))
 
         cut = _cutoff(s, r)
         primal = _shell_sums(lat.gram, cut, twist=lat.twist)

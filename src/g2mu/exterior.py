@@ -283,7 +283,7 @@ class Metric7:
 
     def inverse_gram(self):
         if self._inverse is None:
-            object.__setattr__(self, "_inverse", linalg.inverse(self.gram))
+            object.__setattr__(self, "_inverse", linalg.scaled(*linalg.inverse(self.gram)))
         return self._inverse
 
     def lambda_gram(self, p):

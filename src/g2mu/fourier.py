@@ -339,7 +339,7 @@ def _fiber_matrix(structure, name, l, exact):
         if exact:
             g_dom = metric.lambda_gram(primal.domain[0])
             g_cod = metric.lambda_gram(primal.codomain[0])
-            M = -(linalg.inverse(g_dom) @ T.T @ g_cod)
+            M = -(linalg.scaled(*linalg.inverse(g_dom)) @ T.T @ g_cod)
         else:
             M = -(structure.memo(_gram_inv_float, primal.domain[0]) @ T.T
                   @ metric.lambda_gram_float(primal.codomain[0]))
@@ -445,9 +445,8 @@ def typed_contraction_kernel(structure, l, grade, component):
 def _kernel_basis(structure, lc, grade, component):
     C = _contraction_on_type(structure, lc, grade, component)
     B = np.stack(structure.type_space_basis(grade, component), axis=1)
-    # B is integral: clear each kernel vector first, so B @ x stays in ints
-    return tuple(linalg.primitive_integer(B @ linalg.primitive_integer(x))
-                 for x in linalg.nullspace(C))
+    # B and the kernel vectors are integral, so B @ x stays in ints
+    return tuple(linalg.primitive_integer(B @ x) for x in linalg.nullspace(C))
 
 
 def typed_contraction_kernel_dim(structure, l, grade, component):
@@ -457,7 +456,7 @@ def typed_contraction_kernel_dim(structure, l, grade, component):
 
 def _kernel_dim(structure, lc, grade, component):
     C = _contraction_on_type(structure, lc, grade, component)
-    return C.shape[1] - linalg.int_rank(C)
+    return C.shape[1] - linalg.rank(C)
 
 
 def _canonical_sign(l):

@@ -170,7 +170,7 @@ def _star_matrix(structure, p):
 
 
 def _frame_pullback_matrix(structure, p, inverse):
-    F = linalg.inverse(structure.frame) if inverse else structure.frame
+    F = linalg.scaled(*linalg.inverse(structure.frame)) if inverse else structure.frame
     return pullback_matrix(F, p)
 
 

@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals and integers.
 
-Everything here is dense and small (dimensions <= ~50).  Row reduction
-(rref, nullspace, inverse) runs in Fraction arithmetic.  Determinants,
-minors and matrix products clear denominators once and then stay in Python
-ints: determinants by fraction-free (Bareiss) elimination, compound
-matrices by Laplace expansion of each minor into minors one size smaller,
-products by integer matmul with one division at the end.  Integer matrices
-also get a Hermite-style kernel routine so that lattice computations never
-leave Z.
+Everything here is dense and small (dimensions <= ~50).  Matrices are
+cleared of denominators once and then stay in Python ints.  One
+fraction-free (Bareiss) elimination, `_echelon`, serves det, rank,
+nullspace (primitive integer vectors) and inverse (an integer pair A / D).
+Compound matrices come from Laplace expansion of each minor into minors one
+size smaller, products from integer matmul with one division at the end.
+Integer matrices also get a Hermite-style kernel routine, whose bases are
+saturated, so that lattice computations never leave Z.
 """
 
 from fractions import Fraction
@@ -71,65 +71,88 @@ def is_identity(m):
     return all(m[i, j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
 
-def rref(a):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    rows = [[frac(x) for x in row] for row in a]
+def _echelon(rows, reduced=False):
+    """Fraction-free (Bareiss) row echelon form of an integer matrix, in place.
+
+    rows is a list of lists of ints.  Returns (pivots, D, sign): the pivot
+    columns, the last pivot D (1 if there is none) and the sign of the row
+    permutation.  Each step replaces a row by (pivot * row - f * top) / D_prev,
+    a division that is exact by Bareiss' theorem, so every entry stays a
+    minor of the input.  A square matrix of full rank has det = sign * D.
+    With reduced=True the rows above each pivot are cleared as well, so the
+    first len(pivots) rows end as D times the reduced row echelon form.
+    """
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    pivots, prev, sign = [], 1, 1
+    for c in range(len(rows[0]) if m else 0):
+        r = len(pivots)
         if r == m:
             break
-    return frac_matrix(rows) if m else zeros_frac(0, n), pivots
+        if not rows[r][c]:
+            p = next((i for i in range(r + 1, m) if rows[i][c]), None)
+            if p is None:
+                continue
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        pk = top[c]
+        for i in range(0 if reduced else r + 1, m):
+            f = rows[i][c]
+            if i == r:
+                continue
+            if f:
+                rows[i] = [(x * pk - f * y) // prev for x, y in zip(rows[i], top)]
+            else:
+                rows[i] = [x * pk // prev for x in rows[i]]
+        pivots.append(c)
+        prev = pk
+    return pivots, prev, sign
 
 
 def rank(a):
-    return len(rref(a)[1])
+    """Rank of a rational matrix, by a forward fraction-free pass."""
+    return len(_echelon(clear_denominators(a)[0])[0])
 
 
 def nullspace(a):
-    """Basis (columns not normalised) of {x : a x = 0} over Q.
+    """Basis of {x : a x = 0} over Q for a rational matrix a (m x n).
 
-    Returns a list of Fraction vectors of length ncols(a).
+    One primitive integer vector per free column f, positive at f and zero
+    at the other free columns: the rref kernel basis, each vector scaled.
     """
-    a = frac_matrix(a) if not isinstance(a, np.ndarray) or a.dtype != object else a
-    m, n = a.shape
-    if m == 0:
-        return [frac_vector([1 if j == i else 0 for j in range(n)]) for i in range(n)]
-    red, pivots = rref(a)
-    free = [c for c in range(n) if c not in pivots]
+    n = np.shape(a)[1]
+    rows = clear_denominators(a)[0]
+    pivots, D, _ = _echelon(rows, reduced=True)
+    s = 1 if D > 0 else -1
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, fc]
-        basis.append(frac_vector(v))
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[f] = s * D
+        for row, c in zip(rows, pivots):
+            v[c] = -s * row[f]
+        g = gcd(*v)
+        basis.append(np.array([x // g for x in v], dtype=object))
     return basis
 
 
 def inverse(a):
-    """Exact inverse of a square Fraction matrix."""
-    a = frac_matrix(a) if not isinstance(a, np.ndarray) or a.dtype != object else a
-    n = a.shape[0]
-    aug = np.concatenate([a, identity_frac(n)], axis=1)
-    red, pivots = rref(aug)
+    """Exact inverse of a square rational matrix as (A, D): a^-1 = A / D.
+
+    A is a list of integer rows and D > 0 the least common denominator.
+    Raises ValueError if a is singular.
+    """
+    b, d = clear_denominators(a)
+    n = len(b)
+    rows = [row + [d if j == i else 0 for j in range(n)] for i, row in enumerate(b)]
+    pivots, D, _ = _echelon(rows, reduced=True)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return red[:, n:]
+    # rows = [D I | D b^-1] and a^-1 = d b^-1
+    A = [row[n:] for row in rows]
+    g = gcd(D, *(x for row in A for x in row))
+    if D < 0:
+        g = -g
+    return [[x // g for x in row] for row in A], D // g
 
 
 def clear_denominators(a):
@@ -138,8 +161,11 @@ def clear_denominators(a):
     d is the lcm of the entry denominators, so b is the smallest integer
     multiple of a.
     """
-    rows = [[x if type(x) in (int, Fraction) else frac(x) for x in row] for row in a]
-    d = lcm(1, *(x.denominator for row in rows for x in row))
+    rows = [[x if type(x) is int or type(x) is Fraction else frac(x) for x in row]
+            for row in a]
+    d = lcm(1, *(x.denominator for row in rows for x in row if type(x) is not int))
+    if d == 1:
+        return [list(map(int, row)) for row in rows], 1
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
@@ -164,33 +190,10 @@ def matmul(*factors):
     return scaled(out, scale)
 
 
-def _bareiss(rows):
-    """Determinant of a square integer matrix; eliminates in place."""
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if rows[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        top = rows[k]
-        pk = top[k]
-        for row in rows[k + 1:]:
-            f = row[k]
-            # exact division: Bareiss' theorem
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pk - f * top[j]) // prev
-        prev = pk
-    return sign * rows[n - 1][n - 1] if n else 1
-
-
 def det(a):
-    """Exact determinant: clear denominators, then integer Bareiss."""
+    """Exact determinant: clear denominators, then a fraction-free pass."""
     b, d = clear_denominators(a)
-    return Fraction(_bareiss(b), d ** len(b))
+    return Fraction(_int_det(b), d ** len(b))
 
 
 def int_det(a):
@@ -201,7 +204,12 @@ def int_det(a):
     b, d = clear_denominators(a)
     if d != 1:
         raise ValueError("matrix is not integral")
-    return _bareiss(b)
+    return _int_det(b)
+
+
+def _int_det(b):
+    pivots, D, sign = _echelon(b)
+    return sign * D if len(pivots) == len(b) else 0
 
 
 def int_compound(b, p, rows=None):
@@ -259,29 +267,6 @@ def compound(a, p):
     """
     b, d = clear_denominators(a)
     return scaled(int_compound(b, p), d ** p)
-
-
-def int_rank(a):
-    """Rank of an integer matrix, fraction-free elimination in Z."""
-    rows = [[int(x) for x in row] for row in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    prev = 1
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, n):
-                rows[i][j] = (rows[i][j] * rows[r][c] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        r += 1
-        if r == m:
-            break
-    return r
 
 
 def integer_kernel(a):

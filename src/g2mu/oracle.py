@@ -186,7 +186,7 @@ def _fibre_trace_data(structure, basis):
     G = structure.memo(_integer_lambda_gram, {21: 2, 35: 3}[len(basis[0])])
     B = np.array(basis, dtype=object).T
     BtG = B.T @ G
-    A, D = linalg.clear_denominators(linalg.inverse(BtG @ B))
+    A, D = linalg.inverse(BtG @ B)
     return B, BtG, np.array(A, dtype=object), D
 
 

@@ -102,11 +102,9 @@ def compose(a, b):
 
 
 def inverse(a):
-    """(A, t)^-1 = (A^-1, -A^-1 t)."""
-    inv = linalg.inverse(linalg.frac_matrix(a.matrix))
-    mat = tuple(tuple(int(inv[i, j]) for j in range(DIM)) for i in range(DIM))
-    trans = tuple(-sum(Fraction(mat[i][k]) * a.translation[k] for k in range(DIM))
-                  for i in range(DIM))
+    """(A, t)^-1 = (A^-1, -A^-1 t); A^-1 is integral since det A = 1."""
+    mat, _ = linalg.inverse(a.matrix)
+    trans = tuple(-sum(x * t for x, t in zip(row, a.translation)) for row in mat)
     return AffineElement(mat, trans)
 
 

@@ -1,9 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from g2mu import fourier as fr
+from g2mu import g2
 from g2mu.exterior import ExteriorForm, interior
 from g2mu.g2 import G2Structure
 
@@ -321,6 +324,34 @@ def test_contraction_kernel_shared_by_opposite_modes(s):
             fr.typed_contraction_kernel(s, minus, grade, component)
         assert fr.typed_contraction_kernel_dim(s, l, grade, component) == \
             fr.typed_contraction_kernel_dim(s, minus, grade, component)
+
+
+def test_standard_and_fibre_bases_are_pinned():
+    """The exact bases behind every kernel and trace, pinned by digest.
+
+    Spectrum reports count dimensions, which do not depend on the basis, so
+    a changed basis would otherwise go unseen.
+    """
+    def digest(vectors):
+        return hashlib.sha256(json.dumps(vectors, sort_keys=True).encode()).hexdigest()
+
+    standard = {f"{grade}_{comp}": [[int(x) for x in v] for v in vs]
+                for (grade, comp), vs in g2._standard_bases().items()}
+    assert digest(standard) == \
+        "80d901e3e59d5cbfa0c7e8a17a31c485304687e9c9ac530203c685108cbfcba9"
+    half = [[Fraction(1, 2) if i == j == 6 else int(i == j) for j in range(7)]
+            for i in range(7)]
+    expected = {
+        "identity": "448345f0d648e03aa6ade5af74e88b160a3e5c610dc8159f7e96e3ba37976fef",
+        "half": "d12b375b467493d2fa6fc8103da281cd44d83b1d905d27a4efd95a6e49971229",
+    }
+    for name, frame in (("identity", None), ("half", half)):
+        s = G2Structure(frame)
+        kernels = {f"{l}-{grade}": [[int(x) for x in v]
+                                    for v in fr.typed_contraction_kernel(s, l, grade, comp)]
+                   for l in ((1, 0, 0, 0, 0, 0, 0), (1, 2, 0, -1, 0, 1, 0))
+                   for grade, comp in ((2, 14), (3, 27))}
+        assert digest(kernels) == expected[name], name
 
 
 def test_contraction_kernel_at_large_mode():

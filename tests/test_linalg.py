@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -7,10 +8,20 @@ import pytest
 from g2mu import linalg
 
 
+def _laplace_det(rows):
+    """Determinant of an integer matrix by Laplace expansion, no elimination."""
+    return linalg.int_compound(rows, len(rows))[0][0]
+
+
+def _minor_rank(a):
+    """The largest p such that the rational matrix a has a nonzero p x p minor."""
+    b, _ = linalg.clear_denominators(a)
+    return max(p for p in range(min(len(b), len(b[0])) + 1)
+               if any(any(row) for row in linalg.int_compound(b, p)))
+
+
 def test_rref_and_rank():
     a = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    red, pivots = linalg.rref(a)
-    assert pivots == [0, 1]
     assert linalg.rank(a) == 2
 
 
@@ -25,11 +36,68 @@ def test_nullspace_exact():
 
 def test_inverse_roundtrip():
     a = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    inv = linalg.inverse(a)
+    inv = linalg.scaled(*linalg.inverse(a))
     prod = linalg.frac_matrix(a) @ inv
     assert all(prod[i, j] == (1 if i == j else 0) for i in range(3) for j in range(3))
     with pytest.raises(ValueError):
         linalg.inverse([[1, 2], [2, 4]])
+
+
+def _property_inputs():
+    """Rational matrices of every shape the elimination has to handle."""
+    rng = np.random.default_rng(21)
+
+    def entry():
+        return Fraction(int(rng.integers(-4, 5)), int(rng.choice([1, 1, 2, 3, 5])))
+
+    cases = [[[1, 2, 3], [2, 4, 6], [1, 0, 1]], [[1, 2, 3], [2, 4, 6]],
+             [[2, 1, 0], [1, 3, 1], [0, 1, 4]], [[1, 2], [2, 4]],
+             [[0]], [[Fraction(-3, 4)]], [[0, 0, 0]], [[0, 0], [0, 0], [0, 0]]]
+    for _ in range(60):
+        m, n = (int(x) for x in rng.integers(1, 7, size=2))
+        k = int(rng.integers(0, min(m, n) + 1))
+        if rng.random() < 0.5:
+            # rank at most k: a product of m x k and k x n factors
+            left = [[entry() for _ in range(k)] for _ in range(m)]
+            right = [[entry() for _ in range(n)] for _ in range(k)]
+            a = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+                  for j in range(n)] for i in range(m)]
+        else:
+            a = [[entry() for _ in range(n)] for _ in range(m)]
+        cases.append(a)
+    return cases
+
+
+def test_elimination_properties():
+    """det, rank, nullspace and inverse against Laplace minors, on seeded inputs."""
+    for a in _property_inputs():
+        m, n = len(a), len(a[0])
+        am = linalg.frac_matrix(a)
+        r = linalg.rank(a)
+        assert r == _minor_rank(a)
+        # the free columns are those that do not raise the rank of the columns before
+        free = [c for c in range(n)
+                if _minor_rank([row[:c + 1] for row in a]) == _minor_rank([row[:c] for row in a])]
+        basis = linalg.nullspace(a)
+        assert len(basis) + r == n and len(basis) == len(free)
+        for f, v in zip(free, basis):
+            assert all(type(x) is int for x in v)
+            assert all(x == 0 for x in am @ v)
+            assert gcd(*v) == 1 and v[f] > 0
+            assert all(v[g] == 0 for g in free if g != f)
+        if m != n:
+            continue
+        b, d = linalg.clear_denominators(a)
+        expected = Fraction(_laplace_det(b), d ** n)
+        assert linalg.det(a) == expected
+        if expected == 0:
+            with pytest.raises(ValueError):
+                linalg.inverse(a)
+            continue
+        A, D = linalg.inverse(a)
+        assert D > 0 and all(type(x) is int for row in A for x in row)
+        prod = am @ np.array(A, dtype=object)
+        assert all(prod[i, j] == (D if i == j else 0) for i in range(n) for j in range(n))
 
 
 def test_det_matches_numpy_sign_and_value():
@@ -42,9 +110,11 @@ def test_det_matches_numpy_sign_and_value():
 
 def test_int_rank_matches_rational_rank():
     rng = np.random.default_rng(4)
-    for _ in range(20):
+    for k in range(20):
         a = rng.integers(-3, 4, size=(6, 9))
-        assert linalg.int_rank(a.tolist()) == linalg.rank(a.tolist())
+        if k % 2:
+            a = rng.integers(-3, 4, size=(6, k % 6)) @ rng.integers(-3, 4, size=(k % 6, 9))
+        assert linalg.rank(a.tolist()) == linalg.rank(a) == _minor_rank(a.tolist())
 
 
 def test_integer_kernel_is_saturated():
@@ -145,7 +215,7 @@ def test_int_det_is_exact_and_rejects_non_integral():
     for n in range(1, 8):
         for _ in range(5):
             a = rng.integers(-4, 5, size=(n, n)).tolist()
-            assert linalg.int_det(a) == linalg.det(a)
+            assert linalg.int_det(a) == linalg.det(a) == _laplace_det(a)
             assert isinstance(linalg.int_det(a), int)
     assert linalg.int_det([[0, 1], [1, 0]]) == -1
     with pytest.raises(ValueError):

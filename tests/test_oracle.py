@@ -115,14 +115,28 @@ def test_oracle_equivalence_small_radius(m1, m3):
                     orc.invariant_dimension_bruteforce(orb, cls, kind)
 
 
+def _laplace_det(rows):
+    """Determinant of an integer matrix by Laplace expansion, no elimination."""
+    return linalg.int_compound(rows, len(rows))[0][0]
+
+
 def _reference_trace(structure, M, basis):
-    """tr((B^T G B)^-1 B^T G M B) in Fractions, G the Lambda-Gram matrix."""
+    """tr(S^-1 T) for S = B^T G B and T = B^T G M B, G the Lambda-Gram matrix.
+
+    By Cramer's rule, entry j of column j of S^-1 T is det S_j / det S, where
+    S_j is S with column j replaced by column j of T.
+    """
     grade = {21: 2, 35: 3}[len(basis[0])]
     G = structure.metric.lambda_gram(grade)
     B = linalg.frac_matrix([list(v) for v in basis]).T
     BtG = B.T @ G
-    C = linalg.inverse(BtG @ B) @ (BtG @ (linalg.frac_matrix(M.tolist()) @ B))
-    return sum(C[i, i] for i in range(C.shape[0]))
+    # S | T cleared by one common denominator, which cancels in each ratio
+    ST, _ = linalg.clear_denominators(
+        np.concatenate([BtG @ B, BtG @ (linalg.frac_matrix(M.tolist()) @ B)], axis=1))
+    k = B.shape[1]
+    det_S = _laplace_det([row[:k] for row in ST])
+    return sum(Fraction(_laplace_det([row[:j] + [row[k + j]] + row[j + 1:k] for row in ST]),
+                        det_S) for j in range(k))
 
 
 @pytest.mark.parametrize("frame", [
