@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -205,10 +206,10 @@ def cmd_identities(config, args):
         plus, minus = split_S4(omega)
         split_checks["pi27_d_plus"] = max(
             split_checks["pi27_d_plus"],
-            l2_norm(project_type(exterior_d(plus), 4, 27).to_float()))
+            l2_norm(project_type(exterior_d(plus), 4, 27)))
         split_checks["pi7_d_minus"] = max(
             split_checks["pi7_d_minus"],
-            l2_norm(project_type(exterior_d(minus), 4, 7).to_float()))
+            l2_norm(project_type(exterior_d(minus), 4, 7)))
         split_checks["plus_minus_inner"] = max(
             split_checks["plus_minus_inner"], abs(l2_inner(plus, minus)))
         split_checks["split_reassembles"] = max(
@@ -338,6 +339,8 @@ def run(argv=None):
                 flag_error = "--radius-sq must be nonnegative"
     if args.trials is not None and args.trials < 1:
         flag_error = "--trials must be a positive integer"
+    if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
+        flag_error = "--tolerance must be a finite nonnegative number"
     if flag_error is not None:
         print(json.dumps({"error": {"type": "ConfigError", "detail": flag_error}}),
               file=sys.stderr)

@@ -1,21 +1,21 @@
-"""Exterior algebra on (R^7)*: metrics are exact; forms keep both backends.
+"""Exact exterior algebra on (R^7)*: forms, metrics, star and pullback.
 
-Forms are stored densely: a grade-p form is a vector of C(7,p) coefficients
-indexed by the lexicographically ordered strictly increasing multi-indices
-with entries in 1..7.  The exact backend uses Fraction coefficients in a
-numpy object array; the floating backend uses complex128, for values that
-really are floating (random Fourier coefficients).  All operations are
-pure; forms are never mutated after construction.
+Forms are stored densely: a grade-p form is a vector of C(7,p) Fraction
+coefficients, indexed by the lexicographically ordered strictly increasing
+multi-indices with entries in 1..7.  Forms are exact only and never
+mutated after construction; a float coefficient raises TypeError.
+Floating values (random Fourier coefficients) live in `fourier`, which
+acts on them through matrices built from the integer tables here: the
+stacks of `e^a ^ .` and `e_a -| .`, and the matrix of `. ^ c` for a
+constant form c.
 
-Frames, Gram matrices and pullback matrices are exact only: a float frame
-or Gram matrix raises TypeError.  A metric converts its Gram matrices to
-float once, for the floating form backend.
+Frames, Gram matrices and pullback matrices are exact as well.  A metric
+converts its Gram matrices to float once, for the floating Fourier forms.
 
 Sign conventions are pinned by a single rule: the Hodge star satisfies
 a ^ star(b) = <a, b>_g vol_g with vol_g = sqrt(det g) * theta^{1...7}.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -55,18 +55,6 @@ def wedge_table(p, q):
 
 
 @lru_cache(maxsize=None)
-def interior_table(p):
-    """Entries (axis, pos_in, pos_out, sign) with axis in 1..7:
-    e_axis interior-product theta^I = sign * theta^(I minus axis)."""
-    entries = []
-    for pos_in, idx in enumerate(INDICES[p]):
-        for r, axis in enumerate(idx):
-            reduced = idx[:r] + idx[r + 1:]
-            entries.append((axis, pos_in, POSITION[p - 1][reduced], -1 if r % 2 else 1))
-    return tuple(entries)
-
-
-@lru_cache(maxsize=None)
 def hodge_table(p):
     """Entries (pos_in, pos_out, sign) for the Euclidean star on grade p."""
     entries = []
@@ -77,175 +65,123 @@ def hodge_table(p):
     return tuple(entries)
 
 
-def _is_exact_dtype(arr):
-    return arr.dtype == object
+@lru_cache(maxsize=None)
+def covector_wedge_stack(p):
+    """E with E[a] the integer matrix of v -> e^(a+1) ^ v on grade-p vectors."""
+    E = np.zeros((DIM, comb(DIM, p + 1), comb(DIM, p)), dtype=np.int64)
+    for i, j, k, sign in wedge_table(1, p):
+        E[i, k, j] = sign
+    return read_only(E)
 
 
-def _coerce_coeffs(coeffs, exact):
-    arr = np.asarray(coeffs)
-    if exact is None:
-        exact = arr.dtype == object or arr.dtype.kind in "iu"
-    if exact:
-        out = np.empty(arr.shape[0], dtype=object)
-        for k, x in enumerate(arr):
-            out[k] = x if isinstance(x, Fraction) else linalg.frac(x)
-        return out
-    return arr.astype(complex)
+@lru_cache(maxsize=None)
+def interior_stack(p):
+    """I with I[a] the integer matrix of v -> e_(a+1) -| v on grade-p vectors."""
+    I = np.zeros((DIM, comb(DIM, p - 1), comb(DIM, p)), dtype=np.int64)
+    for pos_in, idx in enumerate(INDICES[p]):
+        for r, axis in enumerate(idx):
+            pos_out = POSITION[p - 1][idx[:r] + idx[r + 1:]]
+            I[axis - 1, pos_out, pos_in] = -1 if r % 2 else 1
+    return read_only(I)
+
+
+def wedge_matrix(form, p):
+    """Exact matrix of v -> v ^ form on grade-p coefficient vectors."""
+    q = form.grade
+    out = np.zeros((comb(DIM, p + q), comb(DIM, p)), dtype=object)
+    for i, j, k, sign in wedge_table(p, q):
+        if form.coeffs[j]:
+            out[k, i] += sign * form.coeffs[j]
+    return out
 
 
 class ExteriorForm:
-    """A constant-coefficient alternating form on R^7."""
+    """A constant-coefficient alternating form on R^7 with exact coefficients."""
 
     __slots__ = ("grade", "coeffs")
 
-    def __init__(self, grade, coeffs, exact=None):
+    def __init__(self, grade, coeffs):
         if not 0 <= grade <= DIM:
             raise ValueError(f"grade must lie in 0..{DIM}, got {grade}")
-        arr = _coerce_coeffs(coeffs, exact)
+        arr = linalg.frac_vector(coeffs)
         if arr.shape != (comb(DIM, grade),):
             raise ValueError(
                 f"grade-{grade} form needs {comb(DIM, grade)} coefficients, got {arr.shape}")
-        arr.flags.writeable = False
         object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", read_only(arr))
 
     def __setattr__(self, *_):
         raise AttributeError("ExteriorForm is immutable")
 
-    @property
-    def is_exact(self):
-        return _is_exact_dtype(self.coeffs)
-
     @classmethod
-    def zero(cls, grade, exact=True):
-        n = comb(DIM, grade)
-        return cls(grade, [0] * n) if exact else cls(grade, np.zeros(n, dtype=complex))
-
-    @classmethod
-    def from_terms(cls, grade, terms, exact=True):
+    def from_terms(cls, grade, terms):
         """Build from {multi-index tuple: coefficient}."""
-        n = comb(DIM, grade)
-        coeffs = [0] * n
+        coeffs = [0] * comb(DIM, grade)
         for idx, val in terms.items():
             idx = tuple(idx)
             if idx not in POSITION[grade]:
                 raise ValueError(f"{idx} is not a strictly increasing multi-index of grade {grade}")
             coeffs[POSITION[grade][idx]] = val
-        if exact:
-            return cls(grade, coeffs)
-        return cls(grade, np.array(coeffs, dtype=complex))
+        return cls(grade, coeffs)
 
     def coefficient(self, idx):
         return self.coeffs[POSITION[self.grade][tuple(idx)]]
 
-    def to_float(self):
-        if not self.is_exact:
-            return self
-        return ExteriorForm(self.grade, np.array([complex(x) for x in self.coeffs]))
-
-    def _binary_compat(self, other):
+    def _check_grade(self, other):
         if self.grade != other.grade:
             raise ValueError(f"grade mismatch: {self.grade} vs {other.grade}")
-        if self.is_exact != other.is_exact:
-            return self.to_float(), other.to_float()
-        return self, other
 
     def __add__(self, other):
-        a, b = self._binary_compat(other)
-        return ExteriorForm(a.grade, a.coeffs + b.coeffs)
+        self._check_grade(other)
+        return ExteriorForm(self.grade, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
-        a, b = self._binary_compat(other)
-        return ExteriorForm(a.grade, a.coeffs - b.coeffs)
+        self._check_grade(other)
+        return ExteriorForm(self.grade, self.coeffs - other.coeffs)
 
     def __neg__(self):
         return ExteriorForm(self.grade, -self.coeffs)
 
     def scale(self, c):
-        if self.is_exact and isinstance(c, (int, Fraction)):
-            return ExteriorForm(self.grade, self.coeffs * linalg.frac(c))
-        return ExteriorForm(self.grade, self.to_float().coeffs * complex(c))
+        return ExteriorForm(self.grade, self.coeffs * linalg.frac(c))
 
     __mul__ = scale
     __rmul__ = scale
 
-    def is_zero(self, tol=0.0):
-        if self.is_exact:
-            return all(x == 0 for x in self.coeffs)
-        return bool(np.max(np.abs(self.coeffs), initial=0.0) <= tol)
+    def is_zero(self):
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, ExteriorForm) or self.grade != other.grade:
             return NotImplemented
-        a, b = self._binary_compat(other)
-        return bool(np.all(a.coeffs == b.coeffs))
-
-    def allclose(self, other, tol=1e-9):
-        a, b = self._binary_compat(other)
-        diff = a.coeffs - b.coeffs
-        if a.is_exact:
-            return all(x == 0 for x in diff)
-        return bool(np.max(np.abs(diff), initial=0.0) <= tol)
+        return bool(np.all(self.coeffs == other.coeffs))
 
     def __repr__(self):
-        terms = []
-        for k, idx in enumerate(INDICES[self.grade]):
-            c = self.coeffs[k]
-            if (c == 0) if self.is_exact else (abs(c) < 1e-14):
-                continue
-            label = "theta^" + "".join(map(str, idx)) if idx else "1"
-            terms.append(f"{c}*{label}")
-        body = " + ".join(terms) if terms else "0"
-        return f"ExteriorForm(grade={self.grade}, {body})"
+        terms = [f"{c}*" + ("theta^" + "".join(map(str, idx)) if idx else "1")
+                 for c, idx in zip(self.coeffs, INDICES[self.grade]) if c]
+        return f"ExteriorForm(grade={self.grade}, {' + '.join(terms) or '0'})"
 
 
 def wedge(a, b):
     """Exterior product; rejects results of grade > 7."""
     if a.grade + b.grade > DIM:
         raise ValueError(f"wedge of grades {a.grade} and {b.grade} exceeds {DIM}")
-    a, b = _same_backend(a, b)
-    out = _accumulator(a, b, a.grade + b.grade)
-    for i, j, k, sign in wedge_table(a.grade, b.grade):
-        out[k] += sign * a.coeffs[i] * b.coeffs[j]
-    return ExteriorForm(a.grade + b.grade, out)
-
-
-def _same_backend(a, b):
-    if a.is_exact != b.is_exact:
-        return a.to_float(), b.to_float()
-    return a, b
-
-
-def _accumulator(a, b, grade):
-    n = comb(DIM, grade)
-    if a.is_exact and b.is_exact:
-        return [Fraction(0)] * n
-    return np.zeros(n, dtype=complex)
+    return ExteriorForm(a.grade + b.grade, wedge_matrix(b, a.grade) @ a.coeffs)
 
 
 def interior(v, a):
-    """Interior product v ⌟ a of a vector v (7 components) with a form."""
+    """Interior product v -| a of a rational vector v (7 components) with a form."""
     if a.grade == 0:
         raise ValueError("interior product needs grade >= 1")
-    exact = a.is_exact and _is_rational(v)
-    if not exact:
-        a = a.to_float()
-        v = [complex(x) for x in v]
-    else:
-        v = [linalg.frac(x) for x in v]
-    out = [Fraction(0)] * comb(DIM, a.grade - 1) if exact else np.zeros(comb(DIM, a.grade - 1), dtype=complex)
-    for axis, pos_in, pos_out, sign in interior_table(a.grade):
-        c = v[axis - 1]
-        if c != 0:
-            out[pos_out] += sign * c * a.coeffs[pos_in]
-    return ExteriorForm(a.grade - 1, out)
+    contraction = np.tensordot(linalg.frac_vector(v), interior_stack(a.grade), axes=1)
+    return ExteriorForm(a.grade - 1, contraction @ a.coeffs)
 
 
 class Metric7:
     """Flat metric on R^7: exact Gram matrix plus its volume factor sqrt(det).
 
     Float views (gram_float, lambda_gram_float) are converted once and serve
-    the floating form backend.
+    the floating Fourier forms.
     """
 
     __slots__ = ("gram", "gram_float", "vol", "_inverse", "_lambda_gram",
@@ -303,19 +239,13 @@ class Metric7:
         return self._lambda_gram_float[p]
 
     def norm_sq_vector(self, v):
-        """g(v, v) for a tangent vector v: exact for integer or rational v."""
-        if _is_rational(v):
-            vv = linalg.frac_vector(v)
-            return vv @ self.gram @ vv
-        vv = np.array([float(x) for x in v])
-        return float(vv @ self.gram_float @ vv)
+        """g(v, v) for a rational tangent vector v, exact."""
+        vv = linalg.frac_vector(v)
+        return vv @ self.gram @ vv
 
     def flat(self, v):
         """Musical isomorphism: the covector g(v, .) as a 1-form."""
-        if _is_rational(v):
-            return ExteriorForm(1, list(self.gram @ linalg.frac_vector(v)))
-        return ExteriorForm(1, np.array(self.gram_float @ np.array([complex(x) for x in v]),
-                                        dtype=complex))
+        return ExteriorForm(1, self.gram @ linalg.frac_vector(v))
 
 
 def read_only(arr):
@@ -324,44 +254,21 @@ def read_only(arr):
     return arr
 
 
-def _is_rational(v):
-    return all(isinstance(x, (int, Fraction, np.integer)) for x in v)
-
-
 def inner(a, b, metric):
-    """<a, b>_g: exact for exact forms, conjugate-linear in b on the floating backend."""
-    a, b = _same_backend(a, b)
+    """<a, b>_g of two forms of equal grade, exact."""
     if a.grade != b.grade:
         raise ValueError("inner product needs equal grades")
-    if a.is_exact:
-        return a.coeffs @ metric.lambda_gram(a.grade) @ b.coeffs
-    return complex(a.coeffs @ metric.lambda_gram_float(a.grade) @ np.conj(b.coeffs))
+    return a.coeffs @ metric.lambda_gram(a.grade) @ b.coeffs
 
 
 def hodge_star(a, metric):
     """Hodge star fixed by a ^ star(b) = <a,b>_g vol_g."""
     p = a.grade
-    if a.is_exact:
-        weighted = (metric.lambda_gram(p) @ a.coeffs) * metric.vol
-        out = [Fraction(0)] * comb(DIM, DIM - p)
-    else:
-        weighted = (metric.lambda_gram_float(p) @ a.coeffs) * float(metric.vol)
-        out = np.zeros(comb(DIM, DIM - p), dtype=complex)
+    weighted = (metric.lambda_gram(p) @ a.coeffs) * metric.vol
+    out = [0] * comb(DIM, DIM - p)
     for pos_in, pos_out, sign in hodge_table(p):
         out[pos_out] = sign * weighted[pos_in]
     return ExteriorForm(DIM - p, out)
-
-
-def orthonormal_forms(grade, vectors, metric):
-    """Floating orthonormal forms spanning the exact coefficient vectors.
-
-    Gram-Schmidt runs in exact arithmetic w.r.t. the metric; only the final
-    unit normalisation is floating.
-    """
-    ortho, norms = linalg.gram_schmidt([list(v) for v in vectors], metric.lambda_gram(grade))
-    return [ExteriorForm(grade,
-                         (np.array([float(x) for x in v]) / np.sqrt(float(n2))).astype(complex))
-            for v, n2 in zip(ortho, norms)]
 
 
 def metric_from_frame(frame):
@@ -385,7 +292,7 @@ def pullback(frame, a):
     """Pullback F*a with (F*a)_J = sum_I det(F[I, J]) a_I (minor expansion)."""
     if a.grade == 0:
         return a
-    return ExteriorForm(a.grade, list(pullback_matrix(frame, a.grade) @ a.coeffs))
+    return ExteriorForm(a.grade, pullback_matrix(frame, a.grade) @ a.coeffs)
 
 
 def pullback_matrix(frame, p):

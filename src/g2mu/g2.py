@@ -31,7 +31,7 @@ star.  Every basis, projector and star matrix is exact.
 
 A G2Structure owns every cache that depends on it: one memo keyed by the
 producing function and its arguments, which also holds the float views of
-its projectors and star matrices for the floating form backend.
+its projectors and star matrices for the floating Fourier forms.
 """
 
 from fractions import Fraction
@@ -42,8 +42,8 @@ import numpy as np
 
 from . import linalg
 from .exterior import (DIM, INDICES, ExteriorForm, Metric7, hodge_star, hodge_table,
-                       interior, metric_from_frame, orthonormal_forms, pullback,
-                       pullback_matrix, read_only, wedge)
+                       interior_stack, metric_from_frame, pullback, pullback_matrix,
+                       read_only, wedge, wedge_matrix)
 
 PHI0_TERMS = {
     (1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1, (2, 4, 6): 1,
@@ -90,25 +90,17 @@ def _standard_bases():
     """Exact type-space bases of phi0, as primitive integer vectors."""
     phi = standard_phi0()
     psi = hodge_star(phi, Metric7.euclidean())
-    basis = {}
-
-    e = [[1 if j == i else 0 for j in range(DIM)] for i in range(DIM)]
-    basis[(2, 7)] = [np.array(interior(v, phi).coeffs) for v in e]
-    basis[(3, 1)] = [np.array(phi.coeffs)]
-    basis[(3, 7)] = [np.array(interior(v, psi).coeffs) for v in e]
-
-    # Lambda^2_14 = ker(alpha -> alpha ^ psi), Lambda^3_27 = ker(a -> (a^phi, a^psi))
-    wedge_psi = np.stack(
-        [np.array(wedge(ExteriorForm.from_terms(2, {idx: 1}), psi).coeffs)
-         for idx in INDICES[2]], axis=1)
-    basis[(2, 14)] = linalg.nullspace(wedge_psi)
-
-    rows = []
-    for idx in INDICES[3]:
-        b = ExteriorForm.from_terms(3, {idx: 1})
-        rows.append(np.concatenate([np.array(wedge(b, phi).coeffs),
-                                    np.array(wedge(b, psi).coeffs)]))
-    basis[(3, 27)] = linalg.nullspace(np.stack(rows, axis=1))
+    # phi0 and psi0 have integer coefficients, so the contractions run in ints
+    (phi_int, psi_int), _ = linalg.clear_denominators([phi.coeffs, psi.coeffs])
+    basis = {
+        (2, 7): list(interior_stack(3) @ phi_int),
+        (3, 1): [phi.coeffs],
+        (3, 7): list(interior_stack(4) @ psi_int),
+        # Lambda^2_14 = ker(. ^ psi); Lambda^3_27 = ker(a -> (a ^ phi, a ^ psi))
+        (2, 14): linalg.nullspace(wedge_matrix(psi, 2)),
+        (3, 27): linalg.nullspace(np.concatenate([wedge_matrix(phi, 3),
+                                                  wedge_matrix(psi, 3)])),
+    }
     return {key: tuple(linalg.primitive_integer(v) for v in cols)
             for key, cols in basis.items()}
 
@@ -201,11 +193,12 @@ class Memo:
     computed once per structure and kept under the key (fn, args).
 
     It grows by a fixed number of entries per grade and component (bases,
-    projectors, star and pullback matrices, their float views), plus a
-    fixed number per lattice vector, Fourier mode or group element that a
-    command visits (fibre kernels and their dimensions, refined-operator
-    matrices, pullback matrices of group elements), plus one per oracle
-    radius.  Nothing is evicted; a CLI command builds one structure.
+    projectors, star and pullback matrices, their float views, the mode
+    stacks of the Fourier operators), plus a fixed number per lattice
+    vector, Fourier mode or group element that a command visits (fibre
+    kernels and their dimensions, pullback matrices of group elements),
+    plus one per oracle radius.  Nothing is evicted; a CLI command builds
+    one structure.
 
     A callable object rather than a method, so that the time fn takes is
     booked to the public function that asked for it in a per-function
@@ -308,15 +301,8 @@ class G2Structure:
     # -- operations ---------------------------------------------------------
 
     def apply_projector(self, grade, component, a):
-        """pi_component of the grade-`grade` form a.
-
-        Exact forms are projected exactly; floating forms through the float
-        view of the projector.
-        """
-        if a.is_exact:
-            return ExteriorForm(a.grade, list(self.projector(grade, component) @ a.coeffs))
-        return ExteriorForm(a.grade, np.asarray(
-            self.projector_float(grade, component) @ a.coeffs, dtype=complex))
+        """pi_component of the grade-`grade` form a, exact."""
+        return ExteriorForm(a.grade, self.projector(grade, component) @ a.coeffs)
 
     def project(self, label, a):
         """Orthogonal projection of a onto the labelled component.
@@ -327,16 +313,6 @@ class G2Structure:
             raise ValueError(
                 f"form of grade {a.grade} does not match label grade {label.grade}")
         return self.apply_projector(a.grade, label.component, a)
-
-    def type_basis(self, label):
-        """Orthonormal basis of the component, as floating-point forms.
-
-        Gram-Schmidt runs exactly over type_space_basis; only the final unit
-        normalisation is floating.
-        """
-        grade = label.grade
-        return orthonormal_forms(grade, self.type_space_basis(grade, label.component),
-                                 self.metric)
 
     def apply_I(self, a):
         """(4/3) pi_1 + pi_7 - pi_27 on 3-forms (Hessian symbol of the 3-form functional)."""

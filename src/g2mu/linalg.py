@@ -321,27 +321,6 @@ def primitive_integer(vec):
     return np.array([x // g for x in ints], dtype=object)
 
 
-def gram_schmidt(vectors, gram):
-    """Orthogonalise Fraction vectors w.r.t. the bilinear form `gram`.
-
-    Returns (orthogonal vectors, their squared norms); no normalisation,
-    so everything stays rational.
-    """
-    ortho = []
-    norms = []
-    for v in vectors:
-        w = np.array(v, dtype=object)
-        for u, nu in zip(ortho, norms):
-            coeff = (w @ gram @ u) / nu
-            w = w - coeff * u
-        nw = w @ gram @ w
-        if nw == 0:
-            raise ValueError("vectors are linearly dependent")
-        ortho.append(w)
-        norms.append(nw)
-    return ortho, norms
-
-
 def principal_minors_positive(g):
     g = frac_matrix(g) if not isinstance(g, np.ndarray) or g.dtype != object else g
     n = g.shape[0]

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .exterior import DIM, orthonormal_forms, pullback
+from .exterior import DIM, pullback
 from .fourier import typed_contraction_kernel, typed_contraction_kernel_dim
 from .invariants import tr8_su3, tr12_su3
 
@@ -131,10 +131,6 @@ class ModeSpace:
 
     def fiber_dimension(self, l):
         return typed_contraction_kernel_dim(self.structure, l, self.grade, self.component)
-
-    def orthonormal_fiber_basis(self, l):
-        """Floating orthonormal version of fiber_basis (w.r.t. the metric)."""
-        return orthonormal_forms(self.grade, self.fiber_basis(l), self.structure.metric)
 
 
 def group_action_on_mode(element, l, alpha, metric=None):

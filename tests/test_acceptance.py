@@ -133,11 +133,11 @@ def test_criterion_6_hessian_structure():
         blocks = fr.hessian_blocks("F", fr.coexterior_d(eta))
         omega = blocks.blocks["S_plus"] + blocks.blocks["S_minus"]
         plus, minus = fr.split_S4(omega)
-        norm = max(fr.l2_norm(omega.to_float()), 1.0)
+        norm = max(fr.l2_norm(omega), 1.0)
         worst_plus = max(worst_plus, fr.l2_norm(
-            fr.project_type(fr.exterior_d(plus), 4, 27).to_float()) / norm)
+            fr.project_type(fr.exterior_d(plus), 4, 27)) / norm)
         worst_minus = max(worst_minus, fr.l2_norm(
-            fr.project_type(fr.exterior_d(minus), 4, 7).to_float()) / norm)
+            fr.project_type(fr.exterior_d(minus), 4, 7)) / norm)
         worst_inner = max(worst_inner, abs(fr.l2_inner(plus, minus)) / norm ** 2)
     ok = max(worst_e, worst_plus, worst_minus, worst_inner) <= 1e-9
     _verdict(6, f"Hessian identities: d*Id residual {worst_e:.1e}, split residuals "

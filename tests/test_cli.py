@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -189,6 +190,9 @@ def test_reports_deterministic(capsys):
     ("--radius-sq", "1/0", "bad --radius-sq"),
     ("--trials", "0", "--trials must be a positive integer"),
     ("--trials", "-3", "--trials must be a positive integer"),
+    ("--tolerance", "nan", "--tolerance must be a finite nonnegative number"),
+    ("--tolerance", "inf", "--tolerance must be a finite nonnegative number"),
+    ("--tolerance", "-1", "--tolerance must be a finite nonnegative number"),
 ])
 def test_bad_flag_values_rejected_as_malformed_input(capsys, flag, value, detail):
     command = "spectrum" if flag == "--radius-sq" else "identities"
@@ -205,3 +209,53 @@ def test_bad_config_values_rejected_as_malformed_input(capsys, tmp_path):
         code, out, err = run_cli(capsys, "check", "--config", cfg)
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
+# sha256 of each report (json.dumps(sort_keys=True), without wall_time_s)
+PINNED_REPORTS = {
+    "t7": {
+        "check": "8024f3d0a4eb77663c20665bc30feb6899ab4de54de211d4f818523ed7fccbe1",
+        "invariants --crosscheck":
+            "952bad91cf9173ad97b585f199c33c3118e302c9353fb5664f0b964ec76b36ed",
+        "zeta": "7bef48c8ede1493b5eb53a7f4eb47749b789efbabdad4dcf6f1a7d989505443e",
+        "spectrum --radius-sq 2":
+            "59ad9cc3f07df42fd556ca02c67f42270c45fd177c88a20c5df1658ed2d68cd2",
+    },
+    "m1": {
+        "check": "16413554af09c672f883d805197631689109071e20fb0c5ab0a1ed8fd3927b5b",
+        "invariants --crosscheck":
+            "22fa6e2f0f2f367795c234b4b3e2b4a42ac5ef22e1e09834633017ea81343fd3",
+        "zeta": "f41d39d1af7ebdb352b8a84e7492176d748c066ecba3fbb688b8af44bc865ebd",
+        "spectrum --radius-sq 2":
+            "44601417209c760008e127ec6d6fea97ee1737a7f19b8a65437c5c983c3f656e",
+    },
+    "m2": {
+        "check": "529186f15b29a64a5de0ffcca468f2bc7c1dadff3c2c83071dc17d7430e65aec",
+        "invariants --crosscheck":
+            "6b8bce02a8d17dd768578931820cb55209fced773b54903f06a7ffb469c66332",
+        "zeta": "66b3c76eb5d8f73b816b8aa92a3ca78ea7d21a2993e7e2e2dc6c09a61c8ec63f",
+        "spectrum --radius-sq 2":
+            "69ca2f55f957058180d6959054508a2b3dcbb1b63a26ad5f5dc502621e2adc04",
+    },
+    "m3": {
+        "check": "a82375023c697b25fa3fd79751912deb0cd26535f55a66fef11fe13ee400ab4a",
+        "invariants --crosscheck":
+            "30ba9cae2d8809d3cd85d29985ab09f3334c1994fcc207634344f6d16eee86a1",
+        "zeta": "53a8ceba97724f1b541c4615dc3ad4e0bb6b34fef897d35e00f33eeef09f7339",
+        "spectrum --radius-sq 2":
+            "5b072d32bc6fd5b2c709d296b6db191437ce21c0ad21f09420088a8438fefc2a",
+    },
+}
+
+
+@pytest.mark.parametrize("stem", sorted(PINNED_REPORTS))
+def test_exact_reports_are_pinned(capsys, stem):
+    """Every field but wall_time_s of the exact commands' reports, pinned by digest."""
+    for command, expected in PINNED_REPORTS[stem].items():
+        name, *flags = command.split()
+        code, out, _ = run_cli(capsys, name, "--config", str(CONFIG_DIR / f"{stem}.json"),
+                               *flags)
+        report = json.loads(out)
+        report.pop("wall_time_s")
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert (code, digest) == (0, expected), command

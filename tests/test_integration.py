@@ -88,10 +88,22 @@ def test_third_root_twist_matches_closed_form():
     assert abs(value_at_zero(lat) + 1) < 1e-12
 
 
+# a frame with an off-diagonal entry, so that its Gram matrix is not diagonal
+SHEARED_FRAME = [[1, 1, 0, 0, 0, 0, 0],
+                 [0, 1, 0, 0, 0, 0, 0],
+                 [0, 0, 2, 0, 0, 0, 0],
+                 [0, 0, 0, 1, 0, 0, 0],
+                 [0, 0, 0, 0, 1, 0, 0],
+                 [0, 0, 0, 0, 0, 1, 0],
+                 [0, 0, 0, 0, 0, 0, 1]]
+
+
 def test_framed_structure_satisfies_refined_calculus(framed):
     from g2mu import fourier as fr
-    report = fr.verify_appendix(framed.structure, trials=3, seed=1)
-    assert max(report["identities"].values()) <= 1e-9
+    from g2mu.g2 import G2Structure
+    for structure in (framed.structure, G2Structure(SHEARED_FRAME)):
+        report = fr.verify_appendix(structure, trials=3, seed=1)
+        assert max(report["identities"].values()) <= 1e-9
 
 
 def test_framed_orbifold_end_to_end(framed):

@@ -134,16 +134,6 @@ def test_integer_kernel_of_difference():
     assert basis == [(1, 0, 0)]
 
 
-def test_gram_schmidt_orthogonal():
-    gram = linalg.identity_frac(3)
-    vecs = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
-    ortho, norms = linalg.gram_schmidt([[Fraction(x) for x in v] for v in vecs], gram)
-    for i in range(3):
-        for j in range(i):
-            assert ortho[i] @ gram @ ortho[j] == 0
-        assert ortho[i] @ gram @ ortho[i] == norms[i] > 0
-
-
 def test_rational_sqrt():
     assert linalg.rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert linalg.rational_sqrt(Fraction(2)) is None
