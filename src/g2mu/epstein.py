@@ -17,9 +17,12 @@ piece gives the meromorphic continuation
 where Q* is the dual form (inverse Gram) and both sums converge like
 exp(-pi Q).  Dividing by Gamma(s) (a zero at s = 0) leaves the boundary
 term -1/s as the only contribution at s = 0, so the continued value there
-is -1 for every rank and every twist; the sums are what make the formula
+is -1 for every rank and every twist, and `epstein_value` returns it at
+s = 0 without enumerating anything.  The sums are what make the formula
 correct away from 0, and they are cross-checked against direct summation
-and classical closed forms in the test suite.
+and classical closed forms in the test suite.  Both run over the exact
+lattice shells of `linalg.enumerate_ellipsoid`, the one shell enumerator
+that the spectral oracle uses too.
 """
 
 from dataclasses import dataclass
@@ -56,7 +59,7 @@ class TwistedLattice:
         B = linalg.frac_matrix(self.basis)
         newB = U.T @ B
         gram = U.T @ self.gram @ U
-        twist = tuple((linalg.frac_vector(self.twist) @ U)[i] % 1 for i in range(self.rank))
+        twist = tuple(x % 1 for x in linalg.frac_vector(self.twist) @ U)
         return TwistedLattice(
             rank=self.rank,
             basis=tuple(tuple(int(x) for x in row) for row in newB),
@@ -83,99 +86,32 @@ def fixed_lattice(element, metric):
     G = metric.gram
     gram = B @ G @ B.T
     t = linalg.frac_vector(element.translation)
-    twist = tuple((B @ G @ t)[i] % 1 for i in range(len(kernel)))
+    twist = tuple(x % 1 for x in B @ G @ t)
     return TwistedLattice(rank=len(kernel), basis=tuple(kernel), gram=gram, twist=twist)
 
 
-_SHELL_CACHE = {}
+def _shell_sums(gram, bound, twist=None, shift=None):
+    """Phase sums of the nonzero lattice shells: {exact Q: complex sum}.
 
-
-def _phase_of(expo):
-    expo = expo % 1
-    if expo == 0:
-        return 1.0 + 0j
-    if expo == Fraction(1, 2):
-        return -1.0 + 0j
-    return complex(np.exp(2j * np.pi * float(expo)))
-
-
-def _gram_key(gram):
-    return tuple(tuple(linalg.frac(x) for x in row) for row in gram)
-
-
-def _is_diagonal(gram):
-    n = gram.shape[0]
-    return all(gram[i, j] == 0 for i in range(n) for j in range(n) if i != j)
-
-
-def _shell_sums(gram, bound, twist=None, shift=None, exclude_origin=True):
-    """Group lattice points by exact Q-value; returns {Q: complex phase sum}.
-
-    With `shift` = w the points are x + w for integer x (used for the dual
-    sum, where no phases appear); with `twist` the phases e(q(x)) are
-    attached.  Q-values are exact Fractions.  Diagonal Gram matrices take a
-    separable coordinate-by-coordinate convolution; the general case falls
-    back to ellipsoid enumeration.  Results are cached.
+    The shells are those of `linalg.enumerate_ellipsoid`, the points x
+    (with Q taken at x + shift) ascending in Q; the shell Q = 0 (the
+    origin, or the coset point x + shift = 0) is dropped.  With the twist
+    cleared once to T / f (none means 0), a point's phase is
+    e((T . x mod f) / f), so each shell counts its points per integer
+    residue and takes one phase per residue, exact at 1 and -1.
     """
-    r = gram.shape[0]
-    twist = tuple(linalg.frac(x) % 1 for x in twist) if twist is not None else None
-    w = tuple(linalg.frac(x) % 1 for x in shift) if shift is not None else None
-    key = (_gram_key(gram), linalg.frac(bound), twist, w, exclude_origin)
-    if key in _SHELL_CACHE:
-        return _SHELL_CACHE[key]
-    if _is_diagonal(gram):
-        shells = _shell_sums_diagonal(gram, bound, twist, w)
-    else:
-        shells = {}
-        pts = linalg.enumerate_ellipsoid(gram, bound, shift=w)
-        wv = w if w is not None else (Fraction(0),) * r
+    shells = linalg.enumerate_ellipsoid(gram, bound, shift=shift)
+    shells.pop(Fraction(0), None)
+    (T,), f = linalg.clear_denominators([twist if twist is not None else [0] * len(gram)])
+    phases = [1.0 + 0j if k == 0 else -1.0 + 0j if 2 * k == f
+              else complex(np.exp(2j * np.pi * (k / f))) for k in range(f)]
+    out = {}
+    for q, pts in shells.items():
+        counts = [0] * f
         for x in pts:
-            v = linalg.frac_vector([xi + wi for xi, wi in zip(x, wv)])
-            q_val = v @ gram @ v
-            if twist is not None:
-                phase = _phase_of(sum(t * xi for t, xi in zip(twist, x)))
-            else:
-                phase = 1.0 + 0j
-            shells[q_val] = shells.get(q_val, 0j) + phase
-    if exclude_origin:
-        shells.pop(Fraction(0), None)
-    _SHELL_CACHE[key] = shells
-    return shells
-
-
-def _shell_sums_diagonal(gram, bound, twist, shift):
-    """Separable shell sums for diagonal Gram matrices.
-
-    Convolves per-coordinate dictionaries {d_i (x+w_i)^2 : phase sum},
-    pruning values above the bound; exact Fraction keys throughout.
-    """
-    r = gram.shape[0]
-    bound = linalg.frac(bound)
-    shells = {Fraction(0): 1.0 + 0j}
-    for i in range(r):
-        d = linalg.frac(gram[i, i])
-        wi = shift[i] if shift is not None else Fraction(0)
-        ti = twist[i] if twist is not None else Fraction(0)
-        coord = {}
-        x = 0
-        while True:
-            hit = False
-            for xv in ((x,) if x == 0 else (x, -x)):
-                q = d * (xv + wi) ** 2
-                if q <= bound:
-                    hit = True
-                    coord[q] = coord.get(q, 0j) + _phase_of(ti * xv)
-            if not hit and d * x * x > bound:
-                break
-            x += 1
-        new = {}
-        for q1, p1 in shells.items():
-            for q2, p2 in coord.items():
-                q = q1 + q2
-                if q <= bound:
-                    new[q] = new.get(q, 0j) + p1 * p2
-        shells = new
-    return shells
+            counts[sum(t * xi for t, xi in zip(T, x)) % f] += 1
+        out[q] = sum(c * phases[k] for k, c in enumerate(counts) if c)
+    return out
 
 
 def _cutoff(s, rank):
@@ -193,6 +129,9 @@ def epstein_value(lat, s, dps=30):
     incomplete-gamma sums plus explicit boundary terms.
     """
     s = complex(s)
+    if s == 0:
+        # every term but the boundary term -1/Gamma(s + 1) carries the factor s
+        return complex(-1)
     r = lat.rank
     trivial = lat.is_twist_trivial()
     if trivial and abs(s - r / 2) < 1e-12:
@@ -246,11 +185,13 @@ def direct_sum(lat, s, radius_q):
 
 
 def value_at_zero(lat):
-    """The continued value at s = 0 (always -1 by the boundary term).
+    """The continued value at s = 0: -1, the boundary term -1/Gamma(1).
 
-    The incomplete-gamma sums are multiplied by s/Gamma(s+1) and vanish at
-    s = 0; the correctness of those sums (and hence of this limit) is
-    established by the cross-checks against direct summation away from 0.
+    The incomplete-gamma sums and the pole term are multiplied by
+    s/Gamma(s+1) and vanish at s = 0, so `epstein_value` returns the
+    boundary term there without enumerating a shell.  The correctness of
+    those sums (and hence of this limit) is established by the cross-checks
+    against direct summation away from 0 and by continuity at s = +-1e-6.
     """
     return epstein_value(lat, 0.0).real
 

@@ -570,7 +570,7 @@ _BLOCK_ACTIONS = {
 }
 
 
-def hessian_blocks(kind, f, tol=1e-9):
+def hessian_blocks(kind, f):
     """Decompose f into the diagonal blocks of the Hessian operators.
 
     kind "E" (grade 2): harmonic / exact / coexact-7 / coexact-14 blocks

@@ -3,7 +3,10 @@
 Everything here is dense and small (dimensions <= ~50).  Matrices are
 cleared of denominators once and then stay in Python ints.  One
 fraction-free (Bareiss) elimination, `_echelon`, serves det, rank,
-nullspace (primitive integer vectors) and inverse (an integer pair A / D).
+nullspace (primitive integer vectors) and inverse (an integer pair A / D);
+its rows also drive the one lattice-shell enumerator, `enumerate_ellipsoid`,
+which prunes each coordinate with an integer square root and returns every
+shell with its exact value, so no float or tolerance enters it.
 Compound matrices come from Laplace expansion of each minor into minors one
 size smaller, products from integer matmul with one division at the end.
 Integer matrices also get a Hermite-style kernel routine, whose bases are
@@ -340,59 +343,49 @@ def rational_sqrt(q):
 
 
 def enumerate_ellipsoid(gram, bound, shift=None):
-    """All integer vectors x with Q(x + shift) <= bound, Q given by `gram`.
+    """The lattice shells {Q: points} of Q(x + shift) <= bound, ascending in Q.
 
-    `gram` is an exact positive-definite Fraction matrix, `bound` a
-    Fraction, `shift` a rational vector (defaults to 0).  Enumeration uses
-    a floating Cholesky factor for pruning with a safety margin; every
-    candidate is confirmed with exact arithmetic before being returned.
-    Includes x = -shift if it is integral and bound >= 0.
+    `gram` is an exact positive-definite rational matrix, `bound` a
+    rational and `shift` a rational vector (defaults to 0); each Q is the
+    exact Fraction value (x + shift)^T gram (x + shift) and each shell's
+    integer points are sorted.  Everything runs in Python ints: with
+    gram = G / d and shift = W / e, Q = y^T G y / (d e^2) for y = e x + W.
+    The fraction-free rows U_k of G (`_echelon`, which swaps no rows when
+    every leading minor D_k is positive) give
+    y^T G y = sum_k (U_k . y)^2 / (D_k D_{k+1}), so each coordinate in turn
+    is bounded by an `isqrt` of an integer budget (Fincke-Pohst pruning,
+    exact).  The budget left at a leaf gives Q exactly.  Raises ValueError
+    unless gram is symmetric positive definite.
     """
-    gram = frac_matrix(gram) if not isinstance(gram, np.ndarray) or gram.dtype != object else gram
-    r = gram.shape[0]
+    U, d = clear_denominators(gram)
+    r = len(U)
+    if any(U[i][j] != U[j][i] for i in range(r) for j in range(i)) \
+            or not principal_minors_positive(gram):
+        raise ValueError("gram matrix is not symmetric positive definite")
+    (W,), e = clear_denominators([shift if shift is not None else [0] * r])
     bound = frac(bound)
     if bound < 0:
-        return []
-    w = [frac(x) for x in (shift if shift is not None else [0] * r)]
-    gf = to_float(gram)
-    try:
-        chol = np.linalg.cholesky(gf)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("gram matrix is not positive definite") from exc
-    R = chol.T  # Q(v) = ||R v||^2
-    wf = np.array([float(x) for x in w])
-    slack = float(bound) * 1e-9 + 1e-12
-    budget0 = float(bound) + slack
-    results = []
+        return {}
+    scale = d * e * e
+    top = bound.numerator * scale // bound.denominator   # y^T G y <= top
+    _echelon(U)
+    D = [1] + [U[k][k] for k in range(r)]
+    x, y, found = [0] * r, [0] * r, {}
 
-    def exact_q(x):
-        v = frac_vector([xi + wi for xi, wi in zip(x, w)])
-        return v @ gram @ v
-
-    def descend(i, x, partial):
-        # partial[j] = sum_{k>i} R[j,k] (x_k + w_k) for j <= i
-        s = partial[i]
-        rad = np.sqrt(max(budget_left[i], 0.0))
-        lo = (-rad - s) / R[i, i] - wf[i]
-        hi = (rad - s) / R[i, i] - wf[i]
-        for xi in range(int(np.ceil(lo - 1e-9)), int(np.floor(hi + 1e-9)) + 1):
-            term = R[i, i] * (xi + wf[i]) + s
-            used = term * term
-            if used > budget_left[i] + slack:
-                continue
-            x[i] = xi
-            if i == 0:
-                if exact_q(x) <= bound:
-                    results.append(tuple(x))
+    def descend(k, budget):
+        # budget = D[k + 1] * (top - the terms of the coordinates above k)
+        Uk, step = U[k], D[k + 1] * e
+        s = D[k + 1] * W[k] + sum(Uk[j] * y[j] for j in range(k + 1, r))
+        room = D[k] * budget
+        m = isqrt(room)
+        for xk in range(-((m + s) // step), (m - s) // step + 1):
+            t = step * xk + s
+            left = (room - t * t) // D[k + 1]
+            x[k], y[k] = xk, e * xk + W[k]
+            if k:
+                descend(k - 1, left)
             else:
-                budget_left[i - 1] = budget_left[i] - used
-                new_partial = partial.copy()
-                for j in range(i):
-                    new_partial[j] += R[j, i] * (xi + wf[i])
-                descend(i - 1, x, new_partial)
-        x[i] = 0
+                found.setdefault(top - left, []).append(tuple(x))
 
-    budget_left = [0.0] * r
-    budget_left[r - 1] = budget0
-    descend(r - 1, [0] * r, [0.0] * r)
-    return sorted(results)
+    descend(r - 1, top * D[r])
+    return {Fraction(n, scale): sorted(found[n]) for n in sorted(found)}

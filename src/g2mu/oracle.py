@@ -6,7 +6,8 @@ carried by spaces of twisted constant forms
     H_l  = {chi_l a : a in Lambda^2_14,  l . a = 0}   (dimension 8),
     H'_l = {chi_l a : a in Lambda^3_27,  l . a = 0}   (dimension 12),
 
-summed over lattice vectors l of a fixed squared length.  The group acts by
+summed over lattice vectors l of a fixed squared length: the shells of
+`linalg.enumerate_ellipsoid`, exact and in ascending order.  The group acts by
 pullback; the dimension of the invariant subspace is the group average of
 the character.  This module computes that dimension two independent ways:
 
@@ -99,16 +100,9 @@ def enumerate_classes(orbifold, radius_sq):
 
 
 def _classes(structure, radius_sq):
-    gram = structure.metric.gram
-    G, d = linalg.clear_denominators(gram)
-    points = [l for l in linalg.enumerate_ellipsoid(gram, radius_sq) if any(l)]
-    V = np.array(points, dtype=object).reshape(-1, DIM)
-    # d * |l|^2 in Python ints, one Fraction per class
-    by_norm = {}
-    for l, n in zip(points, ((V @ np.array(G, dtype=object)) * V).sum(axis=1)):
-        by_norm.setdefault(n, []).append(l)
-    return [EigenClass(norm_sq=Fraction(n, d), vectors=tuple(sorted(by_norm[n])))
-            for n in sorted(by_norm)]
+    shells = linalg.enumerate_ellipsoid(structure.metric.gram, radius_sq)
+    shells.pop(Fraction(0))  # the origin
+    return [EigenClass(norm_sq=q, vectors=tuple(pts)) for q, pts in shells.items()]
 
 
 class ModeSpace:

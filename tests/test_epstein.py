@@ -126,6 +126,23 @@ def test_value_at_zero_for_all_example_elements():
     assert saw_twisted
 
 
+def test_value_at_zero_is_the_boundary_term_and_continuous(monkeypatch):
+    g = Metric7.euclidean()
+    orb = validate_joyce(generate([ALPHA, BETA, GAMMA]))
+    lattices = [ez.fixed_lattice(e, g) for e in orb.group]
+    for lat in lattices:
+        for s in (1e-6, -1e-6):
+            assert abs(ez.epstein_value(lat, s) + 1) < 1e-5, (lat.rank, lat.twist, s)
+
+    def no_shells(*args, **kwargs):
+        raise AssertionError("s = 0 enumerates no shell")
+
+    monkeypatch.setattr(linalg, "enumerate_ellipsoid", no_shells)
+    for lat in lattices:
+        assert ez.epstein_value(lat, 0) == -1
+        assert ez.value_at_zero(lat) == -1.0
+
+
 def test_pole_detection():
     lat = cubic_lattice(2)
     with pytest.raises(ez.PoleEncountered):

@@ -142,28 +142,84 @@ def test_rational_sqrt():
 
 def test_enumerate_ellipsoid_counts():
     eye = linalg.identity_frac(7)
-    pts = linalg.enumerate_ellipsoid(eye, 1)
-    assert len(pts) == 15  # origin + 14 unit vectors
-    pts2 = linalg.enumerate_ellipsoid(eye, 2)
-    assert len(pts2) == 15 + 84
+    shells = linalg.enumerate_ellipsoid(eye, 1)
+    assert {q: len(pts) for q, pts in shells.items()} == {0: 1, 1: 14}
+    assert shells[0] == [(0,) * 7]
+    shells2 = linalg.enumerate_ellipsoid(eye, 2)
+    assert {q: len(pts) for q, pts in shells2.items()} == {0: 1, 1: 14, 2: 84}
 
 
 def test_enumerate_ellipsoid_shifted():
     eye = linalg.identity_frac(2)
     # (x + 1/2)^2 + y^2 <= 1/4: x in {0, -1} with y = 0
-    pts = linalg.enumerate_ellipsoid(eye, Fraction(1, 4), shift=[Fraction(1, 2), 0])
-    assert sorted(pts) == [(-1, 0), (0, 0)]
+    shells = linalg.enumerate_ellipsoid(eye, Fraction(1, 4), shift=[Fraction(1, 2), 0])
+    assert shells == {Fraction(1, 4): [(-1, 0), (0, 0)]}
 
 
 def test_enumerate_ellipsoid_general_gram():
     gram = linalg.frac_matrix([[2, 1], [1, 2]])
-    pts = linalg.enumerate_ellipsoid(gram, 2)
-    expected = []
+    shells = linalg.enumerate_ellipsoid(gram, 2)
+    expected = {}
     for x in range(-3, 4):
         for y in range(-3, 4):
-            if 2 * x * x + 2 * x * y + 2 * y * y <= 2:
-                expected.append((x, y))
-    assert sorted(pts) == sorted(expected)
+            q = 2 * x * x + 2 * x * y + 2 * y * y
+            if q <= 2:
+                expected.setdefault(q, []).append((x, y))
+    assert list(shells.items()) == sorted(expected.items())
+
+
+def _box_shells(gram, bound, shift):
+    """Shells of Q(x + shift) <= bound by scanning a whole box, in int64."""
+    r = len(gram)
+    G, d = linalg.clear_denominators(gram)
+    (W,), e = linalg.clear_denominators([shift])
+    # |x_i + w_i| <= sqrt(bound (gram^-1)_ii), widened by one
+    inv = np.linalg.inv(np.array(G, dtype=float) / d)
+    axes = []
+    for i in range(r):
+        half = np.sqrt(max(float(bound), 0.0) * inv[i, i]) + 1
+        centre = -W[i] / e
+        axes.append(np.arange(int(np.floor(centre - half)), int(np.ceil(centre + half)) + 1))
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r)
+    Y = e * X + np.array(W, dtype=np.int64)
+    n = np.einsum("ij,jk,ik->i", Y, np.array(G, dtype=np.int64), Y)
+    keep = n * bound.denominator <= bound.numerator * d * e * e
+    out = {}
+    for x, v in zip(X[keep].tolist(), n[keep].tolist()):
+        out.setdefault(Fraction(v, d * e * e), []).append(tuple(x))
+    return {q: sorted(out[q]) for q in sorted(out)}
+
+
+def test_enumerate_ellipsoid_matches_box_scan():
+    rng = np.random.default_rng(8)
+    bounds = [Fraction(0), Fraction(-1), Fraction(-1, 3), Fraction(7, 3), Fraction(5, 2),
+              Fraction(4), Fraction(11, 4)]
+    for trial in range(240):
+        rank = 1 + trial % 4
+        den = 1 + (trial // 4) % 4
+        M = rng.integers(-2, 3, size=(rank, rank))
+        gram = linalg.scaled((M.T @ M + np.eye(rank, dtype=np.int64)).tolist(), den)
+        kind = trial % 3
+        if kind == 0:
+            shift = [0] * rank
+        elif kind == 1:
+            shift = [int(v) for v in rng.integers(-3, 4, size=rank)]
+        else:
+            shift = [Fraction(int(rng.integers(-7, 8)), int(rng.integers(2, 7)))
+                     for _ in range(rank)]
+        bound = bounds[int(rng.integers(len(bounds)))]
+        shells = linalg.enumerate_ellipsoid(gram, bound, shift=shift)
+        expected = _box_shells(gram, bound, shift)
+        assert list(shells.items()) == list(expected.items()), (trial, gram, bound, shift)
+        if bound < 0:
+            assert shells == {}
+
+
+@pytest.mark.parametrize("gram", [[[0, 1], [1, 0]], [[1, 2], [2, 1]], [[1, 1], [1, 1]],
+                                  [[1, 0], [0, -1]], [[2, 1], [0, 2]]])
+def test_enumerate_ellipsoid_rejects_indefinite_or_singular(gram):
+    with pytest.raises(ValueError):
+        linalg.enumerate_ellipsoid(gram, 3)
 
 
 def _random_matrix(rng, rational):
