@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .epstein import closed_form_mu, fixed_lattice, value_at_zero
+from .epstein import closed_form_mu, fixed_lattice_cached, value_at_zero
 from .fourier import (coexterior_d, exterior_d, hessian_blocks, l2_inner, l2_norm,
                       project_type, random_fourier, residual, split_S4, verify_appendix)
 from .invariants import mu_invariants
@@ -59,8 +59,8 @@ def parse_config(raw):
         if not isinstance(g, dict) or set(g) - _GENERATOR_FIELDS:
             raise ConfigError(f"generator {k}: expected keys {sorted(_GENERATOR_FIELDS)}")
         mat = g.get("matrix")
-        if not isinstance(mat, list) or len(mat) != 49 \
-                or not all(isinstance(x, int) for x in mat):
+        # type(), not isinstance(): JSON true and false are bools, a subclass of int
+        if not isinstance(mat, list) or len(mat) != 49 or any(type(x) is not int for x in mat):
             raise ConfigError(f"generator {k}: 'matrix' must be 49 row-major integers")
         rows = [mat[i * 7:(i + 1) * 7] for i in range(7)]
         trans_raw = g.get("translation", ["0"] * 7)
@@ -89,9 +89,9 @@ def parse_config(raw):
         raise ConfigError("oracle_radius_sq must be nonnegative")
     trials = raw.get("trials", 100)
     seed = raw.get("seed", 0)
-    if not isinstance(trials, int) or trials < 1:
+    if type(trials) is not int or trials < 1:
         raise ConfigError("trials must be a positive integer")
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ConfigError("seed must be an integer")
     return {
         "name": raw["name"],
@@ -204,16 +204,12 @@ def cmd_identities(config, args):
         if omega.is_zero(1e-14):
             continue
         plus, minus = split_S4(omega)
-        split_checks["pi27_d_plus"] = max(
-            split_checks["pi27_d_plus"],
-            l2_norm(project_type(exterior_d(plus), 4, 27)))
-        split_checks["pi7_d_minus"] = max(
-            split_checks["pi7_d_minus"],
-            l2_norm(project_type(exterior_d(minus), 4, 7)))
-        split_checks["plus_minus_inner"] = max(
-            split_checks["plus_minus_inner"], abs(l2_inner(plus, minus)))
-        split_checks["split_reassembles"] = max(
-            split_checks["split_reassembles"], residual(plus + minus, omega))
+        for name, value in (
+                ("pi27_d_plus", l2_norm(project_type(exterior_d(plus), 4, 27))),
+                ("pi7_d_minus", l2_norm(project_type(exterior_d(minus), 4, 7))),
+                ("plus_minus_inner", abs(l2_inner(plus, minus))),
+                ("split_reassembles", residual(plus + minus, omega))):
+            split_checks[name] = max(split_checks[name], value)
         two = random_fourier(structure, 2, rng, n_modes=3)
         e_blocks = hessian_blocks("E", two)
         hessian_checks["dstar_I_d_equals_minus_dstar_d"] = max(
@@ -238,11 +234,10 @@ def cmd_identities(config, args):
 def cmd_zeta(config, args):
     orbifold = build_orbifold(config)
     tol = args.tolerance if args.tolerance is not None else 1e-6
-    metric = orbifold.structure.metric
     rows = []
     worst = 0.0
     for e in orbifold.group:
-        lat = fixed_lattice(e, metric)
+        lat = fixed_lattice_cached(orbifold.structure, e)
         v0 = value_at_zero(lat)
         deviation = abs(v0 + 1.0)
         worst = max(worst, deviation)

@@ -21,8 +21,9 @@ is -1 for every rank and every twist, and `epstein_value` returns it at
 s = 0 without enumerating anything.  The sums are what make the formula
 correct away from 0, and they are cross-checked against direct summation
 and classical closed forms in the test suite.  Both run over the exact
-lattice shells of `linalg.enumerate_ellipsoid`, the one shell enumerator
-that the spectral oracle uses too.
+lattice shells of `linalg.enumerate_ellipsoid`, on Q rescaled to
+determinant about 1.  An element's twisted fixed lattice (`fixed_lattice`)
+is also the spectral oracle's source for the modes it fixes and their phases.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,8 @@ import numpy as np
 from . import linalg
 from .exterior import DIM
 from .invariants import InvariantPair, tr8_su3, tr12_su3
+
+_DPS = 30  # working precision of the incomplete-gamma sums, in digits
 
 
 class PoleEncountered(ValueError):
@@ -71,23 +74,29 @@ class TwistedLattice:
 def fixed_lattice(element, metric):
     """The fixed lattice {l in Z^7 : A l = l} of a group element, with twist.
 
-    The basis comes from an exact integer-kernel computation; the Gram
-    matrix is the restriction of the torus metric and the twist exponents
-    are q(x) = g(basis x, t) mod 1.  A zero-rank kernel means the element
-    cannot belong to a finite orientation-preserving isometry group and is
-    rejected.
+    The one source for which modes l = x B an element fixes and their phases
+    e(q(x)): B is an integer-kernel basis, and the Gram B G B^T and the twist
+    B G t mod 1, with q(x) = g(x B, t) mod 1, are integer products.  A
+    zero-rank kernel cannot occur in a finite group and is rejected.
     """
     A = element.matrix
     m = [[A[i][j] - (1 if i == j else 0) for j in range(DIM)] for i in range(DIM)]
     kernel = linalg.integer_kernel(m)
     if not kernel:
         raise ValueError("fixed lattice is zero; element is not a valid input")
-    B = linalg.frac_matrix(kernel)  # rows are basis vectors
-    G = metric.gram
-    gram = B @ G @ B.T
-    t = linalg.frac_vector(element.translation)
-    twist = tuple(x % 1 for x in B @ G @ t)
+    BG = linalg.matmul(kernel, metric.gram)
+    gram = linalg.matmul(BG, list(zip(*kernel)))
+    twist = tuple(x % 1 for x in linalg.matmul(BG, [[t] for t in element.translation])[:, 0])
     return TwistedLattice(rank=len(kernel), basis=tuple(kernel), gram=gram, twist=twist)
+
+
+def fixed_lattice_cached(structure, element):
+    """`fixed_lattice` of an element under the structure's metric, built once."""
+    return structure.memo(_structure_fixed_lattice, element)
+
+
+def _structure_fixed_lattice(structure, element):
+    return fixed_lattice(element, structure.metric)
 
 
 def _shell_sums(gram, bound, twist=None, shift=None):
@@ -114,19 +123,21 @@ def _shell_sums(gram, bound, twist=None, shift=None):
     return out
 
 
-def _cutoff(s, rank):
+def _cutoff(s):
     # terms decay like exp(-pi Q) with an algebraic prefactor; pi*16 ~ 1e-18
     sigma = abs(complex(s).real) + abs(complex(s).imag)
     return Fraction(max(16, int(np.ceil(2 * sigma + 8))))
 
 
-def epstein_value(lat, s, dps=30):
+def epstein_value(lat, s):
     """Analytic continuation of the twisted Epstein zeta function at s.
 
     Valid at every complex s except the pole s = rank/2 of the untwisted
     case.  In the convergence region it agrees with the direct series;
     everywhere it is computed from two exponentially convergent
-    incomplete-gamma sums plus explicit boundary terms.
+    incomplete-gamma sums plus explicit boundary terms, taken over lam Q for
+    a rational lam near det(Q)^(-1/r) so that both sums cost about the same;
+    Z_Q(s) = lam^s Z_{lam Q}(s) undoes the scaling.
     """
     s = complex(s)
     if s == 0:
@@ -136,26 +147,19 @@ def epstein_value(lat, s, dps=30):
     trivial = lat.is_twist_trivial()
     if trivial and abs(s - r / 2) < 1e-12:
         raise PoleEncountered(f"s = rank/2 = {r/2} is a pole of the untwisted zeta")
-    with mpmath.workdps(dps):
+    lam = max(Fraction(float(linalg.det(lat.gram)) ** (-1 / r)).limit_denominator(64),
+              Fraction(1, 64))
+    gram = lat.gram * lam
+    with mpmath.workdps(_DPS):
         ms = mpmath.mpc(s)
-        det = linalg.det(lat.gram)
+        det = linalg.det(gram)
         det_root = mpmath.sqrt(mpmath.mpf(det.numerator) / det.denominator)
-        inv_gram = linalg.scaled(*linalg.inverse(lat.gram))
+        inv_gram = linalg.scaled(*linalg.inverse(gram))
 
-        cut = _cutoff(s, r)
-        primal = _shell_sums(lat.gram, cut, twist=lat.twist)
-        s1 = mpmath.mpc(0)
-        for q_val, phases in sorted(primal.items()):
-            a = mpmath.pi * mpmath.mpf(q_val.numerator) / q_val.denominator
-            s1 += phases * mpmath.gammainc(ms, a) * a ** (-ms)
-
-        wvec = [x % 1 for x in lat.twist]
-        dual = _shell_sums(inv_gram, cut, shift=wvec)
-        s2 = mpmath.mpc(0)
-        for q_val, count in sorted(dual.items()):
-            a = mpmath.pi * mpmath.mpf(q_val.numerator) / q_val.denominator
-            s2 += count * mpmath.gammainc(r / 2 - ms, a) * a ** (ms - r / 2)
-        s2 /= det_root
+        cut = _cutoff(s)
+        s1 = _gamma_sum(_shell_sums(gram, cut, twist=lat.twist), ms)
+        dual = _shell_sums(inv_gram, cut, shift=[x % 1 for x in lat.twist])
+        s2 = _gamma_sum(dual, r / 2 - ms) / det_root
 
         # Z(s) = pi^s [ -1/G(s+1) + s c /((s - r/2) G(s+1)) + s (S1+S2)/G(s+1) ]
         # with c = det^-1/2 present only when the twist is trivial (the
@@ -165,9 +169,18 @@ def epstein_value(lat, s, dps=30):
         if trivial:
             total += ms / ((ms - mpmath.mpf(r) / 2) * g1 * det_root)
         total += ms * (s1 + s2) / g1
-        total *= mpmath.pi ** ms
+        total *= mpmath.pi ** ms * (mpmath.mpf(lam.numerator) / lam.denominator) ** ms
         out = complex(total)
     return out
+
+
+def _gamma_sum(shells, e):
+    """sum over the shells {Q: c} of c Gamma(e, pi Q) (pi Q)^-e."""
+    total = mpmath.mpc(0)
+    for q_val, c in sorted(shells.items()):
+        a = mpmath.pi * mpmath.mpf(q_val.numerator) / q_val.denominator
+        total += c * mpmath.gammainc(e, a) * a ** (-e)
+    return total
 
 
 def direct_sum(lat, s, radius_q):
@@ -187,11 +200,9 @@ def direct_sum(lat, s, radius_q):
 def value_at_zero(lat):
     """The continued value at s = 0: -1, the boundary term -1/Gamma(1).
 
-    The incomplete-gamma sums and the pole term are multiplied by
-    s/Gamma(s+1) and vanish at s = 0, so `epstein_value` returns the
-    boundary term there without enumerating a shell.  The correctness of
-    those sums (and hence of this limit) is established by the cross-checks
-    against direct summation away from 0 and by continuity at s = +-1e-6.
+    The sums and the pole term carry the factor s and vanish there; they,
+    and so this limit, are checked against direct summation away from 0 and
+    by continuity at s = +-1e-6.
     """
     return epstein_value(lat, 0.0).real
 
@@ -203,13 +214,10 @@ def closed_form_mu(orbifold):
     contributes its trace polynomial times the continued value at 0 of its
     fixed lattice's twisted zeta.  Must agree with the exact invariants.
     """
-    metric = orbifold.structure.metric
     n = len(orbifold.group)
-    total3 = 0.0
-    total4 = 0.0
+    total3 = total4 = 0.0
     for element in orbifold.group:
-        lat = fixed_lattice(element, metric)
-        z0 = value_at_zero(lat)
+        z0 = value_at_zero(fixed_lattice_cached(orbifold.structure, element))
         total3 += float(tr8_su3(element.matrix)) * z0
         total4 += float(tr12_su3(element.matrix)) * z0
     return InvariantPair(mu3=total3 / n, mu4=total4 / n)

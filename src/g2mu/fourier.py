@@ -38,6 +38,9 @@ from .exterior import (DIM, ExteriorForm, covector_wedge_stack, interior_stack, 
 
 TWO_PI = 2.0 * np.pi
 
+_TOL = 1e-9  # relative tolerance of the float precondition checks
+_LINF = 3    # random modes have entries in [-_LINF, _LINF]
+
 ZERO_MODE = (0,) * DIM
 
 
@@ -318,7 +321,7 @@ def _refined_stack(structure, name):
     return read_only(K)
 
 
-def refined(name, f, strict=False, tol=1e-9):
+def refined(name, f, strict=False):
     """Apply a refined derivative operator mode-wise.
 
     Inputs are first projected onto the operator's domain type; with
@@ -332,7 +335,7 @@ def refined(name, f, strict=False, tol=1e-9):
         raise ValueError(f"{name} needs a grade-{dom_grade} input, got grade {f.grade}")
     if dom_comp is not None:
         projected = project_type(f, dom_grade, dom_comp)
-        if strict and residual(projected, f) > tol * max(1.0, l2_norm(f)):
+        if strict and residual(projected, f) > _TOL * max(1.0, l2_norm(f)):
             raise PreconditionFailed(
                 f"input to {name} has a component outside Lambda^{dom_grade}_{dom_comp}")
         f = projected
@@ -394,13 +397,13 @@ def _canonical_sign(l):
 
 # -- random form generation -----------------------------------------------------
 
-def random_fourier(structure, grade, rng, n_modes=3, linf=3, component=None,
+def random_fourier(structure, grade, rng, n_modes=3, component=None,
                    include_constant=False):
     """Seeded random FourierForm; coefficients uniform in [-1,1] per re/im part."""
     n = comb(DIM, grade)
     keys = set()
     while len(keys) < n_modes:
-        l = tuple(int(x) for x in rng.integers(-linf, linf + 1, size=DIM))
+        l = tuple(int(x) for x in rng.integers(-_LINF, _LINF + 1, size=DIM))
         if l != ZERO_MODE:
             keys.add(l)
     if include_constant:
@@ -504,7 +507,7 @@ def _identity_suite(structure, strict=False):
     return suite
 
 
-def verify_appendix(structure, trials=100, seed=0, linf=3, n_modes=3, strict=False):
+def verify_appendix(structure, trials=100, seed=0, strict=False):
     """Check every refined-derivative identity on seeded random forms.
 
     Returns {"seed", "trials", "identities": {name: max residual}}.
@@ -517,12 +520,10 @@ def verify_appendix(structure, trials=100, seed=0, linf=3, n_modes=3, strict=Fal
     maxres = {name: 0.0 for name, *_ in suite}
     for _ in range(trials):
         inputs = {
-            0: random_fourier(structure, 0, rng, n_modes=n_modes, linf=linf),
-            1: random_fourier(structure, 1, rng, n_modes=n_modes, linf=linf),
-            (2, 14): random_fourier(structure, 2, rng, n_modes=n_modes, linf=linf,
-                                    component=14),
-            (3, 27): random_fourier(structure, 3, rng, n_modes=n_modes, linf=linf,
-                                    component=27),
+            0: random_fourier(structure, 0, rng),
+            1: random_fourier(structure, 1, rng),
+            (2, 14): random_fourier(structure, 2, rng, component=14),
+            (3, 27): random_fourier(structure, 3, rng, component=27),
         }
         for name, kind, lhs, rhs in suite:
             f = inputs[kind]
@@ -533,7 +534,7 @@ def verify_appendix(structure, trials=100, seed=0, linf=3, n_modes=3, strict=Fal
 
 # -- the Hessian block structure ---------------------------------------------------
 
-def split_S4(f, tol=1e-9):
+def split_S4(f):
     """Split a coexact (1+27)-type 3-form into its S4^+ and S4^- parts.
 
     Input must lie in d*(Omega^4) intersect Omega^3_{1+27}: no constant
@@ -543,11 +544,11 @@ def split_S4(f, tol=1e-9):
     if f.grade != 3:
         raise ValueError("split_S4 needs a 3-form")
     scale = max(l2_norm(f), 1.0)
-    if not f.harmonic_part().is_zero(tol):
+    if not f.harmonic_part().is_zero(_TOL):
         raise PreconditionFailed("input has a harmonic (constant) part")
-    if l2_norm(coexterior_d(f)) > tol * scale * TWO_PI * 10:
+    if l2_norm(coexterior_d(f)) > _TOL * scale * TWO_PI * 10:
         raise PreconditionFailed("input is not coclosed (d* f != 0)")
-    if l2_norm(project_type(f, 3, 7)) > tol * scale:
+    if l2_norm(project_type(f, 3, 7)) > _TOL * scale:
         raise PreconditionFailed("input has a nonzero Omega^3_7 component")
     gamma = project_type(f, 3, 27)
     corr = refined("d7_27", refined("d27_7", green(gamma))).scale(Fraction(7, 12))

@@ -19,8 +19,10 @@ the character.  This module computes that dimension two independent ways:
   * closed form: the tr8/tr12 trace polynomials weighted by the same phases
     over the fixed vectors of each element.
 
-Agreement of the two routes on every class is the oracle for the character
-formula behind the mu-invariants.
+Both read an element's fixed vectors and phases from the shells of its
+twisted fixed lattice (`epstein.fixed_lattice`), so what they check against
+each other is the trace.  Agreement of the two routes on every class is the
+oracle for the character formula behind the mu-invariants.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .exterior import DIM, pullback
+from .epstein import fixed_lattice_cached
+from .exterior import DIM, Metric7, pullback
 from .fourier import typed_contraction_kernel, typed_contraction_kernel_dim
 from .invariants import tr8_su3, tr12_su3
 
@@ -136,7 +139,6 @@ def group_action_on_mode(element, l, alpha, metric=None):
     G^-1 A^T G l; for any g-preserving A this coincides with the transpose
     rule A^T l, and a mismatch (impossible for validated groups) raises.
     """
-    from .exterior import Metric7
     if metric is None:
         metric = Metric7.euclidean()
     A = element.matrix
@@ -198,22 +200,13 @@ class _PhaseSum:
     def value(self):
         """The exact rational value; requires conjugation symmetry."""
         total = Fraction(0)
-        seen = set()
         for q, c in self.terms.items():
-            if q in seen:
-                continue
             q_conj = (1 - q) % 1
             c_conj = self.terms.get(q_conj, Fraction(0))
-            if q == q_conj:
-                pair_value = c * _cos_2pi(q)
-            else:
-                if c != c_conj:
-                    raise NonIntegerDimension(
-                        f"phase sum is not real: coeff({q}) = {c}, coeff({q_conj}) = {c_conj}")
-                pair_value = 2 * c * _cos_2pi(q)
-                seen.add(q_conj)
-            seen.add(q)
-            total += pair_value
+            if c != c_conj:
+                raise NonIntegerDimension(
+                    f"phase sum is not real: coeff({q}) = {c}, coeff({q_conj}) = {c_conj}")
+            total += c * _cos_2pi(q)
         return total
 
 
@@ -231,20 +224,22 @@ def _cos_2pi(q):
     return approx
 
 
-def _fixed_vectors(element, cls):
-    """Vectors of the class fixed by the matrix part (vectorised scan)."""
-    if element.is_identity():
-        return list(cls.vectors)
-    A = np.array(element.matrix, dtype=np.int64)
-    V = np.array(cls.vectors, dtype=np.int64)
-    mask = np.all(V @ A.T == V, axis=1)
-    return [cls.vectors[i] for i in np.flatnonzero(mask)]
+def _fixed_vectors(element, cls, structure):
+    """((l, q), ...): the class's modes fixed by the element, with their phases.
+
+    Each point x of the shell Q = |l|^2 of the element's fixed lattice gives
+    l = x B and q = (T . x mod f) / f for the twist T / f; once per class.
+    """
+    return structure.memo(_fixed_pairs, element, cls.norm_sq)
 
 
-def _phase_exponent(metric, l, translation):
-    if all(x == 0 for x in translation):
-        return Fraction(0)
-    return (linalg.frac_vector(l) @ metric.gram @ linalg.frac_vector(translation)) % 1
+def _fixed_pairs(structure, element, norm_sq):
+    lat = fixed_lattice_cached(structure, element)
+    (T,), f = linalg.clear_denominators([lat.twist])
+    columns = list(zip(*lat.basis))
+    return tuple((tuple(sum(xi * b for xi, b in zip(x, col)) for col in columns),
+                  Fraction(sum(t * xi for t, xi in zip(T, x)) % f, f))
+                 for x in linalg.enumerate_ellipsoid(lat.gram, norm_sq).get(norm_sq, []))
 
 
 def invariant_dimension_bruteforce(orbifold, cls, kind):
@@ -257,34 +252,29 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
     """
     structure = orbifold.structure
     space = ModeSpace(structure, kind)
-    metric = structure.metric
     acc = _PhaseSum()
     for element in orbifold.group:
-        fixed = _fixed_vectors(element, cls)
+        fixed = _fixed_vectors(element, cls, structure)
         if not fixed:
             continue
         if element.is_identity():
-            for l in fixed:
-                acc.add(Fraction(0), space.fiber_dimension(l))
+            for l, q in fixed:
+                acc.add(q, space.fiber_dimension(l))
             continue
         mat = pullback_matrix_cached(structure, element, space.grade)
-        for l in fixed:
-            q = _phase_exponent(metric, l, element.translation)
-            tr = _restricted_trace(structure, mat, space.fiber_basis(l))
-            acc.add(q, tr)
+        for l, q in fixed:
+            acc.add(q, _restricted_trace(structure, mat, space.fiber_basis(l)))
     return _integer_average(acc, len(orbifold.group))
 
 
 def invariant_dimension_formula(orbifold, cls, kind):
     """Same dimension via the closed-form character: phases times tr8/tr12."""
-    structure = orbifold.structure
-    metric = structure.metric
     poly = tr8_su3 if kind == "H" else tr12_su3
     acc = _PhaseSum()
     for element in orbifold.group:
         value = poly(element.matrix)
-        for l in _fixed_vectors(element, cls):
-            acc.add(_phase_exponent(metric, l, element.translation), value)
+        for _, q in _fixed_vectors(element, cls, orbifold.structure):
+            acc.add(q, value)
     return _integer_average(acc, len(orbifold.group))
 
 

@@ -7,6 +7,7 @@ roots of unity.
 """
 
 from fractions import Fraction
+from operator import index
 
 from . import linalg
 from .exterior import DIM
@@ -49,7 +50,7 @@ class AffineElement:
     __slots__ = ("matrix", "translation")
 
     def __init__(self, matrix, translation=None):
-        mat = tuple(tuple(int(x) for x in row) for row in matrix)
+        mat = tuple(tuple(index(x) for x in row) for row in matrix)
         if len(mat) != DIM or any(len(r) != DIM for r in mat):
             raise ValueError("matrix must be 7x7")
         if linalg.int_det(mat) != 1:

@@ -211,6 +211,34 @@ def test_bad_config_values_rejected_as_malformed_input(capsys, tmp_path):
         assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
+def test_json_booleans_rejected_where_integers_are_required(capsys, tmp_path):
+    bool_eye = {"matrix": [i == j for i in range(7) for j in range(7)]}
+    for payload in [{"generators": [bool_eye]}, {"trials": True}, {"seed": False}]:
+        cfg = write_config(tmp_path, dict({"name": "x"}, **payload))
+        code, out, err = run_cli(capsys, "check", "--config", cfg)
+        assert code == 2, payload
+        assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
+def test_zeta_builds_each_fixed_lattice_once(capsys, tmp_path, monkeypatch):
+    from g2mu import epstein
+    built = []
+    fixed_lattice = epstein.fixed_lattice
+
+    def counting(element, metric):
+        built.append(element)
+        return fixed_lattice(element, metric)
+
+    monkeypatch.setattr(epstein, "fixed_lattice", counting)
+    # a frame no other test uses, so that no shared structure has the lattices yet
+    frame = [[5 if i == j == 6 else int(i == j) for j in range(7)] for i in range(7)]
+    payload = json.loads((CONFIG_DIR / "m3.json").read_text())
+    code, out, _ = run_cli(capsys, "zeta", "--config",
+                           write_config(tmp_path, dict(payload, frame=frame)))
+    assert code == 0
+    assert len(json.loads(out)["results"]["elements"]) == len(built) == len(set(built)) == 8
+
+
 # sha256 of each report (json.dumps(sort_keys=True), without wall_time_s)
 PINNED_REPORTS = {
     "t7": {

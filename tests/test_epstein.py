@@ -184,6 +184,27 @@ def test_scaling_covariance():
     assert abs(ez.value_at_zero(scaled) - ez.value_at_zero(lat)) < 1e-10
 
 
+def _identity_lattice(scale):
+    """The identity element's lattice under the frame scale (I + E_12)."""
+    frame = np.eye(7, dtype=np.int64) * scale
+    frame[0, 1] = scale
+    gram = (frame.T @ frame).tolist()
+    return ez.fixed_lattice(AffineElement.identity(), Metric7(gram))
+
+
+def test_scaled_gram_near_zero_stays_bounded():
+    # the dual sum of the Gram scaled by 9 would hold ~1e8 points below the
+    # cutoff without the rescale to determinant ~1
+    assert abs(ez.epstein_value(_identity_lattice(3), 1e-6) + 1) < 1e-5
+
+
+def test_rescaled_gram_is_the_power_of_the_scale():
+    s = 5.0
+    on_q = ez.epstein_value(_identity_lattice(1), s)
+    on_9q = ez.epstein_value(_identity_lattice(3), s)
+    assert abs(on_9q - 9.0 ** -s * on_q) < 1e-12 * abs(on_9q)
+
+
 def test_basis_change_invariance():
     lat = ez.fixed_lattice(ALPHA, Metric7.euclidean())
     U = [[1, 1, 0], [0, 1, 0], [1, 0, 1]]  # unimodular

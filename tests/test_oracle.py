@@ -217,3 +217,41 @@ def test_spectral_reports_json(m1):
     lines = orc.spectral_report_lines(reports).splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0])["kind"] == "H"
+
+
+def _order3_element():
+    # the permutation (2 4 6)(3 5 7) with a 1/3 shift along axis 2: order 9
+    A = [[0] * 7 for _ in range(7)]
+    for j, i in enumerate((1, 4, 5, 6, 7, 2, 3)):
+        A[i - 1][j] = 1
+    return AffineElement(A, [0, Fraction(1, 3), 0, 0, 0, 0, 0])
+
+
+def _scanned_pairs(orbifold, element, cls):
+    """[(l, q)] of the class by a scan: A l = l, q = l . G t mod 1, sorted."""
+    A, G = element.matrix, orbifold.structure.metric.gram
+    t = linalg.frac_vector(element.translation)
+    return sorted((l, (linalg.frac_vector(l) @ G @ t) % 1) for l in cls.vectors
+                  if all(sum(A[i][j] * l[j] for j in range(7)) == l[i] for i in range(7)))
+
+
+@pytest.mark.parametrize("gens, frame, twisted", [
+    ([], None, False),
+    ([ALPHA], None, False),
+    ([ALPHA, BETA], None, True),
+    ([ALPHA, BETA, GAMMA], None, True),
+    ([ALPHA, BETA, GAMMA], diag(2, 1, 1, 1, 1, 3, 1), True),
+    ([ALPHA, BETA, GAMMA], diag(1, 1, 1, 1, 1, 1, Fraction(1, 2)), True),
+    ([_order3_element()], None, True),
+], ids=["t7", "m1", "m2", "m3", "m3-diag23", "m3-diag-half", "z9"])
+def test_fixed_pairs_match_a_scan_of_the_class(gens, frame, twisted):
+    """The modes and phases read off each element's fixed lattice are exactly
+    the fixed vectors of the class with their phases g(l, t)."""
+    orb = validate_joyce(generate(gens), frame)
+    phases = set()
+    for cls in orc.enumerate_classes(orb, 3):
+        for element in orb.group:
+            pairs = orc._fixed_vectors(element, cls, orb.structure)
+            assert sorted(pairs) == _scanned_pairs(orb, element, cls), (cls.norm_sq, element)
+            phases.update(q for _, q in pairs)
+    assert (phases != {0}) == twisted

@@ -31,6 +31,14 @@ def test_unimodularity_enforced():
         AffineElement(diag(-1, 1, 1, 1, 1, 1, 1))
 
 
+def test_non_integer_matrix_entries_rejected():
+    for bad in (Fraction(1, 2), 0.7):
+        m = diag(1, 1, 1, 1, 1, 1, 1)
+        m[0][1] = bad
+        with pytest.raises(TypeError):
+            AffineElement(m)
+
+
 def test_compose_unit_and_inverse():
     e = AffineElement.identity()
     for g in (ALPHA, BETA, GAMMA):
