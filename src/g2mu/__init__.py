@@ -20,8 +20,7 @@ from .fourier import (FourierForm, PreconditionFailed, RefinedOp, REFINED_OPS,
                       l2_norm, laplacian, project_type, random_fourier, refined,
                       residual, split_S4, star, verify_appendix, wedge_const)
 from .oracle import (ConvergenceRegionViolated, EigenClass, ModeSpace,
-                     NonIntegerDimension, NotFixed, SpectralReport,
-                     enumerate_classes, group_action_on_mode,
+                     NonIntegerDimension, NotFixed, SpectralReport, enumerate_classes,
                      invariant_dimension_bruteforce, invariant_dimension_formula,
                      partial_morse_sum, spectral_reports, su3_trace_check)
 from .epstein import (PoleEncountered, TwistedLattice, closed_form_mu, direct_sum,

@@ -91,8 +91,8 @@ def parse_config(raw):
     seed = raw.get("seed", 0)
     if type(trials) is not int or trials < 1:
         raise ConfigError("trials must be a positive integer")
-    if type(seed) is not int:
-        raise ConfigError("seed must be an integer")
+    if type(seed) is not int or seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     return {
         "name": raw["name"],
         "generators": generators,
@@ -334,6 +334,8 @@ def run(argv=None):
                 flag_error = "--radius-sq must be nonnegative"
     if args.trials is not None and args.trials < 1:
         flag_error = "--trials must be a positive integer"
+    if args.seed is not None and args.seed < 0:
+        flag_error = "--seed must be a nonnegative integer"
     if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
         flag_error = "--tolerance must be a finite nonnegative number"
     if flag_error is not None:

@@ -197,8 +197,8 @@ class Memo:
     stacks of the Fourier operators), plus a fixed number per lattice
     vector, Fourier mode or group element that a command visits (fibre
     kernels and their dimensions, pullback matrices of group elements),
-    plus one per oracle radius.  Nothing is evicted; a CLI command builds
-    one structure.
+    plus one per group element and oracle radius (its fixed modes).
+    Nothing is evicted; a CLI command builds one structure.
 
     A callable object rather than a method, so that the time fn takes is
     booked to the public function that asked for it in a per-function

@@ -17,17 +17,14 @@ see the spectral oracle module for the direct verification of that fact.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
+
 
 def _traces(A):
     mat = [[int(x) for x in row] for row in A]
     n = len(mat)
-
-    def mul(X, Y):
-        return [[sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-
-    A2 = mul(mat, mat)
-    A3 = mul(A2, mat)
+    A2 = linalg.int_matmul(mat, mat)
+    A3 = linalg.int_matmul(A2, mat)
     tr = sum(mat[i][i] for i in range(n))
     tr2 = sum(A2[i][i] for i in range(n))
     tr3 = sum(A3[i][i] for i in range(n))

@@ -193,6 +193,12 @@ def matmul(*factors):
     return scaled(out, scale)
 
 
+def int_matmul(a, b):
+    """Product of two integer matrices as a tuple of row tuples, in Python ints."""
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in a)
+
+
 def det(a):
     """Exact determinant: clear denominators, then a fraction-free pass."""
     b, d = clear_denominators(a)

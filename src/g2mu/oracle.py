@@ -20,8 +20,10 @@ the character.  This module computes that dimension two independent ways:
     over the fixed vectors of each element.
 
 Both read an element's fixed vectors and phases from the shells of its
-twisted fixed lattice (`epstein.fixed_lattice`), so what they check against
-each other is the trace.  Agreement of the two routes on every class is the
+twisted fixed lattice (`epstein.fixed_lattice`), enumerated once per element
+and radius, so what they check against each other is the trace.  The classes
+themselves are the nonzero shells of the identity element's lattice: Z^7 with
+Gram G and zero twist.  Agreement of the two routes on every class is the
 oracle for the character formula behind the mu-invariants.
 """
 
@@ -32,9 +34,10 @@ import numpy as np
 
 from . import linalg
 from .epstein import fixed_lattice_cached
-from .exterior import DIM, Metric7, pullback
+from .exterior import DIM
 from .fourier import typed_contraction_kernel, typed_contraction_kernel_dim
 from .invariants import tr8_su3, tr12_su3
+from .orbifold import AffineElement
 
 # exact cosines of 2 pi q at the rational angles where they are rational
 _RATIONAL_COS = {
@@ -61,9 +64,10 @@ class NotFixed(ValueError):
 
 @dataclass(frozen=True)
 class EigenClass:
-    """All lattice vectors sharing one exact squared length."""
+    """All lattice vectors sharing one exact squared length, within radius_sq."""
     norm_sq: Fraction
     vectors: tuple
+    radius_sq: Fraction
 
     def eigenvalue(self):
         """The (negative) eigenvalue -4 pi^2 |l|^2 as a float."""
@@ -95,17 +99,17 @@ class SpectralReport:
 
 
 def enumerate_classes(orbifold, radius_sq):
-    """Nonzero lattice vectors with |l|^2_g <= radius_sq, grouped by norm."""
+    """Nonzero lattice vectors with |l|^2_g <= radius_sq, grouped by norm.
+
+    These are the shells of the identity element's fixed lattice, from the
+    enumeration that also gives the identity its fixed modes.
+    """
     radius_sq = linalg.frac(radius_sq)
     if radius_sq < 0:
         raise ValueError("radius_sq must be nonnegative")
-    return orbifold.structure.memo(_classes, radius_sq)
-
-
-def _classes(structure, radius_sq):
-    shells = linalg.enumerate_ellipsoid(structure.metric.gram, radius_sq)
-    shells.pop(Fraction(0))  # the origin
-    return [EigenClass(norm_sq=q, vectors=tuple(pts)) for q, pts in shells.items()]
+    shells = orbifold.structure.memo(_mode_shells, AffineElement.identity(), radius_sq)
+    return [EigenClass(norm_sq=q, vectors=tuple(l for l, _ in pairs), radius_sq=radius_sq)
+            for q, pairs in shells.items()]
 
 
 class ModeSpace:
@@ -128,34 +132,6 @@ class ModeSpace:
 
     def fiber_dimension(self, l):
         return typed_contraction_kernel_dim(self.structure, l, self.grade, self.component)
-
-
-def group_action_on_mode(element, l, alpha, metric=None):
-    """Pullback of chi_l * alpha by the affine map x -> Ax + t.
-
-    Returns (phase exponent q, l_out, A* alpha) with the actual phase equal
-    to exp(2 pi i q); q = g(l, t) reduced mod 1, exact.  The new mode is
-    the unique integer vector with g(l_out, x) = g(l, Ax), i.e.
-    G^-1 A^T G l; for any g-preserving A this coincides with the transpose
-    rule A^T l, and a mismatch (impossible for validated groups) raises.
-    """
-    if metric is None:
-        metric = Metric7.euclidean()
-    A = element.matrix
-    G = metric.gram
-    lv = linalg.frac_vector(l)
-    At = linalg.frac_matrix([[A[j][i] for j in range(DIM)] for i in range(DIM)])
-    l_exact = metric.inverse_gram() @ (At @ (G @ lv))
-    if any(x.denominator != 1 for x in l_exact):
-        raise ValueError(f"mode map of {l} under {element} is not integral")
-    l_out = tuple(int(x) for x in l_exact)
-    l_transpose = tuple(int(sum(A[j][i] * l[j] for j in range(DIM))) for i in range(DIM))
-    if l_out != l_transpose:
-        raise ValueError(
-            f"metric mode map {l_out} disagrees with transpose rule {l_transpose}; "
-            "the element does not preserve the metric")
-    q = (lv @ G @ linalg.frac_vector(element.translation)) % 1
-    return q, l_out, pullback(A, alpha)
 
 
 def _restricted_trace(structure, mat_pullback, basis):
@@ -225,21 +201,24 @@ def _cos_2pi(q):
 
 
 def _fixed_vectors(element, cls, structure):
-    """((l, q), ...): the class's modes fixed by the element, with their phases.
+    """((l, q), ...): the class's modes fixed by the element, with their phases."""
+    return structure.memo(_mode_shells, element, cls.radius_sq).get(cls.norm_sq, ())
 
-    Each point x of the shell Q = |l|^2 of the element's fixed lattice gives
-    l = x B and q = (T . x mod f) / f for the twist T / f; once per class.
+
+def _mode_shells(structure, element, radius_sq):
+    """{Q: ((l, q), ...)}: the element's fixed modes with 0 < |l|^2 = Q <= radius_sq.
+
+    Each point x of the element's fixed lattice, enumerated once, gives
+    l = x B and the phase q = (T . x mod f) / f for the twist T / f.
     """
-    return structure.memo(_fixed_pairs, element, cls.norm_sq)
-
-
-def _fixed_pairs(structure, element, norm_sq):
     lat = fixed_lattice_cached(structure, element)
     (T,), f = linalg.clear_denominators([lat.twist])
     columns = list(zip(*lat.basis))
-    return tuple((tuple(sum(xi * b for xi, b in zip(x, col)) for col in columns),
-                  Fraction(sum(t * xi for t, xi in zip(T, x)) % f, f))
-                 for x in linalg.enumerate_ellipsoid(lat.gram, norm_sq).get(norm_sq, []))
+    shells = linalg.enumerate_ellipsoid(lat.gram, radius_sq)
+    shells.pop(Fraction(0))  # the origin
+    return {Q: tuple((tuple(sum(xi * b for xi, b in zip(x, col)) for col in columns),
+                      Fraction(sum(t * xi for t, xi in zip(T, x)) % f, f)) for x in pts)
+            for Q, pts in shells.items()}
 
 
 def invariant_dimension_bruteforce(orbifold, cls, kind):

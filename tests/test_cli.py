@@ -100,12 +100,22 @@ def test_zeta_command(capsys):
 
 
 def test_csv_output(capsys):
-    code, out, _ = run_cli(capsys, "invariants", "--config", str(CONFIG_DIR / "m3.json"),
-                           "--output", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "invariant,exact,decimal"
-    assert lines[1].startswith("mu3,-1")
+    """Every command's CSV has its header and one row per reported item."""
+    for stem, argv, header, n_rows in [
+        ("m3", ["invariants"], "invariant,exact,decimal", 2),
+        ("m1", ["check"], "matrix,translation,g2_compatible", 2),
+        ("m1", ["spectrum", "--radius-sq", "1"],
+         "norm_sq,kind,dim_bruteforce,dim_formula,match", 2),
+        ("m1", ["identities", "--trials", "1"], "identity,max_residual", 36),
+        ("m1", ["zeta"], "rank,twist,value_at_zero,deviation", 2),
+    ]:
+        code, out, _ = run_cli(capsys, *argv, "--config", str(CONFIG_DIR / f"{stem}.json"),
+                               "--output", "csv")
+        assert code == 0, argv
+        lines = out.strip().splitlines()
+        assert lines[0] == header and len(lines) == 1 + n_rows, argv
+        if argv == ["invariants"]:
+            assert lines[1].startswith("mu3,-1")
 
 
 def test_nonunimodular_generator_fails_with_code_1(capsys, tmp_path):
@@ -190,6 +200,7 @@ def test_reports_deterministic(capsys):
     ("--radius-sq", "1/0", "bad --radius-sq"),
     ("--trials", "0", "--trials must be a positive integer"),
     ("--trials", "-3", "--trials must be a positive integer"),
+    ("--seed", "-1", "--seed must be a nonnegative integer"),
     ("--tolerance", "nan", "--tolerance must be a finite nonnegative number"),
     ("--tolerance", "inf", "--tolerance must be a finite nonnegative number"),
     ("--tolerance", "-1", "--tolerance must be a finite nonnegative number"),
@@ -204,7 +215,8 @@ def test_bad_flag_values_rejected_as_malformed_input(capsys, flag, value, detail
 
 
 def test_bad_config_values_rejected_as_malformed_input(capsys, tmp_path):
-    for field, value in [("oracle_radius_sq", "-1"), ("trials", 0), ("trials", -3)]:
+    for field, value in [("oracle_radius_sq", "-1"), ("trials", 0), ("trials", -3),
+                         ("seed", -3)]:
         cfg = write_config(tmp_path, {"name": "x", "generators": [], field: value})
         code, out, err = run_cli(capsys, "check", "--config", cfg)
         assert code == 2

@@ -6,7 +6,6 @@ import pytest
 from g2mu import fourier as fr
 from g2mu import linalg
 from g2mu import oracle as orc
-from g2mu.exterior import ExteriorForm
 from g2mu.g2 import G2Structure
 from g2mu.orbifold import AffineElement, generate, validate_joyce
 
@@ -44,6 +43,36 @@ def test_enumerate_classes_counts(torus):
     assert orc.enumerate_classes(torus, 0) == []
 
 
+@pytest.mark.parametrize("frame", [
+    None,
+    diag(1, 1, 1, 1, 1, 1, Fraction(1, 2)),
+    [[int(i == j or (i, j) == (0, 1)) for j in range(7)] for i in range(7)],
+], ids=["identity", "diag-half", "shear-12"])
+def test_classes_are_the_nonzero_shells_of_the_gram(frame):
+    """The identity element's lattice shells are the shells of G itself."""
+    orb = validate_joyce(generate([]), frame)
+    shells = linalg.enumerate_ellipsoid(orb.structure.metric.gram, 4)
+    shells.pop(Fraction(0))  # the origin
+    assert [(c.norm_sq, c.vectors) for c in orc.enumerate_classes(orb, 4)] == \
+        [(q, tuple(pts)) for q, pts in shells.items()]
+
+
+def test_spectral_reports_enumerate_each_fixed_lattice_once(monkeypatch):
+    calls = []
+    enumerate_ellipsoid = linalg.enumerate_ellipsoid
+
+    def counting(gram, bound, shift=None):
+        calls.append(bound)
+        return enumerate_ellipsoid(gram, bound, shift)
+
+    monkeypatch.setattr(linalg, "enumerate_ellipsoid", counting)
+    # a frame no other test uses, so that no shared structure holds the shells yet
+    orb = validate_joyce(generate([ALPHA, BETA, GAMMA]), diag(1, 1, 1, 1, 3, 1, 1))
+    reports = orc.spectral_reports(orb, 4)
+    assert reports and all(r.match for r in reports)
+    assert len(orb.group) == 8 and calls == [4] * 8
+
+
 def test_classes_come_in_opposite_pairs(torus):
     for cls in orc.enumerate_classes(torus, 3):
         vset = set(cls.vectors)
@@ -61,27 +90,6 @@ def test_mode_space_dimensions(torus):
         for l in [(1, 0, 0, 0, 0, 0, 0), (1, -2, 0, 3, 0, 0, 1)]:
             assert space.fiber_dimension(l) == dim
             assert len(space.fiber_basis(l)) == dim
-
-
-def test_group_action_identity(torus):
-    alpha_form = ExteriorForm.from_terms(2, {(2, 3): 1})
-    q, l_out, out = orc.group_action_on_mode(
-        AffineElement.identity(), (1, 0, 0, 0, 0, 0, 0), alpha_form)
-    assert q == 0 and l_out == (1, 0, 0, 0, 0, 0, 0) and out == alpha_form
-
-
-def test_group_action_translation_phase():
-    t_only = AffineElement(diag(1, 1, 1, 1, 1, 1, 1), [0, 0, 0, 0, 0, 0, Fraction(1, 2)])
-    q, l_out, _ = orc.group_action_on_mode(
-        t_only, (0, 0, 0, 0, 0, 0, 1), ExteriorForm.from_terms(2, {(2, 3): 1}))
-    assert q == Fraction(1, 2)   # phase exp(pi i) = -1
-    assert l_out == (0, 0, 0, 0, 0, 0, 1)
-
-
-def test_group_action_moves_mode():
-    q, l_out, _ = orc.group_action_on_mode(
-        ALPHA, (0, 0, 0, 1, 0, 0, 0), ExteriorForm.from_terms(2, {(2, 3): 1}))
-    assert l_out == (0, 0, 0, -1, 0, 0, 0)
 
 
 def test_invariant_dimensions_trivial_group(torus):
@@ -183,15 +191,6 @@ def test_mode_eigenvalue_matches_laplacian(torus):
         f = fr.FourierForm(s, 2, [l], [v])
         expected = f.mode(l) * (4 * np.pi ** 2 * n2)
         assert np.max(np.abs(fr.laplacian(f).mode(l) - expected)) < 1e-9 * n2
-
-
-def test_action_preserves_norm(m3):
-    g = m3.structure.metric
-    alpha_form = ExteriorForm.from_terms(2, {(2, 3): 1})
-    for element in m3.group:
-        for l in [(1, 0, 0, 0, 0, 0, 0), (1, 2, 0, -1, 0, 0, 1)]:
-            _, l_out, _ = orc.group_action_on_mode(element, l, alpha_form, metric=g)
-            assert g.norm_sq_vector(l_out) == g.norm_sq_vector(l)
 
 
 def test_partial_morse_sum(torus):
