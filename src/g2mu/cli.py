@@ -11,24 +11,20 @@ Subcommands (all take --config pointing at a JSON orbifold description):
 Exit codes: 0 success, 1 mathematical mismatch or validation failure,
 2 malformed input.  Reports are JSON (or CSV) on stdout and deterministic
 for a fixed config and seed up to the wall_time_s field.
+
+check, invariants and zeta run on the exact core alone; `spectrum` imports
+the oracle, and `identities` the Fourier layer, and with them numpy.
 """
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from .epstein import closed_form_mu, fixed_lattice_cached, value_at_zero
-from .fourier import (coexterior_d, exterior_d, hessian_blocks, l2_inner, l2_norm,
-                      project_type, random_fourier, residual, split_S4, verify_appendix)
 from .invariants import mu_invariants
-from .oracle import spectral_reports
 from .orbifold import (AffineElement, NonFinite, NonUnimodular, NotG2Compatible,
                        generate, validate_joyce)
 
@@ -170,6 +166,7 @@ def cmd_invariants(config, args):
 
 
 def cmd_spectrum(config, args):
+    from .oracle import spectral_reports
     orbifold = build_orbifold(config)
     radius = args.radius_sq if args.radius_sq is not None else config["oracle_radius_sq"]
     reports = spectral_reports(orbifold, radius)
@@ -183,6 +180,9 @@ def cmd_spectrum(config, args):
 
 
 def cmd_identities(config, args):
+    import numpy as np
+    from .fourier import (coexterior_d, exterior_d, hessian_blocks, l2_inner, l2_norm,
+                          project_type, random_fourier, residual, split_S4, verify_appendix)
     orbifold = build_orbifold(config)
     structure = orbifold.structure
     trials = args.trials if args.trials is not None else config["trials"]
@@ -275,6 +275,8 @@ COMMANDS = {
 
 
 def _csv_rows(command, results):
+    import csv
+    import io
     if command == "check":
         header = ["matrix", "translation", "g2_compatible"]
         rows = [[" ".join(map(str, e["matrix"])), " ".join(e["translation"]),

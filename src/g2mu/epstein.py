@@ -24,13 +24,14 @@ and classical closed forms in the test suite.  Both run over the exact
 lattice shells of `linalg.enumerate_ellipsoid`, on Q rescaled to
 determinant about 1.  An element's twisted fixed lattice (`fixed_lattice`)
 is also the spectral oracle's source for the modes it fixes and their phases.
+mpmath is imported only past the s = 0 return, so the value at 0, and every
+command that needs no other value, runs without it.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
-import numpy as np
 
 from . import linalg
 from .exterior import DIM
@@ -48,27 +49,11 @@ class TwistedLattice:
     """A sublattice of Z^7 with induced Gram matrix and rational phase twist."""
     rank: int
     basis: tuple          # rank integer vectors in Z^7 (rows)
-    gram: object          # rank x rank Fraction matrix (numpy object array)
+    gram: tuple           # rank x rank exact matrix (tuple of row tuples)
     twist: tuple          # rank rational exponents; phase of x is e(sum w_i x_i)
 
     def is_twist_trivial(self):
         return all(w == 0 for w in self.twist)
-
-    def rebase(self, unimodular):
-        """Same lattice described in a new basis: B' = U^T applied to coords."""
-        U = linalg.frac_matrix(unimodular)
-        if abs(linalg.det(U)) != 1:
-            raise ValueError("change of basis must be unimodular")
-        B = linalg.frac_matrix(self.basis)
-        newB = U.T @ B
-        gram = U.T @ self.gram @ U
-        twist = tuple(x % 1 for x in linalg.frac_vector(self.twist) @ U)
-        return TwistedLattice(
-            rank=self.rank,
-            basis=tuple(tuple(int(x) for x in row) for row in newB),
-            gram=gram,
-            twist=twist,
-        )
 
 
 def fixed_lattice(element, metric):
@@ -85,8 +70,8 @@ def fixed_lattice(element, metric):
     if not kernel:
         raise ValueError("fixed lattice is zero; element is not a valid input")
     BG = linalg.matmul(kernel, metric.gram)
-    gram = linalg.matmul(BG, list(zip(*kernel)))
-    twist = tuple(x % 1 for x in linalg.matmul(BG, [[t] for t in element.translation])[:, 0])
+    gram = linalg.matmul(BG, linalg.transpose(kernel))
+    twist = tuple(x % 1 for x in linalg.matvec(BG, element.translation))
     return TwistedLattice(rank=len(kernel), basis=tuple(kernel), gram=gram, twist=twist)
 
 
@@ -113,7 +98,7 @@ def _shell_sums(gram, bound, twist=None, shift=None):
     shells.pop(Fraction(0), None)
     (T,), f = linalg.clear_denominators([twist if twist is not None else [0] * len(gram)])
     phases = [1.0 + 0j if k == 0 else -1.0 + 0j if 2 * k == f
-              else complex(np.exp(2j * np.pi * (k / f))) for k in range(f)]
+              else cmath.exp(2j * math.pi * (k / f)) for k in range(f)]
     out = {}
     for q, pts in shells.items():
         counts = [0] * f
@@ -126,7 +111,7 @@ def _shell_sums(gram, bound, twist=None, shift=None):
 def _cutoff(s):
     # terms decay like exp(-pi Q) with an algebraic prefactor; pi*16 ~ 1e-18
     sigma = abs(complex(s).real) + abs(complex(s).imag)
-    return Fraction(max(16, int(np.ceil(2 * sigma + 8))))
+    return Fraction(max(16, math.ceil(2 * sigma + 8)))
 
 
 def epstein_value(lat, s):
@@ -147,9 +132,10 @@ def epstein_value(lat, s):
     trivial = lat.is_twist_trivial()
     if trivial and abs(s - r / 2) < 1e-12:
         raise PoleEncountered(f"s = rank/2 = {r/2} is a pole of the untwisted zeta")
+    import mpmath
     lam = max(Fraction(float(linalg.det(lat.gram)) ** (-1 / r)).limit_denominator(64),
               Fraction(1, 64))
-    gram = lat.gram * lam
+    gram = tuple(tuple(x * lam for x in row) for row in lat.gram)
     with mpmath.workdps(_DPS):
         ms = mpmath.mpc(s)
         det = linalg.det(gram)
@@ -176,24 +162,11 @@ def epstein_value(lat, s):
 
 def _gamma_sum(shells, e):
     """sum over the shells {Q: c} of c Gamma(e, pi Q) (pi Q)^-e."""
+    import mpmath
     total = mpmath.mpc(0)
     for q_val, c in sorted(shells.items()):
         a = mpmath.pi * mpmath.mpf(q_val.numerator) / q_val.denominator
         total += c * mpmath.gammainc(e, a) * a ** (-e)
-    return total
-
-
-def direct_sum(lat, s, radius_q):
-    """Reference truncated series sum_{0 < Q(x) <= radius} phase / Q(x)^s.
-
-    Only meaningful in the convergence region Re(s) > rank/2; used as an
-    independent check of the continuation.
-    """
-    shells = _shell_sums(lat.gram, linalg.frac(radius_q), twist=lat.twist)
-    s = complex(s)
-    total = 0j
-    for q_val, phases in sorted(shells.items()):
-        total += phases * float(q_val) ** (-s)
     return total
 
 

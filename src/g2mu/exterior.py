@@ -1,16 +1,16 @@
 """Exact exterior algebra on (R^7)*: forms, metrics, star and pullback.
 
-Forms are stored densely: a grade-p form is a vector of C(7,p) Fraction
+Forms are stored densely: a grade-p form is a tuple of C(7,p) Fraction
 coefficients, indexed by the lexicographically ordered strictly increasing
 multi-indices with entries in 1..7.  Forms are exact only and never
 mutated after construction; a float coefficient raises TypeError.
 Floating values (random Fourier coefficients) live in `fourier`, which
 acts on them through matrices built from the integer tables here: the
-stacks of `e^a ^ .` and `e_a -| .`, and the matrix of `. ^ c` for a
-constant form c.
+sparse tables of `e^a ^ .` and `e_a -| .`, and the matrix of `. ^ c` for
+a constant form c.
 
-Frames, Gram matrices and pullback matrices are exact as well.  A metric
-converts its Gram matrices to float once, for the floating Fourier forms.
+Frames, Gram matrices and pullback matrices are exact as well: tuples of
+row tuples of ints or Fractions, as in `linalg`.
 
 Sign conventions are pinned by a single rule: the Hodge star satisfies
 a ^ star(b) = <a, b>_g vol_g with vol_g = sqrt(det g) * theta^{1...7}.
@@ -19,8 +19,6 @@ a ^ star(b) = <a, b>_g vol_g with vol_g = sqrt(det g) * theta^{1...7}.
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-
-import numpy as np
 
 from . import linalg
 
@@ -66,33 +64,25 @@ def hodge_table(p):
 
 
 @lru_cache(maxsize=None)
-def covector_wedge_stack(p):
-    """E with E[a] the integer matrix of v -> e^(a+1) ^ v on grade-p vectors."""
-    E = np.zeros((DIM, comb(DIM, p + 1), comb(DIM, p)), dtype=np.int64)
-    for i, j, k, sign in wedge_table(1, p):
-        E[i, k, j] = sign
-    return read_only(E)
-
-
-@lru_cache(maxsize=None)
-def interior_stack(p):
-    """I with I[a] the integer matrix of v -> e_(a+1) -| v on grade-p vectors."""
-    I = np.zeros((DIM, comb(DIM, p - 1), comb(DIM, p)), dtype=np.int64)
+def interior_table(p):
+    """Entries (axis, pos_in, pos_out, sign): e_(axis+1) -| basis form pos_in
+    of grade p equals sign times basis form pos_out of grade p-1."""
+    entries = []
     for pos_in, idx in enumerate(INDICES[p]):
         for r, axis in enumerate(idx):
-            pos_out = POSITION[p - 1][idx[:r] + idx[r + 1:]]
-            I[axis - 1, pos_out, pos_in] = -1 if r % 2 else 1
-    return read_only(I)
+            entries.append((axis - 1, pos_in, POSITION[p - 1][idx[:r] + idx[r + 1:]],
+                            -1 if r % 2 else 1))
+    return tuple(entries)
 
 
 def wedge_matrix(form, p):
     """Exact matrix of v -> v ^ form on grade-p coefficient vectors."""
     q = form.grade
-    out = np.zeros((comb(DIM, p + q), comb(DIM, p)), dtype=object)
+    out = [[0] * comb(DIM, p) for _ in range(comb(DIM, p + q))]
     for i, j, k, sign in wedge_table(p, q):
         if form.coeffs[j]:
-            out[k, i] += sign * form.coeffs[j]
-    return out
+            out[k][i] += sign * form.coeffs[j]
+    return tuple(map(tuple, out))
 
 
 class ExteriorForm:
@@ -103,12 +93,12 @@ class ExteriorForm:
     def __init__(self, grade, coeffs):
         if not 0 <= grade <= DIM:
             raise ValueError(f"grade must lie in 0..{DIM}, got {grade}")
-        arr = linalg.frac_vector(coeffs)
-        if arr.shape != (comb(DIM, grade),):
+        coeffs = linalg.frac_vector(coeffs)
+        if len(coeffs) != comb(DIM, grade):
             raise ValueError(
-                f"grade-{grade} form needs {comb(DIM, grade)} coefficients, got {arr.shape}")
+                f"grade-{grade} form needs {comb(DIM, grade)} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "coeffs", read_only(arr))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *_):
         raise AttributeError("ExteriorForm is immutable")
@@ -133,17 +123,18 @@ class ExteriorForm:
 
     def __add__(self, other):
         self._check_grade(other)
-        return ExteriorForm(self.grade, self.coeffs + other.coeffs)
+        return ExteriorForm(self.grade, [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check_grade(other)
-        return ExteriorForm(self.grade, self.coeffs - other.coeffs)
+        return ExteriorForm(self.grade, [x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return ExteriorForm(self.grade, -self.coeffs)
+        return ExteriorForm(self.grade, [-x for x in self.coeffs])
 
     def scale(self, c):
-        return ExteriorForm(self.grade, self.coeffs * linalg.frac(c))
+        c = linalg.frac(c)
+        return ExteriorForm(self.grade, [x * c for x in self.coeffs])
 
     __mul__ = scale
     __rmul__ = scale
@@ -154,7 +145,7 @@ class ExteriorForm:
     def __eq__(self, other):
         if not isinstance(other, ExteriorForm) or self.grade != other.grade:
             return NotImplemented
-        return bool(np.all(self.coeffs == other.coeffs))
+        return self.coeffs == other.coeffs
 
     def __repr__(self):
         terms = [f"{c}*" + ("theta^" + "".join(map(str, idx)) if idx else "1")
@@ -166,32 +157,34 @@ def wedge(a, b):
     """Exterior product; rejects results of grade > 7."""
     if a.grade + b.grade > DIM:
         raise ValueError(f"wedge of grades {a.grade} and {b.grade} exceeds {DIM}")
-    return ExteriorForm(a.grade + b.grade, wedge_matrix(b, a.grade) @ a.coeffs)
+    out = [0] * comb(DIM, a.grade + b.grade)
+    for i, j, k, sign in wedge_table(a.grade, b.grade):
+        if a.coeffs[i] and b.coeffs[j]:
+            out[k] += sign * a.coeffs[i] * b.coeffs[j]
+    return ExteriorForm(a.grade + b.grade, out)
 
 
 def interior(v, a):
     """Interior product v -| a of a rational vector v (7 components) with a form."""
     if a.grade == 0:
         raise ValueError("interior product needs grade >= 1")
-    contraction = np.tensordot(linalg.frac_vector(v), interior_stack(a.grade), axes=1)
-    return ExteriorForm(a.grade - 1, contraction @ a.coeffs)
+    v = linalg.frac_vector(v)
+    out = [0] * comb(DIM, a.grade - 1)
+    for axis, pos_in, pos_out, sign in interior_table(a.grade):
+        out[pos_out] += sign * v[axis] * a.coeffs[pos_in]
+    return ExteriorForm(a.grade - 1, out)
 
 
 class Metric7:
-    """Flat metric on R^7: exact Gram matrix plus its volume factor sqrt(det).
+    """Flat metric on R^7: exact Gram matrix plus its volume factor sqrt(det)."""
 
-    Float views (gram_float, lambda_gram_float) are converted once and serve
-    the floating Fourier forms.
-    """
-
-    __slots__ = ("gram", "gram_float", "vol", "_inverse", "_lambda_gram",
-                 "_lambda_gram_float")
+    __slots__ = ("gram", "vol", "_inverse", "_lambda_gram")
 
     def __init__(self, gram, vol=None):
         gram = linalg.frac_matrix(gram)
-        if gram.shape != (DIM, DIM):
+        if len(gram) != DIM or any(len(row) != DIM for row in gram):
             raise ValueError("metric needs a 7x7 Gram matrix")
-        if any(gram[i, j] != gram[j, i] for i in range(DIM) for j in range(i)):
+        if any(gram[i][j] != gram[j][i] for i in range(DIM) for j in range(i)):
             raise ValueError("Gram matrix must be symmetric")
         if not linalg.principal_minors_positive(gram):
             raise ValueError("Gram matrix must be positive definite")
@@ -204,11 +197,9 @@ class Metric7:
             if vol * vol != linalg.det(gram) or vol <= 0:
                 raise ValueError("vol must equal sqrt(det gram)")
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "gram_float", read_only(linalg.to_float(gram)))
         object.__setattr__(self, "vol", vol)
         object.__setattr__(self, "_inverse", None)
         object.__setattr__(self, "_lambda_gram", {})
-        object.__setattr__(self, "_lambda_gram_float", {})
 
     def __setattr__(self, *_):
         raise AttributeError("Metric7 is immutable")
@@ -229,45 +220,34 @@ class Metric7:
         compound of the inverse metric, from the exact minor kernel.
         """
         if p not in self._lambda_gram:
-            self._lambda_gram[p] = read_only(linalg.compound(self.inverse_gram(), p))
+            self._lambda_gram[p] = linalg.compound(self.inverse_gram(), p)
         return self._lambda_gram[p]
-
-    def lambda_gram_float(self, p):
-        """Float view of lambda_gram(p), converted once."""
-        if p not in self._lambda_gram_float:
-            self._lambda_gram_float[p] = read_only(linalg.to_float(self.lambda_gram(p)))
-        return self._lambda_gram_float[p]
 
     def norm_sq_vector(self, v):
         """g(v, v) for a rational tangent vector v, exact."""
         vv = linalg.frac_vector(v)
-        return vv @ self.gram @ vv
+        return sum(x * y for x, y in zip(vv, linalg.matvec(self.gram, vv)))
 
     def flat(self, v):
         """Musical isomorphism: the covector g(v, .) as a 1-form."""
-        return ExteriorForm(1, self.gram @ linalg.frac_vector(v))
-
-
-def read_only(arr):
-    """Mark a cached array read-only and return it."""
-    arr.flags.writeable = False
-    return arr
+        return ExteriorForm(1, linalg.matvec(self.gram, linalg.frac_vector(v)))
 
 
 def inner(a, b, metric):
     """<a, b>_g of two forms of equal grade, exact."""
     if a.grade != b.grade:
         raise ValueError("inner product needs equal grades")
-    return a.coeffs @ metric.lambda_gram(a.grade) @ b.coeffs
+    return sum(x * y for x, y in zip(a.coeffs, linalg.matvec(metric.lambda_gram(a.grade),
+                                                             b.coeffs)))
 
 
 def hodge_star(a, metric):
     """Hodge star fixed by a ^ star(b) = <a,b>_g vol_g."""
     p = a.grade
-    weighted = (metric.lambda_gram(p) @ a.coeffs) * metric.vol
+    weighted = linalg.matvec(metric.lambda_gram(p), a.coeffs)
     out = [0] * comb(DIM, DIM - p)
     for pos_in, pos_out, sign in hodge_table(p):
-        out[pos_out] = sign * weighted[pos_in]
+        out[pos_out] = sign * weighted[pos_in] * metric.vol
     return ExteriorForm(DIM - p, out)
 
 
@@ -278,21 +258,21 @@ def metric_from_frame(frame):
     F^T F and the volume factor is det F (must be positive).
     """
     F = linalg.frac_matrix(frame)
-    if F.shape != (DIM, DIM):
+    if len(F) != DIM or any(len(row) != DIM for row in F):
         raise ValueError("frame must be 7x7")
     d = linalg.det(F)
     if d == 0:
         raise ValueError("frame is singular")
     if d < 0:
         raise ValueError("frame must be orientation preserving (det > 0)")
-    return Metric7(F.T @ F, vol=d)
+    return Metric7(linalg.matmul(linalg.transpose(F), F), vol=d)
 
 
 def pullback(frame, a):
     """Pullback F*a with (F*a)_J = sum_I det(F[I, J]) a_I (minor expansion)."""
     if a.grade == 0:
         return a
-    return ExteriorForm(a.grade, pullback_matrix(frame, a.grade) @ a.coeffs)
+    return ExteriorForm(a.grade, linalg.matvec(pullback_matrix(frame, a.grade), a.coeffs))
 
 
 def pullback_matrix(frame, p):
@@ -301,4 +281,4 @@ def pullback_matrix(frame, p):
     Entry (J, I) is det F[I, J], so the matrix is the transpose of the p-th
     compound of F, taken from linalg.compound.
     """
-    return linalg.compound(frame, p).T
+    return linalg.transpose(linalg.compound(frame, p))

@@ -24,17 +24,22 @@ decomposition; the six with first-order formulas are built from the
 printed compositions of d, the Hodge star, wedging with phi/psi and type
 projections, and the four adjoint-named ones are the formal adjoints
 -G_dom^-1 K[a]^T G_cod of their primals' stacks.
+
+The float matrices are views of the structure's exact ones (`gram_float`,
+`lambda_gram_float`, `projector_float`, `star_matrix_float`), converted
+once and kept read-only in the structure's memo; the integer stacks of
+`e^a ^ .` and `e_a -| .` are built once from the tables in `exterior`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from . import linalg
-from .exterior import (DIM, ExteriorForm, covector_wedge_stack, interior_stack, read_only,
-                       wedge_matrix)
+from .exterior import DIM, ExteriorForm, interior_table, wedge_matrix, wedge_table
 
 TWO_PI = 2.0 * np.pi
 
@@ -50,6 +55,61 @@ class PreconditionFailed(ValueError):
 
 def _mode_key(l):
     return tuple(int(x) for x in l)
+
+
+def read_only(arr):
+    """Mark a cached array read-only and return it."""
+    arr.flags.writeable = False
+    return arr
+
+
+def to_float(a):
+    """A float array of an exact matrix, entry by entry."""
+    return np.array([[float(x) for x in row] for row in a], dtype=float)
+
+
+@lru_cache(maxsize=None)
+def covector_wedge_stack(p):
+    """E with E[a] the integer matrix of v -> e^(a+1) ^ v on grade-p vectors."""
+    E = np.zeros((DIM, comb(DIM, p + 1), comb(DIM, p)), dtype=np.int64)
+    for i, j, k, sign in wedge_table(1, p):
+        E[i, k, j] = sign
+    return read_only(E)
+
+
+@lru_cache(maxsize=None)
+def interior_stack(p):
+    """I with I[a] the integer matrix of v -> e_(a+1) -| v on grade-p vectors."""
+    I = np.zeros((DIM, comb(DIM, p - 1), comb(DIM, p)), dtype=np.int64)
+    for axis, pos_in, pos_out, sign in interior_table(p):
+        I[axis, pos_out, pos_in] = sign
+    return read_only(I)
+
+
+def _float_view(structure, name, *args):
+    """The structure's exact matrix `name` (`gram`, `lambda_gram`: its metric's) as floats."""
+    exact = getattr(structure.metric if "gram" in name else structure, name)
+    return read_only(to_float(exact(*args) if args else exact))
+
+
+def gram_float(structure):
+    """Float view of the metric's Gram matrix, converted once per structure."""
+    return structure.memo(_float_view, "gram")
+
+
+def lambda_gram_float(structure, p):
+    """Float view of the metric's lambda_gram(p), converted once per structure."""
+    return structure.memo(_float_view, "lambda_gram", p)
+
+
+def projector_float(structure, grade, component):
+    """Float view of structure.projector(grade, component), converted once."""
+    return structure.memo(_float_view, "projector", grade, component)
+
+
+def star_matrix_float(structure, p):
+    """Float view of structure.star_matrix(p), converted once."""
+    return structure.memo(_float_view, "star_matrix", p)
 
 
 class FourierForm:
@@ -162,7 +222,7 @@ def l2_inner(f1, f2):
     inner products.
     """
     _, a, b = _aligned(f1, f2)
-    gram = f1.structure.metric.lambda_gram_float(f1.grade)
+    gram = lambda_gram_float(f1.structure, f1.grade)
     return complex(np.sum((a @ gram) * np.conj(b)))
 
 
@@ -198,13 +258,12 @@ def _apply_stack(f, K, grade):
 def _norm_sq(f):
     """|l|^2_g for every mode of f, as floats."""
     L = np.array(f.modes, dtype=float).reshape(-1, DIM)
-    return np.einsum("ma,ab,mb->m", L, f.structure.metric.gram_float, L)
+    return np.einsum("ma,ab,mb->m", L, gram_float(f.structure), L)
 
 
 def _d_stack(structure, p):
     """K[a] = sum_b g_ab (e^b ^ .) on grade p, so that M(l) a = lflat ^ a."""
-    return read_only(np.tensordot(structure.metric.gram_float, covector_wedge_stack(p),
-                                  axes=1))
+    return read_only(np.tensordot(gram_float(structure), covector_wedge_stack(p), axes=1))
 
 
 def _dstar_stack(structure, p):
@@ -245,7 +304,7 @@ def _wedge_float(structure, name, p):
     """Float matrix of v -> v ^ c on grade p, for c = phi, psi or vol_g."""
     form = ExteriorForm(7, [structure.metric.vol]) if name == "vol" else \
         getattr(structure, name)
-    return read_only(linalg.to_float(wedge_matrix(form, p)))
+    return read_only(to_float(wedge_matrix(form, p)))
 
 
 def wedge_const(f, name):
@@ -258,12 +317,12 @@ def wedge_const(f, name):
 
 def star(f):
     """Mode-wise Hodge star."""
-    return _apply(f, f.structure.star_matrix_float(f.grade), DIM - f.grade)
+    return _apply(f, star_matrix_float(f.structure, f.grade), DIM - f.grade)
 
 
 def project_type(f, grade, component):
     """Mode-wise orthogonal type projection."""
-    return _apply(f, f.structure.projector_float(grade, component), f.grade)
+    return _apply(f, projector_float(f.structure, grade, component), f.grade)
 
 
 # -- refined operators ---------------------------------------------------------
@@ -297,10 +356,11 @@ def _refined_stack(structure, name):
     if op.adjoint_of is not None:
         primal = REFINED_OPS[op.adjoint_of]
         K = structure.memo(_refined_stack, op.adjoint_of)
-        g_dom = structure.metric.lambda_gram_float(primal.domain[0])
-        g_cod = structure.metric.lambda_gram_float(primal.codomain[0])
+        g_dom = lambda_gram_float(structure, primal.domain[0])
+        g_cod = lambda_gram_float(structure, primal.codomain[0])
         return read_only(-(np.linalg.inv(g_dom) @ K.transpose(0, 2, 1) @ g_cod))
-    star_m, proj = structure.star_matrix_float, structure.projector_float
+    star_m = lambda p: star_matrix_float(structure, p)
+    proj = lambda grade, component: projector_float(structure, grade, component)
     d = lambda p: structure.memo(_d_stack, p)
     psi = structure.memo(_wedge_float, "psi", 1)
     if name == "d1_7":
@@ -352,7 +412,7 @@ def _contraction_on_type(structure, lc, grade, component):
 
 def _axis_contractions(structure, grade, component):
     """K[a] = iota_{e_a} B, so that iota_l B = sum_a l_a K[a], in Python ints."""
-    B = np.stack(structure.type_space_basis(grade, component), axis=1)
+    B = np.array(structure.type_space_basis(grade, component), dtype=object).T
     return interior_stack(grade).astype(object) @ B
 
 
@@ -373,9 +433,10 @@ def typed_contraction_kernel(structure, l, grade, component):
 
 def _kernel_basis(structure, lc, grade, component):
     C = _contraction_on_type(structure, lc, grade, component)
-    B = np.stack(structure.type_space_basis(grade, component), axis=1)
+    B = np.array(structure.type_space_basis(grade, component), dtype=object).T
     # B and the kernel vectors are integral, so B @ x stays in ints
-    return tuple(linalg.primitive_integer(B @ x) for x in linalg.nullspace(C))
+    return tuple(linalg.primitive_integer(B @ np.array(x, dtype=object))
+                 for x in linalg.nullspace(C))
 
 
 def typed_contraction_kernel_dim(structure, l, grade, component):
@@ -586,7 +647,7 @@ def hessian_blocks(kind, f):
     if f.grade != grade:
         raise ValueError(f"kind {kind} needs a grade-{grade} form")
     structure = f.structure
-    gram = structure.metric.lambda_gram_float(grade)
+    gram = lambda_gram_float(structure, grade)
     n2 = _norm_sq(f)
     # lflat ^ (l -| .) on grade p, and l -| (lflat ^ .) on grade p
     exact_part = _at_modes(structure.memo(_d_stack, grade - 1), f.modes) @ \
@@ -620,7 +681,7 @@ def hessian_blocks(kind, f):
 
     if kind == "E":
         gamma = blocks["coexact_14"]
-        proj = structure.projector_float
+        proj = lambda grade, component: projector_float(structure, grade, component)
         symbol_I = 4 / 3 * proj(3, 1) + proj(3, 7) - proj(3, 27)
         lhs = coexterior_d(_apply(exterior_d(gamma), symbol_I, 3))
         rhs = -coexterior_d(exterior_d(gamma))

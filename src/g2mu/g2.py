@@ -27,23 +27,22 @@ primitive integers, and every projector on grades 2 to 5 is
 M_p pi M_p^-1, since F* commutes with the star; the products run in
 integers (linalg.matmul).  The star matrix on grade p is vol times the
 rows of the metric's lambda_gram(p), signed and permuted as the Euclidean
-star.  Every basis, projector and star matrix is exact.
+star.  Every basis, projector and star matrix is exact: a tuple of ints or
+Fractions, or a tuple of such rows.
 
 A G2Structure owns every cache that depends on it: one memo keyed by the
-producing function and its arguments, which also holds the float views of
-its projectors and star matrices for the floating Fourier forms.
+producing function and its arguments, which also holds what `fourier` and
+`oracle` derive from it (float views, mode stacks, fibre kernels).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-import numpy as np
-
 from . import linalg
 from .exterior import (DIM, INDICES, ExteriorForm, Metric7, hodge_star, hodge_table,
-                       interior_stack, metric_from_frame, pullback, pullback_matrix,
-                       read_only, wedge, wedge_matrix)
+                       interior, metric_from_frame, pullback, pullback_matrix, wedge,
+                       wedge_matrix)
 
 PHI0_TERMS = {
     (1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1, (2, 4, 6): 1,
@@ -58,48 +57,19 @@ def standard_phi0():
     return ExteriorForm.from_terms(3, PHI0_TERMS)
 
 
-class TypeLabel:
-    """A G2-irreducible component of Lambda^2 or Lambda^3 (4/5 by duality)."""
-
-    __slots__ = ("grade", "component")
-
-    def __init__(self, grade, component):
-        if grade not in (2, 3):
-            raise ValueError("TypeLabel grade must be 2 or 3")
-        if component not in VALID_COMPONENTS[grade]:
-            raise ValueError(f"grade {grade} has no component of dimension {component}")
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "component", component)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TypeLabel is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, TypeLabel) and (self.grade, self.component) == \
-            (other.grade, other.component)
-
-    def __hash__(self):
-        return hash((self.grade, self.component))
-
-    def __repr__(self):
-        return f"TypeLabel(grade={self.grade}, component={self.component})"
-
-
 @lru_cache(maxsize=None)
 def _standard_bases():
     """Exact type-space bases of phi0, as primitive integer vectors."""
     phi = standard_phi0()
     psi = hodge_star(phi, Metric7.euclidean())
-    # phi0 and psi0 have integer coefficients, so the contractions run in ints
-    (phi_int, psi_int), _ = linalg.clear_denominators([phi.coeffs, psi.coeffs])
+    axes = [[int(i == a) for i in range(DIM)] for a in range(DIM)]
     basis = {
-        (2, 7): list(interior_stack(3) @ phi_int),
+        (2, 7): [interior(e, phi).coeffs for e in axes],
         (3, 1): [phi.coeffs],
-        (3, 7): list(interior_stack(4) @ psi_int),
+        (3, 7): [interior(e, psi).coeffs for e in axes],
         # Lambda^2_14 = ker(. ^ psi); Lambda^3_27 = ker(a -> (a ^ phi, a ^ psi))
         (2, 14): linalg.nullspace(wedge_matrix(psi, 2)),
-        (3, 27): linalg.nullspace(np.concatenate([wedge_matrix(phi, 3),
-                                                  wedge_matrix(psi, 3)])),
+        (3, 27): linalg.nullspace(wedge_matrix(phi, 3) + wedge_matrix(psi, 3)),
     }
     return {key: tuple(linalg.primitive_integer(v) for v in cols)
             for key, cols in basis.items()}
@@ -107,31 +77,31 @@ def _standard_bases():
 
 def _contraction_projector(B):
     """(N, k) with N / k the Euclidean orthogonal projector onto the span of
-    the integer columns B, which must satisfy B^T B = k I."""
-    BtB = B.T @ B
-    k = BtB[0, 0]
-    if not np.array_equal(BtB, k * np.identity(len(BtB), dtype=object)):
+    the integer vectors B (its columns), which must satisfy B^T B = k I."""
+    BtB = linalg.int_matmul(B, linalg.transpose(B))
+    k = BtB[0][0]
+    if any(x != k * (i == j) for i, row in enumerate(BtB) for j, x in enumerate(row)):
         raise ArithmeticError("contraction basis is not orthogonal with equal norms")
-    return B @ B.T, k
+    return linalg.int_matmul(linalg.transpose(B), B), k
 
 
 def _complement(parts, B):
     """(N, k) with N / k = I minus the projectors (N_i, k_i) in parts,
-    checked to fix every column of the integer kernel basis B."""
+    checked to fix every one of the integer kernel basis vectors B."""
     k = lcm(*(k_i for _, k_i in parts))
-    N = k * np.identity(len(B), dtype=object)
-    for N_i, k_i in parts:
-        N = N - N_i * (k // k_i)
-    if not np.array_equal(N @ B, k * B):
+    n = len(B[0])
+    N = [[k * (i == j) - sum(N_i[i][j] * (k // k_i) for N_i, k_i in parts)
+          for j in range(n)] for i in range(n)]
+    if any(linalg.matvec(N, v) != tuple(k * x for x in v) for v in B):
         raise ArithmeticError("complementary projector does not fix its kernel basis")
     return N, k
 
 
 def _euclidean_star(p):
     """The Euclidean Hodge star on grade p, a signed permutation matrix."""
-    S = np.zeros((comb(DIM, DIM - p), comb(DIM, p)), dtype=object)
+    S = [[0] * comb(DIM, p) for _ in range(comb(DIM, DIM - p))]
     for pos_in, pos_out, sign in hodge_table(p):
-        S[pos_out, pos_in] = sign
+        S[pos_out][pos_in] = sign
     return S
 
 
@@ -143,22 +113,24 @@ def _standard_projectors():
     B = (e_i -| phi) or (e_i -| psi); pi_14 and pi_27 are the complements.
     Grades 4 and 5 are conjugated by the Euclidean star.
     """
-    B = {key: np.stack(cols, axis=1) for key, cols in _standard_bases().items()}
+    B = _standard_bases()
     raw = {key: _contraction_projector(B[key]) for key in ((2, 7), (3, 1), (3, 7))}
     raw[(2, 14)] = _complement([raw[(2, 7)]], B[(2, 14)])
     raw[(3, 27)] = _complement([raw[(3, 1)], raw[(3, 7)]], B[(3, 27)])
     for (grade, comp), (N, k) in list(raw.items()):
-        raw[(DIM - grade, comp)] = (_euclidean_star(grade) @ N @ _euclidean_star(DIM - grade), k)
-    return {key: read_only(linalg.scaled(N, k)) for key, (N, k) in raw.items()}
+        conjugated = linalg.int_matmul(linalg.int_matmul(_euclidean_star(grade), N),
+                                       _euclidean_star(DIM - grade))
+        raw[(DIM - grade, comp)] = (conjugated, k)
+    return {key: linalg.scaled(N, k) for key, (N, k) in raw.items()}
 
 
 def _star_matrix(structure, p):
     """Rows of vol * lambda_gram(p), signed and permuted as the Euclidean star."""
-    weighted = structure.metric.lambda_gram(p) * structure.metric.vol
-    out = np.empty_like(weighted)
+    weighted, vol = structure.metric.lambda_gram(p), structure.metric.vol
+    out = [None] * comb(DIM, p)
     for pos_in, pos_out, sign in hodge_table(p):
-        out[pos_out] = sign * weighted[pos_in]
-    return read_only(out)
+        out[pos_out] = tuple(sign * vol * x for x in weighted[pos_in])
+    return tuple(out)
 
 
 def _frame_pullback_matrix(structure, p, inverse):
@@ -170,9 +142,8 @@ def _type_space_basis(structure, grade, component):
     base = _standard_bases()[(grade, component)]
     if linalg.is_identity(structure.frame):
         return base
-    M = np.array(linalg.clear_denominators(structure.frame_pullback_matrix(grade))[0],
-                 dtype=object)
-    return tuple(linalg.primitive_integer(M @ v) for v in base)
+    M = linalg.clear_denominators(structure.frame_pullback_matrix(grade))[0]
+    return tuple(linalg.primitive_integer(linalg.matvec(M, v)) for v in base)
 
 
 def _projector(structure, grade, component):
@@ -180,12 +151,8 @@ def _projector(structure, grade, component):
     base = _standard_projectors()[(grade, component)]
     if linalg.is_identity(structure.frame):
         return base
-    return read_only(linalg.matmul(structure.frame_pullback_matrix(grade), base,
-                                   structure.frame_pullback_matrix(grade, inverse=True)))
-
-
-def _float_view(structure, method, *args):
-    return read_only(linalg.to_float(method(structure, *args)))
+    return linalg.matmul(structure.frame_pullback_matrix(grade), base,
+                         structure.frame_pullback_matrix(grade, inverse=True))
 
 
 class Memo:
@@ -268,7 +235,7 @@ class G2Structure:
         return cls._shared_instances[key]
 
     def type_space_basis(self, grade, component):
-        """Exact basis vectors (primitive integer arrays) of a typed subspace."""
+        """Exact basis vectors (primitive integer tuples) of a typed subspace."""
         if component not in VALID_COMPONENTS.get(grade, ()):
             raise ValueError(f"no component {component} in grade {grade}")
         if grade not in (2, 3):
@@ -281,10 +248,6 @@ class G2Structure:
         """Exact matrix of the Hodge star on grade-p coefficient vectors."""
         return self.memo(_star_matrix, p)
 
-    def star_matrix_float(self, p):
-        """Float view of star_matrix(p), converted once."""
-        return self.memo(_float_view, G2Structure.star_matrix, p)
-
     def frame_pullback_matrix(self, p, inverse=False):
         return self.memo(_frame_pullback_matrix, p, inverse)
 
@@ -294,25 +257,11 @@ class G2Structure:
             raise ValueError(f"no component {component} in grade {grade}")
         return self.memo(_projector, grade, component)
 
-    def projector_float(self, grade, component):
-        """Float view of projector(grade, component), converted once."""
-        return self.memo(_float_view, G2Structure.projector, grade, component)
-
     # -- operations ---------------------------------------------------------
 
     def apply_projector(self, grade, component, a):
         """pi_component of the grade-`grade` form a, exact."""
-        return ExteriorForm(a.grade, self.projector(grade, component) @ a.coeffs)
-
-    def project(self, label, a):
-        """Orthogonal projection of a onto the labelled component.
-
-        Accepts forms of the label's grade or its Hodge-dual grade 7-grade.
-        """
-        if a.grade not in (label.grade, DIM - label.grade):
-            raise ValueError(
-                f"form of grade {a.grade} does not match label grade {label.grade}")
-        return self.apply_projector(a.grade, label.component, a)
+        return ExteriorForm(a.grade, linalg.matvec(self.projector(grade, component), a.coeffs))
 
     def apply_I(self, a):
         """(4/3) pi_1 + pi_7 - pi_27 on 3-forms (Hessian symbol of the 3-form functional)."""

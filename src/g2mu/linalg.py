@@ -1,12 +1,14 @@
-"""Exact linear algebra over the rationals and integers.
+"""Exact linear algebra over the rationals and integers, in plain Python.
 
-Everything here is dense and small (dimensions <= ~50).  Matrices are
-cleared of denominators once and then stay in Python ints.  One
-fraction-free (Bareiss) elimination, `_echelon`, serves det, rank,
-nullspace (primitive integer vectors) and inverse (an integer pair A / D);
-its rows also drive the one lattice-shell enumerator, `enumerate_ellipsoid`,
-which prunes each coordinate with an integer square root and returns every
-shell with its exact value, so no float or tolerance enters it.
+Everything here is dense and small (dimensions <= ~50).  An exact matrix
+is a tuple of row tuples of ints or Fractions, a vector a tuple; inputs may
+be any nested sequences.  Matrices are cleared of denominators once and
+then stay in Python ints.  One fraction-free (Bareiss) elimination,
+`_echelon`, serves det, rank, nullspace (primitive integer vectors) and
+inverse (an integer pair A / D); its rows also drive the one lattice-shell
+enumerator, `enumerate_ellipsoid`, which prunes each coordinate with an
+integer square root and returns every shell with its exact value, so no
+float or tolerance enters it.
 Compound matrices come from Laplace expansion of each minor into minors one
 size smaller, products from integer matmul with one division at the end.
 Integer matrices also get a Hermite-style kernel routine, whose bases are
@@ -16,62 +18,49 @@ saturated, so that lattice computations never leave Z.
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from operator import index
-
-import numpy as np
+from operator import index, mul
 
 
 def frac(x):
-    """Coerce ints, strings like '3/4' and Fractions to Fraction."""
+    """Coerce integers, strings like '3/4' and Fractions to Fraction.
+
+    Integers are taken through operator.index, so a float raises TypeError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    raise TypeError(f"cannot convert {x!r} to an exact rational")
+    return Fraction(index(x))
 
 
 def frac_matrix(rows):
-    """Rectangular matrix of Fractions as a numpy object array."""
-    data = [[frac(x) for x in row] for row in rows]
-    ncols = {len(r) for r in data}
-    if len(ncols) != 1:
+    """Rectangular matrix of Fractions, as a tuple of row tuples."""
+    out = tuple(tuple(frac(x) for x in row) for row in rows)
+    if len({len(r) for r in out}) > 1:
         raise ValueError("ragged matrix")
-    out = np.empty((len(data), ncols.pop()), dtype=object)
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            out[i, j] = x
     return out
 
 
 def frac_vector(entries):
-    out = np.empty(len(entries), dtype=object)
-    for i, x in enumerate(entries):
-        out[i] = frac(x)
-    return out
+    return tuple(frac(x) for x in entries)
 
 
 def identity_frac(n):
-    out = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def zeros_frac(m, n):
-    return np.full((m, n), Fraction(0), dtype=object)
+def transpose(a):
+    return tuple(zip(*a))
 
 
-def to_float(a):
-    return np.array([[float(x) for x in row] for row in a], dtype=float) \
-        if getattr(a, "ndim", 1) == 2 else np.array([float(x) for x in a], dtype=float)
+def matvec(a, v):
+    """The exact product a v of a matrix and a vector, as a tuple."""
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def is_identity(m):
-    """Whether the square array m is the identity matrix."""
-    n = m.shape[0]
-    return all(m[i, j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+    """Whether the square matrix m is the identity matrix."""
+    return all(x == (i == j) for i, row in enumerate(m) for j, x in enumerate(row))
 
 
 def _echelon(rows, reduced=False):
@@ -123,8 +112,8 @@ def nullspace(a):
     One primitive integer vector per free column f, positive at f and zero
     at the other free columns: the rref kernel basis, each vector scaled.
     """
-    n = np.shape(a)[1]
     rows = clear_denominators(a)[0]
+    n = len(rows[0])
     pivots, D, _ = _echelon(rows, reduced=True)
     s = 1 if D > 0 else -1
     basis = []
@@ -134,7 +123,7 @@ def nullspace(a):
         for row, c in zip(rows, pivots):
             v[c] = -s * row[f]
         g = gcd(*v)
-        basis.append(np.array([x // g for x in v], dtype=object))
+        basis.append(tuple(x // g for x in v))
     return basis
 
 
@@ -174,7 +163,7 @@ def clear_denominators(a):
 
 def scaled(b, d):
     """The exact matrix b / d of an integer matrix b, as Fractions."""
-    return np.array([[Fraction(x, d) for x in row] for row in b], dtype=object)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in b)
 
 
 def matmul(*factors):
@@ -187,16 +176,26 @@ def matmul(*factors):
     out, scale = None, 1
     for a in factors:
         b, d = clear_denominators(a)
-        b = np.array(b, dtype=object)
-        out = b if out is None else out @ b
+        out = b if out is None else int_matmul(out, b)
         scale *= d
     return scaled(out, scale)
 
 
 def int_matmul(a, b):
-    """Product of two integer matrices as a tuple of row tuples, in Python ints."""
+    """Product of two integer matrices as a tuple of row tuples, in Python ints.
+
+    A row of a that is mostly zero (a signed permutation's, a diagonal
+    pullback matrix's) costs one product per nonzero entry and column.
+    """
     columns = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in a)
+    out = []
+    for row in a:
+        nonzero = [(k, x) for k, x in enumerate(row) if x]
+        if 2 * len(nonzero) < len(row):
+            out.append(tuple(sum([x * col[k] for k, x in nonzero]) for col in columns))
+        else:
+            out.append(tuple(sum(map(mul, row, col)) for col in columns))
+    return tuple(out)
 
 
 def det(a):
@@ -321,19 +320,17 @@ def integer_kernel(a):
 
 
 def primitive_integer(vec):
-    """Scale a rational vector to a primitive integer vector (object array).
+    """Scale a rational vector to a primitive integer vector (a tuple of ints).
 
     The sign is kept: the result is vec times a positive rational.
     """
     (ints,), _ = clear_denominators([vec])
     g = gcd(*ints) or 1
-    return np.array([x // g for x in ints], dtype=object)
+    return tuple(x // g for x in ints)
 
 
 def principal_minors_positive(g):
-    g = frac_matrix(g) if not isinstance(g, np.ndarray) or g.dtype != object else g
-    n = g.shape[0]
-    return all(det(g[:k, :k]) > 0 for k in range(1, n + 1))
+    return all(det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
 
 
 def rational_sqrt(q):

@@ -296,33 +296,6 @@ def su3_trace_check(orbifold, element, l):
     return tuple(res)
 
 
-class ConvergenceRegionViolated(ValueError):
-    """The Morse partial sum was requested outside Re(s) > 7/2."""
-
-
-def partial_morse_sum(orbifold, kind, s, radius_sq, use_formula=False):
-    """Truncated sum over classes of dim^Gamma / |lambda|^s.
-
-    Only defined in the convergence region s > 7/2 of the full series;
-    outside it the truncation is meaningless and is rejected.
-    """
-    if kind == "mu3":
-        space_kind = "H"
-    elif kind == "mu4":
-        space_kind = "Hprime"
-    else:
-        raise ValueError("kind must be 'mu3' or 'mu4'")
-    if not float(s) > 3.5:
-        raise ConvergenceRegionViolated(f"s = {s} is not in the region Re(s) > 7/2")
-    dim_of = invariant_dimension_formula if use_formula else invariant_dimension_bruteforce
-    total = 0.0
-    for cls in enumerate_classes(orbifold, radius_sq):
-        dim = dim_of(orbifold, cls, space_kind)
-        lam = abs(cls.eigenvalue())
-        total += dim / lam ** float(s)
-    return total
-
-
 def spectral_reports(orbifold, radius_sq):
     """One SpectralReport per (class, kind); the oracle's main entry point."""
     out = []
@@ -335,9 +308,3 @@ def spectral_reports(orbifold, radius_sq):
                 dim_formula=invariant_dimension_formula(orbifold, cls, kind),
             ))
     return out
-
-
-def spectral_report_lines(reports):
-    """Serialise reports as JSON lines, one record per line."""
-    import json
-    return "\n".join(json.dumps(r.to_json_dict(), sort_keys=True) for r in reports)

@@ -6,6 +6,8 @@ so that the characters and twist phases computed downstream are exact
 roots of unity.
 """
 
+from fractions import Fraction
+from math import lcm
 from operator import index
 
 from . import linalg
@@ -66,6 +68,14 @@ class AffineElement:
         raise AttributeError("AffineElement is immutable")
 
     @classmethod
+    def _trusted(cls, matrix, translation):
+        """An element from a matrix tuple already in SL(7,Z) and a reduced translation."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "matrix", matrix)
+        object.__setattr__(element, "translation", translation)
+        return element
+
+    @classmethod
     def identity(cls):
         return cls(tuple(tuple(1 if i == j else 0 for j in range(DIM)) for i in range(DIM)))
 
@@ -93,10 +103,18 @@ class AffineElement:
 
 
 def compose(a, b):
-    """Group law for the action x -> Ax + t:  (A1,t1)(A2,t2) = (A1 A2, A1 t2 + t1)."""
-    trans = tuple(sum(x * t for x, t in zip(row, b.translation)) + s
+    """Group law for the action x -> Ax + t:  (A1,t1)(A2,t2) = (A1 A2, A1 t2 + t1).
+
+    The product of two elements of SL(7,Z) is in SL(7,Z), so nothing is
+    re-checked; A1 t2 + t1 is taken in ints over the translations' common
+    denominator d and reduced mod 1 once per entry.
+    """
+    d = lcm(*(x.denominator for x in a.translation), *(x.denominator for x in b.translation))
+    t2 = [x.numerator * (d // x.denominator) for x in b.translation]
+    trans = tuple(Fraction((sum(m * x for m, x in zip(row, t2))
+                            + s.numerator * (d // s.denominator)) % d, d)
                   for row, s in zip(a.matrix, a.translation))
-    return AffineElement(linalg.int_matmul(a.matrix, b.matrix), trans)
+    return AffineElement._trusted(linalg.int_matmul(a.matrix, b.matrix), trans)
 
 
 def inverse(a):

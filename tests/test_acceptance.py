@@ -178,10 +178,10 @@ def test_criterion_8_type_decomposition():
     s = G2Structure.for_frame(None)
     ranks2 = [linalg.rank(s.projector(2, c)) for c in (7, 14)]
     ranks3 = [linalg.rank(s.projector(3, c)) for c in (1, 7, 27)]
-    complete2 = np.equal(s.projector(2, 7) + s.projector(2, 14),
-                         linalg.identity_frac(21)).all()
-    complete3 = np.equal(s.projector(3, 1) + s.projector(3, 7) + s.projector(3, 27),
-                         linalg.identity_frac(35)).all()
+    P = {(grade, comp): np.array(s.projector(grade, comp), dtype=object)
+         for grade, comp in [(2, 7), (2, 14), (3, 1), (3, 7), (3, 27)]}
+    complete2 = np.equal(P[2, 7] + P[2, 14], linalg.identity_frac(21)).all()
+    complete3 = np.equal(P[3, 1] + P[3, 7] + P[3, 27], linalg.identity_frac(35)).all()
     rng = np.random.default_rng(3)
     worst = 0.0
     for grade, comp in [(2, 7), (2, 14), (3, 1), (3, 7), (3, 27)]:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from g2mu import linalg
-from g2mu.exterior import (DIM, ExteriorForm, Metric7, covector_wedge_stack, hodge_star,
-                           inner, interior, interior_stack, metric_from_frame, pullback,
-                           pullback_matrix, wedge, wedge_matrix)
+from g2mu.exterior import (DIM, ExteriorForm, Metric7, hodge_star, inner, interior,
+                           metric_from_frame, pullback, pullback_matrix, wedge, wedge_matrix)
+from g2mu.fourier import covector_wedge_stack, interior_stack
 from g2mu.g2 import G2Structure, standard_phi0
 
 
@@ -68,13 +68,13 @@ def test_integer_tables_match_form_operations():
         a = rand_form(rng, p)
         for axis in range(DIM):
             e = [int(i == axis) for i in range(DIM)]
-            assert np.array_equal(covector_wedge_stack(p)[axis] @ a.coeffs,
-                                  wedge(ExteriorForm(1, e), a).coeffs)
+            assert tuple(covector_wedge_stack(p)[axis].astype(object) @ a.coeffs) == \
+                wedge(ExteriorForm(1, e), a).coeffs
             if p:
-                assert np.array_equal(interior_stack(p)[axis] @ a.coeffs,
-                                      interior(e, a).coeffs)
+                assert tuple(interior_stack(p)[axis].astype(object) @ a.coeffs) == \
+                    interior(e, a).coeffs
         if p <= DIM - 3:
-            assert np.array_equal(wedge_matrix(phi, p) @ a.coeffs, wedge(a, phi).coeffs)
+            assert linalg.matvec(wedge_matrix(phi, p), a.coeffs) == wedge(a, phi).coeffs
     assert not covector_wedge_stack(2).flags.writeable
     assert not interior_stack(2).flags.writeable
 
@@ -143,17 +143,6 @@ def test_float_frames_and_grams_are_rejected():
                 build(bad)
 
 
-def test_metric_float_views_are_converted_once():
-    g = metric_from_frame(random_frame(np.random.default_rng(8)))
-    assert np.array_equal(g.gram_float, linalg.to_float(g.gram))
-    assert not g.gram_float.flags.writeable
-    for p in range(8):
-        view = g.lambda_gram_float(p)
-        assert view is g.lambda_gram_float(p)
-        assert np.array_equal(view, linalg.to_float(g.lambda_gram(p)))
-        assert not view.flags.writeable
-
-
 def test_interior_is_adjoint_of_covector_wedge():
     rng = np.random.default_rng(4)
     for g in (Metric7.euclidean(), metric_from_frame(random_frame(rng))):
@@ -166,10 +155,10 @@ def test_interior_is_adjoint_of_covector_wedge():
 
 def test_metric_from_frame():
     m = metric_from_frame(linalg.identity_frac(7))
-    assert all(m.gram[i, j] == (1 if i == j else 0) for i in range(7) for j in range(7))
+    assert all(m.gram[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7))
     d = [[2 if i == j == 0 else (1 if i == j else 0) for j in range(7)] for i in range(7)]
     m2 = metric_from_frame(d)
-    assert m2.gram[0, 0] == 4 and m2.gram[1, 1] == 1
+    assert m2.gram[0][0] == 4 and m2.gram[1][1] == 1
     rng = np.random.default_rng(5)
     F = rng.integers(-2, 3, size=(7, 7))
     while round(np.linalg.det(F)) <= 0:

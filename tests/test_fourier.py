@@ -7,8 +7,8 @@ import pytest
 
 from g2mu import fourier as fr
 from g2mu import g2
-from g2mu.exterior import ExteriorForm, interior
-from g2mu.g2 import G2Structure
+from g2mu.exterior import DIM, ExteriorForm, interior
+from g2mu.g2 import VALID_COMPONENTS, G2Structure
 
 TWO_PI = 2 * np.pi
 
@@ -369,3 +369,44 @@ def test_contraction_kernel_at_large_mode():
                 a = ExteriorForm(grade, v)
                 assert interior(l, a).is_zero()
                 assert s.apply_projector(grade, component, a) == a
+
+
+def _as_floats(exact):
+    return [[float(x) for x in row] for row in exact]
+
+
+def test_metric_float_views_are_converted_once():
+    rng = np.random.default_rng(8)
+    F = rng.integers(-2, 3, size=(7, 7))
+    while round(np.linalg.det(F)) <= 0:
+        F = rng.integers(-2, 3, size=(7, 7))
+    s2 = G2Structure(F.tolist())
+    g = s2.metric
+    assert fr.gram_float(s2) is fr.gram_float(s2)
+    assert fr.gram_float(s2).tolist() == _as_floats(g.gram)
+    assert not fr.gram_float(s2).flags.writeable
+    for p in range(8):
+        view = fr.lambda_gram_float(s2, p)
+        assert view is fr.lambda_gram_float(s2, p)
+        assert view.tolist() == _as_floats(g.lambda_gram(p))
+        assert not view.flags.writeable
+
+
+FLOAT_VIEW_FRAMES = [None, [[(2 if i == j == 0 else 3 if i == j == 5 else int(i == j))
+                             for j in range(DIM)] for i in range(DIM)]]
+
+
+@pytest.mark.parametrize("frame", FLOAT_VIEW_FRAMES, ids=["identity", "diagonal"])
+def test_float_views_match_exact_matrices_and_are_read_only(frame):
+    s2 = G2Structure(frame)
+    for grade, comps in VALID_COMPONENTS.items():
+        for comp in comps:
+            view = fr.projector_float(s2, grade, comp)
+            assert view is fr.projector_float(s2, grade, comp)
+            assert view.tolist() == _as_floats(s2.projector(grade, comp))
+            assert not view.flags.writeable
+    for p in range(DIM + 1):
+        view = fr.star_matrix_float(s2, p)
+        assert view is fr.star_matrix_float(s2, p)
+        assert view.tolist() == _as_floats(s2.star_matrix(p))
+        assert not view.flags.writeable

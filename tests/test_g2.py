@@ -6,9 +6,14 @@ import pytest
 
 from g2mu import g2, linalg
 from g2mu.exterior import DIM, ExteriorForm, hodge_star, inner, interior, pullback, wedge
-from g2mu.g2 import VALID_COMPONENTS, G2Structure, TypeLabel, standard_phi0
+from g2mu.g2 import VALID_COMPONENTS, G2Structure, standard_phi0
 
 COMPONENTS = {2: (7, 14), 3: (1, 7, 27)}
+
+
+def obj(a):
+    """An exact matrix or vector as a numpy object array, for test-side algebra."""
+    return np.array(a, dtype=object)
 
 
 @pytest.fixture(scope="module")
@@ -35,28 +40,20 @@ def test_psi_not_hardcoded(s):
     assert pairing.coeffs[0] == 7 * s.metric.vol
 
 
-def test_type_label_validation():
-    with pytest.raises(ValueError):
-        TypeLabel(2, 27)
-    with pytest.raises(ValueError):
-        TypeLabel(4, 7)
-    assert TypeLabel(3, 27).component == 27
-
-
 def test_projector_ranks_and_completeness(s):
     eye2 = linalg.identity_frac(21)
     eye3 = linalg.identity_frac(35)
     p27, p214 = s.projector(2, 7), s.projector(2, 14)
-    assert np.equal(p27 + p214, eye2).all()
+    assert np.equal(obj(p27) + obj(p214), eye2).all()
     assert linalg.rank(p27) == 7 and linalg.rank(p214) == 14
     p31, p37, p327 = s.projector(3, 1), s.projector(3, 7), s.projector(3, 27)
-    assert np.equal(p31 + p37 + p327, eye3).all()
+    assert np.equal(obj(p31) + obj(p37) + obj(p327), eye3).all()
     assert [linalg.rank(p) for p in (p31, p37, p327)] == [1, 7, 27]
 
 
 def test_projector_idempotent_orthogonal(s):
     for grade, comps in COMPONENTS.items():
-        projs = [s.projector(grade, c) for c in comps]
+        projs = [obj(s.projector(grade, c)) for c in comps]
         for i, p in enumerate(projs):
             assert np.equal(p @ p, p).all()
             for j, q in enumerate(projs):
@@ -68,11 +65,11 @@ def test_projection_completeness_random(s):
     rng = np.random.default_rng(0)
     for _ in range(25):
         a2 = rand_form(rng, 2)
-        total = s.project(TypeLabel(2, 7), a2) + s.project(TypeLabel(2, 14), a2)
+        total = s.apply_projector(2, 7, a2) + s.apply_projector(2, 14, a2)
         assert total == a2
         a3 = rand_form(rng, 3)
-        total3 = (s.project(TypeLabel(3, 1), a3) + s.project(TypeLabel(3, 7), a3)
-                  + s.project(TypeLabel(3, 27), a3))
+        total3 = (s.apply_projector(3, 1, a3) + s.apply_projector(3, 7, a3)
+                  + s.apply_projector(3, 27, a3))
         assert total3 == a3
 
 
@@ -83,31 +80,29 @@ def test_star_equivariance(s):
     for grade, comps in COMPONENTS.items():
         for comp in comps:
             a = rand_form(rng, grade)
-            lhs = hodge_star(s.project(TypeLabel(grade, comp), a), s.metric)
-            rhs = s.project(TypeLabel(grade, comp), hodge_star(a, s.metric))
+            lhs = hodge_star(s.apply_projector(grade, comp, a), s.metric)
+            rhs = s.apply_projector(DIM - grade, comp, hodge_star(a, s.metric))
             assert lhs == rhs
 
 
 def test_project_dual_grades(s):
     rng = np.random.default_rng(2)
     a4 = rand_form(rng, 4)
-    parts = [s.project(TypeLabel(3, c), a4) for c in (1, 7, 27)]
+    parts = [s.apply_projector(4, c, a4) for c in (1, 7, 27)]
     total = parts[0] + parts[1] + parts[2]
     assert total == a4
-    with pytest.raises(ValueError):
-        s.project(TypeLabel(2, 7), a4)
 
 
 def test_pi14_kills_type7(s):
     v7 = interior([1, 0, 0, 0, 0, 0, 0], s.phi)
-    assert s.project(TypeLabel(2, 14), v7).is_zero()
-    assert s.project(TypeLabel(2, 7), v7) == v7
+    assert s.apply_projector(2, 14, v7).is_zero()
+    assert s.apply_projector(2, 7, v7) == v7
 
 
 def test_phi_is_pure_type_one(s):
-    assert s.project(TypeLabel(3, 1), s.phi) == s.phi
-    assert s.project(TypeLabel(3, 7), s.phi).is_zero()
-    assert s.project(TypeLabel(3, 27), s.phi).is_zero()
+    assert s.apply_projector(3, 1, s.phi) == s.phi
+    assert s.apply_projector(3, 7, s.phi).is_zero()
+    assert s.apply_projector(3, 27, s.phi).is_zero()
 
 
 def test_apply_I_and_J(s):
@@ -115,12 +110,12 @@ def test_apply_I_and_J(s):
     assert s.apply_J(s.psi) == s.psi.scale(Fraction(3, 4))
     rng = np.random.default_rng(3)
     a = rand_form(rng, 3)
-    a27 = s.project(TypeLabel(3, 27), a)
+    a27 = s.apply_projector(3, 27, a)
     assert s.apply_I(a27) == a27.scale(-1)
     # I^2 = (16/9) pi_1 + pi_7 + pi_27
     lhs = s.apply_I(s.apply_I(a))
-    rhs = (s.project(TypeLabel(3, 1), a).scale(Fraction(16, 9))
-           + s.project(TypeLabel(3, 7), a) + s.project(TypeLabel(3, 27), a))
+    rhs = (s.apply_projector(3, 1, a).scale(Fraction(16, 9))
+           + s.apply_projector(3, 7, a) + s.apply_projector(3, 27, a))
     assert lhs == rhs
 
 
@@ -136,8 +131,8 @@ def test_J_squares_correctly(s):
     rng = np.random.default_rng(6)
     a = rand_form(rng, 4)
     lhs = s.apply_J(s.apply_J(a))
-    rhs = (s.project(TypeLabel(3, 1), a).scale(Fraction(9, 16))
-           + s.project(TypeLabel(3, 7), a) + s.project(TypeLabel(3, 27), a))
+    rhs = (s.apply_projector(4, 1, a).scale(Fraction(9, 16))
+           + s.apply_projector(4, 7, a) + s.apply_projector(4, 27, a))
     assert lhs == rhs
     b = rand_form(rng, 4)
     assert inner(s.apply_J(a), b, s.metric) == inner(a, s.apply_J(b), s.metric)
@@ -166,11 +161,11 @@ def test_rational_frame_structure():
     assert wedge(s2.phi, s2.psi).coeffs[0] == 14
     rng = np.random.default_rng(5)
     a = rand_form(rng, 2)
-    total = s2.project(TypeLabel(2, 7), a) + s2.project(TypeLabel(2, 14), a)
+    total = s2.apply_projector(2, 7, a) + s2.apply_projector(2, 14, a)
     assert total == a
     # projections stay orthogonal w.r.t. the frame metric
-    p7 = s2.project(TypeLabel(2, 7), a)
-    p14 = s2.project(TypeLabel(2, 14), a)
+    p7 = s2.apply_projector(2, 7, a)
+    p14 = s2.apply_projector(2, 14, a)
     assert inner(p7, p14, s2.metric) == 0
 
 
@@ -193,7 +188,7 @@ G2_GENERATORS = [
 ]
 
 MEMBERSHIP_FRAMES = {
-    "identity": linalg.identity_frac(DIM).tolist(),
+    "identity": [list(row) for row in linalg.identity_frac(DIM)],
     "diagonal": [[(2 if i == j == 0 else 3 if i == j == 5 else int(i == j))
                   for j in range(DIM)] for i in range(DIM)],
     "non_integer_gram": [[(Fraction(1, 2) if i == j == 6 else int(i == j))
@@ -206,20 +201,20 @@ MEMBERSHIP_FRAMES = {
 
 def _membership_cases(rng, frame):
     """Signed permutations, small integer matrices and conjugated members."""
-    F = linalg.frac_matrix(frame)
-    Finv = linalg.scaled(*linalg.inverse(F))
+    F = obj(linalg.frac_matrix(frame))
+    Finv = obj(linalg.scaled(*linalg.inverse(F)))
     cases = []
     for _ in range(90):
         cases.append(_signed_permutation(rng.permutation(DIM), rng.choice([-1, 1], DIM)))
     for _ in range(90):
         cases.append(rng.integers(-2, 3, size=(DIM, DIM)).tolist())
     for k in range(120):
-        B = linalg.identity_frac(DIM)
+        B = obj(linalg.identity_frac(DIM))
         for g in rng.integers(0, len(G2_GENERATORS), size=int(rng.integers(1, 7))):
-            B = B @ linalg.frac_matrix(G2_GENERATORS[g])
+            B = B @ obj(linalg.frac_matrix(G2_GENERATORS[g]))
         if k % 4 == 3:
             # a near miss: one more coordinate sign change outside G2
-            B = B @ linalg.frac_matrix(_signed_permutation(range(DIM), (-1,) + (1,) * 6))
+            B = B @ obj(linalg.frac_matrix(_signed_permutation(range(DIM), (-1,) + (1,) * 6)))
         cases.append((Finv @ B @ F).tolist())
     return cases
 
@@ -234,26 +229,6 @@ def test_is_g2_element_matches_pullback(name):
         assert s2.is_g2_element(A) == expected, A
         members += expected
     assert members >= 90
-
-
-FLOAT_VIEW_FRAMES = [None, [[(2 if i == j == 0 else 3 if i == j == 5 else int(i == j))
-                             for j in range(DIM)] for i in range(DIM)]]
-
-
-@pytest.mark.parametrize("frame", FLOAT_VIEW_FRAMES, ids=["identity", "diagonal"])
-def test_float_views_match_exact_matrices_and_are_read_only(frame):
-    s2 = G2Structure(frame)
-    for grade, comps in {**COMPONENTS, 4: (1, 7, 27), 5: (7, 14)}.items():
-        for comp in comps:
-            view = s2.projector_float(grade, comp)
-            assert view is s2.projector_float(grade, comp)
-            assert np.array_equal(view, linalg.to_float(s2.projector(grade, comp)))
-            assert not view.flags.writeable
-    for p in range(DIM + 1):
-        view = s2.star_matrix_float(p)
-        assert view is s2.star_matrix_float(p)
-        assert np.array_equal(view, linalg.to_float(s2.star_matrix(p)))
-        assert not view.flags.writeable
 
 
 def test_memo_is_keyed_by_function_and_arguments():
@@ -281,21 +256,21 @@ def _typed_vectors(structure, grade, component):
     if grade in (2, 3):
         return structure.type_space_basis(grade, component)
     star = structure.star_matrix(DIM - grade)
-    return [star @ v for v in structure.type_space_basis(DIM - grade, component)]
+    return [linalg.matvec(star, v) for v in structure.type_space_basis(DIM - grade, component)]
 
 
 def test_framed_projectors_are_exact_orthogonal_splittings(framed):
     for grade, comps in VALID_COMPONENTS.items():
         G = framed.metric.lambda_gram(grade)
-        total = linalg.zeros_frac(comb(DIM, grade), comb(DIM, grade))
+        total = np.zeros((comb(DIM, grade), comb(DIM, grade)), dtype=object)
         for comp in comps:
             P = framed.projector(grade, comp)
             assert np.equal(linalg.matmul(P, P), P).all()
-            assert np.equal(linalg.matmul(G, P), linalg.matmul(P.T, G)).all()
+            assert np.equal(linalg.matmul(G, P), linalg.matmul(linalg.transpose(P), G)).all()
             assert linalg.rank(P) == comp
             for v in _typed_vectors(framed, grade, comp):
-                assert np.equal(P @ v, v).all()
-            total = total + P
+                assert np.equal(linalg.matvec(P, v), v).all()
+            total = total + obj(P)
         assert np.equal(total, linalg.identity_frac(comb(DIM, grade))).all()
 
 
@@ -304,7 +279,7 @@ def test_type_space_bases_have_the_component_dimension(framed):
         for comp in VALID_COMPONENTS[grade]:
             basis = framed.type_space_basis(grade, comp)
             assert len(basis) == comp
-            assert linalg.rank(np.stack(basis)) == comp
+            assert linalg.rank(basis) == comp
 
 
 def test_framed_dual_projectors_match_star_conjugation(framed):
@@ -323,7 +298,7 @@ def test_star_matrix_matches_hodge_star_and_squares_to_identity(framed):
             coeffs = [0] * comb(DIM, p)
             coeffs[k] = 1
             column = hodge_star(ExteriorForm(p, coeffs), framed.metric).coeffs
-            assert np.equal(S[:, k], column).all()
+            assert np.equal([row[k] for row in S], column).all()
         assert np.equal(linalg.matmul(framed.star_matrix(DIM - p), S),
                         linalg.identity_frac(comb(DIM, p))).all()
 
@@ -332,7 +307,7 @@ def _spoiled_bases(key):
     """The standard bases with the first vector of `key` moved off its type space."""
     bases = dict(g2._standard_bases())
     other = bases[(key[0], 7)][0]
-    bases[key] = (bases[key][0] + other,) + bases[key][1:]
+    bases[key] = (tuple(x + y for x, y in zip(bases[key][0], other)),) + bases[key][1:]
     return lambda: bases
 
 

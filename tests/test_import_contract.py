@@ -1,0 +1,91 @@
+"""The closed-form commands run on the standard library alone.
+
+`check`, `invariants --crosscheck` and `zeta` must import neither numpy nor
+mpmath, and give the same reports as a process that has both; mpmath is
+still reached, lazily, by an Epstein value away from s = 0.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import mpmath
+
+from g2mu import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+COMMANDS = (["check"], ["invariants", "--crosscheck"], ["zeta"])
+
+# numpy and mpmath made unimportable: `import numpy` raises ImportError
+BLOCKED_RUNS = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+sys.modules["mpmath"] = None
+from g2mu import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(argv)
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def _python(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _masked(stdout):
+    report = json.loads(stdout)
+    report.pop("wall_time_s")
+    return report
+
+
+def test_import_of_the_cli_loads_neither_numpy_nor_mpmath():
+    _python("import g2mu.cli, sys; "
+            "assert 'numpy' not in sys.modules and 'mpmath' not in sys.modules")
+
+
+def test_closed_form_commands_run_without_numpy_and_mpmath(tmp_path, capsys):
+    # m1 under a frame with a non-integer Gram, diag(1, ..., 1, 1/4)
+    framed = json.loads((CONFIG_DIR / "m1.json").read_text())
+    framed.update(name="m1-half", frame=[[str(Fraction(1, 2) if i == j == 6 else int(i == j))
+                                          for j in range(7)] for i in range(7)])
+    framed_path = tmp_path / "m1-half.json"
+    framed_path.write_text(json.dumps(framed))
+    configs = [str(CONFIG_DIR / f"{stem}.json") for stem in ("t7", "m1", "m2", "m3")]
+    runs = [cmd + ["--config", path] for path in configs + [str(framed_path)]
+            for cmd in COMMANDS]
+
+    blocked = json.loads(_python(BLOCKED_RUNS, json.dumps(runs)))
+    assert len(blocked) == len(runs)
+    for argv, (code, stdout) in zip(runs, blocked):
+        assert code == 0, argv
+        assert cli.run(argv) == 0
+        assert _masked(stdout) == _masked(capsys.readouterr().out), argv
+
+
+def test_epstein_value_off_zero_imports_mpmath_lazily():
+    value = _python("""
+import sys
+from fractions import Fraction
+from g2mu import epstein, linalg
+lat = epstein.TwistedLattice(1, ((1, 0, 0, 0, 0, 0, 0),), linalg.identity_frac(1),
+                             (Fraction(0),))
+assert epstein.epstein_value(lat, 0) == -1 and 'mpmath' not in sys.modules
+value = epstein.epstein_value(lat, 1.5)
+assert 'mpmath' in sys.modules
+print(repr(value))
+""")
+    # the rank-1 cubic lattice: Z(s) = 2 zeta(2s)
+    assert abs(complex(value) - complex(2 * mpmath.zeta(3))) < 1e-12

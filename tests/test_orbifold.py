@@ -133,8 +133,8 @@ def test_elements_preserve_metric():
     orb = validate_joyce(generate([ALPHA, BETA, GAMMA]))
     G = orb.structure.metric.gram
     for e in orb.group:
-        A = linalg.frac_matrix(e.matrix)
-        assert np.equal(A.T @ G @ A, G).all()
+        A = np.array(linalg.frac_matrix(e.matrix), dtype=object)
+        assert np.equal(A.T @ np.array(G, dtype=object) @ A, G).all()
 
 
 def test_matrix_parts_have_finite_order():
