@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 mathematical mismatch or validation failure,
 2 malformed input.  Reports are JSON (or CSV) on stdout and deterministic
 for a fixed config and seed up to the wall_time_s field.
 
-check, invariants and zeta run on the exact core alone; `spectrum` imports
-the oracle, and `identities` the Fourier layer, and with them numpy.
+check, invariants, zeta and spectrum run on the exact core alone, with
+neither numpy nor mpmath; `identities` imports the Fourier layer, and with
+it numpy.
 """
 
 import argparse

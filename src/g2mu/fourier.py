@@ -29,6 +29,8 @@ The float matrices are views of the structure's exact ones (`gram_float`,
 `lambda_gram_float`, `projector_float`, `star_matrix_float`), converted
 once and kept read-only in the structure's memo; the integer stacks of
 `e^a ^ .` and `e_a -| .` are built once from the tables in `exterior`.
+The exact mode fibres that the Hessian blocks project onto are `g2`'s
+`typed_contraction_kernel`.
 """
 
 from dataclasses import dataclass
@@ -38,8 +40,8 @@ from math import comb
 
 import numpy as np
 
-from . import linalg
 from .exterior import DIM, ExteriorForm, interior_table, wedge_matrix, wedge_table
+from .g2 import typed_contraction_kernel
 
 TWO_PI = 2.0 * np.pi
 
@@ -400,60 +402,6 @@ def refined(name, f, strict=False):
                 f"input to {name} has a component outside Lambda^{dom_grade}_{dom_comp}")
         f = projected
     return _apply_stack(f, f.structure.memo(_refined_stack, name), op.codomain[0])
-
-
-# -- mode fibre subspaces -------------------------------------------------------
-
-def _contraction_on_type(structure, lc, grade, component):
-    """iota_l B for the typed-subspace basis matrix B, an integer matrix."""
-    K = structure.memo(_axis_contractions, grade, component)
-    return np.tensordot(np.array(lc, dtype=object), K, axes=1)
-
-
-def _axis_contractions(structure, grade, component):
-    """K[a] = iota_{e_a} B, so that iota_l B = sum_a l_a K[a], in Python ints."""
-    B = np.array(structure.type_space_basis(grade, component), dtype=object).T
-    return interior_stack(grade).astype(object) @ B
-
-
-def typed_contraction_kernel(structure, l, grade, component):
-    """Exact basis of {u in Lambda^grade_component : l . u = 0} at mode l.
-
-    This is the fibre of the eigenspaces H_l (grade 2, component 14,
-    dimension 8) and H'_l (grade 3, component 27, dimension 12).  The typed
-    subspace is parametrised once by an integer basis matrix B, so only the
-    small system (iota_l B) x = 0 is solved per mode; iota_l B is the
-    integer combination sum_a l_a iota_{e_a} B of seven per-structure
-    matrices.  Basis vectors are scaled to primitive integer vectors.
-    Memoised per (l, grade, component) on the structure; l and -l share a
-    basis.
-    """
-    return structure.memo(_kernel_basis, _canonical_sign(_mode_key(l)), grade, component)
-
-
-def _kernel_basis(structure, lc, grade, component):
-    C = _contraction_on_type(structure, lc, grade, component)
-    B = np.array(structure.type_space_basis(grade, component), dtype=object).T
-    # B and the kernel vectors are integral, so B @ x stays in ints
-    return tuple(linalg.primitive_integer(B @ np.array(x, dtype=object))
-                 for x in linalg.nullspace(C))
-
-
-def typed_contraction_kernel_dim(structure, l, grade, component):
-    """Dimension of the fibre, via an exact integer rank."""
-    return structure.memo(_kernel_dim, _canonical_sign(_mode_key(l)), grade, component)
-
-
-def _kernel_dim(structure, lc, grade, component):
-    C = _contraction_on_type(structure, lc, grade, component)
-    return C.shape[1] - linalg.rank(C)
-
-
-def _canonical_sign(l):
-    for x in l:
-        if x != 0:
-            return l if x > 0 else tuple(-y for y in l)
-    return l
 
 
 # -- random form generation -----------------------------------------------------

@@ -30,9 +30,14 @@ rows of the metric's lambda_gram(p), signed and permuted as the Euclidean
 star.  Every basis, projector and star matrix is exact: a tuple of ints or
 Fractions, or a tuple of such rows.
 
+The mode fibres of the oracle, {u in Lambda^grade_component : l -| u = 0},
+are exact kernels here as well (`typed_contraction_kernel`): iota_{e_a} B
+is kept per structure as sparse integer entries, so each mode solves one
+small integer system.
+
 A G2Structure owns every cache that depends on it: one memo keyed by the
 producing function and its arguments, which also holds what `fourier` and
-`oracle` derive from it (float views, mode stacks, fibre kernels).
+`oracle` derive from it (float views, mode stacks, fibre traces).
 """
 
 from fractions import Fraction
@@ -41,8 +46,8 @@ from math import comb, lcm
 
 from . import linalg
 from .exterior import (DIM, INDICES, ExteriorForm, Metric7, hodge_star, hodge_table,
-                       interior, metric_from_frame, pullback, pullback_matrix, wedge,
-                       wedge_matrix)
+                       interior, interior_table, metric_from_frame, pullback,
+                       pullback_matrix, wedge, wedge_matrix)
 
 PHI0_TERMS = {
     (1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1, (2, 4, 6): 1,
@@ -153,6 +158,72 @@ def _projector(structure, grade, component):
         return base
     return linalg.matmul(structure.frame_pullback_matrix(grade), base,
                          structure.frame_pullback_matrix(grade, inverse=True))
+
+
+# -- mode fibre subspaces -------------------------------------------------------
+
+def typed_contraction_kernel(structure, l, grade, component):
+    """Exact basis of {u in Lambda^grade_component : l . u = 0} at mode l.
+
+    This is the fibre of the eigenspaces H_l (grade 2, component 14,
+    dimension 8) and H'_l (grade 3, component 27, dimension 12).  The typed
+    subspace is parametrised once by its integer basis B, so only the small
+    system (iota_l B) x = 0 is solved per mode; iota_l B is the integer
+    combination sum_a l_a iota_{e_a} B, summed over sparse per-structure
+    entries.  Basis vectors are scaled to primitive integer vectors.
+    Memoised per (l, grade, component) on the structure; l and -l share a
+    basis.
+    """
+    return structure.memo(_kernel_basis, _canonical_sign(l), grade, component)
+
+
+def _kernel_basis(structure, lc, grade, component):
+    C = _contraction_on_type(structure, lc, grade, component)
+    B = linalg.transpose(structure.type_space_basis(grade, component))
+    # B and the kernel vectors are integral, so B x stays in ints
+    return tuple(linalg.primitive_integer(linalg.matvec(B, x)) for x in linalg.nullspace(C))
+
+
+def typed_contraction_kernel_dim(structure, l, grade, component):
+    """Dimension of the fibre, via an exact integer rank."""
+    return structure.memo(_kernel_dim, _canonical_sign(l), grade, component)
+
+
+def _kernel_dim(structure, lc, grade, component):
+    C = _contraction_on_type(structure, lc, grade, component)
+    return len(C[0]) - linalg.rank(C)
+
+
+def _contraction_on_type(structure, lc, grade, component):
+    """iota_l B for the typed-subspace basis matrix B, as a list of int rows."""
+    C = [[0] * len(structure.type_space_basis(grade, component))
+         for _ in range(comb(DIM, grade - 1))]
+    for row, col, axis, x in structure.memo(_axis_contractions, grade, component):
+        C[row][col] += lc[axis] * x
+    return C
+
+
+def _axis_contractions(structure, grade, component):
+    """iota_{e_a} B for every axis a, as sparse integer entries.
+
+    Entry (row, col, a, x) says that iota_{e_a} B has x at (row, col), so
+    that iota_l B = sum_a l_a iota_{e_a} B is a sum over the entries.  The
+    type-space bases are sparse, so there are few: 56 for Lambda^2_14 and
+    162 for Lambda^3_27 in the standard frame.
+    """
+    B = structure.type_space_basis(grade, component)
+    return tuple((pos_out, col, axis, sign * v[pos_in])
+                 for axis, pos_in, pos_out, sign in interior_table(grade)
+                 for col, v in enumerate(B) if v[pos_in])
+
+
+def _canonical_sign(l):
+    """The integer mode l or -l, whichever has its first nonzero entry positive."""
+    l = tuple(int(x) for x in l)
+    for x in l:
+        if x != 0:
+            return l if x > 0 else tuple(-y for y in l)
+    return l
 
 
 class Memo:

@@ -11,13 +11,14 @@ summed over lattice vectors l of a fixed squared length: the shells of
 pullback; the dimension of the invariant subspace is the group average of
 the character.  This module computes that dimension two independent ways:
 
-  * brute force: explicit bases of the fibres, explicit pullback matrices,
-    exact restricted traces and exact root-of-unity phases.  Bases,
-    pullback matrices and the Lambda-Gram matrix (cleared of its
-    denominator once per structure) are integer matrices, so each trace
-    is computed in Python ints with one division at the end;
+  * brute force: explicit bases of the fibres (`g2.typed_contraction_kernel`),
+    explicit pullback matrices, exact restricted traces and exact
+    root-of-unity phases.  Bases, pullback matrices and the Lambda-Gram
+    matrix (cleared of its denominator once per structure) are integer
+    matrices, tuples of int rows, so each trace is computed in Python ints
+    with one division at the end;
   * closed form: the tr8/tr12 trace polynomials weighted by the same phases
-    over the fixed vectors of each element.
+    over the fixed vectors of each element, once per element and phase.
 
 Both read an element's fixed vectors and phases from the shells of its
 twisted fixed lattice (`epstein.fixed_lattice`), enumerated once per element
@@ -25,17 +26,21 @@ and radius, so what they check against each other is the trace.  The classes
 themselves are the nonzero shells of the identity element's lattice: Z^7 with
 Gram G and zero twist.  Agreement of the two routes on every class is the
 oracle for the character formula behind the mu-invariants.
+
+The module is plain Python, like the exact core it reads; mpmath is
+imported only for a phase whose cosine is irrational.
 """
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from . import linalg
 from .epstein import fixed_lattice_cached
 from .exterior import DIM
-from .fourier import typed_contraction_kernel, typed_contraction_kernel_dim
+from .g2 import typed_contraction_kernel, typed_contraction_kernel_dim
 from .invariants import tr8_su3, tr12_su3
 from .orbifold import AffineElement
 
@@ -71,7 +76,7 @@ class EigenClass:
 
     def eigenvalue(self):
         """The (negative) eigenvalue -4 pi^2 |l|^2 as a float."""
-        return -4.0 * np.pi ** 2 * float(self.norm_sq)
+        return -4.0 * math.pi ** 2 * float(self.norm_sq)
 
     def __len__(self):
         return len(self.vectors)
@@ -142,36 +147,40 @@ def _restricted_trace(structure, mat_pullback, basis):
     tr((B^T G B)^-1 B^T G M B).  When the fibre is invariant (fixed modes)
     the projection is a no-op.  G may be any integer multiple of the
     Lambda-Gram matrix, since the scalar cancels; with (B^T G B)^-1 = A / D
-    the trace is sum(A * N^T) / D for the integer matrix N = B^T G M B.
+    the trace is tr(P M B) / D for the integer matrix P = A B^T G, kept per
+    fibre, so each trace is one integer product M B and one division.
     """
-    B, BtG, A, D = structure.memo(_fibre_trace_data, tuple(map(tuple, basis)))
-    N = BtG @ (mat_pullback @ B)
-    return Fraction((A * N.T).sum(), D)
+    B, P, D = structure.memo(_fibre_trace_data, tuple(map(tuple, basis)))
+    MB = linalg.int_matmul(mat_pullback, B)
+    return Fraction(sum(sum(map(mul, row, col)) for row, col in zip(P, zip(*MB))), D)
 
 
 def _fibre_trace_data(structure, basis):
-    """(B, B^T G, A, D) for an integer fibre basis, G the integer-cleared Lambda-Gram."""
+    """(B, A B^T G, D) for an integer fibre basis (the rows of B^T), with
+    G the integer-cleared Lambda-Gram and (B^T G B)^-1 = A / D."""
     G = structure.memo(_integer_lambda_gram, {21: 2, 35: 3}[len(basis[0])])
-    B = np.array(basis, dtype=object).T
-    BtG = B.T @ G
-    A, D = linalg.inverse(BtG @ B)
-    return B, BtG, np.array(A, dtype=object), D
+    B = linalg.transpose(basis)
+    BtG = linalg.int_matmul(basis, G)
+    A, D = linalg.inverse(linalg.int_matmul(BtG, B))
+    return B, linalg.int_matmul(A, BtG), D
 
 
 def _integer_lambda_gram(structure, grade):
-    return np.array(linalg.clear_denominators(structure.metric.lambda_gram(grade))[0],
-                    dtype=object)
+    return tuple(map(tuple, linalg.clear_denominators(structure.metric.lambda_gram(grade))[0]))
 
 
 class _PhaseSum:
-    """Exact accumulator for sums of coeff * exp(2 pi i q), q rational."""
+    """Exact accumulator for sums of coeff * exp(2 pi i q).
+
+    Each phase q is a reduced Fraction in [0, 1), as `_mode_shells` gives
+    it; each coeff an int or a Fraction.
+    """
 
     def __init__(self):
         self.terms = {}
 
     def add(self, q, coeff):
-        q = linalg.frac(q) % 1
-        self.terms[q] = self.terms.get(q, Fraction(0)) + linalg.frac(coeff)
+        self.terms[q] = self.terms.get(q, 0) + coeff
 
     def value(self):
         """The exact rational value; requires conjugation symmetry."""
@@ -252,8 +261,9 @@ def invariant_dimension_formula(orbifold, cls, kind):
     acc = _PhaseSum()
     for element in orbifold.group:
         value = poly(element.matrix)
-        for _, q in _fixed_vectors(element, cls, orbifold.structure):
-            acc.add(q, value)
+        fixed = _fixed_vectors(element, cls, orbifold.structure)
+        for q, count in Counter(q for _, q in fixed).items():
+            acc.add(q, count * value)
     return _integer_average(acc, len(orbifold.group))
 
 
@@ -270,7 +280,7 @@ def pullback_matrix_cached(structure, element, grade):
 
 
 def _element_pullback_matrix(structure, matrix, grade):
-    return np.array(linalg.int_compound(matrix, grade), dtype=object).T
+    return linalg.transpose(linalg.int_compound(matrix, grade))
 
 
 def su3_trace_check(orbifold, element, l):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import comb
 
@@ -317,3 +319,73 @@ def test_projector_build_check_can_fail(monkeypatch, key):
     monkeypatch.setattr(g2, "_standard_bases", _spoiled_bases(key))
     with pytest.raises(ArithmeticError):
         g2._standard_projectors.__wrapped__()
+
+
+def test_contraction_kernels_are_per_structure():
+    diag = [[(2 if i == j == 0 else 3 if i == j == 5 else int(i == j)) for j in range(7)]
+            for i in range(7)]
+    l = (1, 1, 0, 0, 0, 1, 0)
+    shared = {"identity": G2Structure.for_frame(None), "diagonal": G2Structure.for_frame(diag)}
+    fresh = {"identity": G2Structure(None), "diagonal": G2Structure(diag)}
+    bases = {}
+    for name in shared:
+        for grade, component in [(2, 14), (3, 27)]:
+            got = g2.typed_contraction_kernel(shared[name], l, grade, component)
+            want = g2.typed_contraction_kernel(fresh[name], l, grade, component)
+            assert [list(v) for v in got] == [list(v) for v in want]
+            bases[name, grade] = [list(v) for v in got]
+    for grade in (2, 3):
+        assert bases["identity", grade] != bases["diagonal", grade]
+
+
+def test_contraction_kernel_shared_by_opposite_modes(s):
+    l = (1, -2, 0, 0, 1, 0, 0)
+    minus = tuple(-x for x in l)
+    for grade, component in [(2, 14), (3, 27)]:
+        assert g2.typed_contraction_kernel(s, l, grade, component) is \
+            g2.typed_contraction_kernel(s, minus, grade, component)
+        assert g2.typed_contraction_kernel_dim(s, l, grade, component) == \
+            g2.typed_contraction_kernel_dim(s, minus, grade, component)
+
+
+def test_standard_and_fibre_bases_are_pinned():
+    """The exact bases behind every kernel and trace, pinned by digest.
+
+    Spectrum reports count dimensions, which do not depend on the basis, so
+    a changed basis would otherwise go unseen.
+    """
+    def digest(vectors):
+        return hashlib.sha256(json.dumps(vectors, sort_keys=True).encode()).hexdigest()
+
+    standard = {f"{grade}_{comp}": [[int(x) for x in v] for v in vs]
+                for (grade, comp), vs in g2._standard_bases().items()}
+    assert digest(standard) == \
+        "80d901e3e59d5cbfa0c7e8a17a31c485304687e9c9ac530203c685108cbfcba9"
+    half = [[Fraction(1, 2) if i == j == 6 else int(i == j) for j in range(7)]
+            for i in range(7)]
+    expected = {
+        "identity": "448345f0d648e03aa6ade5af74e88b160a3e5c610dc8159f7e96e3ba37976fef",
+        "half": "d12b375b467493d2fa6fc8103da281cd44d83b1d905d27a4efd95a6e49971229",
+    }
+    for name, frame in (("identity", None), ("half", half)):
+        s = G2Structure(frame)
+        kernels = {f"{l}-{grade}": [[int(x) for x in v]
+                                    for v in g2.typed_contraction_kernel(s, l, grade, comp)]
+                   for l in ((1, 0, 0, 0, 0, 0, 0), (1, 2, 0, -1, 0, 1, 0))
+                   for grade, comp in ((2, 14), (3, 27))}
+        assert digest(kernels) == expected[name], name
+
+
+def test_contraction_kernel_at_large_mode():
+    l = (2 ** 20 + 3, -5, 0, 2 ** 21, 0, 1, -(2 ** 33))
+    frame = [[2 if i == j == 0 else 3 if i == j == 5 else int(i == j) for j in range(7)]
+             for i in range(7)]
+    for s in (G2Structure(None), G2Structure(frame)):
+        for grade, component, dim in [(2, 14, 8), (3, 27, 12)]:
+            basis = g2.typed_contraction_kernel(s, l, grade, component)
+            assert len(basis) == dim
+            assert g2.typed_contraction_kernel_dim(s, l, grade, component) == dim
+            for v in basis:
+                a = ExteriorForm(grade, v)
+                assert interior(l, a).is_zero()
+                assert s.apply_projector(grade, component, a) == a

@@ -1,8 +1,8 @@
-"""The closed-form commands run on the standard library alone.
+"""The exact commands run on the standard library alone.
 
-`check`, `invariants --crosscheck` and `zeta` must import neither numpy nor
-mpmath, and give the same reports as a process that has both; mpmath is
-still reached, lazily, by an Epstein value away from s = 0.
+`check`, `invariants --crosscheck`, `zeta` and `spectrum` must import
+neither numpy nor mpmath, and give the same reports as a process that has
+both; mpmath is still reached, lazily, by an Epstein value away from s = 0.
 """
 
 import json
@@ -56,23 +56,42 @@ def test_import_of_the_cli_loads_neither_numpy_nor_mpmath():
             "assert 'numpy' not in sys.modules and 'mpmath' not in sys.modules")
 
 
-def test_closed_form_commands_run_without_numpy_and_mpmath(tmp_path, capsys):
-    # m1 under a frame with a non-integer Gram, diag(1, ..., 1, 1/4)
+def test_import_of_the_oracle_loads_neither_numpy_nor_mpmath():
+    _python("import g2mu.oracle, sys; "
+            "assert 'numpy' not in sys.modules and 'mpmath' not in sys.modules")
+
+
+def _configs(tmp_path):
+    """The four shipped configs, and m1 under a frame with a non-integer Gram,
+    diag(1, ..., 1, 1/4)."""
     framed = json.loads((CONFIG_DIR / "m1.json").read_text())
     framed.update(name="m1-half", frame=[[str(Fraction(1, 2) if i == j == 6 else int(i == j))
                                           for j in range(7)] for i in range(7)])
     framed_path = tmp_path / "m1-half.json"
     framed_path.write_text(json.dumps(framed))
-    configs = [str(CONFIG_DIR / f"{stem}.json") for stem in ("t7", "m1", "m2", "m3")]
-    runs = [cmd + ["--config", path] for path in configs + [str(framed_path)]
-            for cmd in COMMANDS]
+    return [str(CONFIG_DIR / f"{stem}.json") for stem in ("t7", "m1", "m2", "m3")] + \
+        [str(framed_path)]
 
+
+def _assert_blocked_runs_match(runs, capsys):
+    """Each run exits 0 with numpy and mpmath blocked, and its report equals
+    the same run's in this process, wall_time_s masked."""
     blocked = json.loads(_python(BLOCKED_RUNS, json.dumps(runs)))
     assert len(blocked) == len(runs)
     for argv, (code, stdout) in zip(runs, blocked):
         assert code == 0, argv
         assert cli.run(argv) == 0
         assert _masked(stdout) == _masked(capsys.readouterr().out), argv
+
+
+def test_closed_form_commands_run_without_numpy_and_mpmath(tmp_path, capsys):
+    _assert_blocked_runs_match([cmd + ["--config", path] for path in _configs(tmp_path)
+                                for cmd in COMMANDS], capsys)
+
+
+def test_spectrum_runs_without_numpy_and_mpmath(tmp_path, capsys):
+    _assert_blocked_runs_match([["spectrum", "--config", path, "--radius-sq", "2"]
+                                for path in _configs(tmp_path)], capsys)
 
 
 def test_epstein_value_off_zero_imports_mpmath_lazily():

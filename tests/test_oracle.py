@@ -157,10 +157,24 @@ def test_restricted_trace_matches_fraction_formula(frame):
         M = np.array([[int(x) for x in row] for row in rng.integers(-3, 4, size=(n, n))],
                      dtype=object)
         M[0, 0], M[3, 1], M[n - 1, 2] = 2 ** 31 + 5, -(2 ** 40), 3 * 2 ** 62
-        tr = orc._restricted_trace(structure, M, basis)
+        tr = orc._restricted_trace(structure, tuple(map(tuple, M)), basis)
         assert isinstance(tr, Fraction) and tr == _reference_trace(structure, M, basis)
-        identity = np.array([[int(i == j) for j in range(n)] for i in range(n)], dtype=object)
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         assert orc._restricted_trace(structure, identity, basis) == len(basis)
+
+
+def test_phase_sum_requires_conjugation_symmetry():
+    acc = orc._PhaseSum()
+    for q, coeff in [(Fraction(0), 3), (Fraction(0), 4), (Fraction(1, 3), 2),
+                     (Fraction(2, 3), 2), (Fraction(1, 4), Fraction(1, 2))]:
+        acc.add(q, coeff)
+    assert type(acc.terms[Fraction(0)]) is int
+    # 7 + 2 * 2 cos(2 pi / 3) + 1/2 cos(pi / 2), which needs the 3/4 term to be real
+    acc.add(Fraction(3, 4), Fraction(1, 2))
+    assert acc.value() == 5
+    acc.add(Fraction(1, 3), 1)
+    with pytest.raises(orc.NonIntegerDimension, match="not real"):
+        acc.value()
 
 
 def test_su3_trace_check_examples(torus, m1):
