@@ -39,6 +39,31 @@ class ConfigError(ValueError):
     pass
 
 
+# one validator per field, for the config key and the flag that overrides it;
+# `name` is the key or the flag, as the message gives it
+def _radius_sq(value, name):
+    try:
+        radius = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"bad {name}") from None
+    if radius < 0:
+        raise ConfigError(f"{name} must be nonnegative")
+    return radius
+
+
+def _trials(value, name):
+    # type(), not isinstance(): JSON true and false are bools, a subclass of int
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"{name} must be a positive integer")
+    return value
+
+
+def _seed(value, name):
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer")
+    return value
+
+
 def parse_config(raw):
     """Validate and normalise a config dict; unknown fields are rejected."""
     if not isinstance(raw, dict):
@@ -77,26 +102,13 @@ def parse_config(raw):
             frame = [[Fraction(str(x)) for x in row] for row in frame]
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad rational in frame: {exc}")
-    radius = raw.get("oracle_radius_sq", 9)
-    try:
-        radius = Fraction(str(radius))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad oracle_radius_sq: {exc}")
-    if radius < 0:
-        raise ConfigError("oracle_radius_sq must be nonnegative")
-    trials = raw.get("trials", 100)
-    seed = raw.get("seed", 0)
-    if type(trials) is not int or trials < 1:
-        raise ConfigError("trials must be a positive integer")
-    if type(seed) is not int or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
     return {
         "name": raw["name"],
         "generators": generators,
         "frame": frame,
-        "oracle_radius_sq": radius,
-        "trials": trials,
-        "seed": seed,
+        "oracle_radius_sq": _radius_sq(raw.get("oracle_radius_sq", 9), "oracle_radius_sq"),
+        "trials": _trials(raw.get("trials", 100), "trials"),
+        "seed": _seed(raw.get("seed", 0), "seed"),
     }
 
 
@@ -326,27 +338,15 @@ def run(argv=None):
                         help="invariants: also run the zeta-function consistency bridge")
     args = parser.parse_args(argv)
 
-    flag_error = None
-    if args.radius_sq is not None:
-        try:
-            args.radius_sq = Fraction(str(args.radius_sq))
-        except (ValueError, ZeroDivisionError):
-            flag_error = "bad --radius-sq"
-        else:
-            if args.radius_sq < 0:
-                flag_error = "--radius-sq must be nonnegative"
-    if args.trials is not None and args.trials < 1:
-        flag_error = "--trials must be a positive integer"
-    if args.seed is not None and args.seed < 0:
-        flag_error = "--seed must be a nonnegative integer"
-    if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
-        flag_error = "--tolerance must be a finite nonnegative number"
-    if flag_error is not None:
-        print(json.dumps({"error": {"type": "ConfigError", "detail": flag_error}}),
-              file=sys.stderr)
-        return 2
-
     try:
+        if args.radius_sq is not None:
+            args.radius_sq = _radius_sq(args.radius_sq, "--radius-sq")
+        if args.trials is not None:
+            _trials(args.trials, "--trials")
+        if args.seed is not None:
+            _seed(args.seed, "--seed")
+        if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
+            raise ConfigError("--tolerance must be a finite nonnegative number")
         with open(args.config) as fh:
             raw = json.load(fh)
         config = parse_config(raw)

@@ -22,8 +22,9 @@ s = 0 without enumerating anything.  The sums are what make the formula
 correct away from 0, and they are cross-checked against direct summation
 and classical closed forms in the test suite.  Both run over the exact
 lattice shells of `linalg.enumerate_ellipsoid`, on Q rescaled to
-determinant about 1.  An element's twisted fixed lattice (`fixed_lattice`)
-is also the spectral oracle's source for the modes it fixes and their phases.
+determinant about 1, each point with its twist residue (`twisted_shells`).
+An element's twisted fixed lattice (`fixed_lattice`) and those shells are
+also the spectral oracle's source for the modes it fixes and their phases.
 mpmath is imported only past the s = 0 return, so the value at 0, and every
 command that needs no other value, runs without it.
 """
@@ -32,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .exterior import DIM
@@ -84,26 +86,32 @@ def _structure_fixed_lattice(structure, element):
     return fixed_lattice(element, structure.metric)
 
 
-def _shell_sums(gram, bound, twist=None, shift=None):
-    """Phase sums of the nonzero lattice shells: {exact Q: complex sum}.
+def twisted_shells(gram, bound, twist=None, shift=None):
+    """(f, {exact Q: [(x, k), ...]}): the nonzero shells with each point's twist residue.
 
     The shells are those of `linalg.enumerate_ellipsoid`, the points x
     (with Q taken at x + shift) ascending in Q; the shell Q = 0 (the
-    origin, or the coset point x + shift = 0) is dropped.  With the twist
-    cleared once to T / f (none means 0), a point's phase is
-    e((T . x mod f) / f), so each shell counts its points per integer
-    residue and takes one phase per residue, exact at 1 and -1.
+    origin, or the coset point x + shift = 0) is dropped.  The twist is
+    cleared once to T / f (none means 0), and the phase of x is e(k / f)
+    for its residue k = T . x mod f.
     """
     shells = linalg.enumerate_ellipsoid(gram, bound, shift=shift)
     shells.pop(Fraction(0), None)
     (T,), f = linalg.clear_denominators([twist if twist is not None else [0] * len(gram)])
+    return f, {Q: [(x, sum(map(mul, T, x)) % f) for x in pts] for Q, pts in shells.items()}
+
+
+def _shell_sums(gram, bound, twist=None, shift=None):
+    """{exact Q: complex phase sum} over `twisted_shells`: each shell counts its
+    points per residue and takes one phase per residue, exact at 1 and -1."""
+    f, shells = twisted_shells(gram, bound, twist, shift)
     phases = [1.0 + 0j if k == 0 else -1.0 + 0j if 2 * k == f
               else cmath.exp(2j * math.pi * (k / f)) for k in range(f)]
     out = {}
     for q, pts in shells.items():
         counts = [0] * f
-        for x in pts:
-            counts[sum(t * xi for t, xi in zip(T, x)) % f] += 1
+        for _, k in pts:
+            counts[k] += 1
         out[q] = sum(c * phases[k] for k, c in enumerate(counts) if c)
     return out
 

@@ -68,16 +68,19 @@ def _standard_bases():
     phi = standard_phi0()
     psi = hodge_star(phi, Metric7.euclidean())
     axes = [[int(i == a) for i in range(DIM)] for a in range(DIM)]
-    basis = {
+    spans = {
         (2, 7): [interior(e, phi).coeffs for e in axes],
         (3, 1): [phi.coeffs],
         (3, 7): [interior(e, psi).coeffs for e in axes],
-        # Lambda^2_14 = ker(. ^ psi); Lambda^3_27 = ker(a -> (a ^ phi, a ^ psi))
-        (2, 14): linalg.nullspace(wedge_matrix(psi, 2)),
-        (3, 27): linalg.nullspace(wedge_matrix(phi, 3) + wedge_matrix(psi, 3)),
     }
-    return {key: tuple(linalg.primitive_integer(v) for v in cols)
-            for key, cols in basis.items()}
+    # each span cleared once: a positive common scale leaves primitive vectors alike
+    basis = {key: tuple(map(linalg.primitive_integer, linalg.clear_denominators(cols)[0]))
+             for key, cols in spans.items()}
+    # Lambda^2_14 = ker(. ^ psi); Lambda^3_27 = ker(a -> (a ^ phi, a ^ psi))
+    for key, system in (((2, 14), wedge_matrix(psi, 2)),
+                        ((3, 27), wedge_matrix(phi, 3) + wedge_matrix(psi, 3))):
+        basis[key] = tuple(linalg.nullspace(linalg.clear_denominators(system)[0]))
+    return basis
 
 
 def _contraction_projector(B):
@@ -196,8 +199,8 @@ def _kernel_dim(structure, lc, grade, component):
 
 def _contraction_on_type(structure, lc, grade, component):
     """iota_l B for the typed-subspace basis matrix B, as a list of int rows."""
-    C = [[0] * len(structure.type_space_basis(grade, component))
-         for _ in range(comb(DIM, grade - 1))]
+    n = len(structure.type_space_basis(grade, component))
+    C = [[0] * n for _ in range(comb(DIM, grade - 1))]
     for row, col, axis, x in structure.memo(_axis_contractions, grade, component):
         C[row][col] += lc[axis] * x
     return C

@@ -2,13 +2,16 @@
 
 Everything here is dense and small (dimensions <= ~50).  An exact matrix
 is a tuple of row tuples of ints or Fractions, a vector a tuple; inputs may
-be any nested sequences.  Matrices are cleared of denominators once and
-then stay in Python ints.  One fraction-free (Bareiss) elimination,
-`_echelon`, serves det, rank, nullspace (primitive integer vectors) and
-inverse (an integer pair A / D); its rows also drive the one lattice-shell
-enumerator, `enumerate_ellipsoid`, which prunes each coordinate with an
-integer square root and returns every shell with its exact value, so no
-float or tolerance enters it.
+be any nested sequences.  det, inverse, compound, matmul and
+enumerate_ellipsoid take rational input (frames, metrics and lattice Grams
+enter there) and clear it of denominators once; rank, nullspace,
+primitive_integer and int_compound take integer rows through operator.index,
+so a Fraction raises TypeError rather than being cleared again.
+One fraction-free (Bareiss) elimination, `_echelon`, serves det, rank,
+nullspace (primitive integer vectors) and inverse (an integer pair A / D);
+its rows also drive the one lattice-shell enumerator, `enumerate_ellipsoid`,
+which prunes each coordinate with an integer square root and returns every
+shell with its exact value, so no float or tolerance enters it.
 Compound matrices come from Laplace expansion of each minor into minors one
 size smaller, products from integer matmul with one division at the end.
 Integer matrices also get a Hermite-style kernel routine, whose bases are
@@ -101,18 +104,23 @@ def _echelon(rows, reduced=False):
     return pivots, prev, sign
 
 
+def _int_rows(a):
+    """The integer matrix a as a list of lists of ints; a Fraction raises TypeError."""
+    return [[index(x) for x in row] for row in a]
+
+
 def rank(a):
-    """Rank of a rational matrix, by a forward fraction-free pass."""
-    return len(_echelon(clear_denominators(a)[0])[0])
+    """Rank of an integer matrix, by a forward fraction-free pass."""
+    return len(_echelon(_int_rows(a))[0])
 
 
 def nullspace(a):
-    """Basis of {x : a x = 0} over Q for a rational matrix a (m x n).
+    """Basis of {x : a x = 0} over Q for an integer matrix a (m x n).
 
     One primitive integer vector per free column f, positive at f and zero
     at the other free columns: the rref kernel basis, each vector scaled.
     """
-    rows = clear_denominators(a)[0]
+    rows = _int_rows(a)
     n = len(rows[0])
     pivots, D, _ = _echelon(rows, reduced=True)
     s = 1 if D > 0 else -1
@@ -199,25 +207,10 @@ def int_matmul(a, b):
 
 
 def det(a):
-    """Exact determinant: clear denominators, then a fraction-free pass."""
+    """Exact determinant, a Fraction: clear denominators, then a fraction-free pass."""
     b, d = clear_denominators(a)
-    return Fraction(_int_det(b), d ** len(b))
-
-
-def int_det(a):
-    """Determinant of an integer matrix, in Python ints throughout.
-
-    Raises ValueError if an entry is not an integer.
-    """
-    b, d = clear_denominators(a)
-    if d != 1:
-        raise ValueError("matrix is not integral")
-    return _int_det(b)
-
-
-def _int_det(b):
     pivots, D, sign = _echelon(b)
-    return sign * D if len(pivots) == len(b) else 0
+    return Fraction(sign * D if len(pivots) == len(b) else 0, d ** len(b))
 
 
 def int_compound(b, p, rows=None):
@@ -230,7 +223,7 @@ def int_compound(b, p, rows=None):
     those are shared between all I with the same tail and skipped where the
     expanding entry is 0.
     """
-    b = [[index(x) for x in row] for row in b]
+    b = _int_rows(b)
     m = len(b)
     n = len(b[0]) if m else 0
     if not 0 <= p <= min(m, n):
@@ -320,11 +313,11 @@ def integer_kernel(a):
 
 
 def primitive_integer(vec):
-    """Scale a rational vector to a primitive integer vector (a tuple of ints).
+    """Divide an integer vector by the gcd of its entries, as a tuple of ints.
 
     The sign is kept: the result is vec times a positive rational.
     """
-    (ints,), _ = clear_denominators([vec])
+    (ints,) = _int_rows([vec])
     g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
 

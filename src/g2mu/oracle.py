@@ -11,7 +11,8 @@ summed over lattice vectors l of a fixed squared length: the shells of
 pullback; the dimension of the invariant subspace is the group average of
 the character.  This module computes that dimension two independent ways:
 
-  * brute force: explicit bases of the fibres (`g2.typed_contraction_kernel`),
+  * brute force: explicit bases of the fibres (`fiber_basis`, a
+    `g2.typed_contraction_kernel` checked against the dimension in KINDS),
     explicit pullback matrices, exact restricted traces and exact
     root-of-unity phases.  Bases, pullback matrices and the Lambda-Gram
     matrix (cleared of its denominator once per structure) are integer
@@ -21,10 +22,11 @@ the character.  This module computes that dimension two independent ways:
     over the fixed vectors of each element, once per element and phase.
 
 Both read an element's fixed vectors and phases from the shells of its
-twisted fixed lattice (`epstein.fixed_lattice`), enumerated once per element
-and radius, so what they check against each other is the trace.  The classes
-themselves are the nonzero shells of the identity element's lattice: Z^7 with
-Gram G and zero twist.  Agreement of the two routes on every class is the
+twisted fixed lattice (`epstein.fixed_lattice`), walked once per element and
+radius by `epstein.twisted_shells`, the walk the zeta sums also take, so what
+they check against each other is the trace.  The classes themselves are the
+nonzero shells of the identity element's lattice: Z^7 with Gram G and zero
+twist.  Agreement of the two routes on every class is the
 oracle for the character formula behind the mu-invariants.
 
 The module is plain Python, like the exact core it reads; mpmath is
@@ -38,7 +40,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .epstein import fixed_lattice_cached
+from .epstein import fixed_lattice_cached, twisted_shells
 from .exterior import DIM
 from .g2 import typed_contraction_kernel, typed_contraction_kernel_dim
 from .invariants import tr8_su3, tr12_su3
@@ -117,26 +119,14 @@ def enumerate_classes(orbifold, radius_sq):
             for q, pairs in shells.items()]
 
 
-class ModeSpace:
-    """Lazily constructed fibre bases of H_l or H'_l for one structure."""
-
-    def __init__(self, structure, kind):
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {sorted(KINDS)}")
-        self.structure = structure
-        self.kind = kind
-        self.grade, self.component, self.expected_dim = KINDS[kind]
-
-    def fiber_basis(self, l):
-        """Exact basis of {a in Lambda^grade_component : l . a = 0}."""
-        basis = typed_contraction_kernel(self.structure, l, self.grade, self.component)
-        if len(basis) != self.expected_dim:
-            raise NonIntegerDimension(
-                f"fibre at {l} has dimension {len(basis)}, expected {self.expected_dim}")
-        return basis
-
-    def fiber_dimension(self, l):
-        return typed_contraction_kernel_dim(self.structure, l, self.grade, self.component)
+def fiber_basis(structure, l, kind):
+    """Exact basis of the fibre of H_l (kind "H") or H'_l ("Hprime") at the mode l:
+    {a in Lambda^grade_component : l . a = 0}, checked to have dimension 8 or 12."""
+    grade, component, expected = KINDS[kind]
+    basis = typed_contraction_kernel(structure, l, grade, component)
+    if len(basis) != expected:
+        raise NonIntegerDimension(f"fibre at {l} has dimension {len(basis)}, expected {expected}")
+    return basis
 
 
 def _restricted_trace(structure, mat_pullback, basis):
@@ -218,15 +208,13 @@ def _mode_shells(structure, element, radius_sq):
     """{Q: ((l, q), ...)}: the element's fixed modes with 0 < |l|^2 = Q <= radius_sq.
 
     Each point x of the element's fixed lattice, enumerated once, gives
-    l = x B and the phase q = (T . x mod f) / f for the twist T / f.
+    l = x B and the phase q = k / f from its twist residue k.
     """
     lat = fixed_lattice_cached(structure, element)
-    (T,), f = linalg.clear_denominators([lat.twist])
+    f, shells = twisted_shells(lat.gram, radius_sq, lat.twist)
     columns = list(zip(*lat.basis))
-    shells = linalg.enumerate_ellipsoid(lat.gram, radius_sq)
-    shells.pop(Fraction(0))  # the origin
-    return {Q: tuple((tuple(sum(xi * b for xi, b in zip(x, col)) for col in columns),
-                      Fraction(sum(t * xi for t, xi in zip(T, x)) % f, f)) for x in pts)
+    return {Q: tuple((tuple(sum(map(mul, x, col)) for col in columns), Fraction(k, f))
+                     for x, k in pts)
             for Q, pts in shells.items()}
 
 
@@ -239,7 +227,7 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
     The identity block's trace is the fibre dimension itself.
     """
     structure = orbifold.structure
-    space = ModeSpace(structure, kind)
+    grade, component, _ = KINDS[kind]
     acc = _PhaseSum()
     for element in orbifold.group:
         fixed = _fixed_vectors(element, cls, structure)
@@ -247,11 +235,11 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
             continue
         if element.is_identity():
             for l, q in fixed:
-                acc.add(q, space.fiber_dimension(l))
+                acc.add(q, typed_contraction_kernel_dim(structure, l, grade, component))
             continue
-        mat = pullback_matrix_cached(structure, element, space.grade)
+        mat = pullback_matrix_cached(structure, element, grade)
         for l, q in fixed:
-            acc.add(q, _restricted_trace(structure, mat, space.fiber_basis(l)))
+            acc.add(q, _restricted_trace(structure, mat, fiber_basis(structure, l, kind)))
     return _integer_average(acc, len(orbifold.group))
 
 
@@ -299,9 +287,8 @@ def su3_trace_check(orbifold, element, l):
     structure = orbifold.structure
     res = []
     for kind, poly in (("H", tr8_su3), ("Hprime", tr12_su3)):
-        space = ModeSpace(structure, kind)
-        mat = pullback_matrix_cached(structure, element, space.grade)
-        tr = _restricted_trace(structure, mat, space.fiber_basis(l))
+        mat = pullback_matrix_cached(structure, element, KINDS[kind][0])
+        tr = _restricted_trace(structure, mat, fiber_basis(structure, l, kind))
         res.append(abs(tr - poly(A)))
     return tuple(res)
 

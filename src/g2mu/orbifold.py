@@ -45,6 +45,10 @@ def _reduce_mod1(t):
     return tuple(linalg.frac(x) % 1 for x in t)
 
 
+_IDENTITY = tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM))
+_ZERO = _reduce_mod1((0,) * DIM)
+
+
 class AffineElement:
     """An element (A, t) of SL(7,Z) x T^7, acting by x -> A x + t."""
 
@@ -54,7 +58,7 @@ class AffineElement:
         mat = tuple(tuple(index(x) for x in row) for row in matrix)
         if len(mat) != DIM or any(len(r) != DIM for r in mat):
             raise ValueError("matrix must be 7x7")
-        if linalg.int_det(mat) != 1:
+        if linalg.det(mat) != 1:
             raise NonUnimodular("matrix part must have determinant +1")
         if translation is None:
             translation = (0,) * DIM
@@ -77,10 +81,10 @@ class AffineElement:
 
     @classmethod
     def identity(cls):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(DIM)) for i in range(DIM)))
+        return cls._trusted(_IDENTITY, _ZERO)
 
     def is_identity(self):
-        return self == AffineElement.identity()
+        return self.matrix == _IDENTITY and self.translation == _ZERO
 
     def apply(self, x):
         """Image of the rational point x under x -> A x + t (mod 1)."""
@@ -149,10 +153,9 @@ class OrbifoldGroup:
 
 def _has_finite_order(matrix):
     """Whether A^k = I for some k <= MAX_FINITE_ORDER, for an integer 7x7 A."""
-    ident = AffineElement.identity().matrix
     power = matrix
     for _ in range(MAX_FINITE_ORDER):
-        if power == ident:
+        if power == _IDENTITY:
             return True
         power = linalg.int_matmul(power, matrix)
     return False

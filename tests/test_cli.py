@@ -251,6 +251,53 @@ def test_zeta_builds_each_fixed_lattice_once(capsys, tmp_path, monkeypatch):
     assert len(json.loads(out)["results"]["elements"]) == len(built) == len(set(built)) == 8
 
 
+def test_spectrum_call_counts(capsys, monkeypatch):
+    """spectrum on m3 at radius 4 clears integer rows of denominators only where
+    rational matrices enter, asks for a type-space basis about once per mode,
+    and takes a 7x7 determinant only for elements built from outside."""
+    from g2mu import g2, linalg
+    g2._standard_bases()  # built once per process, by whichever caller comes first
+    # a fresh structure for the config's frame, so that nothing is memoised yet
+    monkeypatch.setattr(g2.G2Structure, "_shared_instances", {})
+    calls = {"clear_denominators": 0, "type_space_basis": 0, "7x7 determinants": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    echelon = linalg._echelon
+
+    def eliminate(rows, reduced=False):
+        if len(rows) == 7 and len(rows[0]) == 7:
+            calls["7x7 determinants"] += 1
+        return echelon(rows, reduced)
+
+    monkeypatch.setattr(linalg, "clear_denominators",
+                        counting("clear_denominators", linalg.clear_denominators))
+    monkeypatch.setattr(g2.G2Structure, "type_space_basis",
+                        counting("type_space_basis", g2.G2Structure.type_space_basis))
+    monkeypatch.setattr(linalg, "_echelon", eliminate)
+    code, _, _ = run_cli(capsys, "spectrum", "--config", str(CONFIG_DIR / "m3.json"),
+                         "--radius-sq", "4")
+    assert code == 0
+    # 6 of the 7x7 determinants check det = 1 for the 3 generators and their
+    # inverses; the other 5 belong to the metric and to the identity element's
+    # shell enumeration
+    assert calls == {"clear_denominators": 272, "type_space_basis": 1290,
+                     "7x7 determinants": 11}
+
+
+@pytest.mark.parametrize("stem", ["t7", "m3"])
+def test_identities_strict_types_changes_nothing_on_typed_input(capsys, stem):
+    args = ("identities", "--config", str(CONFIG_DIR / f"{stem}.json"), "--trials", "2")
+    code, out, _ = run_cli(capsys, *args)
+    strict_code, strict_out, _ = run_cli(capsys, *args, "--strict-types")
+    assert code == strict_code == 0
+    assert json.loads(strict_out)["results"] == json.loads(out)["results"]
+
+
 # sha256 of each report (json.dumps(sort_keys=True), without wall_time_s)
 PINNED_REPORTS = {
     "t7": {

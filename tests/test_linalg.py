@@ -78,12 +78,14 @@ def test_elimination_properties():
     for a in _property_inputs():
         m, n = len(a), len(a[0])
         am = obj(linalg.frac_matrix(a))
-        r = linalg.rank(a)
+        # rank and nullspace take integer rows: a cleared of denominators, b = d a
+        b, d = linalg.clear_denominators(a)
+        r = linalg.rank(b)
         assert r == _minor_rank(a)
         # the free columns are those that do not raise the rank of the columns before
         free = [c for c in range(n)
                 if _minor_rank([row[:c + 1] for row in a]) == _minor_rank([row[:c] for row in a])]
-        basis = linalg.nullspace(a)
+        basis = linalg.nullspace(b)
         assert len(basis) + r == n and len(basis) == len(free)
         for f, v in zip(free, basis):
             assert all(type(x) is int for x in v)
@@ -92,7 +94,6 @@ def test_elimination_properties():
             assert all(v[g] == 0 for g in free if g != f)
         if m != n:
             continue
-        b, d = linalg.clear_denominators(a)
         expected = Fraction(_laplace_det(b), d ** n)
         assert linalg.det(a) == expected
         if expected == 0:
@@ -261,16 +262,29 @@ def test_compound_selected_rows_and_bounds():
         linalg.int_compound([[Fraction(1, 2)]], 1)
 
 
-def test_int_det_is_exact_and_rejects_non_integral():
+def test_det_of_integer_matrix_is_exact():
     rng = np.random.default_rng(13)
     for n in range(1, 8):
         for _ in range(5):
             a = rng.integers(-4, 5, size=(n, n)).tolist()
-            assert linalg.int_det(a) == linalg.det(a) == _laplace_det(a)
-            assert isinstance(linalg.int_det(a), int)
-    assert linalg.int_det([[0, 1], [1, 0]]) == -1
-    with pytest.raises(ValueError):
-        linalg.int_det([[Fraction(1, 2), 0], [0, 2]])
+            assert linalg.det(a) == _laplace_det(a)
+            assert linalg.det(a).denominator == 1
+    assert linalg.det([[0, 1], [1, 0]]) == -1
+    assert linalg.det([[Fraction(1, 2), 0], [0, 2]]) == 1
+
+
+def test_integer_row_functions_reject_fractions():
+    """rank, nullspace and primitive_integer take integer rows and clear nothing."""
+    half = Fraction(1, 2)
+    for call in (lambda: linalg.rank([[half, 1], [0, 1]]),
+                 lambda: linalg.nullspace([[1, half, 0]]),
+                 lambda: linalg.primitive_integer([half, 1, 2]),
+                 lambda: linalg.rank([[1.0, 0], [0, 1]])):
+        with pytest.raises(TypeError):
+            call()
+    # an integral Fraction is still a Fraction
+    with pytest.raises(TypeError):
+        linalg.rank([[Fraction(2), 0], [0, 1]])
 
 
 def test_matmul_matches_fraction_matmul():
@@ -307,6 +321,8 @@ def test_primitive_integer():
         ([], []),
     ]
     for vec, expected in cases:
-        out = linalg.primitive_integer(vec)
+        # primitive_integer takes integer rows, so a rational vector is cleared first
+        (ints,), _ = linalg.clear_denominators([vec])
+        out = linalg.primitive_integer(ints)
         assert type(out) is tuple and list(out) == expected
         assert all(type(x) is int for x in out)

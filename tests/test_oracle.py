@@ -6,7 +6,7 @@ import pytest
 from g2mu import fourier as fr
 from g2mu import linalg
 from g2mu import oracle as orc
-from g2mu.g2 import G2Structure
+from g2mu.g2 import G2Structure, typed_contraction_kernel_dim
 from g2mu.orbifold import AffineElement, generate, validate_joyce
 
 
@@ -86,10 +86,10 @@ def test_eigenvalue_field(torus):
 
 def test_mode_space_dimensions(torus):
     for kind, dim in [("H", 8), ("Hprime", 12)]:
-        space = orc.ModeSpace(torus.structure, kind)
+        grade, component, _ = orc.KINDS[kind]
         for l in [(1, 0, 0, 0, 0, 0, 0), (1, -2, 0, 3, 0, 0, 1)]:
-            assert space.fiber_dimension(l) == dim
-            assert len(space.fiber_basis(l)) == dim
+            assert typed_contraction_kernel_dim(torus.structure, l, grade, component) == dim
+            assert len(orc.fiber_basis(torus.structure, l, kind)) == dim
 
 
 def test_invariant_dimensions_trivial_group(torus):
@@ -152,7 +152,7 @@ def test_restricted_trace_matches_fraction_formula(frame):
     rng = np.random.default_rng(11)
     l = (1, 1, 0, 0, 0, 1, 0)
     for kind in ("H", "Hprime"):
-        basis = orc.ModeSpace(structure, kind).fiber_basis(l)
+        basis = orc.fiber_basis(structure, l, kind)
         n = len(basis[0])
         M = np.array([[int(x) for x in row] for row in rng.integers(-3, 4, size=(n, n))],
                      dtype=object)
@@ -199,10 +199,9 @@ def test_su3_trace_check_all_fixed_vectors(m3):
 
 def test_mode_eigenvalue_matches_laplacian(torus):
     s = torus.structure
-    space = orc.ModeSpace(s, "H")
     l = (1, 0, 2, 0, 0, -1, 0)
     n2 = float(s.metric.norm_sq_vector(l))
-    for v in space.fiber_basis(l)[:3]:
+    for v in orc.fiber_basis(s, l, "H")[:3]:
         f = fr.FourierForm(s, 2, [l], [v])
         expected = f.mode(l) * (4 * np.pi ** 2 * n2)
         assert np.max(np.abs(fr.laplacian(f).mode(l) - expected)) < 1e-9 * n2
