@@ -9,13 +9,17 @@ acts on them through matrices built from the integer tables here: the
 sparse tables of `e^a ^ .` and `e_a -| .`, and the matrix of `. ^ c` for
 a constant form c.
 
-Frames, Gram matrices and pullback matrices are exact as well: tuples of
-row tuples of ints or Fractions, as in `linalg`.
+Frames and Gram matrices are tuples of row tuples of ints or Fractions, as
+in `linalg`; the inverse Gram, Lambda-Gram, pullback and wedge matrices are
+integer pairs (N, d) meaning N / d.  Each kernel clears its inputs once,
+multiplies in Python ints over nonzero entries only, and builds Fractions
+only for the coefficients of the form it returns.
 
 Sign conventions are pinned by a single rule: the Hodge star satisfies
 a ^ star(b) = <a, b>_g vol_g with vol_g = sqrt(det g) * theta^{1...7}.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -76,13 +80,19 @@ def interior_table(p):
 
 
 def wedge_matrix(form, p):
-    """Exact matrix of v -> v ^ form on grade-p coefficient vectors."""
-    q = form.grade
-    out = [[0] * comb(DIM, p) for _ in range(comb(DIM, p + q))]
-    for i, j, k, sign in wedge_table(p, q):
-        if form.coeffs[j]:
-            out[k][i] += sign * form.coeffs[j]
-    return tuple(map(tuple, out))
+    """Matrix of v -> v ^ form on grade-p coefficient vectors, as a pair (N, d)."""
+    c, d = _cleared(form)
+    out = [[0] * comb(DIM, p) for _ in range(comb(DIM, p + form.grade))]
+    for i, j, k, sign in wedge_table(p, form.grade):
+        if c[j]:
+            out[k][i] += sign * c[j]
+    return tuple(map(tuple, out)), d
+
+
+def _cleared(form):
+    """(c, d): the coefficients of form as integers c, with form = c / d."""
+    (c,), d = linalg.clear_denominators([form.coeffs])
+    return c, d
 
 
 class ExteriorForm:
@@ -157,26 +167,30 @@ def wedge(a, b):
     """Exterior product; rejects results of grade > 7."""
     if a.grade + b.grade > DIM:
         raise ValueError(f"wedge of grades {a.grade} and {b.grade} exceeds {DIM}")
+    (x, d), (y, e) = _cleared(a), _cleared(b)
     out = [0] * comb(DIM, a.grade + b.grade)
     for i, j, k, sign in wedge_table(a.grade, b.grade):
-        if a.coeffs[i] and b.coeffs[j]:
-            out[k] += sign * a.coeffs[i] * b.coeffs[j]
-    return ExteriorForm(a.grade + b.grade, out)
+        if x[i] and y[j]:
+            out[k] += sign * x[i] * y[j]
+    return ExteriorForm(a.grade + b.grade, [Fraction(n, d * e) for n in out])
 
 
 def interior(v, a):
     """Interior product v -| a of a rational vector v (7 components) with a form."""
     if a.grade == 0:
         raise ValueError("interior product needs grade >= 1")
-    v = linalg.frac_vector(v)
+    (w,), d = linalg.clear_denominators([v])
+    c, e = _cleared(a)
     out = [0] * comb(DIM, a.grade - 1)
     for axis, pos_in, pos_out, sign in interior_table(a.grade):
-        out[pos_out] += sign * v[axis] * a.coeffs[pos_in]
-    return ExteriorForm(a.grade - 1, out)
+        if w[axis] and c[pos_in]:
+            out[pos_out] += sign * w[axis] * c[pos_in]
+    return ExteriorForm(a.grade - 1, [Fraction(x, d * e) for x in out])
 
 
 class Metric7:
-    """Flat metric on R^7: exact Gram matrix plus its volume factor sqrt(det)."""
+    """Flat metric on R^7: exact Gram matrix plus its volume factor sqrt(det);
+    its inverse and Lambda-Grams are pairs (N, d), each built on first use."""
 
     __slots__ = ("gram", "vol", "_inverse", "_lambda_gram")
 
@@ -184,17 +198,16 @@ class Metric7:
         gram = linalg.frac_matrix(gram)
         if len(gram) != DIM or any(len(row) != DIM for row in gram):
             raise ValueError("metric needs a 7x7 Gram matrix")
-        if any(gram[i][j] != gram[j][i] for i in range(DIM) for j in range(i)):
-            raise ValueError("Gram matrix must be symmetric")
-        if not linalg.principal_minors_positive(gram):
-            raise ValueError("Gram matrix must be positive definite")
+        # symmetry, positive definiteness and det from one elimination
+        _, d, minors = linalg.positive_definite(gram)
+        det = Fraction(minors[DIM], d ** DIM)
         if vol is None:
-            vol = linalg.rational_sqrt(linalg.det(gram))
+            vol = linalg.rational_sqrt(det)
             if vol is None:
                 raise ValueError("det(gram) is not a rational square; pass vol explicitly")
         else:
             vol = linalg.frac(vol)
-            if vol * vol != linalg.det(gram) or vol <= 0:
+            if vol * vol != det or vol <= 0:
                 raise ValueError("vol must equal sqrt(det gram)")
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "vol", vol)
@@ -209,18 +222,17 @@ class Metric7:
         return cls(linalg.identity_frac(DIM), vol=1)
 
     def inverse_gram(self):
+        """The inverse Gram matrix as a pair (A, D): g^-1 = A / D."""
         if self._inverse is None:
-            object.__setattr__(self, "_inverse", linalg.scaled(*linalg.inverse(self.gram)))
+            object.__setattr__(self, "_inverse", linalg.inverse(self.gram))
         return self._inverse
 
     def lambda_gram(self, p):
-        """Gram matrix of <theta^I, theta^J>_g on grade p.
-
-        Entry (I, J) is the minor det(g^-1)[I, J], so the matrix is the p-th
-        compound of the inverse metric, from the exact minor kernel.
-        """
+        """Gram matrix of <theta^I, theta^J>_g on grade p, as a pair (N, d): entry
+        (I, J) is the minor det(g^-1)[I, J], from the exact minor kernel."""
         if p not in self._lambda_gram:
-            self._lambda_gram[p] = linalg.compound(self.inverse_gram(), p)
+            A, D = self.inverse_gram()
+            self._lambda_gram[p] = linalg.int_compound(A, p), D ** p
         return self._lambda_gram[p]
 
     def norm_sq_vector(self, v):
@@ -237,18 +249,26 @@ def inner(a, b, metric):
     """<a, b>_g of two forms of equal grade, exact."""
     if a.grade != b.grade:
         raise ValueError("inner product needs equal grades")
-    return sum(x * y for x, y in zip(a.coeffs, linalg.matvec(metric.lambda_gram(a.grade),
-                                                             b.coeffs)))
+    (c, e), (weighted, d) = _cleared(a), _lambda_weighted(b, metric)
+    return Fraction(sum(x * y for x, y in zip(c, weighted)), d * e)
+
+
+def _lambda_weighted(a, metric):
+    """(w, d) with w / d the coefficients of a weighted by lambda_gram(a.grade)."""
+    N, d = metric.lambda_gram(a.grade)
+    c, e = _cleared(a)
+    nonzero = [(i, x) for i, x in enumerate(c) if x]
+    return [sum(row[i] * x for i, x in nonzero) for row in N], d * e
 
 
 def hodge_star(a, metric):
     """Hodge star fixed by a ^ star(b) = <a,b>_g vol_g."""
-    p = a.grade
-    weighted = linalg.matvec(metric.lambda_gram(p), a.coeffs)
-    out = [0] * comb(DIM, DIM - p)
-    for pos_in, pos_out, sign in hodge_table(p):
-        out[pos_out] = sign * weighted[pos_in] * metric.vol
-    return ExteriorForm(DIM - p, out)
+    weighted, d = _lambda_weighted(a, metric)
+    vol = metric.vol
+    out = [0] * comb(DIM, DIM - a.grade)
+    for pos_in, pos_out, sign in hodge_table(a.grade):
+        out[pos_out] = Fraction(sign * weighted[pos_in] * vol.numerator, d * vol.denominator)
+    return ExteriorForm(DIM - a.grade, out)
 
 
 def metric_from_frame(frame):
@@ -269,16 +289,22 @@ def metric_from_frame(frame):
 
 
 def pullback(frame, a):
-    """Pullback F*a with (F*a)_J = sum_I det(F[I, J]) a_I (minor expansion)."""
-    if a.grade == 0:
+    """Pullback F*a with (F*a)_J = sum_I det(F[I, J]) a_I, over the I with a_I != 0."""
+    if a.grade == 0 or a.is_zero():
         return a
-    return ExteriorForm(a.grade, linalg.matvec(pullback_matrix(frame, a.grade), a.coeffs))
+    B, d = linalg.clear_denominators(frame)
+    c, e = _cleared(a)
+    rows = [tuple(i - 1 for i in I) for I, x in zip(INDICES[a.grade], c) if x]
+    minors = linalg.int_compound(B, a.grade, rows)
+    out = linalg.matvec(linalg.transpose(minors), [x for x in c if x])
+    return ExteriorForm(a.grade, [Fraction(x, d ** a.grade * e) for x in out])
 
 
 def pullback_matrix(frame, p):
-    """Matrix of F* on grade-p coefficient vectors.
+    """Matrix of F* on grade-p coefficient vectors, as a pair (N, d).
 
-    Entry (J, I) is det F[I, J], so the matrix is the transpose of the p-th
-    compound of F, taken from linalg.compound.
+    Entry (J, I) is det F[I, J], so with F = B / d the matrix is the transpose
+    of the p-th compound of B (linalg.int_compound) over d^p.
     """
-    return linalg.transpose(linalg.compound(frame, p))
+    B, d = linalg.clear_denominators(frame)
+    return linalg.transpose(linalg.int_compound(B, p)), d ** p

@@ -27,8 +27,9 @@ projections, and the four adjoint-named ones are the formal adjoints
 
 The float matrices are views of the structure's exact ones (`gram_float`,
 `lambda_gram_float`, `projector_float`, `star_matrix_float`), converted
-once and kept read-only in the structure's memo; the integer stacks of
-`e^a ^ .` and `e_a -| .` are built once from the tables in `exterior`.
+once and kept read-only in the structure's memo (a pair N / d entry by
+entry as n / d); the integer stacks of `e^a ^ .` and `e_a -| .` are built
+once from the tables in `exterior`.
 The exact mode fibres that the Hessian blocks project onto are `g2`'s
 `typed_contraction_kernel`.
 """
@@ -70,6 +71,11 @@ def to_float(a):
     return np.array([[float(x) for x in row] for row in a], dtype=float)
 
 
+def pair_to_float(N, d):
+    """A float array of N / d: each n / d is correctly rounded, as float(Fraction(n, d))."""
+    return np.array([[n / d for n in row] for row in N], dtype=float)
+
+
 @lru_cache(maxsize=None)
 def covector_wedge_stack(p):
     """E with E[a] the integer matrix of v -> e^(a+1) ^ v on grade-p vectors."""
@@ -91,6 +97,8 @@ def interior_stack(p):
 def _float_view(structure, name, *args):
     """The structure's exact matrix `name` (`gram`, `lambda_gram`: its metric's) as floats."""
     exact = getattr(structure.metric if "gram" in name else structure, name)
+    if name in ("lambda_gram", "star_matrix"):
+        return read_only(pair_to_float(*exact(*args)))
     return read_only(to_float(exact(*args) if args else exact))
 
 
@@ -306,7 +314,7 @@ def _wedge_float(structure, name, p):
     """Float matrix of v -> v ^ c on grade p, for c = phi, psi or vol_g."""
     form = ExteriorForm(7, [structure.metric.vol]) if name == "vol" else \
         getattr(structure, name)
-    return read_only(to_float(wedge_matrix(form, p)))
+    return read_only(pair_to_float(*wedge_matrix(form, p)))
 
 
 def wedge_const(f, name):

@@ -22,13 +22,13 @@ checked to fix its kernel basis (a failed check raises ArithmeticError).
 Grades 4 and 5 are conjugated by the Euclidean star, a signed permutation.
 
 A structure F*phi0 with a rational frame F (det F > 0) transports all of
-this by the exact pullback matrices M_p of F: bases are M_p v scaled to
-primitive integers, and every projector on grades 2 to 5 is
-M_p pi M_p^-1, since F* commutes with the star; the products run in
-integers (linalg.matmul).  The star matrix on grade p is vol times the
-rows of the metric's lambda_gram(p), signed and permuted as the Euclidean
-star.  Every basis, projector and star matrix is exact: a tuple of ints or
-Fractions, or a tuple of such rows.
+this by the exact pullback matrices M_p = N_p / d_p of F, integer pairs as
+in `exterior`: bases are N_p v scaled to primitive integers, and every
+projector on grades 2 to 5 is M_p pi M_p^-1, since F* commutes with the
+star; the products run in integers.  The star matrix on grade p, a pair
+too, is vol times the rows of the metric's lambda_gram(p), signed and
+permuted as the Euclidean star.  Bases are tuples of ints, projectors
+tuples of Fraction rows.
 
 The mode fibres of the oracle, {u in Lambda^grade_component : l -| u = 0},
 are exact kernels here as well (`typed_contraction_kernel`): iota_{e_a} B
@@ -76,10 +76,10 @@ def _standard_bases():
     # each span cleared once: a positive common scale leaves primitive vectors alike
     basis = {key: tuple(map(linalg.primitive_integer, linalg.clear_denominators(cols)[0]))
              for key, cols in spans.items()}
-    # Lambda^2_14 = ker(. ^ psi); Lambda^3_27 = ker(a -> (a ^ phi, a ^ psi))
-    for key, system in (((2, 14), wedge_matrix(psi, 2)),
-                        ((3, 27), wedge_matrix(phi, 3) + wedge_matrix(psi, 3))):
-        basis[key] = tuple(linalg.nullspace(linalg.clear_denominators(system)[0]))
+    # Lambda^2_14 = ker(. ^ psi); Lambda^3_27 = ker(a -> (a ^ phi, a ^ psi)); the
+    # kernel of N / d is the kernel of N
+    basis[(2, 14)] = tuple(linalg.nullspace(wedge_matrix(psi, 2)[0]))
+    basis[(3, 27)] = tuple(linalg.nullspace(wedge_matrix(phi, 3)[0] + wedge_matrix(psi, 3)[0]))
     return basis
 
 
@@ -119,7 +119,8 @@ def _standard_projectors():
 
     pi_1 = phi phi^T / 7 and pi_7 = B B^T / k for the contraction basis
     B = (e_i -| phi) or (e_i -| psi); pi_14 and pi_27 are the complements.
-    Grades 4 and 5 are conjugated by the Euclidean star.
+    Grades 4 and 5 are conjugated by the Euclidean star.  Each is a pair
+    (N, k) meaning N / k.
     """
     B = _standard_bases()
     raw = {key: _contraction_projector(B[key]) for key in ((2, 7), (3, 1), (3, 7))}
@@ -129,16 +130,16 @@ def _standard_projectors():
         conjugated = linalg.int_matmul(linalg.int_matmul(_euclidean_star(grade), N),
                                        _euclidean_star(DIM - grade))
         raw[(DIM - grade, comp)] = (conjugated, k)
-    return {key: linalg.scaled(N, k) for key, (N, k) in raw.items()}
+    return raw
 
 
 def _star_matrix(structure, p):
-    """Rows of vol * lambda_gram(p), signed and permuted as the Euclidean star."""
-    weighted, vol = structure.metric.lambda_gram(p), structure.metric.vol
+    """(N, d): rows of vol * lambda_gram(p), signed and permuted as the Euclidean star."""
+    (weighted, d), vol = structure.metric.lambda_gram(p), structure.metric.vol
     out = [None] * comb(DIM, p)
     for pos_in, pos_out, sign in hodge_table(p):
-        out[pos_out] = tuple(sign * vol * x for x in weighted[pos_in])
-    return tuple(out)
+        out[pos_out] = tuple(sign * vol.numerator * x for x in weighted[pos_in])
+    return tuple(out), d * vol.denominator
 
 
 def _frame_pullback_matrix(structure, p, inverse):
@@ -150,17 +151,18 @@ def _type_space_basis(structure, grade, component):
     base = _standard_bases()[(grade, component)]
     if linalg.is_identity(structure.frame):
         return base
-    M = linalg.clear_denominators(structure.frame_pullback_matrix(grade))[0]
+    M, _ = structure.frame_pullback_matrix(grade)
     return tuple(linalg.primitive_integer(linalg.matvec(M, v)) for v in base)
 
 
 def _projector(structure, grade, component):
     # F* commutes with the star when det F > 0, so every grade transports alike
-    base = _standard_projectors()[(grade, component)]
-    if linalg.is_identity(structure.frame):
-        return base
-    return linalg.matmul(structure.frame_pullback_matrix(grade), base,
-                         structure.frame_pullback_matrix(grade, inverse=True))
+    N, k = _standard_projectors()[(grade, component)]
+    if not linalg.is_identity(structure.frame):
+        M, d = structure.frame_pullback_matrix(grade)
+        Minv, e = structure.frame_pullback_matrix(grade, inverse=True)
+        N, k = linalg.int_matmul(linalg.int_matmul(M, N), Minv), d * k * e
+    return linalg.scaled(N, k)
 
 
 # -- mode fibre subspaces -------------------------------------------------------

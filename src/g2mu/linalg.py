@@ -1,19 +1,21 @@
 """Exact linear algebra over the rationals and integers, in plain Python.
 
 Everything here is dense and small (dimensions <= ~50).  An exact matrix
-is a tuple of row tuples of ints or Fractions, a vector a tuple; inputs may
-be any nested sequences.  det, inverse, compound, matmul and
-enumerate_ellipsoid take rational input (frames, metrics and lattice Grams
-enter there) and clear it of denominators once; rank, nullspace,
-primitive_integer and int_compound take integer rows through operator.index,
-so a Fraction raises TypeError rather than being cleared again.
-One fraction-free (Bareiss) elimination, `_echelon`, serves det, rank,
-nullspace (primitive integer vectors) and inverse (an integer pair A / D);
-its rows also drive the one lattice-shell enumerator, `enumerate_ellipsoid`,
+is a tuple of row tuples of ints or Fractions, or an integer pair (N, d)
+meaning N / d, the form clear_denominators and inverse return; a vector is
+a tuple, and inputs may be any nested sequences.  det, inverse, matmul,
+positive_definite and enumerate_ellipsoid take rational input (frames,
+metrics and lattice Grams enter there) and clear it of denominators once;
+rank, nullspace, primitive_integer, int_inverse and int_compound take
+integer rows through operator.index, so a Fraction raises TypeError rather
+than being cleared again.  One fraction-free (Bareiss) elimination,
+`_echelon`, serves det, rank, nullspace (primitive integer vectors), inverse
+(a pair A / D) and positive_definite (its leading pivots, with det); its
+rows also drive the one lattice-shell enumerator, `enumerate_ellipsoid`,
 which prunes each coordinate with an integer square root and returns every
 shell with its exact value, so no float or tolerance enters it.
-Compound matrices come from Laplace expansion of each minor into minors one
-size smaller, products from integer matmul with one division at the end.
+Minors come from Laplace expansion of each minor into minors one size
+smaller, products from integer matmul with one division at the end.
 Integer matrices also get a Hermite-style kernel routine, whose bases are
 saturated, so that lattice computations never leave Z.
 """
@@ -69,16 +71,17 @@ def is_identity(m):
 def _echelon(rows, reduced=False):
     """Fraction-free (Bareiss) row echelon form of an integer matrix, in place.
 
-    rows is a list of lists of ints.  Returns (pivots, D, sign): the pivot
-    columns, the last pivot D (1 if there is none) and the sign of the row
-    permutation.  Each step replaces a row by (pivot * row - f * top) / D_prev,
+    rows is a list of lists of ints.  Returns (pivots, D, swaps): the pivot
+    columns, the last pivot D (1 if there is none) and the number of row
+    swaps.  Each step replaces a row by (pivot * row - f * top) / D_prev,
     a division that is exact by Bareiss' theorem, so every entry stays a
-    minor of the input.  A square matrix of full rank has det = sign * D.
+    minor of the input.  A square matrix of full rank has det = (-1)^swaps D;
+    with no swap the k-th diagonal entry is the leading k x k minor.
     With reduced=True the rows above each pivot are cleared as well, so the
     first len(pivots) rows end as D times the reduced row echelon form.
     """
     m = len(rows)
-    pivots, prev, sign = [], 1, 1
+    pivots, prev, swaps = [], 1, 0
     for c in range(len(rows[0]) if m else 0):
         r = len(pivots)
         if r == m:
@@ -88,7 +91,7 @@ def _echelon(rows, reduced=False):
             if p is None:
                 continue
             rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
+            swaps += 1
         top = rows[r]
         pk = top[c]
         for i in range(0 if reduced else r + 1, m):
@@ -101,7 +104,7 @@ def _echelon(rows, reduced=False):
                 rows[i] = [x * pk // prev for x in rows[i]]
         pivots.append(c)
         prev = pk
-    return pivots, prev, sign
+    return pivots, prev, swaps
 
 
 def _int_rows(a):
@@ -136,18 +139,23 @@ def nullspace(a):
 
 
 def inverse(a):
-    """Exact inverse of a square rational matrix as (A, D): a^-1 = A / D.
-
-    A is a list of integer rows and D > 0 the least common denominator.
-    Raises ValueError if a is singular.
-    """
+    """Exact inverse of a square rational matrix as (A, D): a^-1 = A / D, with A
+    integer rows and D > 0 least.  Raises ValueError if a is singular."""
     b, d = clear_denominators(a)
+    A, D = int_inverse(b)
+    g = gcd(d, D)   # a^-1 = d A / D with A / D reduced
+    return [[x * (d // g) for x in row] for row in A], D // g
+
+
+def int_inverse(b):
+    """Exact inverse of a square integer matrix as (A, D): b^-1 = A / D, reduced
+    as in `inverse`; a Fraction raises TypeError."""
     n = len(b)
-    rows = [row + [d if j == i else 0 for j in range(n)] for i, row in enumerate(b)]
+    rows = [row + [int(j == i) for j in range(n)] for i, row in enumerate(_int_rows(b))]
     pivots, D, _ = _echelon(rows, reduced=True)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    # rows = [D I | D b^-1] and a^-1 = d b^-1
+    # rows = [D I | D b^-1]
     A = [row[n:] for row in rows]
     g = gcd(D, *(x for row in A for x in row))
     if D < 0:
@@ -209,8 +217,8 @@ def int_matmul(a, b):
 def det(a):
     """Exact determinant, a Fraction: clear denominators, then a fraction-free pass."""
     b, d = clear_denominators(a)
-    pivots, D, sign = _echelon(b)
-    return Fraction(sign * D if len(pivots) == len(b) else 0, d ** len(b))
+    pivots, D, swaps = _echelon(b)
+    return Fraction((-1) ** swaps * D if len(pivots) == len(b) else 0, d ** len(b))
 
 
 def int_compound(b, p, rows=None):
@@ -257,17 +265,6 @@ def int_compound(b, p, rows=None):
         return out
 
     return [minors(tuple(I)) for I in (combinations(range(m), p) if rows is None else rows)]
-
-
-def compound(a, p):
-    """The p-th compound matrix C[I, J] = det a[I, J], exact.
-
-    I and J run over the increasing p-subsets of rows and columns in
-    lexicographic order.  Denominators are cleared once (a = b / d), the
-    minors of b are taken in ints, and each is divided by d^p at the end.
-    """
-    b, d = clear_denominators(a)
-    return scaled(int_compound(b, p), d ** p)
 
 
 def integer_kernel(a):
@@ -322,8 +319,19 @@ def primitive_integer(vec):
     return tuple(x // g for x in ints)
 
 
-def principal_minors_positive(g):
-    return all(det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
+def positive_definite(gram):
+    """(U, d, [1, D_1, .., D_r]) with gram = U / d and D_k the leading minors of U,
+    from one fraction-free pass over U, which swaps no row exactly when no D_k
+    is 0 and leaves them on its diagonal.  Raises ValueError unless gram is
+    symmetric positive definite (every D_k > 0, Sylvester's criterion)."""
+    U, d = clear_denominators(gram)
+    r = len(U)
+    if any(U[i][j] != U[j][i] for i in range(r) for j in range(i)):
+        raise ValueError("gram matrix is not symmetric")
+    pivots, _, swaps = _echelon(U)
+    if swaps or len(pivots) < r or any(U[k][k] <= 0 for k in range(r)):
+        raise ValueError("gram matrix is not positive definite")
+    return U, d, [1] + [U[k][k] for k in range(r)]
 
 
 def rational_sqrt(q):
@@ -346,26 +354,21 @@ def enumerate_ellipsoid(gram, bound, shift=None):
     exact Fraction value (x + shift)^T gram (x + shift) and each shell's
     integer points are sorted.  Everything runs in Python ints: with
     gram = G / d and shift = W / e, Q = y^T G y / (d e^2) for y = e x + W.
-    The fraction-free rows U_k of G (`_echelon`, which swaps no rows when
-    every leading minor D_k is positive) give
+    The fraction-free rows U_k of G (`positive_definite`, whose pass swaps
+    no rows since every leading minor D_k is positive) give
     y^T G y = sum_k (U_k . y)^2 / (D_k D_{k+1}), so each coordinate in turn
     is bounded by an `isqrt` of an integer budget (Fincke-Pohst pruning,
     exact).  The budget left at a leaf gives Q exactly.  Raises ValueError
     unless gram is symmetric positive definite.
     """
-    U, d = clear_denominators(gram)
+    U, d, D = positive_definite(gram)
     r = len(U)
-    if any(U[i][j] != U[j][i] for i in range(r) for j in range(i)) \
-            or not principal_minors_positive(gram):
-        raise ValueError("gram matrix is not symmetric positive definite")
     (W,), e = clear_denominators([shift if shift is not None else [0] * r])
     bound = frac(bound)
     if bound < 0:
         return {}
     scale = d * e * e
     top = bound.numerator * scale // bound.denominator   # y^T G y <= top
-    _echelon(U)
-    D = [1] + [U[k][k] for k in range(r)]
     x, y, found = [0] * r, [0] * r, {}
 
     def descend(k, budget):

@@ -14,10 +14,10 @@ the character.  This module computes that dimension two independent ways:
   * brute force: explicit bases of the fibres (`fiber_basis`, a
     `g2.typed_contraction_kernel` checked against the dimension in KINDS),
     explicit pullback matrices, exact restricted traces and exact
-    root-of-unity phases.  Bases, pullback matrices and the Lambda-Gram
-    matrix (cleared of its denominator once per structure) are integer
-    matrices, tuples of int rows, so each trace is computed in Python ints
-    with one division at the end;
+    root-of-unity phases.  Bases, pullback matrices and the integer part N
+    of the metric's Lambda-Gram pair (N, d) are integer rows, so each
+    trace is computed in Python ints with one division at the end, once per
+    matrix part and fibre (l and -l share one);
   * closed form: the tr8/tr12 trace polynomials weighted by the same phases
     over the fixed vectors of each element, once per element and phase.
 
@@ -42,7 +42,7 @@ from operator import mul
 from . import linalg
 from .epstein import fixed_lattice_cached, twisted_shells
 from .exterior import DIM
-from .g2 import typed_contraction_kernel, typed_contraction_kernel_dim
+from .g2 import _canonical_sign, typed_contraction_kernel, typed_contraction_kernel_dim
 from .invariants import tr8_su3, tr12_su3
 from .orbifold import AffineElement
 
@@ -147,16 +147,12 @@ def _restricted_trace(structure, mat_pullback, basis):
 
 def _fibre_trace_data(structure, basis):
     """(B, A B^T G, D) for an integer fibre basis (the rows of B^T), with
-    G the integer-cleared Lambda-Gram and (B^T G B)^-1 = A / D."""
-    G = structure.memo(_integer_lambda_gram, {21: 2, 35: 3}[len(basis[0])])
+    G the integer part of the Lambda-Gram pair and (B^T G B)^-1 = A / D."""
+    G, _ = structure.metric.lambda_gram({21: 2, 35: 3}[len(basis[0])])
     B = linalg.transpose(basis)
     BtG = linalg.int_matmul(basis, G)
-    A, D = linalg.inverse(linalg.int_matmul(BtG, B))
+    A, D = linalg.int_inverse(linalg.int_matmul(BtG, B))
     return B, linalg.int_matmul(A, BtG), D
-
-
-def _integer_lambda_gram(structure, grade):
-    return tuple(map(tuple, linalg.clear_denominators(structure.metric.lambda_gram(grade))[0]))
 
 
 class _PhaseSum:
@@ -237,10 +233,16 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
             for l, q in fixed:
                 acc.add(q, typed_contraction_kernel_dim(structure, l, grade, component))
             continue
-        mat = pullback_matrix_cached(structure, element, grade)
         for l, q in fixed:
-            acc.add(q, _restricted_trace(structure, mat, fiber_basis(structure, l, kind)))
+            acc.add(q, structure.memo(_fixed_trace, element.matrix, _canonical_sign(l), kind))
     return _integer_average(acc, len(orbifold.group))
+
+
+def _fixed_trace(structure, matrix, l, kind):
+    """tr(A* | F_l) for the matrix part A: it depends on A and the fibre
+    F_l = F_{-l} only, so elements sharing A (and modes l, -l) share it."""
+    mat = structure.memo(_element_pullback_matrix, matrix, KINDS[kind][0])
+    return _restricted_trace(structure, mat, fiber_basis(structure, l, kind))
 
 
 def invariant_dimension_formula(orbifold, cls, kind):
@@ -262,12 +264,8 @@ def _integer_average(acc, order):
     return int(total)
 
 
-def pullback_matrix_cached(structure, element, grade):
-    """Pullback matrix of the matrix part (transposed compound), in Python ints."""
-    return structure.memo(_element_pullback_matrix, element.matrix, grade)
-
-
 def _element_pullback_matrix(structure, matrix, grade):
+    """Pullback matrix of the matrix part (transposed compound), in Python ints."""
     return linalg.transpose(linalg.int_compound(matrix, grade))
 
 
@@ -284,13 +282,8 @@ def su3_trace_check(orbifold, element, l):
         raise NotFixed("l must be nonzero")
     if any(sum(A[i][j] * l[j] for j in range(DIM)) != l[i] for i in range(DIM)):
         raise NotFixed(f"{l} is not fixed by the element")
-    structure = orbifold.structure
-    res = []
-    for kind, poly in (("H", tr8_su3), ("Hprime", tr12_su3)):
-        mat = pullback_matrix_cached(structure, element, KINDS[kind][0])
-        tr = _restricted_trace(structure, mat, fiber_basis(structure, l, kind))
-        res.append(abs(tr - poly(A)))
-    return tuple(res)
+    return tuple(abs(orbifold.structure.memo(_fixed_trace, A, _canonical_sign(l), kind) - poly(A))
+                 for kind, poly in (("H", tr8_su3), ("Hprime", tr12_su3)))
 
 
 def spectral_reports(orbifold, radius_sq):

@@ -251,10 +251,20 @@ def test_zeta_builds_each_fixed_lattice_once(capsys, tmp_path, monkeypatch):
     assert len(json.loads(out)["results"]["elements"]) == len(built) == len(set(built)) == 8
 
 
-def test_spectrum_call_counts(capsys, monkeypatch):
-    """spectrum on m3 at radius 4 clears integer rows of denominators only where
-    rational matrices enter, asks for a type-space basis about once per mode,
-    and takes a 7x7 determinant only for elements built from outside."""
+def framed_config(tmp_path, stem, diagonal):
+    """A shipped config under the diagonal frame diag(diagonal), written to tmp_path."""
+    payload = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
+    payload["frame"] = [[diagonal[i] if i == j else "0" for j in range(7)] for i in range(7)]
+    return write_config(tmp_path, payload, f"{stem}-framed.json")
+
+
+HALF_FRAME = ("1", "1", "1", "1", "1", "1", "1/2")
+F23_FRAME = ("2", "1", "1", "1", "1", "3", "1")
+
+
+def spectrum_calls(capsys, monkeypatch, config, radius_sq):
+    """Calls of clear_denominators, type_space_basis and 7x7 eliminations made by
+    `spectrum` on a fresh structure, with the standard bases already built."""
     from g2mu import g2, linalg
     g2._standard_bases()  # built once per process, by whichever caller comes first
     # a fresh structure for the config's frame, so that nothing is memoised yet
@@ -279,14 +289,29 @@ def test_spectrum_call_counts(capsys, monkeypatch):
     monkeypatch.setattr(g2.G2Structure, "type_space_basis",
                         counting("type_space_basis", g2.G2Structure.type_space_basis))
     monkeypatch.setattr(linalg, "_echelon", eliminate)
-    code, _, _ = run_cli(capsys, "spectrum", "--config", str(CONFIG_DIR / "m3.json"),
-                         "--radius-sq", "4")
+    code, _, _ = run_cli(capsys, "spectrum", "--config", config, "--radius-sq", radius_sq)
     assert code == 0
+    return calls
+
+
+def test_spectrum_call_counts(capsys, monkeypatch):
+    """spectrum on m3 at radius 4 clears integer rows of denominators only where
+    rational matrices enter, asks for a type-space basis about once per mode,
+    and takes a 7x7 determinant only for elements built from outside."""
+    calls = spectrum_calls(capsys, monkeypatch, str(CONFIG_DIR / "m3.json"), "4")
     # 6 of the 7x7 determinants check det = 1 for the 3 generators and their
-    # inverses; the other 5 belong to the metric and to the identity element's
-    # shell enumeration
-    assert calls == {"clear_denominators": 272, "type_space_basis": 1290,
-                     "7x7 determinants": 11}
+    # inverses; the other 3 are the metric's one elimination (positive
+    # definiteness and det G) and the identity element's shell enumeration
+    assert calls == {"clear_denominators": 83, "type_space_basis": 1290,
+                     "7x7 determinants": 9}
+
+
+def test_spectrum_call_counts_framed(capsys, monkeypatch, tmp_path):
+    """The same counts for m3 under diag(2, 1, 1, 1, 1, 3, 1) at radius 2: the
+    frame enters through its determinant and pullback matrices only."""
+    config = framed_config(tmp_path, "m3", F23_FRAME)
+    assert spectrum_calls(capsys, monkeypatch, config, "2") == {
+        "clear_denominators": 85, "type_space_basis": 152, "7x7 determinants": 9}
 
 
 @pytest.mark.parametrize("stem", ["t7", "m3"])
@@ -335,6 +360,27 @@ PINNED_REPORTS = {
 }
 
 
+# the same digests for spectrum under rational frames, computed before the
+# exterior kernels and the metric's matrices moved to integer pairs
+PINNED_FRAMED_REPORTS = {
+    ("m1", HALF_FRAME): "434eda39837fa9f7f6d6894ae5c073877b64ea3515e1ca79415eeac3987e2b49",
+    ("m3", F23_FRAME): "cf0e53dc6969d8f813c4d407a665cd885e5b2bad9f684bf110c4c4ddfc485597",
+}
+
+
+def report_digest(out):
+    report = json.loads(out)
+    report.pop("wall_time_s")
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("stem, frame", sorted(PINNED_FRAMED_REPORTS))
+def test_framed_spectrum_reports_are_pinned(capsys, tmp_path, stem, frame):
+    code, out, _ = run_cli(capsys, "spectrum", "--config", framed_config(tmp_path, stem, frame),
+                           "--radius-sq", "2")
+    assert (code, report_digest(out)) == (0, PINNED_FRAMED_REPORTS[stem, frame])
+
+
 @pytest.mark.parametrize("stem", sorted(PINNED_REPORTS))
 def test_exact_reports_are_pinned(capsys, stem):
     """Every field but wall_time_s of the exact commands' reports, pinned by digest."""
@@ -342,7 +388,4 @@ def test_exact_reports_are_pinned(capsys, stem):
         name, *flags = command.split()
         code, out, _ = run_cli(capsys, name, "--config", str(CONFIG_DIR / f"{stem}.json"),
                                *flags)
-        report = json.loads(out)
-        report.pop("wall_time_s")
-        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert (code, digest) == (0, expected), command
+        assert (code, report_digest(out)) == (0, expected), command

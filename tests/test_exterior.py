@@ -1,11 +1,12 @@
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import numpy as np
 import pytest
 
 from g2mu import linalg
-from g2mu.exterior import (DIM, ExteriorForm, Metric7, hodge_star, inner, interior,
+from g2mu.exterior import (DIM, INDICES, ExteriorForm, Metric7, hodge_star, inner, interior,
                            metric_from_frame, pullback, pullback_matrix, wedge, wedge_matrix)
 from g2mu.fourier import covector_wedge_stack, interior_stack
 from g2mu.g2 import G2Structure, standard_phi0
@@ -74,7 +75,8 @@ def test_integer_tables_match_form_operations():
                 assert tuple(interior_stack(p)[axis].astype(object) @ a.coeffs) == \
                     interior(e, a).coeffs
         if p <= DIM - 3:
-            assert linalg.matvec(wedge_matrix(phi, p), a.coeffs) == wedge(a, phi).coeffs
+            assert linalg.matvec(linalg.scaled(*wedge_matrix(phi, p)), a.coeffs) == \
+                wedge(a, phi).coeffs
     assert not covector_wedge_stack(2).flags.writeable
     assert not interior_stack(2).flags.writeable
 
@@ -165,7 +167,8 @@ def test_metric_from_frame():
         F = rng.integers(-2, 3, size=(7, 7))
     m3 = metric_from_frame(F.tolist())
     assert m3.vol == linalg.det(F.tolist())
-    assert linalg.principal_minors_positive(m3.gram)
+    U, d, minors = linalg.positive_definite(m3.gram)
+    assert all(D > 0 for D in minors) and Fraction(minors[-1], d ** 7) == m3.vol ** 2
 
 
 def test_metric_rejects_bad_frames():
@@ -176,6 +179,14 @@ def test_metric_rejects_bad_frames():
         metric_from_frame(neg)
     with pytest.raises(ValueError):
         Metric7([[(-1 if i == j else 0) for j in range(7)] for i in range(7)])
+    with pytest.raises(ValueError):   # not symmetric
+        Metric7([[int(i == j or (i, j) == (0, 1)) for j in range(7)] for i in range(7)])
+    # indefinite with det 1: its elimination needs two row swaps, after which
+    # every pivot is positive, so only the swap count rejects it
+    swapped = [[int(i == j) if i > 3 else int(i ^ 1 == j) for j in range(7)] for i in range(7)]
+    assert linalg.det(swapped) == 1
+    with pytest.raises(ValueError):
+        Metric7(swapped, vol=1)
 
 
 def test_pullback_is_compound_functorial():
@@ -195,3 +206,107 @@ def test_exact_serialisation_roundtrip():
     encoded = [str(x) for x in a.coeffs]
     decoded = ExteriorForm(3, [Fraction(s) for s in encoded])
     assert decoded == a
+
+
+# -- the integer kernels against the Fraction formulas they replaced ----------------
+
+def _ref_minor(a, I, J):
+    return linalg.det([[a[r - 1][c - 1] for c in J] for r in I])
+
+
+def _ref_inverse(a):
+    """Gauss-Jordan in Fractions."""
+    n = len(a)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _ref_pullback_matrix(F, p):
+    return tuple(tuple(_ref_minor(F, I, J) for I in INDICES[p]) for J in INDICES[p])
+
+
+def _ref_lambda_gram(gram, p):
+    inv = _ref_inverse(gram)
+    return tuple(tuple(_ref_minor(inv, I, J) for J in INDICES[p]) for I in INDICES[p])
+
+
+def _ref_wedge(a, b):
+    out = [Fraction(0)] * comb(DIM, a.grade + b.grade)
+    for i, I in enumerate(INDICES[a.grade]):
+        for j, J in enumerate(INDICES[b.grade]):
+            if not set(I) & set(J):
+                sign = (-1) ** sum(1 for x in I for y in J if x > y)
+                out[INDICES[a.grade + b.grade].index(tuple(sorted(I + J)))] += \
+                    sign * a.coeffs[i] * b.coeffs[j]
+    return ExteriorForm(a.grade + b.grade, out)
+
+
+def _ref_interior(v, a):
+    out = [Fraction(0)] * comb(DIM, a.grade - 1)
+    for i, I in enumerate(INDICES[a.grade]):
+        for r, axis in enumerate(I):
+            out[INDICES[a.grade - 1].index(I[:r] + I[r + 1:])] += \
+                (-1) ** r * Fraction(v[axis - 1]) * a.coeffs[i]
+    return ExteriorForm(a.grade - 1, out)
+
+
+def _ref_hodge_star(a, metric, lambda_gram):
+    """a ^ star(b) = <a, b> vol: star(b)_K = sign(I, K) vol (G b)_I, K the complement of I."""
+    weighted = linalg.matvec(lambda_gram, a.coeffs)
+    out = [Fraction(0)] * comb(DIM, DIM - a.grade)
+    for i, I in enumerate(INDICES[a.grade]):
+        K = tuple(x for x in range(1, DIM + 1) if x not in I)
+        sign = (-1) ** sum(1 for x in I for y in K if x > y)
+        out[INDICES[DIM - a.grade].index(K)] = sign * metric.vol * weighted[i]
+    return ExteriorForm(DIM - a.grade, out)
+
+
+def _rational_frames(rng):
+    """Seeded rational frames with det > 0: diagonal, the 1/2 frame, shears."""
+    def q():
+        return Fraction(int(rng.integers(1, 9)), int(rng.choice([1, 2, 3, 5])))
+    eye = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
+    half = [row[:] for row in eye]
+    half[6][6] = Fraction(1, 2)
+    frames = [half, [[q() if i == j else 0 for j in range(DIM)] for i in range(DIM)]]
+    for _ in range(2):
+        shear = [[q() if i == j else (q() * int(rng.choice([-1, 0, 1])) if i < j else 0)
+                  for j in range(DIM)] for i in range(DIM)]
+        perm = rng.permutation(DIM)   # conjugate by a permutation: det stays > 0
+        frames.append([[shear[perm[i]][perm[j]] for j in range(DIM)] for i in range(DIM)])
+    return frames
+
+
+def test_integer_kernels_match_fraction_formulas():
+    rng = np.random.default_rng(14)
+    for p in range(DIM + 1):
+        a = rand_form(rng, p)
+        if p:
+            v = rand_vector(rng)
+            assert interior(v, a) == _ref_interior(v, a)
+        for q in range(DIM + 1 - p):
+            c = rand_form(rng, q)
+            assert wedge(a, c) == _ref_wedge(a, c)
+            assert linalg.matvec(linalg.scaled(*wedge_matrix(c, p)), a.coeffs) == \
+                _ref_wedge(a, c).coeffs
+    for F in _rational_frames(rng):
+        assert linalg.det(F) > 0
+        metric = metric_from_frame(F)
+        gram = [list(row) for row in metric.gram]
+        assert linalg.scaled(*metric.inverse_gram()) == tuple(map(tuple, _ref_inverse(gram)))
+        for p in range(DIM + 1):
+            a, b = rand_form(rng, p), rand_form(rng, p)
+            M, G = _ref_pullback_matrix(F, p), _ref_lambda_gram(gram, p)
+            assert pullback(F, a).coeffs == linalg.matvec(M, a.coeffs)
+            assert linalg.scaled(*pullback_matrix(F, p)) == M
+            assert linalg.scaled(*metric.lambda_gram(p)) == G
+            assert hodge_star(a, metric) == _ref_hodge_star(a, metric, G)
+            assert inner(a, b, metric) == sum(map(mul, a.coeffs, linalg.matvec(G, b.coeffs)))

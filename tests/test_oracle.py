@@ -73,6 +73,35 @@ def test_spectral_reports_enumerate_each_fixed_lattice_once(monkeypatch):
     assert len(orb.group) == 8 and calls == [4] * 8
 
 
+def test_restricted_traces_are_shared_by_matrix_part_and_fibre(monkeypatch):
+    """tr(A* | F_l) depends only on the matrix part A and the fibre F_l = F_{-l}:
+    the order-24 group of alpha with translation 1/2 and the order-3 cycle with
+    translation 1/3 has 12 matrix parts, and at radius 1 its 164 fixed
+    (non-identity element, mode) pairs of both kinds need 48 traces."""
+    monkeypatch.setattr(G2Structure, "_shared_instances", {})
+    calls = []
+    restricted_trace = orc._restricted_trace
+
+    def counting(*args):
+        calls.append(args[1])
+        return restricted_trace(*args)
+
+    monkeypatch.setattr(orc, "_restricted_trace", counting)
+    alpha = AffineElement(ALPHA.matrix, [Fraction(1, 2), 0, 0, 0, 0, 0, 0])
+    perm = (0, 3, 4, 5, 6, 1, 2)
+    cycle = AffineElement([[int(i == perm[j]) for j in range(7)] for i in range(7)],
+                          [Fraction(1, 3), 0, 0, 0, 0, 0, 0])
+    orb = validate_joyce(generate([alpha, cycle]))
+    reports = orc.spectral_reports(orb, 1)
+    assert len(orb.group) == 24 and len({e.matrix for e in orb.group}) == 12
+    assert reports and all(r.match for r in reports)
+    assert len(calls) == 48
+    fixed = sum(len(orc._fixed_vectors(e, cls, orb.structure))
+                for e in orb.group if not e.is_identity()
+                for cls in orc.enumerate_classes(orb, 1))
+    assert 2 * fixed == 164
+
+
 def test_classes_come_in_opposite_pairs(torus):
     for cls in orc.enumerate_classes(torus, 3):
         vset = set(cls.vectors)
@@ -126,7 +155,7 @@ def _reference_trace(structure, M, basis):
     S_j is S with column j replaced by column j of T.
     """
     grade = {21: 2, 35: 3}[len(basis[0])]
-    G = np.array(structure.metric.lambda_gram(grade), dtype=object)
+    G = np.array(linalg.scaled(*structure.metric.lambda_gram(grade)), dtype=object)
     B = np.array(linalg.frac_matrix(basis), dtype=object).T
     BtG = B.T @ G
     # S | T cleared by one common denominator, which cancels in each ratio
