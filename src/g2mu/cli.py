@@ -9,8 +9,9 @@ Subcommands (all take --config pointing at a JSON orbifold description):
     zeta        value at 0 of each element's twisted zeta + closed-form mu
 
 Exit codes: 0 success, 1 mathematical mismatch or validation failure,
-2 malformed input.  Reports are JSON (or CSV) on stdout and deterministic
-for a fixed config and seed up to the wall_time_s field.
+2 malformed input, which includes a spectrum radius too large to enumerate.
+Reports are JSON (or CSV) on stdout and deterministic for a fixed config
+and seed up to the wall_time_s field.
 
 check, invariants, zeta and spectrum run on the exact core alone, with
 neither numpy nor mpmath; `identities` imports the Fourier layer, and with
@@ -24,6 +25,7 @@ import sys
 import time
 from fractions import Fraction
 
+from . import linalg
 from .epstein import closed_form_mu, fixed_lattice_cached, value_at_zero
 from .invariants import mu_invariants
 from .orbifold import (AffineElement, NonFinite, NonUnimodular, NotG2Compatible,
@@ -33,6 +35,10 @@ TOOL_VERSION = "0.1.0"
 
 _CONFIG_FIELDS = {"name", "generators", "frame", "oracle_radius_sq", "trials", "seed"}
 _GENERATOR_FIELDS = {"matrix", "translation"}
+
+# `spectrum` holds every lattice vector of its radius in memory: it refuses a
+# radius whose ball, (16 pi^3 / 105) radius_sq^(7/2) / vol, holds more
+MAX_LATTICE_VECTORS = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -49,6 +55,21 @@ def _radius_sq(value, name):
     if radius < 0:
         raise ConfigError(f"{name} must be nonnegative")
     return radius
+
+
+def _check_lattice_count(frame, radius_sq):
+    """Raise ConfigError if |l|^2_g <= radius_sq holds more than about
+    MAX_LATTICE_VECTORS vectors l of Z^7, estimated by the ellipsoid's volume."""
+    vol = linalg.det(frame) if frame is not None else 1
+    if vol <= 0:
+        return  # building the structure rejects the frame
+    try:
+        estimate = 16 * math.pi ** 3 / 105 * float(radius_sq) ** 3.5 / float(vol)
+    except (OverflowError, ZeroDivisionError):
+        estimate = math.inf
+    if estimate > MAX_LATTICE_VECTORS:
+        raise ConfigError(f"radius_sq {radius_sq} holds about {estimate:.3g} lattice vectors, "
+                          f"more than spectrum enumerates ({MAX_LATTICE_VECTORS})")
 
 
 def _trials(value, name):
@@ -99,7 +120,7 @@ def parse_config(raw):
                 or any(not isinstance(r, list) or len(r) != 7 for r in frame):
             raise ConfigError("'frame' must be a 7x7 matrix (list of 7 rows)")
         try:
-            frame = [[Fraction(str(x)) for x in row] for row in frame]
+            frame = linalg.clear_denominators([[str(x) for x in row] for row in frame])
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad rational in frame: {exc}")
     return {
@@ -135,7 +156,8 @@ def _echo_config(config):
         "seed": config["seed"],
     }
     if config["frame"] is not None:
-        out["frame"] = [[str(x) for x in row] for row in config["frame"]]
+        N, d = config["frame"]
+        out["frame"] = [[str(Fraction(x, d)) for x in row] for row in N]
     return out
 
 
@@ -178,10 +200,14 @@ def cmd_invariants(config, args):
     return code, results
 
 
+def _spectrum_radius(config, args):
+    return args.radius_sq if args.radius_sq is not None else config["oracle_radius_sq"]
+
+
 def cmd_spectrum(config, args):
     from .oracle import spectral_reports
     orbifold = build_orbifold(config)
-    radius = args.radius_sq if args.radius_sq is not None else config["oracle_radius_sq"]
+    radius = _spectrum_radius(config, args)
     reports = spectral_reports(orbifold, radius)
     rows = [r.to_json_dict() for r in reports]
     mismatches = sum(1 for r in reports if not r.match)
@@ -350,6 +376,8 @@ def run(argv=None):
         with open(args.config) as fh:
             raw = json.load(fh)
         config = parse_config(raw)
+        if args.command == "spectrum":
+            _check_lattice_count(config["frame"], _spectrum_radius(config, args))
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "detail": str(exc)}}),
               file=sys.stderr)

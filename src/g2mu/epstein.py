@@ -23,6 +23,8 @@ correct away from 0, and they are cross-checked against direct summation
 and classical closed forms in the test suite.  Both run over the exact
 lattice shells of `linalg.enumerate_ellipsoid`, on Q rescaled to
 determinant about 1, each point with its twist residue (`twisted_shells`).
+Gram matrices are integer pairs (N, d) meaning N / d, as in `linalg`;
+twists stay Fraction vectors.
 An element's twisted fixed lattice (`fixed_lattice`) and those shells are
 also the spectral oracle's source for the modes it fixes and their phases.
 mpmath is imported only past the s = 0 return, so the value at 0, and every
@@ -51,7 +53,7 @@ class TwistedLattice:
     """A sublattice of Z^7 with induced Gram matrix and rational phase twist."""
     rank: int
     basis: tuple          # rank integer vectors in Z^7 (rows)
-    gram: tuple           # rank x rank exact matrix (tuple of row tuples)
+    gram: tuple           # rank x rank rational matrix, the pair (N, d)
     twist: tuple          # rank rational exponents; phase of x is e(sum w_i x_i)
 
     def is_twist_trivial(self):
@@ -62,18 +64,20 @@ def fixed_lattice(element, metric):
     """The fixed lattice {l in Z^7 : A l = l} of a group element, with twist.
 
     The one source for which modes l = x B an element fixes and their phases
-    e(q(x)): B is an integer-kernel basis, and the Gram B G B^T and the twist
-    B G t mod 1, with q(x) = g(x B, t) mod 1, are integer products.  A
-    zero-rank kernel cannot occur in a finite group and is rejected.
+    e(q(x)): B is an integer-kernel basis, and with the metric's Gram
+    G = (N, d) the Gram B G B^T = (B N B^T, d) and the twist B G t mod 1,
+    with q(x) = g(x B, t) mod 1, are integer products.  A zero-rank kernel
+    cannot occur in a finite group and is rejected.
     """
     A = element.matrix
     m = [[A[i][j] - (1 if i == j else 0) for j in range(DIM)] for i in range(DIM)]
     kernel = linalg.integer_kernel(m)
     if not kernel:
         raise ValueError("fixed lattice is zero; element is not a valid input")
-    BG = linalg.matmul(kernel, metric.gram)
-    gram = linalg.matmul(BG, linalg.transpose(kernel))
-    twist = tuple(x % 1 for x in linalg.matvec(BG, element.translation))
+    N, d = metric.gram
+    BN = linalg.int_matmul(kernel, N)
+    gram = linalg.int_matmul(BN, linalg.transpose(kernel)), d
+    twist = tuple(Fraction(x, d) % 1 for x in linalg.matvec(BN, element.translation))
     return TwistedLattice(rank=len(kernel), basis=tuple(kernel), gram=gram, twist=twist)
 
 
@@ -97,7 +101,7 @@ def twisted_shells(gram, bound, twist=None, shift=None):
     """
     shells = linalg.enumerate_ellipsoid(gram, bound, shift=shift)
     shells.pop(Fraction(0), None)
-    (T,), f = linalg.clear_denominators([twist if twist is not None else [0] * len(gram)])
+    (T,), f = linalg.clear_denominators([twist if twist is not None else [0] * len(gram[0])])
     return f, {Q: [(x, sum(map(mul, T, x)) % f) for x in pts] for Q, pts in shells.items()}
 
 
@@ -143,12 +147,13 @@ def epstein_value(lat, s):
     import mpmath
     lam = max(Fraction(float(linalg.det(lat.gram)) ** (-1 / r)).limit_denominator(64),
               Fraction(1, 64))
-    gram = tuple(tuple(x * lam for x in row) for row in lat.gram)
+    N, d = lat.gram
+    gram = tuple(tuple(x * lam.numerator for x in row) for row in N), d * lam.denominator
     with mpmath.workdps(_DPS):
         ms = mpmath.mpc(s)
         det = linalg.det(gram)
         det_root = mpmath.sqrt(mpmath.mpf(det.numerator) / det.denominator)
-        inv_gram = linalg.scaled(*linalg.inverse(gram))
+        inv_gram = linalg.inverse(gram)
 
         cut = _cutoff(s)
         s1 = _gamma_sum(_shell_sums(gram, cut, twist=lat.twist), ms)

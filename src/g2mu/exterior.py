@@ -9,9 +9,9 @@ acts on them through matrices built from the integer tables here: the
 sparse tables of `e^a ^ .` and `e_a -| .`, and the matrix of `. ^ c` for
 a constant form c.
 
-Frames and Gram matrices are tuples of row tuples of ints or Fractions, as
-in `linalg`; the inverse Gram, Lambda-Gram, pullback and wedge matrices are
-integer pairs (N, d) meaning N / d.  Each kernel clears its inputs once,
+Every rational matrix is an integer pair (N, d) meaning N / d, as in
+`linalg`: frames, Gram matrices and their inverses, Lambda-Grams, pullback
+and wedge matrices.  Each kernel clears a form's coefficients once,
 multiplies in Python ints over nonzero entries only, and builds Fractions
 only for the coefficients of the form it returns.
 
@@ -188,18 +188,23 @@ def interior(v, a):
     return ExteriorForm(a.grade - 1, [Fraction(x, d * e) for x in out])
 
 
+# the 7x7 identity matrix as a pair
+IDENTITY = (tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM)), 1)
+
+
 class Metric7:
-    """Flat metric on R^7: exact Gram matrix plus its volume factor sqrt(det);
-    its inverse and Lambda-Grams are pairs (N, d), each built on first use."""
+    """Flat metric on R^7: its Gram matrix, a pair (N, d), plus the volume
+    factor sqrt(det); its inverse and Lambda-Grams are pairs as well, each
+    built on first use."""
 
     __slots__ = ("gram", "vol", "_inverse", "_lambda_gram")
 
     def __init__(self, gram, vol=None):
-        gram = linalg.frac_matrix(gram)
-        if len(gram) != DIM or any(len(row) != DIM for row in gram):
+        N, d = gram
+        if len(N) != DIM or any(len(row) != DIM for row in N):
             raise ValueError("metric needs a 7x7 Gram matrix")
         # symmetry, positive definiteness and det from one elimination
-        _, d, minors = linalg.positive_definite(gram)
+        _, minors = linalg.positive_definite(gram)
         det = Fraction(minors[DIM], d ** DIM)
         if vol is None:
             vol = linalg.rational_sqrt(det)
@@ -219,7 +224,7 @@ class Metric7:
 
     @classmethod
     def euclidean(cls):
-        return cls(linalg.identity_frac(DIM), vol=1)
+        return cls(IDENTITY, vol=1)
 
     def inverse_gram(self):
         """The inverse Gram matrix as a pair (A, D): g^-1 = A / D."""
@@ -234,15 +239,6 @@ class Metric7:
             A, D = self.inverse_gram()
             self._lambda_gram[p] = linalg.int_compound(A, p), D ** p
         return self._lambda_gram[p]
-
-    def norm_sq_vector(self, v):
-        """g(v, v) for a rational tangent vector v, exact."""
-        vv = linalg.frac_vector(v)
-        return sum(x * y for x, y in zip(vv, linalg.matvec(self.gram, vv)))
-
-    def flat(self, v):
-        """Musical isomorphism: the covector g(v, .) as a 1-form."""
-        return ExteriorForm(1, linalg.matvec(self.gram, linalg.frac_vector(v)))
 
 
 def inner(a, b, metric):
@@ -272,27 +268,28 @@ def hodge_star(a, metric):
 
 
 def metric_from_frame(frame):
-    """Metric induced by pulling the Euclidean metric back along F.
+    """Metric induced by pulling the Euclidean metric back along F = (B, d).
 
     Convention (F*w)(u_1,..,u_p) = w(F u_1,..,F u_p), so the Gram matrix is
-    F^T F and the volume factor is det F (must be positive).
+    F^T F = (B^T B, d^2) and the volume factor is det F (must be positive).
     """
-    F = linalg.frac_matrix(frame)
-    if len(F) != DIM or any(len(row) != DIM for row in F):
+    B, d = frame
+    if len(B) != DIM or any(len(row) != DIM for row in B):
         raise ValueError("frame must be 7x7")
-    d = linalg.det(F)
-    if d == 0:
+    vol = linalg.det(frame)
+    if vol == 0:
         raise ValueError("frame is singular")
-    if d < 0:
+    if vol < 0:
         raise ValueError("frame must be orientation preserving (det > 0)")
-    return Metric7(linalg.matmul(linalg.transpose(F), F), vol=d)
+    return Metric7((linalg.int_matmul(linalg.transpose(B), B), d * d), vol=vol)
 
 
 def pullback(frame, a):
-    """Pullback F*a with (F*a)_J = sum_I det(F[I, J]) a_I, over the I with a_I != 0."""
+    """Pullback F*a with (F*a)_J = sum_I det(F[I, J]) a_I, over the I with a_I != 0,
+    for a frame F = (B, d)."""
     if a.grade == 0 or a.is_zero():
         return a
-    B, d = linalg.clear_denominators(frame)
+    B, d = frame
     c, e = _cleared(a)
     rows = [tuple(i - 1 for i in I) for I, x in zip(INDICES[a.grade], c) if x]
     minors = linalg.int_compound(B, a.grade, rows)
@@ -303,8 +300,8 @@ def pullback(frame, a):
 def pullback_matrix(frame, p):
     """Matrix of F* on grade-p coefficient vectors, as a pair (N, d).
 
-    Entry (J, I) is det F[I, J], so with F = B / d the matrix is the transpose
-    of the p-th compound of B (linalg.int_compound) over d^p.
+    Entry (J, I) is det F[I, J], so with F = (B, d) the matrix is the
+    transpose of the p-th compound of B (linalg.int_compound) over d^p.
     """
-    B, d = linalg.clear_denominators(frame)
+    B, d = frame
     return linalg.transpose(linalg.int_compound(B, p)), d ** p

@@ -26,10 +26,11 @@ projections, and the four adjoint-named ones are the formal adjoints
 -G_dom^-1 K[a]^T G_cod of their primals' stacks.
 
 The float matrices are views of the structure's exact ones (`gram_float`,
-`lambda_gram_float`, `projector_float`, `star_matrix_float`), converted
-once and kept read-only in the structure's memo (a pair N / d entry by
-entry as n / d); the integer stacks of `e^a ^ .` and `e_a -| .` are built
-once from the tables in `exterior`.
+`lambda_gram_float`, `projector_float`, `star_matrix_float`): each exact
+matrix is an integer pair (N, d), converted once by `pair_to_float`, entry
+by entry as n / d, and kept read-only in the structure's memo; the integer
+stacks of `e^a ^ .` and `e_a -| .` are built once from the tables in
+`exterior`.
 The exact mode fibres that the Hessian blocks project onto are `g2`'s
 `typed_contraction_kernel`.
 """
@@ -66,11 +67,6 @@ def read_only(arr):
     return arr
 
 
-def to_float(a):
-    """A float array of an exact matrix, entry by entry."""
-    return np.array([[float(x) for x in row] for row in a], dtype=float)
-
-
 def pair_to_float(N, d):
     """A float array of N / d: each n / d is correctly rounded, as float(Fraction(n, d))."""
     return np.array([[n / d for n in row] for row in N], dtype=float)
@@ -94,32 +90,33 @@ def interior_stack(p):
     return read_only(I)
 
 
-def _float_view(structure, name, *args):
-    """The structure's exact matrix `name` (`gram`, `lambda_gram`: its metric's) as floats."""
-    exact = getattr(structure.metric if "gram" in name else structure, name)
-    if name in ("lambda_gram", "star_matrix"):
-        return read_only(pair_to_float(*exact(*args)))
-    return read_only(to_float(exact(*args) if args else exact))
+def _float_view(structure, exact, *args):
+    """The pair exact(*args), a method of the structure or of its metric, as floats."""
+    return read_only(pair_to_float(*exact(*args)))
+
+
+def _gram_float(structure):
+    return read_only(pair_to_float(*structure.metric.gram))
 
 
 def gram_float(structure):
     """Float view of the metric's Gram matrix, converted once per structure."""
-    return structure.memo(_float_view, "gram")
+    return structure.memo(_gram_float)
 
 
 def lambda_gram_float(structure, p):
     """Float view of the metric's lambda_gram(p), converted once per structure."""
-    return structure.memo(_float_view, "lambda_gram", p)
+    return structure.memo(_float_view, structure.metric.lambda_gram, p)
 
 
 def projector_float(structure, grade, component):
     """Float view of structure.projector(grade, component), converted once."""
-    return structure.memo(_float_view, "projector", grade, component)
+    return structure.memo(_float_view, structure.projector, grade, component)
 
 
 def star_matrix_float(structure, p):
     """Float view of structure.star_matrix(p), converted once."""
-    return structure.memo(_float_view, "star_matrix", p)
+    return structure.memo(_float_view, structure.star_matrix, p)
 
 
 class FourierForm:

@@ -19,16 +19,18 @@ first use, in integers and without an inverse: pi_1 = phi phi^T / 7,
 pi_7 = B B^T / k for the contraction basis B = (e_i -| phi) or
 (e_i -| psi) with B^T B = k I, and pi_14, pi_27 as complements, each
 checked to fix its kernel basis (a failed check raises ArithmeticError).
-Grades 4 and 5 are conjugated by the Euclidean star, a signed permutation.
+Grades 4 and 5 are conjugated by the Euclidean star, a signed permutation,
+so their projectors are those of grades 3 and 2 with rows and columns
+re-indexed and signed.
 
 A structure F*phi0 with a rational frame F (det F > 0) transports all of
-this by the exact pullback matrices M_p = N_p / d_p of F, integer pairs as
-in `exterior`: bases are N_p v scaled to primitive integers, and every
-projector on grades 2 to 5 is M_p pi M_p^-1, since F* commutes with the
-star; the products run in integers.  The star matrix on grade p, a pair
-too, is vol times the rows of the metric's lambda_gram(p), signed and
-permuted as the Euclidean star.  Bases are tuples of ints, projectors
-tuples of Fraction rows.
+this by the exact pullback matrices M_p = N_p / d_p of F: bases are N_p v
+scaled to primitive integers, and every projector on grades 2 to 5 is
+M_p pi M_p^-1, since F* commutes with the star; the products run in
+integers.  The star matrix on grade p is vol times the rows of the
+metric's lambda_gram(p), signed and permuted as the Euclidean star.
+Bases are tuples of ints; the frame, projectors, star and pullback
+matrices are integer pairs (N, d) meaning N / d, as in `linalg`.
 
 The mode fibres of the oracle, {u in Lambda^grade_component : l -| u = 0},
 are exact kernels here as well (`typed_contraction_kernel`): iota_{e_a} B
@@ -45,8 +47,8 @@ from functools import lru_cache
 from math import comb, lcm
 
 from . import linalg
-from .exterior import (DIM, INDICES, ExteriorForm, Metric7, hodge_star, hodge_table,
-                       interior, interior_table, metric_from_frame, pullback,
+from .exterior import (DIM, IDENTITY, INDICES, ExteriorForm, Metric7, hodge_star,
+                       hodge_table, interior, interior_table, metric_from_frame, pullback,
                        pullback_matrix, wedge, wedge_matrix)
 
 PHI0_TERMS = {
@@ -102,15 +104,7 @@ def _complement(parts, B):
           for j in range(n)] for i in range(n)]
     if any(linalg.matvec(N, v) != tuple(k * x for x in v) for v in B):
         raise ArithmeticError("complementary projector does not fix its kernel basis")
-    return N, k
-
-
-def _euclidean_star(p):
-    """The Euclidean Hodge star on grade p, a signed permutation matrix."""
-    S = [[0] * comb(DIM, p) for _ in range(comb(DIM, DIM - p))]
-    for pos_in, pos_out, sign in hodge_table(p):
-        S[pos_out][pos_in] = sign
-    return S
+    return tuple(map(tuple, N)), k
 
 
 @lru_cache(maxsize=None)
@@ -119,17 +113,20 @@ def _standard_projectors():
 
     pi_1 = phi phi^T / 7 and pi_7 = B B^T / k for the contraction basis
     B = (e_i -| phi) or (e_i -| psi); pi_14 and pi_27 are the complements.
-    Grades 4 and 5 are conjugated by the Euclidean star.  Each is a pair
-    (N, k) meaning N / k.
+    Grades 4 and 5 are conjugated by the Euclidean star S: with star e_i =
+    s_i e_a on grade p and star e_b = t_b e_j on grade 7 - p, entry (a, b)
+    of S pi S^-1 is s_i t_b pi[i][j].  Each is a pair (N, k) meaning N / k.
     """
     B = _standard_bases()
     raw = {key: _contraction_projector(B[key]) for key in ((2, 7), (3, 1), (3, 7))}
     raw[(2, 14)] = _complement([raw[(2, 7)]], B[(2, 14)])
     raw[(3, 27)] = _complement([raw[(3, 1)], raw[(3, 7)]], B[(3, 27)])
     for (grade, comp), (N, k) in list(raw.items()):
-        conjugated = linalg.int_matmul(linalg.int_matmul(_euclidean_star(grade), N),
-                                       _euclidean_star(DIM - grade))
-        raw[(DIM - grade, comp)] = (conjugated, k)
+        back = hodge_table(DIM - grade)
+        conjugated = [None] * len(N)
+        for i, a, s in hodge_table(grade):
+            conjugated[a] = tuple(s * t * N[i][j] for _, j, t in back)
+        raw[(DIM - grade, comp)] = (tuple(conjugated), k)
     return raw
 
 
@@ -143,8 +140,7 @@ def _star_matrix(structure, p):
 
 
 def _frame_pullback_matrix(structure, p, inverse):
-    F = linalg.scaled(*linalg.inverse(structure.frame)) if inverse else structure.frame
-    return pullback_matrix(F, p)
+    return pullback_matrix(linalg.inverse(structure.frame) if inverse else structure.frame, p)
 
 
 def _type_space_basis(structure, grade, component):
@@ -162,7 +158,7 @@ def _projector(structure, grade, component):
         M, d = structure.frame_pullback_matrix(grade)
         Minv, e = structure.frame_pullback_matrix(grade, inverse=True)
         N, k = linalg.int_matmul(linalg.int_matmul(M, N), Minv), d * k * e
-    return linalg.scaled(N, k)
+    return N, k
 
 
 # -- mode fibre subspaces -------------------------------------------------------
@@ -265,16 +261,17 @@ class Memo:
 class G2Structure:
     """A flat G2-structure F*phi0 with its 4-form, metric and projectors.
 
-    The frame F is exact (rational); a float frame raises TypeError.
-    Everything derived from the structure is kept in its Memo, `memo`.
+    The frame F is a rational matrix, the pair (N, d) of
+    `linalg.clear_denominators`, or None for the identity; a float in N
+    raises TypeError.  Everything derived from the structure is kept in its
+    Memo, `memo`.
     """
 
     __slots__ = ("frame", "phi", "psi", "metric", "memo", "_phi_int")
 
     def __init__(self, frame=None):
         if frame is None:
-            frame = linalg.identity_frac(DIM)
-        frame = linalg.frac_matrix(frame)
+            frame = IDENTITY
         metric = metric_from_frame(frame)
         phi = pullback(frame, standard_phi0())
         psi = hodge_star(phi, metric)
@@ -291,25 +288,6 @@ class G2Structure:
     def __setattr__(self, *_):
         raise AttributeError("G2Structure is immutable")
 
-    @classmethod
-    def standard(cls):
-        return cls(None)
-
-    _shared_instances = {}
-
-    @classmethod
-    def for_frame(cls, frame=None):
-        """Shared instance per frame so that memoised data is reused across runs.
-
-        The shared instances grow by one per distinct frame asked for; a
-        command asks for one.
-        """
-        key = "identity" if frame is None else \
-            tuple(tuple(linalg.frac(x) for x in row) for row in frame)
-        if key not in cls._shared_instances:
-            cls._shared_instances[key] = cls(frame)
-        return cls._shared_instances[key]
-
     def type_space_basis(self, grade, component):
         """Exact basis vectors (primitive integer tuples) of a typed subspace."""
         if component not in VALID_COMPONENTS.get(grade, ()):
@@ -321,14 +299,14 @@ class G2Structure:
     # -- matrices ---------------------------------------------------------
 
     def star_matrix(self, p):
-        """Exact matrix of the Hodge star on grade-p coefficient vectors."""
+        """Exact matrix of the Hodge star on grade-p coefficient vectors, a pair."""
         return self.memo(_star_matrix, p)
 
     def frame_pullback_matrix(self, p, inverse=False):
         return self.memo(_frame_pullback_matrix, p, inverse)
 
     def projector(self, grade, component):
-        """Matrix of the orthogonal projection onto Lambda^grade_component."""
+        """Matrix of the orthogonal projection onto Lambda^grade_component, a pair."""
         if component not in VALID_COMPONENTS.get(grade, ()):
             raise ValueError(f"no component {component} in grade {grade}")
         return self.memo(_projector, grade, component)
@@ -337,7 +315,8 @@ class G2Structure:
 
     def apply_projector(self, grade, component, a):
         """pi_component of the grade-`grade` form a, exact."""
-        return ExteriorForm(a.grade, linalg.matvec(self.projector(grade, component), a.coeffs))
+        N, k = self.projector(grade, component)
+        return ExteriorForm(a.grade, [Fraction(x, k) for x in linalg.matvec(N, a.coeffs)])
 
     def apply_I(self, a):
         """(4/3) pi_1 + pi_7 - pi_27 on 3-forms (Hessian symbol of the 3-form functional)."""
@@ -362,11 +341,11 @@ class G2Structure:
         """Whether A preserves this structure's 3-form: A*(F*phi0) = F*phi0.
 
         An exact test in integers: with phi = c / s for an integer vector c
-        and A = B / d for an integer matrix B, it checks
+        and the rational matrix A = (B, d), it checks
         sum_I det B[I, J] c_I = d^3 c_J for every J, where I runs over the
-        nonzero terms of phi only.  A must be rational.
+        nonzero terms of phi only.
         """
-        B, d = linalg.clear_denominators(A)
+        B, d = A
         if len(B) != DIM or any(len(row) != DIM for row in B):
             raise ValueError("A must be 7x7")
         rows, coeffs, target = self._phi_int

@@ -1,23 +1,24 @@
 """Exact linear algebra over the rationals and integers, in plain Python.
 
-Everything here is dense and small (dimensions <= ~50).  An exact matrix
-is a tuple of row tuples of ints or Fractions, or an integer pair (N, d)
-meaning N / d, the form clear_denominators and inverse return; a vector is
-a tuple, and inputs may be any nested sequences.  det, inverse, matmul,
-positive_definite and enumerate_ellipsoid take rational input (frames,
-metrics and lattice Grams enter there) and clear it of denominators once;
-rank, nullspace, primitive_integer, int_inverse and int_compound take
-integer rows through operator.index, so a Fraction raises TypeError rather
+Everything here is dense and small (dimensions <= ~50).  An integer matrix
+is a tuple of int row tuples and a rational matrix the integer pair (N, d),
+N such rows and d > 0, meaning N / d; scalars and vectors stay ints and
+Fractions.  `clear_denominators` makes the pair from rows of ints,
+Fractions or strings, once, where a matrix enters the program.  det,
+inverse, is_identity, positive_definite and enumerate_ellipsoid read a
+pair (an integer matrix passes as (N, 1)); rank, nullspace,
+primitive_integer and int_compound read integer rows.  Rows are read
+through operator.index, so a Fraction or a float raises TypeError rather
 than being cleared again.  One fraction-free (Bareiss) elimination,
-`_echelon`, serves det, rank, nullspace (primitive integer vectors), inverse
-(a pair A / D) and positive_definite (its leading pivots, with det); its
-rows also drive the one lattice-shell enumerator, `enumerate_ellipsoid`,
-which prunes each coordinate with an integer square root and returns every
+`_echelon`, serves det, rank, nullspace (primitive integer vectors),
+inverse and positive_definite (its leading pivots, with det); its rows
+also drive the one lattice-shell enumerator, `enumerate_ellipsoid`, which
+prunes each coordinate with an integer square root and returns every
 shell with its exact value, so no float or tolerance enters it.
 Minors come from Laplace expansion of each minor into minors one size
-smaller, products from integer matmul with one division at the end.
-Integer matrices also get a Hermite-style kernel routine, whose bases are
-saturated, so that lattice computations never leave Z.
+smaller, products from integer matmul.  Integer matrices also get a
+Hermite-style kernel routine, whose bases are saturated, so that lattice
+computations never leave Z.
 """
 
 from fractions import Fraction
@@ -38,20 +39,8 @@ def frac(x):
     return Fraction(index(x))
 
 
-def frac_matrix(rows):
-    """Rectangular matrix of Fractions, as a tuple of row tuples."""
-    out = tuple(tuple(frac(x) for x in row) for row in rows)
-    if len({len(r) for r in out}) > 1:
-        raise ValueError("ragged matrix")
-    return out
-
-
 def frac_vector(entries):
     return tuple(frac(x) for x in entries)
-
-
-def identity_frac(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def transpose(a):
@@ -63,9 +52,10 @@ def matvec(a, v):
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
-def is_identity(m):
-    """Whether the square matrix m is the identity matrix."""
-    return all(x == (i == j) for i, row in enumerate(m) for j, x in enumerate(row))
+def is_identity(a):
+    """Whether the square rational matrix a = (N, d) is the identity matrix."""
+    N, d = a
+    return all(x == d * (i == j) for i, row in enumerate(N) for j, x in enumerate(row))
 
 
 def _echelon(rows, reduced=False):
@@ -139,62 +129,37 @@ def nullspace(a):
 
 
 def inverse(a):
-    """Exact inverse of a square rational matrix as (A, D): a^-1 = A / D, with A
-    integer rows and D > 0 least.  Raises ValueError if a is singular."""
-    b, d = clear_denominators(a)
-    A, D = int_inverse(b)
-    g = gcd(d, D)   # a^-1 = d A / D with A / D reduced
-    return [[x * (d // g) for x in row] for row in A], D // g
-
-
-def int_inverse(b):
-    """Exact inverse of a square integer matrix as (A, D): b^-1 = A / D, reduced
-    as in `inverse`; a Fraction raises TypeError."""
-    n = len(b)
-    rows = [row + [int(j == i) for j in range(n)] for i, row in enumerate(_int_rows(b))]
+    """Exact inverse of a square rational matrix a = (N, d) as a pair (A, D):
+    a^-1 = A / D with D > 0 least.  Raises ValueError if a is singular."""
+    N, d = a
+    n = len(N)
+    rows = [row + [int(j == i) for j in range(n)] for i, row in enumerate(_int_rows(N))]
     pivots, D, _ = _echelon(rows, reduced=True)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    # rows = [D I | D b^-1]
+    # rows = [D I | D N^-1], and a^-1 = d N^-1
     A = [row[n:] for row in rows]
     g = gcd(D, *(x for row in A for x in row))
     if D < 0:
         g = -g
-    return [[x // g for x in row] for row in A], D // g
+    e = gcd(d, D // g)
+    return tuple(tuple(x // g * (d // e) for x in row) for row in A), D // g // e
 
 
 def clear_denominators(a):
-    """(b, d) with b an integer matrix (lists of ints) and a = b / d.
+    """The pair (N, d) of rows a of ints, Fractions or strings like '3/4': a = N / d.
 
-    d is the lcm of the entry denominators, so b is the smallest integer
-    multiple of a.
+    d is the lcm of the entry denominators, so N is the smallest integer
+    multiple of a.  A float raises TypeError; a ragged a, ValueError.
     """
     rows = [[x if type(x) is int or type(x) is Fraction else frac(x) for x in row]
             for row in a]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("ragged matrix")
     d = lcm(1, *(x.denominator for row in rows for x in row if type(x) is not int))
     if d == 1:
-        return [list(map(int, row)) for row in rows], 1
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
-
-
-def scaled(b, d):
-    """The exact matrix b / d of an integer matrix b, as Fractions."""
-    return tuple(tuple(Fraction(x, d) for x in row) for row in b)
-
-
-def matmul(*factors):
-    """Exact product of rational matrices, in Python ints.
-
-    Each factor is cleared of denominators once (a = b / d), the integer
-    matrices are multiplied, and each entry is divided by the product of
-    the d's at the end.  A float entry raises TypeError.
-    """
-    out, scale = None, 1
-    for a in factors:
-        b, d = clear_denominators(a)
-        out = b if out is None else int_matmul(out, b)
-        scale *= d
-    return scaled(out, scale)
+        return tuple(tuple(map(int, row)) for row in rows), 1
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
 
 
 def int_matmul(a, b):
@@ -215,16 +180,17 @@ def int_matmul(a, b):
 
 
 def det(a):
-    """Exact determinant, a Fraction: clear denominators, then a fraction-free pass."""
-    b, d = clear_denominators(a)
-    pivots, D, swaps = _echelon(b)
-    return Fraction((-1) ** swaps * D if len(pivots) == len(b) else 0, d ** len(b))
+    """Exact determinant of a rational matrix a = (N, d), a Fraction, from one
+    fraction-free pass over N."""
+    N, d = a
+    pivots, D, swaps = _echelon(_int_rows(N))
+    return Fraction((-1) ** swaps * D if len(pivots) == len(N) else 0, d ** len(N))
 
 
 def int_compound(b, p, rows=None):
     """Minors det b[I, J] of an integer matrix, in Python ints.
 
-    Returns one list per increasing row p-subset I (all of them, or the
+    Returns one row tuple per increasing row p-subset I (all of them, or the
     0-based tuples in `rows`), holding the minors over the increasing
     column p-subsets J in lexicographic order.  Each k-minor is the Laplace
     expansion along its first row into (k-1)-minors of the remaining rows;
@@ -264,7 +230,8 @@ def int_compound(b, p, rows=None):
             known[I] = out
         return out
 
-    return [minors(tuple(I)) for I in (combinations(range(m), p) if rows is None else rows)]
+    return tuple(tuple(minors(tuple(I)))
+                 for I in (combinations(range(m), p) if rows is None else rows))
 
 
 def integer_kernel(a):
@@ -320,18 +287,20 @@ def primitive_integer(vec):
 
 
 def positive_definite(gram):
-    """(U, d, [1, D_1, .., D_r]) with gram = U / d and D_k the leading minors of U,
-    from one fraction-free pass over U, which swaps no row exactly when no D_k
-    is 0 and leaves them on its diagonal.  Raises ValueError unless gram is
-    symmetric positive definite (every D_k > 0, Sylvester's criterion)."""
-    U, d = clear_denominators(gram)
+    """(U, [1, D_1, .., D_r]) for gram = (N, d): U the rows of one fraction-free
+    pass over N and D_k the leading minors of N.  The pass swaps no row exactly
+    when no D_k is 0, and then leaves them on its diagonal.  Raises ValueError
+    unless gram is symmetric positive definite (d > 0 and every D_k > 0,
+    Sylvester's criterion)."""
+    N, d = gram
+    U = _int_rows(N)
     r = len(U)
     if any(U[i][j] != U[j][i] for i in range(r) for j in range(i)):
         raise ValueError("gram matrix is not symmetric")
     pivots, _, swaps = _echelon(U)
-    if swaps or len(pivots) < r or any(U[k][k] <= 0 for k in range(r)):
+    if d <= 0 or swaps or len(pivots) < r or any(U[k][k] <= 0 for k in range(r)):
         raise ValueError("gram matrix is not positive definite")
-    return U, d, [1] + [U[k][k] for k in range(r)]
+    return U, [1] + [U[k][k] for k in range(r)]
 
 
 def rational_sqrt(q):
@@ -349,8 +318,8 @@ def rational_sqrt(q):
 def enumerate_ellipsoid(gram, bound, shift=None):
     """The lattice shells {Q: points} of Q(x + shift) <= bound, ascending in Q.
 
-    `gram` is an exact positive-definite rational matrix, `bound` a
-    rational and `shift` a rational vector (defaults to 0); each Q is the
+    `gram` is a positive-definite rational matrix, the pair (G, d), `bound`
+    a rational and `shift` a rational vector (defaults to 0); each Q is the
     exact Fraction value (x + shift)^T gram (x + shift) and each shell's
     integer points are sorted.  Everything runs in Python ints: with
     gram = G / d and shift = W / e, Q = y^T G y / (d e^2) for y = e x + W.
@@ -361,8 +330,8 @@ def enumerate_ellipsoid(gram, bound, shift=None):
     exact).  The budget left at a leaf gives Q exactly.  Raises ValueError
     unless gram is symmetric positive definite.
     """
-    U, d, D = positive_definite(gram)
-    r = len(U)
+    U, D = positive_definite(gram)
+    d, r = gram[1], len(U)
     (W,), e = clear_denominators([shift if shift is not None else [0] * r])
     bound = frac(bound)
     if bound < 0:

@@ -33,7 +33,6 @@ The module is plain Python, like the exact core it reads; mpmath is
 imported only for a phase whose cosine is irrational.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,10 +74,6 @@ class EigenClass:
     norm_sq: Fraction
     vectors: tuple
     radius_sq: Fraction
-
-    def eigenvalue(self):
-        """The (negative) eigenvalue -4 pi^2 |l|^2 as a float."""
-        return -4.0 * math.pi ** 2 * float(self.norm_sq)
 
     def __len__(self):
         return len(self.vectors)
@@ -151,7 +146,7 @@ def _fibre_trace_data(structure, basis):
     G, _ = structure.metric.lambda_gram({21: 2, 35: 3}[len(basis[0])])
     B = linalg.transpose(basis)
     BtG = linalg.int_matmul(basis, G)
-    A, D = linalg.int_inverse(linalg.int_matmul(BtG, B))
+    A, D = linalg.inverse((linalg.int_matmul(BtG, B), 1))
     return B, linalg.int_matmul(A, BtG), D
 
 

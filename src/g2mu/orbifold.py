@@ -58,7 +58,7 @@ class AffineElement:
         mat = tuple(tuple(index(x) for x in row) for row in matrix)
         if len(mat) != DIM or any(len(r) != DIM for r in mat):
             raise ValueError("matrix must be 7x7")
-        if linalg.det(mat) != 1:
+        if linalg.det((mat, 1)) != 1:
             raise NonUnimodular("matrix part must have determinant +1")
         if translation is None:
             translation = (0,) * DIM
@@ -85,13 +85,6 @@ class AffineElement:
 
     def is_identity(self):
         return self.matrix == _IDENTITY and self.translation == _ZERO
-
-    def apply(self, x):
-        """Image of the rational point x under x -> A x + t (mod 1)."""
-        x = [linalg.frac(v) for v in x]
-        out = [sum(self.matrix[i][j] * x[j] for j in range(DIM)) + self.translation[i]
-               for i in range(DIM)]
-        return tuple(v % 1 for v in out)
 
     def __eq__(self, other):
         return isinstance(other, AffineElement) and self.matrix == other.matrix \
@@ -123,7 +116,7 @@ def compose(a, b):
 
 def inverse(a):
     """(A, t)^-1 = (A^-1, -A^-1 t); A^-1 is integral since det A = 1."""
-    mat, _ = linalg.inverse(a.matrix)
+    mat, _ = linalg.inverse((a.matrix, 1))
     trans = tuple(-sum(x * t for x, t in zip(row, a.translation)) for row in mat)
     return AffineElement(mat, trans)
 
@@ -199,13 +192,12 @@ def generate(generators, cap=DEFAULT_CAP):
 
 
 class JoyceOrbifold:
-    """A finite group together with a frame making every element G2-compatible."""
+    """A finite group together with a G2-structure that every element preserves."""
 
-    __slots__ = ("group", "frame", "structure")
+    __slots__ = ("group", "structure")
 
-    def __init__(self, group, frame, structure):
+    def __init__(self, group, structure):
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "structure", structure)
 
     def __setattr__(self, *_):
@@ -219,13 +211,12 @@ def validate_joyce(group, frame=None):
     """Check F A F^-1 in G2 for every element; assemble the orbifold.
 
     The membership test is the pullback condition A*(F*phi0) = F*phi0, in
-    exact integer arithmetic; the frame must be rational (a float frame
-    raises TypeError).  Raises NotG2Compatible naming the first failing
-    element.  The structure comes from G2Structure.for_frame, so orbifolds
-    over the same frame share its memoised bases, kernels and matrices.
+    exact integer arithmetic; the frame is a pair (N, d) as in `linalg`, or
+    None for the identity (a float in N raises TypeError).  Raises
+    NotG2Compatible naming the first failing element.
     """
-    structure = G2Structure.for_frame(frame)
+    structure = G2Structure(frame)
     for elem in group:
-        if not structure.is_g2_element(elem.matrix):
+        if not structure.is_g2_element((elem.matrix, 1)):
             raise NotG2Compatible(elem)
-    return JoyceOrbifold(group, structure.frame, structure)
+    return JoyceOrbifold(group, structure)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -214,6 +216,40 @@ def test_bad_flag_values_rejected_as_malformed_input(capsys, flag, value, detail
     assert json.loads(err) == {"error": {"type": "ConfigError", "detail": detail}}
 
 
+@pytest.mark.parametrize("where,radius_sq,frame_entry,estimate", [
+    ("flag", "1000000", None, "4.72e+21"),
+    ("flag", "1e400", None, "inf"),
+    ("config", "1000000", None, "4.72e+21"),
+    ("flag", "1", "1e-400", "inf"),
+], ids=["radius-1e6", "radius-1e400", "config-radius", "tiny-volume"])
+def test_spectrum_refuses_radii_with_too_many_lattice_vectors(capsys, tmp_path, where,
+                                                              radius_sq, frame_entry, estimate):
+    """A radius whose ball holds more than cli.MAX_LATTICE_VECTORS lattice vectors
+    (by its volume) is malformed input: exit 2 at once, the estimate quoted."""
+    payload = json.loads((CONFIG_DIR / "t7.json").read_text())
+    if where == "config":
+        payload["oracle_radius_sq"] = radius_sq
+    if frame_entry is not None:
+        payload["frame"] = [[frame_entry if i == j == 0 else str(int(i == j)) for j in range(7)]
+                            for i in range(7)]
+    argv = ["spectrum", "--config", write_config(tmp_path, payload)]
+    if where == "flag":
+        argv += ["--radius-sq", radius_sq]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError" and f"about {estimate} lattice vectors" in error["detail"]
+
+
+def test_spectrum_allows_m3_at_radius_16():
+    # about 77k lattice vectors, the oracle's largest planned radius
+    cli._check_lattice_count(None, Fraction(16))
+    with pytest.raises(cli.ConfigError):
+        cli._check_lattice_count(None, Fraction(34))
+
+
 def test_bad_config_values_rejected_as_malformed_input(capsys, tmp_path):
     for field, value in [("oracle_radius_sq", "-1"), ("trials", 0), ("trials", -3),
                          ("seed", -3)]:
@@ -267,8 +303,6 @@ def spectrum_calls(capsys, monkeypatch, config, radius_sq):
     `spectrum` on a fresh structure, with the standard bases already built."""
     from g2mu import g2, linalg
     g2._standard_bases()  # built once per process, by whichever caller comes first
-    # a fresh structure for the config's frame, so that nothing is memoised yet
-    monkeypatch.setattr(g2.G2Structure, "_shared_instances", {})
     calls = {"clear_denominators": 0, "type_space_basis": 0, "7x7 determinants": 0}
 
     def counting(name, fn):
@@ -295,23 +329,27 @@ def spectrum_calls(capsys, monkeypatch, config, radius_sq):
 
 
 def test_spectrum_call_counts(capsys, monkeypatch):
-    """spectrum on m3 at radius 4 clears integer rows of denominators only where
-    rational matrices enter, asks for a type-space basis about once per mode,
-    and takes a 7x7 determinant only for elements built from outside."""
+    """spectrum on m3 at radius 4 clears denominators only of forms and twist
+    vectors (every matrix is an integer pair from the start), asks for a
+    type-space basis about once per mode, and takes a 7x7 determinant only for
+    elements built from outside."""
     calls = spectrum_calls(capsys, monkeypatch, str(CONFIG_DIR / "m3.json"), "4")
     # 6 of the 7x7 determinants check det = 1 for the 3 generators and their
     # inverses; the other 3 are the metric's one elimination (positive
     # definiteness and det G) and the identity element's shell enumeration
-    assert calls == {"clear_denominators": 83, "type_space_basis": 1290,
+    assert calls == {"clear_denominators": 20, "type_space_basis": 1290,
                      "7x7 determinants": 9}
 
 
 def test_spectrum_call_counts_framed(capsys, monkeypatch, tmp_path):
     """The same counts for m3 under diag(2, 1, 1, 1, 1, 3, 1) at radius 2: the
-    frame enters through its determinant and pullback matrices only."""
+    frame is cleared once, by the config parser, and enters through its
+    determinant and pullback matrices only.  Its determinant is taken twice:
+    once for the lattice-count estimate before anything is built, once for
+    the metric's volume."""
     config = framed_config(tmp_path, "m3", F23_FRAME)
     assert spectrum_calls(capsys, monkeypatch, config, "2") == {
-        "clear_denominators": 85, "type_space_basis": 152, "7x7 determinants": 9}
+        "clear_denominators": 21, "type_space_basis": 152, "7x7 determinants": 10}
 
 
 @pytest.mark.parametrize("stem", ["t7", "m3"])

@@ -24,7 +24,8 @@ GAMMA = AffineElement(diag(-1, 1, -1, 1, -1, 1, -1),
 
 def cubic_lattice(rank, twist=None):
     basis = tuple(tuple(1 if j == i else 0 for j in range(7)) for i in range(rank))
-    return ez.TwistedLattice(rank=rank, basis=basis, gram=linalg.identity_frac(rank),
+    eye = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    return ez.TwistedLattice(rank=rank, basis=basis, gram=(eye, 1),
                              twist=tuple(twist or [Fraction(0)] * rank))
 
 
@@ -52,7 +53,8 @@ def direct_sum(lat, s, radius_q):
 def test_fixed_lattice_identity():
     lat = ez.fixed_lattice(AffineElement.identity(), Metric7.euclidean())
     assert lat.rank == 7
-    assert all(lat.gram[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7))
+    N, d = lat.gram
+    assert d == 1 and all(N[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7))
     assert lat.is_twist_trivial()
 
 
@@ -177,7 +179,7 @@ def test_continuation_agrees_with_direct_sum_random_lattices():
             B = rng.integers(-2, 3, size=(rank, rank))
             if abs(np.linalg.det(B)) > 0.5:
                 break
-        gram = linalg.frac_matrix((B.T @ B + np.eye(rank, dtype=np.int64)).tolist())
+        gram = (B.T @ B + np.eye(rank, dtype=np.int64)).tolist(), 1
         twist = tuple(Fraction(int(rng.integers(0, 4)), 4) for _ in range(rank))
         lat = ez.TwistedLattice(rank=rank, basis=tuple(map(tuple, np.eye(7, dtype=int)[:rank])),
                                 gram=gram, twist=twist)
@@ -192,8 +194,9 @@ def test_continuation_agrees_with_direct_sum_random_lattices():
 
 def test_scaling_covariance():
     lat = cubic_lattice(3)
+    N, d = lat.gram
     scaled = ez.TwistedLattice(rank=3, basis=lat.basis,
-                               gram=tuple(tuple(4 * x for x in row) for row in lat.gram),
+                               gram=(tuple(tuple(4 * x for x in row) for row in N), d),
                                twist=lat.twist)
     for s in [2.5, 4.0]:
         a = ez.epstein_value(lat, s)
@@ -207,7 +210,7 @@ def _identity_lattice(scale):
     frame = np.eye(7, dtype=np.int64) * scale
     frame[0, 1] = scale
     gram = (frame.T @ frame).tolist()
-    return ez.fixed_lattice(AffineElement.identity(), Metric7(gram))
+    return ez.fixed_lattice(AffineElement.identity(), Metric7((gram, 1)))
 
 
 def test_scaled_gram_near_zero_stays_bounded():

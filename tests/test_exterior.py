@@ -19,6 +19,17 @@ def rand_form(rng, p):
                             zip(rng.integers(-9, 10, n), rng.integers(1, 7, n))])
 
 
+def _fractions(pair):
+    """The rational matrix (N, d) as Fraction rows, for test-side comparisons."""
+    N, d = pair
+    return tuple(tuple(Fraction(x, d) for x in row) for row in N)
+
+
+def _flat(metric, v):
+    """The covector g(v, .) as a 1-form."""
+    return ExteriorForm(1, linalg.matvec(_fractions(metric.gram), v))
+
+
 def rand_vector(rng):
     return [Fraction(int(x), int(y)) for x, y in zip(rng.integers(-9, 10, 7),
                                                       rng.integers(1, 7, 7))]
@@ -75,7 +86,7 @@ def test_integer_tables_match_form_operations():
                 assert tuple(interior_stack(p)[axis].astype(object) @ a.coeffs) == \
                     interior(e, a).coeffs
         if p <= DIM - 3:
-            assert linalg.matvec(linalg.scaled(*wedge_matrix(phi, p)), a.coeffs) == \
+            assert linalg.matvec(_fractions(wedge_matrix(phi, p)), a.coeffs) == \
                 wedge(a, phi).coeffs
     assert not covector_wedge_stack(2).flags.writeable
     assert not interior_stack(2).flags.writeable
@@ -115,11 +126,11 @@ def test_hodge_star_phi0_pairing():
 
 
 def random_frame(rng):
-    """A seeded random integer frame with det F > 0."""
+    """A seeded random integer frame with det F > 0, as a pair."""
     F = rng.integers(-2, 3, size=(7, 7))
     while round(np.linalg.det(F)) <= 0:
         F = rng.integers(-2, 3, size=(7, 7))
-    return F.tolist()
+    return F.tolist(), 1
 
 
 def test_star_defining_identity_exact_and_float():
@@ -139,54 +150,58 @@ def test_star_defining_identity_exact_and_float():
 def test_float_frames_and_grams_are_rejected():
     eye = np.eye(7)
     for bad in (eye, eye.tolist(), (2.0 * eye).tolist()):
+        with pytest.raises(TypeError):
+            linalg.clear_denominators(bad)
         for build in (G2Structure, Metric7, metric_from_frame,
                       lambda F: pullback_matrix(F, 2)):
             with pytest.raises(TypeError):
-                build(bad)
+                build((bad, 1))
 
 
 def test_interior_is_adjoint_of_covector_wedge():
     rng = np.random.default_rng(4)
     for g in (Metric7.euclidean(), metric_from_frame(random_frame(rng))):
         v = rand_vector(rng)
-        vflat = g.flat(v)
+        vflat = _flat(g, v)
         for p in [1, 2, 3]:
             a, b = rand_form(rng, p + 1), rand_form(rng, p)
             assert inner(interior(v, a), b, g) == inner(a, wedge(vflat, b), g)
 
 
 def test_metric_from_frame():
-    m = metric_from_frame(linalg.identity_frac(7))
-    assert all(m.gram[i][j] == (1 if i == j else 0) for i in range(7) for j in range(7))
+    m = metric_from_frame(([[int(i == j) for j in range(7)] for i in range(7)], 1))
+    assert all(m.gram[0][i][j] == (1 if i == j else 0) for i in range(7) for j in range(7))
     d = [[2 if i == j == 0 else (1 if i == j else 0) for j in range(7)] for i in range(7)]
-    m2 = metric_from_frame(d)
-    assert m2.gram[0][0] == 4 and m2.gram[1][1] == 1
+    m2 = _fractions(metric_from_frame((d, 1)).gram)
+    assert m2[0][0] == 4 and m2[1][1] == 1
     rng = np.random.default_rng(5)
     F = rng.integers(-2, 3, size=(7, 7))
     while round(np.linalg.det(F)) <= 0:
         F = rng.integers(-2, 3, size=(7, 7))
-    m3 = metric_from_frame(F.tolist())
-    assert m3.vol == linalg.det(F.tolist())
-    U, d, minors = linalg.positive_definite(m3.gram)
-    assert all(D > 0 for D in minors) and Fraction(minors[-1], d ** 7) == m3.vol ** 2
+    m3 = metric_from_frame((F.tolist(), 1))
+    assert m3.vol == linalg.det((F.tolist(), 1))
+    U, minors = linalg.positive_definite(m3.gram)
+    assert all(D > 0 for D in minors) and Fraction(minors[-1], m3.gram[1] ** 7) == m3.vol ** 2
 
 
 def test_metric_rejects_bad_frames():
     with pytest.raises(ValueError):
-        metric_from_frame([[0] * 7] * 7)
+        metric_from_frame(([[0] * 7] * 7, 1))
     neg = [[-1 if i == j == 0 else (1 if i == j else 0) for j in range(7)] for i in range(7)]
     with pytest.raises(ValueError):
-        metric_from_frame(neg)
+        metric_from_frame((neg, 1))
     with pytest.raises(ValueError):
-        Metric7([[(-1 if i == j else 0) for j in range(7)] for i in range(7)])
+        Metric7(([[(-1 if i == j else 0) for j in range(7)] for i in range(7)], 1))
+    with pytest.raises(ValueError):   # a positive definite N over a negative d
+        Metric7(([[int(i == j) for j in range(7)] for i in range(7)], -1))
     with pytest.raises(ValueError):   # not symmetric
-        Metric7([[int(i == j or (i, j) == (0, 1)) for j in range(7)] for i in range(7)])
+        Metric7(([[int(i == j or (i, j) == (0, 1)) for j in range(7)] for i in range(7)], 1))
     # indefinite with det 1: its elimination needs two row swaps, after which
     # every pivot is positive, so only the swap count rejects it
     swapped = [[int(i == j) if i > 3 else int(i ^ 1 == j) for j in range(7)] for i in range(7)]
-    assert linalg.det(swapped) == 1
+    assert linalg.det((swapped, 1)) == 1
     with pytest.raises(ValueError):
-        Metric7(swapped, vol=1)
+        Metric7((swapped, 1), vol=1)
 
 
 def test_pullback_is_compound_functorial():
@@ -195,8 +210,8 @@ def test_pullback_is_compound_functorial():
     B = rng.integers(-2, 3, size=(7, 7)).tolist()
     AB = (np.array(A) @ np.array(B)).tolist()
     a = rand_form(rng, 3)
-    lhs = pullback(AB, a)
-    rhs = pullback(B, pullback(A, a))   # (AB)* = B* A*
+    lhs = pullback((AB, 1), a)
+    rhs = pullback((B, 1), pullback((A, 1), a))   # (AB)* = B* A*
     assert lhs == rhs
 
 
@@ -211,7 +226,7 @@ def test_exact_serialisation_roundtrip():
 # -- the integer kernels against the Fraction formulas they replaced ----------------
 
 def _ref_minor(a, I, J):
-    return linalg.det([[a[r - 1][c - 1] for c in J] for r in I])
+    return linalg.det(linalg.clear_denominators([[a[r - 1][c - 1] for c in J] for r in I]))
 
 
 def _ref_inverse(a):
@@ -295,18 +310,19 @@ def test_integer_kernels_match_fraction_formulas():
         for q in range(DIM + 1 - p):
             c = rand_form(rng, q)
             assert wedge(a, c) == _ref_wedge(a, c)
-            assert linalg.matvec(linalg.scaled(*wedge_matrix(c, p)), a.coeffs) == \
+            assert linalg.matvec(_fractions(wedge_matrix(c, p)), a.coeffs) == \
                 _ref_wedge(a, c).coeffs
     for F in _rational_frames(rng):
-        assert linalg.det(F) > 0
-        metric = metric_from_frame(F)
-        gram = [list(row) for row in metric.gram]
-        assert linalg.scaled(*metric.inverse_gram()) == tuple(map(tuple, _ref_inverse(gram)))
+        frame = linalg.clear_denominators(F)
+        assert linalg.det(frame) > 0
+        metric = metric_from_frame(frame)
+        gram = [list(row) for row in _fractions(metric.gram)]
+        assert _fractions(metric.inverse_gram()) == tuple(map(tuple, _ref_inverse(gram)))
         for p in range(DIM + 1):
             a, b = rand_form(rng, p), rand_form(rng, p)
             M, G = _ref_pullback_matrix(F, p), _ref_lambda_gram(gram, p)
-            assert pullback(F, a).coeffs == linalg.matvec(M, a.coeffs)
-            assert linalg.scaled(*pullback_matrix(F, p)) == M
-            assert linalg.scaled(*metric.lambda_gram(p)) == G
+            assert pullback(frame, a).coeffs == linalg.matvec(M, a.coeffs)
+            assert _fractions(pullback_matrix(frame, p)) == M
+            assert _fractions(metric.lambda_gram(p)) == G
             assert hodge_star(a, metric) == _ref_hodge_star(a, metric, G)
             assert inner(a, b, metric) == sum(map(mul, a.coeffs, linalg.matvec(G, b.coeffs)))

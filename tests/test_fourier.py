@@ -13,7 +13,13 @@ TWO_PI = 2 * np.pi
 
 @pytest.fixture(scope="module")
 def s():
-    return G2Structure.for_frame(None)
+    return G2Structure()
+
+
+def norm_sq(metric, l):
+    """|l|^2_g = l^T G l for the metric's Gram pair G = (N, d)."""
+    N, d = metric.gram
+    return Fraction(sum(x * y for x, y in zip(l, linalg.matvec(N, l))), d)
 
 
 @pytest.fixture()
@@ -258,7 +264,7 @@ def test_hessian_blocks_E(s, rng):
     comp = rep.blocks["coexact_14"]
     app = rep.applied["coexact_14"]
     for l, c in zip(comp.modes, comp.coeffs):
-        n2 = float(s.metric.norm_sq_vector(l))
+        n2 = float(norm_sq(s.metric, l))
         assert np.max(np.abs(app.mode(l) + 4 * np.pi ** 2 * n2 * c)) < 1e-9
 
 
@@ -276,7 +282,7 @@ def test_hessian_blocks_F(s, rng):
     comp = rep.blocks["S_plus"]
     app = rep.applied["S_plus"]
     for l, c in zip(comp.modes, comp.coeffs):
-        n2 = float(s.metric.norm_sq_vector(l))
+        n2 = float(norm_sq(s.metric, l))
         assert np.max(np.abs(app.mode(l) - 3 * 4 * np.pi ** 2 * n2 * c)) < 1e-9
 
 
@@ -299,8 +305,10 @@ def test_forms_of_different_derivative_order_add(s):
     assert fr.residual(f + g - g, f) == 0.0
 
 
-def _as_floats(exact):
-    return [[float(x) for x in row] for row in exact]
+def _as_floats(pair):
+    """The rational matrix (N, d) as floats, each entry float(Fraction(n, d))."""
+    N, d = pair
+    return [[float(Fraction(x, d)) for x in row] for row in N]
 
 
 def test_metric_float_views_are_converted_once():
@@ -308,7 +316,7 @@ def test_metric_float_views_are_converted_once():
     F = rng.integers(-2, 3, size=(7, 7))
     while round(np.linalg.det(F)) <= 0:
         F = rng.integers(-2, 3, size=(7, 7))
-    s2 = G2Structure(F.tolist())
+    s2 = G2Structure((F.tolist(), 1))
     g = s2.metric
     assert fr.gram_float(s2) is fr.gram_float(s2)
     assert fr.gram_float(s2).tolist() == _as_floats(g.gram)
@@ -316,7 +324,7 @@ def test_metric_float_views_are_converted_once():
     for p in range(8):
         view = fr.lambda_gram_float(s2, p)
         assert view is fr.lambda_gram_float(s2, p)
-        assert view.tolist() == _as_floats(linalg.scaled(*g.lambda_gram(p)))
+        assert view.tolist() == _as_floats(g.lambda_gram(p))
         assert not view.flags.writeable
 
 
@@ -326,7 +334,7 @@ FLOAT_VIEW_FRAMES = [None, [[(2 if i == j == 0 else 3 if i == j == 5 else int(i 
 
 @pytest.mark.parametrize("frame", FLOAT_VIEW_FRAMES, ids=["identity", "diagonal"])
 def test_float_views_match_exact_matrices_and_are_read_only(frame):
-    s2 = G2Structure(frame)
+    s2 = G2Structure(None if frame is None else (frame, 1))
     for grade, comps in VALID_COMPONENTS.items():
         for comp in comps:
             view = fr.projector_float(s2, grade, comp)
@@ -336,5 +344,23 @@ def test_float_views_match_exact_matrices_and_are_read_only(frame):
     for p in range(DIM + 1):
         view = fr.star_matrix_float(s2, p)
         assert view is fr.star_matrix_float(s2, p)
-        assert view.tolist() == _as_floats(linalg.scaled(*s2.star_matrix(p)))
+        assert view.tolist() == _as_floats(s2.star_matrix(p))
         assert not view.flags.writeable
+
+
+def test_every_float_view_rounds_its_exact_pair():
+    """Each float view equals float(Fraction(n, d)) entry by entry, under seeded
+    rational frames with off-diagonal entries, whose pairs need not be reduced."""
+    rng = np.random.default_rng(31)
+    for _ in range(2):
+        F = [[Fraction(int(rng.integers(1, 5)), int(rng.choice([1, 2, 3]))) if i == j
+              else Fraction(int(rng.integers(-2, 3)), int(rng.choice([1, 3, 5]))) if i < j
+              else 0 for j in range(DIM)] for i in range(DIM)]
+        s2 = G2Structure(linalg.clear_denominators(F))
+        views = [(fr.gram_float(s2), s2.metric.gram)]
+        views += [(fr.lambda_gram_float(s2, p), s2.metric.lambda_gram(p)) for p in range(DIM + 1)]
+        views += [(fr.star_matrix_float(s2, p), s2.star_matrix(p)) for p in range(DIM + 1)]
+        views += [(fr.projector_float(s2, grade, comp), s2.projector(grade, comp))
+                  for grade, comps in VALID_COMPONENTS.items() for comp in comps]
+        for view, pair in views:
+            assert view.tolist() == _as_floats(pair)

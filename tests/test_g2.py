@@ -18,14 +18,24 @@ def obj(a):
     return np.array(a, dtype=object)
 
 
+def _fractions(pair):
+    """The rational matrix (N, d) as Fraction rows, for test-side algebra."""
+    N, d = pair
+    return tuple(tuple(Fraction(x, d) for x in row) for row in N)
+
+
+def _eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _rank(P):
-    """Rank of a rational projector: linalg.rank takes integer rows, so clear it first."""
-    return linalg.rank(linalg.clear_denominators(P)[0])
+    """Rank of a rational projector (N, d): the rank of its integer rows N."""
+    return linalg.rank(P[0])
 
 
 @pytest.fixture(scope="module")
 def s():
-    return G2Structure.standard()
+    return G2Structure()
 
 
 def rand_form(rng, p):
@@ -48,19 +58,17 @@ def test_psi_not_hardcoded(s):
 
 
 def test_projector_ranks_and_completeness(s):
-    eye2 = linalg.identity_frac(21)
-    eye3 = linalg.identity_frac(35)
     p27, p214 = s.projector(2, 7), s.projector(2, 14)
-    assert np.equal(obj(p27) + obj(p214), eye2).all()
+    assert np.equal(obj(_fractions(p27)) + obj(_fractions(p214)), _eye(21)).all()
     assert _rank(p27) == 7 and _rank(p214) == 14
     p31, p37, p327 = s.projector(3, 1), s.projector(3, 7), s.projector(3, 27)
-    assert np.equal(obj(p31) + obj(p37) + obj(p327), eye3).all()
+    assert np.equal(sum(obj(_fractions(p)) for p in (p31, p37, p327)), _eye(35)).all()
     assert [_rank(p) for p in (p31, p37, p327)] == [1, 7, 27]
 
 
 def test_projector_idempotent_orthogonal(s):
     for grade, comps in COMPONENTS.items():
-        projs = [obj(s.projector(grade, c)) for c in comps]
+        projs = [obj(_fractions(s.projector(grade, c))) for c in comps]
         for i, p in enumerate(projs):
             assert np.equal(p @ p, p).all()
             for j, q in enumerate(projs):
@@ -147,12 +155,12 @@ def test_J_squares_correctly(s):
 
 def test_is_g2_element(s):
     eye = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
-    assert s.is_g2_element(eye)
+    assert s.is_g2_element((eye, 1))
     alpha = [[(1 if i < 3 else -1) if i == j else 0 for j in range(7)] for i in range(7)]
-    assert s.is_g2_element(alpha)
+    assert s.is_g2_element((alpha, 1))
     bad = [[(-1 if i == j == 0 else (1 if i == j else 0)) for j in range(7)]
            for i in range(7)]
-    assert not s.is_g2_element(bad)
+    assert not s.is_g2_element((bad, 1))
 
 
 def test_rational_frame_structure():
@@ -163,7 +171,7 @@ def test_rational_frame_structure():
          [0, 0, 0, 0, 1, 0, 0],
          [0, 0, 0, 0, 0, 1, 0],
          [0, 0, 0, 0, 0, 0, 1]]
-    s2 = G2Structure(F)
+    s2 = G2Structure((F, 1))
     assert s2.metric.vol == 2
     assert wedge(s2.phi, s2.psi).coeffs[0] == 14
     rng = np.random.default_rng(5)
@@ -195,7 +203,7 @@ G2_GENERATORS = [
 ]
 
 MEMBERSHIP_FRAMES = {
-    "identity": [list(row) for row in linalg.identity_frac(DIM)],
+    "identity": _eye(DIM),
     "diagonal": [[(2 if i == j == 0 else 3 if i == j == 5 else int(i == j))
                   for j in range(DIM)] for i in range(DIM)],
     "non_integer_gram": [[(Fraction(1, 2) if i == j == 6 else int(i == j))
@@ -208,28 +216,28 @@ MEMBERSHIP_FRAMES = {
 
 def _membership_cases(rng, frame):
     """Signed permutations, small integer matrices and conjugated members."""
-    F = obj(linalg.frac_matrix(frame))
-    Finv = obj(linalg.scaled(*linalg.inverse(F)))
+    F = obj(frame)
+    Finv = obj(_fractions(linalg.inverse(linalg.clear_denominators(frame))))
     cases = []
     for _ in range(90):
         cases.append(_signed_permutation(rng.permutation(DIM), rng.choice([-1, 1], DIM)))
     for _ in range(90):
         cases.append(rng.integers(-2, 3, size=(DIM, DIM)).tolist())
     for k in range(120):
-        B = obj(linalg.identity_frac(DIM))
+        B = obj(_eye(DIM))
         for g in rng.integers(0, len(G2_GENERATORS), size=int(rng.integers(1, 7))):
-            B = B @ obj(linalg.frac_matrix(G2_GENERATORS[g]))
+            B = B @ obj(G2_GENERATORS[g])
         if k % 4 == 3:
             # a near miss: one more coordinate sign change outside G2
-            B = B @ obj(linalg.frac_matrix(_signed_permutation(range(DIM), (-1,) + (1,) * 6)))
+            B = B @ obj(_signed_permutation(range(DIM), (-1,) + (1,) * 6))
         cases.append((Finv @ B @ F).tolist())
-    return cases
+    return [linalg.clear_denominators(A) for A in cases]
 
 
 @pytest.mark.parametrize("name", sorted(MEMBERSHIP_FRAMES))
 def test_is_g2_element_matches_pullback(name):
     rng = np.random.default_rng(sorted(MEMBERSHIP_FRAMES).index(name))
-    s2 = G2Structure(MEMBERSHIP_FRAMES[name])
+    s2 = G2Structure(linalg.clear_denominators(MEMBERSHIP_FRAMES[name]))
     members = 0
     for A in _membership_cases(rng, MEMBERSHIP_FRAMES[name]):
         expected = pullback(A, s2.phi) == s2.phi
@@ -239,7 +247,7 @@ def test_is_g2_element_matches_pullback(name):
 
 
 def test_memo_is_keyed_by_function_and_arguments():
-    s2 = G2Structure.standard()
+    s2 = G2Structure()
     calls = []
 
     def producer(structure, *args):
@@ -249,36 +257,76 @@ def test_memo_is_keyed_by_function_and_arguments():
     first = s2.memo(producer, 1, (2, 3))
     assert s2.memo(producer, 1, (2, 3)) is first
     assert s2.memo(producer, 2, (2, 3)) is not first
-    assert G2Structure.standard().memo(producer, 1, (2, 3)) is not first
+    assert G2Structure().memo(producer, 1, (2, 3)) is not first
     assert calls == [(1, (2, 3)), (2, (2, 3)), (1, (2, 3))]
+
+
+PAIR_FRAMES = {
+    "half": [[Fraction(1, 2) if i == j == 6 else int(i == j) for j in range(DIM)]
+             for i in range(DIM)],
+    "shear": [[2 if i == j == 0 else Fraction(1, 3) if (i, j) == (0, 1) else int(i == j)
+               for j in range(DIM)] for i in range(DIM)],
+}
+
+
+def _is_integer_pair(m):
+    N, d = m
+    return (type(N) is tuple and type(d) is int and d > 0
+            and all(type(row) is tuple and all(type(x) is int for x in row) for row in N))
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FRAMES))
+def test_every_exact_matrix_is_an_integer_pair(name):
+    """Frames, Grams, projectors, star and pullback matrices and fixed-lattice
+    Grams are all (tuple of int row tuples, int): no matrix holds a Fraction."""
+    from g2mu.epstein import fixed_lattice
+    from g2mu.orbifold import AffineElement
+    s2 = G2Structure(linalg.clear_denominators(PAIR_FRAMES[name]))
+    alpha = AffineElement([[(1 if i < 3 else -1) * (i == j) for j in range(DIM)]
+                           for i in range(DIM)])
+    matrices = {"frame": s2.frame, "gram": s2.metric.gram,
+                "inverse_gram": s2.metric.inverse_gram(),
+                "fixed_lattice": fixed_lattice(alpha, s2.metric).gram}
+    for p in range(DIM + 1):
+        matrices[f"lambda_gram {p}"] = s2.metric.lambda_gram(p)
+        matrices[f"star {p}"] = s2.star_matrix(p)
+        matrices[f"pullback {p}"] = s2.frame_pullback_matrix(p)
+    for grade, comps in VALID_COMPONENTS.items():
+        for comp in comps:
+            matrices[f"projector {grade} {comp}"] = s2.projector(grade, comp)
+    assert [key for key, m in matrices.items() if not _is_integer_pair(m)] == []
 
 
 @pytest.fixture(scope="module", params=sorted(MEMBERSHIP_FRAMES))
 def framed(request):
-    return G2Structure(MEMBERSHIP_FRAMES[request.param])
+    return G2Structure(linalg.clear_denominators(MEMBERSHIP_FRAMES[request.param]))
 
 
 def _typed_vectors(structure, grade, component):
     """Exact spanning vectors of Lambda^grade_component (4 and 5 by the star)."""
     if grade in (2, 3):
         return structure.type_space_basis(grade, component)
-    star = linalg.scaled(*structure.star_matrix(DIM - grade))
+    star = _fractions(structure.star_matrix(DIM - grade))
     return [linalg.matvec(star, v) for v in structure.type_space_basis(DIM - grade, component)]
 
 
 def test_framed_projectors_are_exact_orthogonal_splittings(framed):
     for grade, comps in VALID_COMPONENTS.items():
-        G = linalg.scaled(*framed.metric.lambda_gram(grade))
-        total = np.zeros((comb(DIM, grade), comb(DIM, grade)), dtype=object)
+        # P = N / k: P P = P is N N = k N; G P = P^T G holds for any multiple G
+        # of the Lambda-Gram, so for its integer part
+        G, _ = framed.metric.lambda_gram(grade)
+        n = comb(DIM, grade)
+        total = [[Fraction(0)] * n for _ in range(n)]
         for comp in comps:
-            P = framed.projector(grade, comp)
-            assert np.equal(linalg.matmul(P, P), P).all()
-            assert np.equal(linalg.matmul(G, P), linalg.matmul(linalg.transpose(P), G)).all()
-            assert _rank(P) == comp
+            N, k = framed.projector(grade, comp)
+            assert linalg.int_matmul(N, N) == tuple(tuple(k * x for x in row) for row in N)
+            assert linalg.int_matmul(G, N) == linalg.int_matmul(linalg.transpose(N), G)
+            assert _rank((N, k)) == comp
             for v in _typed_vectors(framed, grade, comp):
-                assert np.equal(linalg.matvec(P, v), v).all()
-            total = total + obj(P)
-        assert np.equal(total, linalg.identity_frac(comb(DIM, grade))).all()
+                assert [Fraction(x, k) for x in linalg.matvec(N, v)] == list(v)
+            total = [[t + Fraction(x, k) for t, x in zip(trow, row)]
+                     for trow, row in zip(total, N)]
+        assert total == _eye(n)
 
 
 def test_type_space_bases_have_the_component_dimension(framed):
@@ -292,22 +340,26 @@ def test_type_space_bases_have_the_component_dimension(framed):
 def test_framed_dual_projectors_match_star_conjugation(framed):
     for grade in (4, 5):
         for comp in VALID_COMPONENTS[grade]:
-            conjugated = linalg.matmul(linalg.scaled(*framed.star_matrix(DIM - grade)),
-                                       framed.projector(DIM - grade, comp),
-                                       linalg.scaled(*framed.star_matrix(grade)))
-            assert np.equal(framed.projector(grade, comp), conjugated).all()
+            (S, d), (P, k), (T, e) = (framed.star_matrix(DIM - grade),
+                                      framed.projector(DIM - grade, comp),
+                                      framed.star_matrix(grade))
+            conjugated = linalg.int_matmul(linalg.int_matmul(S, P), T)
+            N, m = framed.projector(grade, comp)
+            assert all(x * d * k * e == y * m for row, crow in zip(N, conjugated)
+                       for x, y in zip(row, crow))
 
 
 def test_star_matrix_matches_hodge_star_and_squares_to_identity(framed):
     for p in range(DIM + 1):
-        S = linalg.scaled(*framed.star_matrix(p))
+        S = _fractions(framed.star_matrix(p))
         for k in range(comb(DIM, p)):
             coeffs = [0] * comb(DIM, p)
             coeffs[k] = 1
             column = hodge_star(ExteriorForm(p, coeffs), framed.metric).coeffs
             assert np.equal([row[k] for row in S], column).all()
-        assert np.equal(linalg.matmul(linalg.scaled(*framed.star_matrix(DIM - p)), S),
-                        linalg.identity_frac(comb(DIM, p))).all()
+        (N, d), (M, e) = framed.star_matrix(DIM - p), framed.star_matrix(p)
+        assert linalg.int_matmul(N, M) == tuple(tuple(d * e * x for x in row)
+                                                for row in _eye(comb(DIM, p)))
 
 
 def _spoiled_bases(key):
@@ -330,12 +382,12 @@ def test_contraction_kernels_are_per_structure():
     diag = [[(2 if i == j == 0 else 3 if i == j == 5 else int(i == j)) for j in range(7)]
             for i in range(7)]
     l = (1, 1, 0, 0, 0, 1, 0)
-    shared = {"identity": G2Structure.for_frame(None), "diagonal": G2Structure.for_frame(diag)}
-    fresh = {"identity": G2Structure(None), "diagonal": G2Structure(diag)}
+    first = {"identity": G2Structure(None), "diagonal": G2Structure((diag, 1))}
+    fresh = {"identity": G2Structure(None), "diagonal": G2Structure((diag, 1))}
     bases = {}
-    for name in shared:
+    for name in first:
         for grade, component in [(2, 14), (3, 27)]:
-            got = g2.typed_contraction_kernel(shared[name], l, grade, component)
+            got = g2.typed_contraction_kernel(first[name], l, grade, component)
             want = g2.typed_contraction_kernel(fresh[name], l, grade, component)
             assert [list(v) for v in got] == [list(v) for v in want]
             bases[name, grade] = [list(v) for v in got]
@@ -366,8 +418,8 @@ def test_standard_and_fibre_bases_are_pinned():
                 for (grade, comp), vs in g2._standard_bases().items()}
     assert digest(standard) == \
         "80d901e3e59d5cbfa0c7e8a17a31c485304687e9c9ac530203c685108cbfcba9"
-    half = [[Fraction(1, 2) if i == j == 6 else int(i == j) for j in range(7)]
-            for i in range(7)]
+    half = linalg.clear_denominators([[Fraction(1, 2) if i == j == 6 else int(i == j)
+                                       for j in range(7)] for i in range(7)])
     expected = {
         "identity": "448345f0d648e03aa6ade5af74e88b160a3e5c610dc8159f7e96e3ba37976fef",
         "half": "d12b375b467493d2fa6fc8103da281cd44d83b1d905d27a4efd95a6e49971229",
@@ -385,7 +437,7 @@ def test_contraction_kernel_at_large_mode():
     l = (2 ** 20 + 3, -5, 0, 2 ** 21, 0, 1, -(2 ** 33))
     frame = [[2 if i == j == 0 else 3 if i == j == 5 else int(i == j) for j in range(7)]
              for i in range(7)]
-    for s in (G2Structure(None), G2Structure(frame)):
+    for s in (G2Structure(None), G2Structure((frame, 1))):
         for grade, component, dim in [(2, 14, 8), (3, 27, 12)]:
             basis = g2.typed_contraction_kernel(s, l, grade, component)
             assert len(basis) == dim

@@ -98,9 +98,8 @@ def test_epstein_value_off_zero_imports_mpmath_lazily():
     value = _python("""
 import sys
 from fractions import Fraction
-from g2mu import epstein, linalg
-lat = epstein.TwistedLattice(1, ((1, 0, 0, 0, 0, 0, 0),), linalg.identity_frac(1),
-                             (Fraction(0),))
+from g2mu import epstein
+lat = epstein.TwistedLattice(1, ((1, 0, 0, 0, 0, 0, 0),), (((1,),), 1), (Fraction(0),))
 assert epstein.epstein_value(lat, 0) == -1 and 'mpmath' not in sys.modules
 value = epstein.epstein_value(lat, 1.5)
 assert 'mpmath' in sys.modules

@@ -9,7 +9,6 @@ import mpmath
 import pytest
 
 from g2mu import epstein as ez
-from g2mu import linalg
 from g2mu import oracle as orc
 from g2mu.epstein import closed_form_mu, fixed_lattice, value_at_zero
 from g2mu.exterior import Metric7
@@ -41,7 +40,7 @@ def framed():
     frame = [[2 if i == j == 0 else (1 if i == j else 0) for j in range(7)]
              for i in range(7)]
     return validate_joyce(generate([AffineElement(diag(1, 1, 1, -1, -1, -1, -1))]),
-                          frame=frame)
+                          frame=(frame, 1))
 
 
 def test_z9_group_and_invariants(z9):
@@ -79,8 +78,7 @@ def test_z9_twisted_zeta_values(z9):
 
 def test_third_root_twist_matches_closed_form():
     # rank-1 lattice twisted by 1/3: Z(s) = (3^{1-2s} - 1) zeta(2s)
-    lat = ez.TwistedLattice(1, ((1, 0, 0, 0, 0, 0, 0),),
-                            linalg.identity_frac(1), (Fraction(1, 3),))
+    lat = ez.TwistedLattice(1, ((1, 0, 0, 0, 0, 0, 0),), (((1,),), 1), (Fraction(1, 3),))
     for s in (2.0, 1.2, 0.6, -0.4):
         val = ez.epstein_value(lat, s)
         ref = complex((3 ** (1 - 2 * s) - 1) * mpmath.zeta(2 * s))
@@ -101,7 +99,7 @@ SHEARED_FRAME = [[1, 1, 0, 0, 0, 0, 0],
 def test_framed_structure_satisfies_refined_calculus(framed):
     from g2mu import fourier as fr
     from g2mu.g2 import G2Structure
-    for structure in (framed.structure, G2Structure(SHEARED_FRAME)):
+    for structure in (framed.structure, G2Structure((SHEARED_FRAME, 1))):
         report = fr.verify_appendix(structure, trials=3, seed=1)
         assert max(report["identities"].values()) <= 1e-9
 

@@ -64,7 +64,7 @@ def test_golden_invariants(gens, expected):
 def test_frame_independence():
     orb1 = validate_joyce(generate([ALPHA]))
     scaled = [[2 if i == j else 0 for j in range(7)] for i in range(7)]
-    orb2 = validate_joyce(generate([ALPHA]), frame=scaled)
+    orb2 = validate_joyce(generate([ALPHA]), frame=(scaled, 1))
     assert mu_invariants(orb1) == mu_invariants(orb2)
 
 

@@ -34,18 +34,17 @@ def test_nullspace_exact():
     a = [[1, 2, 3], [2, 4, 6]]
     basis = linalg.nullspace(a)
     assert len(basis) == 2
-    am = obj(linalg.frac_matrix(a))
     for v in basis:
-        assert all(x == 0 for x in am @ obj(v))
+        assert all(x == 0 for x in obj(a) @ obj(v))
 
 
 def test_inverse_roundtrip():
     a = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-    inv = linalg.scaled(*linalg.inverse(a))
-    prod = obj(linalg.frac_matrix(a)) @ obj(inv)
-    assert all(prod[i, j] == (1 if i == j else 0) for i in range(3) for j in range(3))
+    A, D = linalg.inverse((a, 1))
+    prod = obj(a) @ obj(A)
+    assert all(prod[i, j] == (D if i == j else 0) for i in range(3) for j in range(3))
     with pytest.raises(ValueError):
-        linalg.inverse([[1, 2], [2, 4]])
+        linalg.inverse(([[1, 2], [2, 4]], 1))
 
 
 def _property_inputs():
@@ -77,7 +76,7 @@ def test_elimination_properties():
     """det, rank, nullspace and inverse against Laplace minors, on seeded inputs."""
     for a in _property_inputs():
         m, n = len(a), len(a[0])
-        am = obj(linalg.frac_matrix(a))
+        am = obj(a)
         # rank and nullspace take integer rows: a cleared of denominators, b = d a
         b, d = linalg.clear_denominators(a)
         r = linalg.rank(b)
@@ -95,12 +94,12 @@ def test_elimination_properties():
         if m != n:
             continue
         expected = Fraction(_laplace_det(b), d ** n)
-        assert linalg.det(a) == expected
+        assert linalg.det((b, d)) == expected
         if expected == 0:
             with pytest.raises(ValueError):
-                linalg.inverse(a)
+                linalg.inverse((b, d))
             continue
-        A, D = linalg.inverse(a)
+        A, D = linalg.inverse((b, d))
         assert D > 0 and all(type(x) is int for row in A for x in row)
         prod = am @ np.array(A, dtype=object)
         assert all(prod[i, j] == (D if i == j else 0) for i in range(n) for j in range(n))
@@ -110,7 +109,7 @@ def test_det_matches_numpy_sign_and_value():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a = rng.integers(-4, 5, size=(5, 5))
-        exact = linalg.det(a.tolist())
+        exact = linalg.det((a.tolist(), 1))
         assert exact == Fraction(round(np.linalg.det(a)))
 
 
@@ -146,8 +145,12 @@ def test_rational_sqrt():
     assert linalg.rational_sqrt(Fraction(-1)) is None
 
 
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)], 1
+
+
 def test_enumerate_ellipsoid_counts():
-    eye = linalg.identity_frac(7)
+    eye = _identity(7)
     shells = linalg.enumerate_ellipsoid(eye, 1)
     assert {q: len(pts) for q, pts in shells.items()} == {0: 1, 1: 14}
     assert shells[0] == [(0,) * 7]
@@ -156,14 +159,14 @@ def test_enumerate_ellipsoid_counts():
 
 
 def test_enumerate_ellipsoid_shifted():
-    eye = linalg.identity_frac(2)
+    eye = _identity(2)
     # (x + 1/2)^2 + y^2 <= 1/4: x in {0, -1} with y = 0
     shells = linalg.enumerate_ellipsoid(eye, Fraction(1, 4), shift=[Fraction(1, 2), 0])
     assert shells == {Fraction(1, 4): [(-1, 0), (0, 0)]}
 
 
 def test_enumerate_ellipsoid_general_gram():
-    gram = linalg.frac_matrix([[2, 1], [1, 2]])
+    gram = ([[2, 1], [1, 2]], 1)
     shells = linalg.enumerate_ellipsoid(gram, 2)
     expected = {}
     for x in range(-3, 4):
@@ -176,8 +179,8 @@ def test_enumerate_ellipsoid_general_gram():
 
 def _box_shells(gram, bound, shift):
     """Shells of Q(x + shift) <= bound by scanning a whole box, in int64."""
-    r = len(gram)
-    G, d = linalg.clear_denominators(gram)
+    G, d = gram
+    r = len(G)
     (W,), e = linalg.clear_denominators([shift])
     # |x_i + w_i| <= sqrt(bound (gram^-1)_ii), widened by one
     inv = np.linalg.inv(np.array(G, dtype=float) / d)
@@ -204,7 +207,7 @@ def test_enumerate_ellipsoid_matches_box_scan():
         rank = 1 + trial % 4
         den = 1 + (trial // 4) % 4
         M = rng.integers(-2, 3, size=(rank, rank))
-        gram = linalg.scaled((M.T @ M + np.eye(rank, dtype=np.int64)).tolist(), den)
+        gram = (M.T @ M + np.eye(rank, dtype=np.int64)).tolist(), den
         kind = trial % 3
         if kind == 0:
             shift = [0] * rank
@@ -225,7 +228,7 @@ def test_enumerate_ellipsoid_matches_box_scan():
                                   [[1, 0], [0, -1]], [[2, 1], [0, 2]]])
 def test_enumerate_ellipsoid_rejects_indefinite_or_singular(gram):
     with pytest.raises(ValueError):
-        linalg.enumerate_ellipsoid(gram, 3)
+        linalg.enumerate_ellipsoid((gram, 1), 3)
 
 
 def _random_matrix(rng, rational):
@@ -241,12 +244,13 @@ def test_compound_matches_submatrix_determinants():
         a = _random_matrix(rng, rational)
         for p in range(1, 8):
             b, d = linalg.clear_denominators(a)
-            C = linalg.scaled(linalg.int_compound(b, p), d ** p)
+            C = linalg.int_compound(b, p)
             subsets = list(combinations(range(7), p))
             assert obj(C).shape == (len(subsets), len(subsets))
             for i, I in enumerate(subsets):
                 for j, J in enumerate(subsets):
-                    assert C[i][j] == linalg.det([[a[r][c] for c in J] for r in I])
+                    minor = linalg.clear_denominators([[a[r][c] for c in J] for r in I])
+                    assert Fraction(C[i][j], d ** p) == linalg.det(minor)
 
 
 def test_compound_selected_rows_and_bounds():
@@ -255,8 +259,8 @@ def test_compound_selected_rows_and_bounds():
     rows = [(0, 3, 5), (1, 2, 6)]
     full = linalg.int_compound(b, 3)
     position = {I: k for k, I in enumerate(combinations(range(7), 3))}
-    assert linalg.int_compound(b, 3, rows) == [full[position[I]] for I in rows]
-    assert linalg.int_compound(b, 7) == [[linalg.det(b)]]
+    assert linalg.int_compound(b, 3, rows) == tuple(full[position[I]] for I in rows)
+    assert linalg.int_compound(b, 7) == ((linalg.det((b, 1)),),)
     with pytest.raises(ValueError):
         linalg.int_compound(b, 8)
     with pytest.raises(TypeError):
@@ -268,19 +272,23 @@ def test_det_of_integer_matrix_is_exact():
     for n in range(1, 8):
         for _ in range(5):
             a = rng.integers(-4, 5, size=(n, n)).tolist()
-            assert linalg.det(a) == _laplace_det(a)
-            assert linalg.det(a).denominator == 1
-    assert linalg.det([[0, 1], [1, 0]]) == -1
-    assert linalg.det([[Fraction(1, 2), 0], [0, 2]]) == 1
+            assert linalg.det((a, 1)) == _laplace_det(a)
+            assert linalg.det((a, 1)).denominator == 1
+    assert linalg.det(([[0, 1], [1, 0]], 1)) == -1
+    assert linalg.det(linalg.clear_denominators([[Fraction(1, 2), 0], [0, 2]])) == 1
 
 
 def test_integer_row_functions_reject_fractions():
-    """rank, nullspace and primitive_integer take integer rows and clear nothing."""
+    """rank, nullspace, primitive_integer and the pair readers take integer rows
+    and clear nothing."""
     half = Fraction(1, 2)
     for call in (lambda: linalg.rank([[half, 1], [0, 1]]),
                  lambda: linalg.nullspace([[1, half, 0]]),
                  lambda: linalg.primitive_integer([half, 1, 2]),
-                 lambda: linalg.rank([[1.0, 0], [0, 1]])):
+                 lambda: linalg.rank([[1.0, 0], [0, 1]]),
+                 lambda: linalg.det(([[half, 0], [0, 1]], 1)),
+                 lambda: linalg.inverse(([[half, 0], [0, 1]], 1)),
+                 lambda: linalg.positive_definite(([[1.0, 0], [0, 1]], 1))):
         with pytest.raises(TypeError):
             call()
     # an integral Fraction is still a Fraction
@@ -288,7 +296,8 @@ def test_integer_row_functions_reject_fractions():
         linalg.rank([[Fraction(2), 0], [0, 1]])
 
 
-def test_matmul_matches_fraction_matmul():
+def test_int_matmul_of_pairs_matches_fraction_matmul():
+    """Products of pairs (N, d) are int_matmul of the N over the product of the d."""
     rng = np.random.default_rng(14)
     for rational in (False, True):
         for shapes in (((7, 7), (7, 7)), ((3, 5), (5, 4), (4, 6)), ((1, 7), (7, 1))):
@@ -296,20 +305,25 @@ def test_matmul_matches_fraction_matmul():
                 [[Fraction(int(rng.integers(-5, 6)), int(rng.choice([1, 2, 3, 4, 7])))
                   if rational else int(rng.integers(-3, 4)) for _ in range(n)]
                  for _ in range(m)] for m, n in shapes]
-            expected = obj(linalg.frac_matrix(factors[0]))
+            expected = obj(factors[0])
             for a in factors[1:]:
-                expected = expected @ obj(linalg.frac_matrix(a))
-            got = linalg.matmul(*factors)
-            assert obj(got).shape == expected.shape
-            assert all(type(x) is Fraction for row in got for x in row)
-            assert np.equal(got, expected).all()
+                expected = expected @ obj(a)
+            N, d = linalg.clear_denominators(factors[0])
+            for a in factors[1:]:
+                M, e = linalg.clear_denominators(a)
+                N, d = linalg.int_matmul(N, M), d * e
+            assert obj(N).shape == expected.shape
+            assert all(type(x) is int for row in N for x in row)
+            assert all(Fraction(x, d) == y for row, exp in zip(N, expected) for x, y in zip(row, exp))
 
 
-def test_matmul_rejects_float_input():
-    with pytest.raises(TypeError):
-        linalg.matmul([[1, 0], [0, 1]], [[0.5, 0], [0, 1]])
-    with pytest.raises(TypeError):
-        linalg.matmul(np.eye(2), linalg.identity_frac(2))
+def test_clear_denominators_rejects_float_and_ragged_input():
+    for bad in ([[1, 0], [0.5, 1]], np.eye(2), [[1.0]]):
+        with pytest.raises(TypeError):
+            linalg.clear_denominators(bad)
+    with pytest.raises(ValueError):
+        linalg.clear_denominators([[1, 2], [3]])
+    assert linalg.clear_denominators([["1/2", 1], [0, Fraction(2, 3)]]) == (((3, 6), (0, 4)), 6)
 
 
 def test_primitive_integer():

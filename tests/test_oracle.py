@@ -14,6 +14,17 @@ def diag(*entries):
     return [[entries[i] if i == j else 0 for j in range(7)] for i in range(7)]
 
 
+def frame_pair(rows):
+    """A frame given as rational rows, or None, as the pair a structure takes."""
+    return None if rows is None else linalg.clear_denominators(rows)
+
+
+def fractions(pair):
+    """The rational matrix (N, d) as Fraction rows, for test-side algebra."""
+    N, d = pair
+    return [[Fraction(x, d) for x in row] for row in N]
+
+
 ALPHA = AffineElement(diag(1, 1, 1, -1, -1, -1, -1))
 BETA = AffineElement(diag(1, -1, -1, 1, 1, -1, -1), [0, 0, 0, 0, 0, 0, Fraction(1, 2)])
 GAMMA = AffineElement(diag(-1, 1, -1, 1, -1, 1, -1),
@@ -50,7 +61,7 @@ def test_enumerate_classes_counts(torus):
 ], ids=["identity", "diag-half", "shear-12"])
 def test_classes_are_the_nonzero_shells_of_the_gram(frame):
     """The identity element's lattice shells are the shells of G itself."""
-    orb = validate_joyce(generate([]), frame)
+    orb = validate_joyce(generate([]), frame_pair(frame))
     shells = linalg.enumerate_ellipsoid(orb.structure.metric.gram, 4)
     shells.pop(Fraction(0))  # the origin
     assert [(c.norm_sq, c.vectors) for c in orc.enumerate_classes(orb, 4)] == \
@@ -66,8 +77,7 @@ def test_spectral_reports_enumerate_each_fixed_lattice_once(monkeypatch):
         return enumerate_ellipsoid(gram, bound, shift)
 
     monkeypatch.setattr(linalg, "enumerate_ellipsoid", counting)
-    # a frame no other test uses, so that no shared structure holds the shells yet
-    orb = validate_joyce(generate([ALPHA, BETA, GAMMA]), diag(1, 1, 1, 1, 3, 1, 1))
+    orb = validate_joyce(generate([ALPHA, BETA, GAMMA]), frame_pair(diag(1, 1, 1, 1, 3, 1, 1)))
     reports = orc.spectral_reports(orb, 4)
     assert reports and all(r.match for r in reports)
     assert len(orb.group) == 8 and calls == [4] * 8
@@ -78,7 +88,6 @@ def test_restricted_traces_are_shared_by_matrix_part_and_fibre(monkeypatch):
     the order-24 group of alpha with translation 1/2 and the order-3 cycle with
     translation 1/3 has 12 matrix parts, and at radius 1 its 164 fixed
     (non-identity element, mode) pairs of both kinds need 48 traces."""
-    monkeypatch.setattr(G2Structure, "_shared_instances", {})
     calls = []
     restricted_trace = orc._restricted_trace
 
@@ -110,7 +119,8 @@ def test_classes_come_in_opposite_pairs(torus):
 
 def test_eigenvalue_field(torus):
     cls = orc.enumerate_classes(torus, 1)[0]
-    assert abs(cls.eigenvalue() + 4 * np.pi ** 2) < 1e-12
+    eigenvalue = -4.0 * np.pi ** 2 * float(cls.norm_sq)
+    assert abs(eigenvalue + 4 * np.pi ** 2) < 1e-12
 
 
 def test_mode_space_dimensions(torus):
@@ -155,13 +165,12 @@ def _reference_trace(structure, M, basis):
     S_j is S with column j replaced by column j of T.
     """
     grade = {21: 2, 35: 3}[len(basis[0])]
-    G = np.array(linalg.scaled(*structure.metric.lambda_gram(grade)), dtype=object)
-    B = np.array(linalg.frac_matrix(basis), dtype=object).T
+    G = np.array(fractions(structure.metric.lambda_gram(grade)), dtype=object)
+    B = np.array(basis, dtype=object).T
     BtG = B.T @ G
     # S | T cleared by one common denominator, which cancels in each ratio
-    ST, _ = linalg.clear_denominators(
-        np.concatenate([BtG @ B, BtG @ (np.array(linalg.frac_matrix(M.tolist()),
-                                                   dtype=object) @ B)], axis=1))
+    ST, _ = linalg.clear_denominators(np.concatenate([BtG @ B, BtG @ (M @ B)], axis=1))
+    ST = [list(row) for row in ST]
     k = B.shape[1]
     det_S = _laplace_det([row[:k] for row in ST])
     return sum(Fraction(_laplace_det([row[:j] + [row[k + j]] + row[j + 1:k] for row in ST]),
@@ -177,7 +186,7 @@ def _reference_trace(structure, M, basis):
      [Fraction(1, 3), 0, 0, 0, 0, 0, Fraction(2, 3)]],
 ], ids=["identity", "diag23", "diag-half", "non-diagonal"])
 def test_restricted_trace_matches_fraction_formula(frame):
-    structure = G2Structure(frame)
+    structure = G2Structure(frame_pair(frame))
     rng = np.random.default_rng(11)
     l = (1, 1, 0, 0, 0, 1, 0)
     for kind in ("H", "Hprime"):
@@ -229,7 +238,7 @@ def test_su3_trace_check_all_fixed_vectors(m3):
 def test_mode_eigenvalue_matches_laplacian(torus):
     s = torus.structure
     l = (1, 0, 2, 0, 0, -1, 0)
-    n2 = float(s.metric.norm_sq_vector(l))
+    n2 = float(sum(x * y for x, y in zip(l, linalg.matvec(fractions(s.metric.gram), l))))
     for v in orc.fiber_basis(s, l, "H")[:3]:
         f = fr.FourierForm(s, 2, [l], [v])
         expected = f.mode(l) * (4 * np.pi ** 2 * n2)
@@ -254,7 +263,7 @@ def _order3_element():
 
 def _scanned_pairs(orbifold, element, cls):
     """[(l, q)] of the class by a scan: A l = l, q = l . G t mod 1, sorted."""
-    A, G = element.matrix, np.array(orbifold.structure.metric.gram, dtype=object)
+    A, G = element.matrix, np.array(fractions(orbifold.structure.metric.gram), dtype=object)
     t = np.array(element.translation, dtype=object)
     return sorted((l, (np.array(linalg.frac_vector(l), dtype=object) @ G @ t) % 1)
                   for l in cls.vectors
@@ -273,7 +282,7 @@ def _scanned_pairs(orbifold, element, cls):
 def test_fixed_pairs_match_a_scan_of_the_class(gens, frame, twisted):
     """The modes and phases read off each element's fixed lattice are exactly
     the fixed vectors of the class with their phases g(l, t)."""
-    orb = validate_joyce(generate(gens), frame)
+    orb = validate_joyce(generate(gens), frame_pair(frame))
     phases = set()
     for cls in orc.enumerate_classes(orb, 3):
         for element in orb.group:

@@ -63,7 +63,9 @@ def test_compose_associative():
 
 def test_apply_action():
     x = [Fraction(1, 3)] * 7
-    y = BETA.apply(x)
+    # x -> A x + t (mod 1)
+    y = [(sum(a * v for a, v in zip(row, x)) + t) % 1
+         for row, t in zip(BETA.matrix, BETA.translation)]
     assert y[0] == Fraction(1, 3) and y[1] == Fraction(2, 3)
     assert y[6] == (Fraction(1, 2) - Fraction(1, 3)) % 1
 
@@ -131,9 +133,9 @@ def test_validate_joyce_rejects_non_g2():
 
 def test_elements_preserve_metric():
     orb = validate_joyce(generate([ALPHA, BETA, GAMMA]))
-    G = orb.structure.metric.gram
+    G, _ = orb.structure.metric.gram
     for e in orb.group:
-        A = np.array(linalg.frac_matrix(e.matrix), dtype=object)
+        A = np.array(e.matrix, dtype=object)
         assert np.equal(A.T @ np.array(G, dtype=object) @ A, G).all()
 
 
@@ -156,9 +158,11 @@ def test_validate_joyce_rational_frame_names_first_non_member():
     frame = [[Fraction(1) if i == j else 0 for j in range(7)] for i in range(7)]
     frame[0][1] = Fraction(1, 2)
     frame[6][6] = Fraction(3)
+    frame = linalg.clear_denominators(frame)
     group = generate([ALPHA, BETA, GAMMA])
     structure = validate_joyce(generate([ALPHA]), frame).structure
-    expected = next(e for e in group if pullback(e.matrix, structure.phi) != structure.phi)
+    expected = next(e for e in group
+                    if pullback((e.matrix, 1), structure.phi) != structure.phi)
     assert expected.matrix != ALPHA.matrix
     with pytest.raises(NotG2Compatible) as err:
         validate_joyce(group, frame)
