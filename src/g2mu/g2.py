@@ -35,7 +35,10 @@ matrices are integer pairs (N, d) meaning N / d, as in `linalg`.
 The mode fibres of the oracle, {u in Lambda^grade_component : l -| u = 0},
 are exact kernels here as well (`typed_contraction_kernel`): iota_{e_a} B
 is kept per structure as sparse integer entries, so each mode solves one
-small integer system.
+small integer system.  `symmetry_generators` gives a few integer matrices
+that fix the structure's phi, the signed permutations fixing phi0 built
+from its own cross product and moved into lattice coordinates; the oracle
+takes one fibre per orbit of the modes under them.
 
 A G2Structure owns every cache that depends on it: one memo keyed by the
 producing function and its arguments, which also holds what `fourier` and
@@ -140,7 +143,11 @@ def _star_matrix(structure, p):
 
 
 def _frame_pullback_matrix(structure, p, inverse):
-    return pullback_matrix(linalg.inverse(structure.frame) if inverse else structure.frame, p)
+    return pullback_matrix(structure.memo(_inverse_frame) if inverse else structure.frame, p)
+
+
+def _inverse_frame(structure):
+    return linalg.inverse(structure.frame)
 
 
 def _type_space_basis(structure, grade, component):
@@ -159,6 +166,70 @@ def _projector(structure, grade, component):
         Minv, e = structure.frame_pullback_matrix(grade, inverse=True)
         N, k = linalg.int_matmul(linalg.int_matmul(M, N), Minv), d * k * e
     return N, k
+
+
+# -- symmetries ------------------------------------------------------------------
+
+# Cayley triples: the images of (e1, e2, e4) under a few signed permutations,
+# as signed 1-based axes.  Rotating the triple and moving its third vector
+# already generate all 1,344 signed permutations that fix phi0; the three sign
+# changes (one vector of the triple negated) are kept too because, unlike
+# those two, they stay integral in the lattice coordinates of a diagonal frame.
+_CAYLEY_TRIPLES = ((2, 4, 1), (1, 2, 5), (-1, 2, 4), (1, -2, 4), (1, 2, -4))
+
+
+@lru_cache(maxsize=None)
+def _phi0_symmetries():
+    """The linear maps S with S e1, S e2, S e4 the vectors of each Cayley triple,
+    as integer matrices.  phi0 = sum c_abc theta^abc defines the cross product
+    e_a x e_b = c_abc e_c (and cyclically), so e3 = e1 x e2, e5 = e1 x e4,
+    e6 = e2 x e4 and e7 = e1 x e6, and each remaining image is the cross
+    product of two known ones.  Only a Cayley triple gives a symmetry of phi0;
+    `symmetry_generators` checks each."""
+    cross = {}
+    for (a, b, c), x in PHI0_TERMS.items():
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            cross[i, j] = (k, x)
+            cross[j, i] = (k, -x)
+
+    def times(u, v):
+        out = [0] * DIM
+        for (i, j), (k, x) in cross.items():
+            out[k - 1] += x * u[i - 1] * v[j - 1]
+        return out
+
+    out = []
+    for triple in _CAYLEY_TRIPLES:
+        image = {axis: [(abs(s) == a) * (1 if s > 0 else -1) for a in range(1, DIM + 1)]
+                 for axis, s in zip((1, 2, 4), triple)}
+        while len(image) < DIM:
+            for (i, j), (k, x) in cross.items():
+                if i in image and j in image and k not in image:
+                    image[k] = [x * y for y in times(image[i], image[j])]
+        out.append(tuple(tuple(image[j][i] for j in range(1, DIM + 1)) for i in range(DIM)))
+    return tuple(out)
+
+
+def symmetry_generators(structure):
+    """Integer matrices A that fix the structure's phi: a few generators of the
+    signed permutations S fixing phi0, moved into lattice coordinates as
+    A = F^-1 S F.  A candidate is kept only if A is integral and passes
+    `is_g2_element`; under the identity frame all are kept and generate the
+    1,344 signed permutations that fix phi0."""
+    return structure.memo(_symmetry_generators)
+
+
+def _symmetry_generators(structure):
+    N, d = structure.frame
+    M, e = structure.memo(_inverse_frame)
+    out = []
+    for S in _phi0_symmetries():
+        A = linalg.int_matmul(linalg.int_matmul(M, S), N)
+        if all(x % (d * e) == 0 for row in A for x in row):
+            A = tuple(tuple(x // (d * e) for x in row) for row in A)
+            if structure.is_g2_element((A, 1)):
+                out.append(A)
+    return tuple(out)
 
 
 # -- mode fibre subspaces -------------------------------------------------------
@@ -183,16 +254,6 @@ def _kernel_basis(structure, lc, grade, component):
     B = linalg.transpose(structure.type_space_basis(grade, component))
     # B and the kernel vectors are integral, so B x stays in ints
     return tuple(linalg.primitive_integer(linalg.matvec(B, x)) for x in linalg.nullspace(C))
-
-
-def typed_contraction_kernel_dim(structure, l, grade, component):
-    """Dimension of the fibre, via an exact integer rank."""
-    return structure.memo(_kernel_dim, _canonical_sign(l), grade, component)
-
-
-def _kernel_dim(structure, lc, grade, component):
-    C = _contraction_on_type(structure, lc, grade, component)
-    return len(C[0]) - linalg.rank(C)
 
 
 def _contraction_on_type(structure, lc, grade, component):
@@ -233,10 +294,11 @@ class Memo:
 
     It grows by a fixed number of entries per grade and component (bases,
     projectors, star and pullback matrices, their float views, the mode
-    stacks of the Fourier operators), plus a fixed number per lattice
-    vector, Fourier mode or group element that a command visits (fibre
-    kernels and their dimensions, pullback matrices of group elements),
-    plus one per group element and oracle radius (its fixed modes).
+    stacks of the Fourier operators), plus a fixed number per orbit
+    representative, Fourier mode or group element that a command visits
+    (fibre kernels, pullback matrices of group elements), plus one per
+    group element and oracle radius (its fixed modes) and two per oracle
+    class (its orbit tables).
     Nothing is evicted; a CLI command builds one structure.
 
     A callable object rather than a method, so that the time fn takes is
@@ -263,16 +325,17 @@ class G2Structure:
 
     The frame F is a rational matrix, the pair (N, d) of
     `linalg.clear_denominators`, or None for the identity; a float in N
-    raises TypeError.  Everything derived from the structure is kept in its
+    raises TypeError.  vol is det F, if the caller has it (the config parser
+    takes it once).  Everything derived from the structure is kept in its
     Memo, `memo`.
     """
 
     __slots__ = ("frame", "phi", "psi", "metric", "memo", "_phi_int")
 
-    def __init__(self, frame=None):
+    def __init__(self, frame=None, vol=None):
         if frame is None:
             frame = IDENTITY
-        metric = metric_from_frame(frame)
+        metric = metric_from_frame(frame, vol)
         phi = pullback(frame, standard_phi0())
         psi = hodge_star(phi, metric)
         object.__setattr__(self, "frame", frame)

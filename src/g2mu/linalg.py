@@ -22,8 +22,9 @@ computations never leave Z.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import index, mul
 
 
@@ -165,15 +166,24 @@ def clear_denominators(a):
 def int_matmul(a, b):
     """Product of two integer matrices as a tuple of row tuples, in Python ints.
 
-    A row of a that is mostly zero (a signed permutation's, a diagonal
-    pullback matrix's) costs one product per nonzero entry and column.
+    Row i of the product is the combination of the rows of b weighted by
+    row i of a.  Where the nonzero entries of both meet in fewer than half
+    the products of a dense row (a signed permutation, a diagonal Gram, a
+    sparse basis), the row costs one product per pair of nonzero entries
+    a_ik, b_kj; otherwise it is dense dot products with the columns of b.
     """
+    sparse_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     columns = tuple(zip(*b))
+    dense = len(columns) * len(sparse_rows)
     out = []
     for row in a:
-        nonzero = [(k, x) for k, x in enumerate(row) if x]
-        if 2 * len(nonzero) < len(row):
-            out.append(tuple(sum([x * col[k] for k, x in nonzero]) for col in columns))
+        nonzero = [(x, sparse_rows[k]) for k, x in enumerate(row) if x]
+        if 2 * sum(len(r) for _, r in nonzero) < dense:
+            acc = [0] * len(columns)
+            for x, r in nonzero:
+                for j, y in r:
+                    acc[j] += x * y
+            out.append(tuple(acc))
         else:
             out.append(tuple(sum(map(mul, row, col)) for col in columns))
     return tuple(out)
@@ -187,46 +197,56 @@ def det(a):
     return Fraction((-1) ** swaps * D if len(pivots) == len(N) else 0, d ** len(N))
 
 
+@lru_cache(maxsize=None)
+def _laplace_plans(n, p):
+    """plans[k][j] = ((c, t, odd), ...) over the k-subsets J of range(n) holding j,
+    for k = 1..p: c is the position of J among the k-subsets, t that of J
+    minus j among the (k-1)-subsets, and odd whether j has an odd place in J."""
+    plans = [None]
+    position = {(): 0}
+    for k in range(1, p + 1):
+        subsets = list(combinations(range(n), k))
+        by_column = [[] for _ in range(n)]
+        for c, J in enumerate(subsets):
+            for t, j in enumerate(J):
+                by_column[j].append((c, position[J[:t] + J[t + 1:]], t % 2))
+        plans.append(tuple(map(tuple, by_column)))
+        position = {J: c for c, J in enumerate(subsets)}
+    return tuple(plans)
+
+
 def int_compound(b, p, rows=None):
     """Minors det b[I, J] of an integer matrix, in Python ints.
 
     Returns one row tuple per increasing row p-subset I (all of them, or the
     0-based tuples in `rows`), holding the minors over the increasing
     column p-subsets J in lexicographic order.  Each k-minor is the Laplace
-    expansion along its first row into (k-1)-minors of the remaining rows;
-    those are shared between all I with the same tail and skipped where the
-    expanding entry is 0.
+    expansion along its first row into (k-1)-minors of the remaining rows,
+    taken over the nonzero entries of that row only (one for a signed
+    permutation); the (k-1)-minors are shared between all I with the same
+    tail, and the expansion plans are built once per (columns, p).
     """
     b = _int_rows(b)
     m = len(b)
     n = len(b[0]) if m else 0
     if not 0 <= p <= min(m, n):
         raise ValueError(f"no {p}x{p} minors in a {m}x{n} matrix")
-    # plans[k][c] = (j, position of J minus j among (k-1)-subsets, odd) for J = k-subset c
-    plans = [None]
-    position = {(): 0}
-    for k in range(1, p + 1):
-        subsets = list(combinations(range(n), k))
-        plans.append([[(j, position[J[:t] + J[t + 1:]], t % 2) for t, j in enumerate(J)]
-                      for J in subsets])
-        position = {J: c for c, J in enumerate(subsets)}
+    plans = _laplace_plans(n, p)
+    sizes = [comb(n, k) for k in range(p + 1)]
     known = {(): [1]}
 
     def minors(I):
         out = known.get(I)
         if out is None:
             tail = minors(I[1:])
-            first = b[I[0]]
-            out = []
-            for plan in plans[len(I)]:
-                s = 0
-                for j, c, odd in plan:
-                    x = first[j]
-                    if x:
-                        y = tail[c]
+            out = [0] * sizes[len(I)]
+            plan = plans[len(I)]
+            for j, x in enumerate(b[I[0]]):
+                if x:
+                    for c, t, odd in plan[j]:
+                        y = tail[t]
                         if y:
-                            s = s - x * y if odd else s + x * y
-                out.append(s)
+                            out[c] += -x * y if odd else x * y
             known[I] = out
         return out
 

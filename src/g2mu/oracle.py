@@ -14,20 +14,32 @@ the character.  This module computes that dimension two independent ways:
   * brute force: explicit bases of the fibres (`fiber_basis`, a
     `g2.typed_contraction_kernel` checked against the dimension in KINDS),
     explicit pullback matrices, exact restricted traces and exact
-    root-of-unity phases.  Bases, pullback matrices and the integer part N
-    of the metric's Lambda-Gram pair (N, d) are integer rows, so each
-    trace is computed in Python ints with one division at the end, once per
-    matrix part and fibre (l and -l share one);
+    root-of-unity phases, summed one symmetry orbit of modes at a time.
+    The identity's term, the sum of the fibre dimensions, takes one kernel
+    per orbit of the lattice matrices that fix phi (`g2.symmetry_generators`
+    with the group's matrix parts and -1): such a matrix carries one fibre
+    onto another.  The other terms are summed by Burnside's lemma over the
+    group: only the fixed pairs (g, l) whose mode l represents its group
+    orbit are read, each weighted by the orbit's size, since conjugation
+    moves a fixed pair to another with the same trace and phase.  Each
+    partition is checked to add up to its class.  Bases, pullback matrices
+    and the integer part N of the metric's Lambda-Gram pair (N, d) are
+    integer rows, so each trace is computed in Python ints with one
+    division at the end, once per matrix part and fibre (l and -l share
+    one);
   * closed form: the tr8/tr12 trace polynomials weighted by the same phases
-    over the fixed vectors of each element, once per element and phase.
+    over all fixed vectors of each element, once per element and phase.
 
-Both read an element's fixed vectors and phases from the shells of its
-twisted fixed lattice (`epstein.fixed_lattice`), walked once per element and
-radius by `epstein.twisted_shells`, the walk the zeta sums also take, so what
-they check against each other is the trace.  The classes themselves are the
+The orbits only regroup the terms of the brute-force sum; every term is
+still a kernel or a restricted trace, so that route reads no trace
+polynomial and stays independent of the closed form.  Both read an
+element's fixed vectors and phases from the shells of its twisted fixed
+lattice (`epstein.fixed_lattice`), walked once per element and radius by
+`epstein.twisted_shells`, the walk the zeta sums also take, so what they
+check against each other is the trace.  The classes themselves are the
 nonzero shells of the identity element's lattice: Z^7 with Gram G and zero
-twist.  Agreement of the two routes on every class is the
-oracle for the character formula behind the mu-invariants.
+twist.  Agreement of the two routes on every class is the oracle for the
+character formula behind the mu-invariants.
 
 The module is plain Python, like the exact core it reads; mpmath is
 imported only for a phase whose cosine is irrational.
@@ -38,10 +50,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from . import linalg
+from . import g2, linalg
 from .epstein import fixed_lattice_cached, twisted_shells
 from .exterior import DIM
-from .g2 import _canonical_sign, typed_contraction_kernel, typed_contraction_kernel_dim
+from .g2 import _canonical_sign, typed_contraction_kernel
 from .invariants import tr8_su3, tr12_su3
 from .orbifold import AffineElement
 
@@ -214,23 +226,98 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
 
     Builds the block matrix of each element in the explicit fibre bases;
     off-diagonal blocks (modes moved elsewhere) contribute no trace, so the
-    average is the phase-weighted sum of restricted traces over fixed modes.
-    The identity block's trace is the fibre dimension itself.
+    average is the phase-weighted sum of restricted traces over the fixed
+    pairs (g, l), A_g l = l.  The sum is taken one symmetry orbit at a time:
+
+      * the identity's term, the sum of the fibre dimensions over the class,
+        is |O| dim F_rep summed over the orbits O of the class under the
+        lattice matrices that fix phi (`g2.symmetry_generators`), the
+        group's matrix parts and -1, since such a matrix carries one fibre
+        onto another;
+      * the other terms by Burnside over the group: conjugating a fixed pair
+        by an element h moves l to A_h l and keeps its trace and phase, so
+        the pairs at one group orbit of modes sum to |O_l| times those at
+        its representative l.  Only the pairs of `_fixed_vectors` whose mode
+        is a representative are read, weighted by its orbit size.  (The
+        phase g(l, t) is kept when G l is integral for every mode, as under
+        an integer Gram; under another Gram with translations it need not
+        be, and a phase sum that is not real raises NonIntegerDimension.)
+
+    The orbit sizes of each partition are checked to add up to the class.
+    Nothing here reads tr8 or tr12: the fibres are kernels, the traces
+    restricted traces of explicit pullback matrices.
     """
     structure = orbifold.structure
     grade, component, _ = KINDS[kind]
+    parts = tuple(dict.fromkeys(element.matrix for element in orbifold.group))
+    symmetries = tuple(dict.fromkeys(g2.symmetry_generators(structure) + parts[1:]))
     acc = _PhaseSum()
+    orbits = _checked_orbits(structure, _identity_orbits, symmetries, cls)
+    acc.add(Fraction(0), sum(size * len(typed_contraction_kernel(structure, l, grade, component))
+                             for l, size in orbits.items()))
+    weights = _checked_orbits(structure, _group_orbits, parts, cls)
     for element in orbifold.group:
-        fixed = _fixed_vectors(element, cls, structure)
-        if not fixed:
-            continue
         if element.is_identity():
-            for l, q in fixed:
-                acc.add(q, typed_contraction_kernel_dim(structure, l, grade, component))
             continue
-        for l, q in fixed:
-            acc.add(q, structure.memo(_fixed_trace, element.matrix, _canonical_sign(l), kind))
+        for l, q in _fixed_vectors(element, cls, structure):
+            size = weights.get(l)
+            if size:
+                acc.add(q, size * structure.memo(_fixed_trace, element.matrix,
+                                                 _canonical_sign(l), kind))
     return _integer_average(acc, len(orbifold.group))
+
+
+def _mode_image(matrix, l):
+    """The mode A l: a matrix part acts on modes as in `epstein.fixed_lattice`,
+    whose fixed modes are the l with A l = l."""
+    return tuple(sum(map(mul, row, l)) for row in matrix)
+
+
+def _checked_orbits(structure, table, matrices, cls):
+    """{representative: orbit size} of the class from `table`, checked to
+    partition it: the sizes must add up to the number of its modes."""
+    orbits = structure.memo(table, matrices, cls)
+    if sum(orbits.values()) != len(cls):
+        raise ArithmeticError(f"orbits of class {cls.norm_sq} cover {sum(orbits.values())} "
+                              f"of its {len(cls)} modes")
+    return orbits
+
+
+def _identity_orbits(structure, generators, cls):
+    """{l: |O|}: one mode l per orbit O of the class under the group that the
+    matrices `generators` and -1 generate, l the first of O in the class
+    with its sign made canonical.  Walks each pair {l, -l} of the orbit once."""
+    modes = set(cls.vectors)
+    seen, out = set(), {}
+    for v in cls.vectors:
+        v = _canonical_sign(v)
+        if v in seen:
+            continue
+        seen.add(v)
+        orbit = [v]
+        for w in orbit:
+            for A in generators:
+                u = _mode_image(A, w)
+                if u not in modes:
+                    raise ArithmeticError(f"a symmetry moves mode {w} off its class")
+                u = _canonical_sign(u)
+                if u not in seen:
+                    seen.add(u)
+                    orbit.append(u)
+        out[v] = 2 * len(orbit)
+    return out
+
+
+def _group_orbits(structure, parts, cls):
+    """{l: |O_l|}: one mode per orbit of the class under the group's matrix
+    parts `parts` (a group, identity first), the first of it in the class."""
+    seen, out = set(), {}
+    for v in cls.vectors:
+        if v not in seen:
+            orbit = {_mode_image(A, v) for A in parts}
+            seen.update(orbit)
+            out[v] = len(orbit)
+    return out
 
 
 def _fixed_trace(structure, matrix, l, kind):

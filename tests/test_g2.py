@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from math import comb
@@ -401,8 +402,6 @@ def test_contraction_kernel_shared_by_opposite_modes(s):
     for grade, component in [(2, 14), (3, 27)]:
         assert g2.typed_contraction_kernel(s, l, grade, component) is \
             g2.typed_contraction_kernel(s, minus, grade, component)
-        assert g2.typed_contraction_kernel_dim(s, l, grade, component) == \
-            g2.typed_contraction_kernel_dim(s, minus, grade, component)
 
 
 def test_standard_and_fibre_bases_are_pinned():
@@ -441,8 +440,88 @@ def test_contraction_kernel_at_large_mode():
         for grade, component, dim in [(2, 14, 8), (3, 27, 12)]:
             basis = g2.typed_contraction_kernel(s, l, grade, component)
             assert len(basis) == dim
-            assert g2.typed_contraction_kernel_dim(s, l, grade, component) == dim
             for v in basis:
                 a = ExteriorForm(grade, v)
                 assert interior(l, a).is_zero()
                 assert s.apply_projector(grade, component, a) == a
+
+
+def _signed_permutations_fixing_phi0():
+    """Every signed permutation S e_j = s_j e_p(j) with S* phi0 = phi0, found
+    over the permutations p of the axes that map the lines of phi0 (a Fano
+    plane) to lines, and over all 128 sign vectors."""
+    lines = {frozenset(I) for I in g2.PHI0_TERMS}
+    out = set()
+    for perm in itertools.permutations(range(1, DIM + 1)):
+        p = dict(zip(range(1, DIM + 1), perm))
+        if any(frozenset(p[i] for i in line) not in lines for line in lines):
+            continue
+        for signs in itertools.product((1, -1), repeat=DIM):
+            s = dict(zip(range(1, DIM + 1), signs))
+
+            def pulled_back(line):
+                # (S* phi0)(e_a, e_b, e_c) = s_a s_b s_c phi0(e_p(a), e_p(b), e_p(c))
+                image = [p[i] for i in line]
+                order = sorted(image)
+                parity = sum(x > y for k, x in enumerate(image) for y in image[k + 1:]) % 2
+                return s[line[0]] * s[line[1]] * s[line[2]] * (-1) ** parity \
+                    * g2.PHI0_TERMS[tuple(order)]
+
+            if all(pulled_back(line) == c for line, c in g2.PHI0_TERMS.items()):
+                out.add(tuple(tuple(s[j] if p[j] == i else 0 for j in range(1, DIM + 1))
+                              for i in range(1, DIM + 1)))
+    return out
+
+
+def _closure(generators):
+    identity = tuple(map(tuple, _eye(DIM)))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [y for x in frontier for y in (linalg.int_matmul(x, g) for g in generators)
+                    if y not in seen and not seen.add(y)]
+    return seen
+
+
+def test_symmetry_generators_generate_the_signed_permutations_fixing_phi0():
+    stabiliser = _signed_permutations_fixing_phi0()
+    generators = g2.symmetry_generators(G2Structure())
+    assert len(stabiliser) == 1344 and len(generators) < 10
+    assert _closure(generators) == stabiliser
+
+
+def _fixes_phi(structure, A):
+    """A*(phi) = phi for an integer matrix A, by the exact pullback of forms."""
+    return pullback((A, 1), structure.phi) == structure.phi
+
+
+@pytest.mark.parametrize("frame, kept", [
+    ([[2 if i == j == 0 else 3 if i == j == 5 else int(i == j) for j in range(7)]
+      for i in range(7)], 3),
+    ([[int(i == j) + (i == 0 and j == 1) for j in range(7)] for i in range(7)], 5),
+], ids=["diag23", "shear-12"])
+def test_framed_symmetry_generators_are_the_integral_conjugates(frame, kept):
+    """Under a frame F the generators are the F^-1 S F that are integral, and each
+    fixes the structure's phi: under diag(2, 1, 1, 1, 1, 3, 1) the three sign
+    changes, under the unimodular shear I + E_12 all five."""
+    structure = G2Structure((frame, 1))
+    Finv = linalg.inverse((frame, 1))
+    conjugates = [linalg.int_matmul(linalg.int_matmul(Finv[0], S), frame)
+                  for S in g2._phi0_symmetries()]
+    integral = [tuple(tuple(x // Finv[1] for x in row) for row in A) for A in conjugates
+                if all(x % Finv[1] == 0 for row in A for x in row)]
+    generators = g2.symmetry_generators(structure)
+    assert list(generators) == integral and len(generators) == kept
+    assert all(_fixes_phi(structure, A) for A in generators)
+
+
+def test_symmetry_candidates_that_do_not_fix_phi_are_dropped(monkeypatch):
+    """A candidate that is integral in lattice coordinates but moves phi (the
+    transposition of axes 1 and 2, and a signed permutation of determinant 1
+    that maps no line of phi0 to a line) is dropped; the symmetries stay."""
+    symmetries = g2._phi0_symmetries()
+    swap = tuple(tuple(int(j == (1, 0, 2, 3, 4, 5, 6)[i]) for j in range(7)) for i in range(7))
+    shift = tuple(tuple(int(j == (i + 1) % 7) for j in range(7)) for i in range(7))
+    monkeypatch.setattr(g2, "_phi0_symmetries", lambda: (swap,) + symmetries + (shift,))
+    structure = G2Structure()
+    assert not _fixes_phi(structure, swap) and not _fixes_phi(structure, shift)
+    assert g2.symmetry_generators(structure) == symmetries

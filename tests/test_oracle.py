@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from g2mu import fourier as fr
-from g2mu import linalg
+from g2mu import g2, linalg
 from g2mu import oracle as orc
-from g2mu.g2 import G2Structure, typed_contraction_kernel_dim
-from g2mu.orbifold import AffineElement, generate, validate_joyce
+from g2mu.g2 import G2Structure, typed_contraction_kernel
+from g2mu.orbifold import AffineElement, JoyceOrbifold, generate, validate_joyce
 
 
 def diag(*entries):
@@ -87,7 +87,8 @@ def test_restricted_traces_are_shared_by_matrix_part_and_fibre(monkeypatch):
     """tr(A* | F_l) depends only on the matrix part A and the fibre F_l = F_{-l}:
     the order-24 group of alpha with translation 1/2 and the order-3 cycle with
     translation 1/3 has 12 matrix parts, and at radius 1 its 164 fixed
-    (non-identity element, mode) pairs of both kinds need 48 traces."""
+    (non-identity element, mode) pairs of both kinds need 32 traces, those of
+    the pairs whose mode represents its group orbit (48 over all modes)."""
     calls = []
     restricted_trace = orc._restricted_trace
 
@@ -104,7 +105,7 @@ def test_restricted_traces_are_shared_by_matrix_part_and_fibre(monkeypatch):
     reports = orc.spectral_reports(orb, 1)
     assert len(orb.group) == 24 and len({e.matrix for e in orb.group}) == 12
     assert reports and all(r.match for r in reports)
-    assert len(calls) == 48
+    assert len(calls) == 32
     fixed = sum(len(orc._fixed_vectors(e, cls, orb.structure))
                 for e in orb.group if not e.is_identity()
                 for cls in orc.enumerate_classes(orb, 1))
@@ -127,7 +128,7 @@ def test_mode_space_dimensions(torus):
     for kind, dim in [("H", 8), ("Hprime", 12)]:
         grade, component, _ = orc.KINDS[kind]
         for l in [(1, 0, 0, 0, 0, 0, 0), (1, -2, 0, 3, 0, 0, 1)]:
-            assert typed_contraction_kernel_dim(torus.structure, l, grade, component) == dim
+            assert len(typed_contraction_kernel(torus.structure, l, grade, component)) == dim
             assert len(orc.fiber_basis(torus.structure, l, kind)) == dim
 
 
@@ -290,3 +291,91 @@ def test_fixed_pairs_match_a_scan_of_the_class(gens, frame, twisted):
             assert sorted(pairs) == _scanned_pairs(orb, element, cls), (cls.norm_sq, element)
             phases.update(q for _, q in pairs)
     assert (phases != {0}) == twisted
+
+
+def _per_vector_dimension(orbifold, cls, kind):
+    """The group average one fixed (element, mode) pair at a time: every mode l
+    of the class with A l = l, found by a scan, adds its phase g(l, t) times
+    the fibre dimension (identity) or the restricted trace (other elements)."""
+    structure = orbifold.structure
+    grade, component, _ = orc.KINDS[kind]
+    N, d = structure.metric.gram
+    acc = orc._PhaseSum()
+    for element in orbifold.group:
+        A = element.matrix
+        Gt = [sum(x * t for x, t in zip(row, element.translation)) / d for row in N]
+        for l in cls.vectors:
+            if any(sum(a * x for a, x in zip(row, l)) != y for row, y in zip(A, l)):
+                continue
+            q = sum(x * y for x, y in zip(l, Gt)) % 1
+            if element.is_identity():
+                acc.add(q, len(typed_contraction_kernel(structure, l, grade, component)))
+            else:
+                M = structure.memo(orc._element_pullback_matrix, element.matrix, grade)
+                basis = orc.fiber_basis(structure, l, kind)
+                acc.add(q, orc._restricted_trace(structure, M, basis))
+    return orc._integer_average(acc, len(orbifold.group))
+
+
+def _g24():
+    """alpha with translation 1/2 and the order-3 cycle with translation 1/3."""
+    perm = (0, 3, 4, 5, 6, 1, 2)
+    return [AffineElement(ALPHA.matrix, [Fraction(1, 2), 0, 0, 0, 0, 0, 0]),
+            AffineElement([[int(i == perm[j]) for j in range(7)] for i in range(7)],
+                          [Fraction(1, 3), 0, 0, 0, 0, 0, 0])]
+
+
+@pytest.mark.parametrize("frame", [None, diag(2, 1, 1, 1, 1, 3, 1)], ids=["identity", "diag23"])
+def test_orbit_route_matches_the_per_vector_sum(frame):
+    """The orbit and Burnside sums of `invariant_dimension_bruteforce` equal the
+    per-vector group average on t7, m1 and m3 at radius 4, and under the
+    identity frame on a group with translations of 1/2 and 1/3 at radius 2."""
+    structure = G2Structure(frame_pair(frame))
+    cases = [([], 4), ([ALPHA], 4), ([ALPHA, BETA, GAMMA], 4)]
+    if frame is None:
+        cases.append((_g24(), 2))
+    for gens, radius_sq in cases:
+        group = validate_joyce(generate(gens), frame_pair(frame)).group
+        orb = JoyceOrbifold(group, structure)
+        for cls in orc.enumerate_classes(orb, radius_sq):
+            for kind in orc.KINDS:
+                assert orc.invariant_dimension_bruteforce(orb, cls, kind) == \
+                    _per_vector_dimension(orb, cls, kind), (len(group), cls.norm_sq, kind)
+
+
+def test_identity_orbits_are_orbits_of_the_whole_symmetry_group(torus):
+    """Under the identity frame each identity orbit of a class is {+-S l} over all
+    1,344 signed permutations S that fix phi0, here the closure of the
+    generators: 1, 1, 2 and 3 orbits in the classes 1 to 4."""
+    generators = g2.symmetry_generators(torus.structure)
+    group = {tuple(map(tuple, np.eye(7, dtype=int).tolist()))}
+    frontier = list(group)
+    while frontier:
+        frontier = [y for x in frontier for y in (linalg.int_matmul(x, g) for g in generators)
+                    if y not in group and not group.add(y)]
+    assert len(group) == 1344
+    counts = []
+    for cls in orc.enumerate_classes(torus, 4):
+        orbits = torus.structure.memo(orc._identity_orbits, generators, cls)
+        for l, size in orbits.items():
+            images = {tuple(int(x) for x in np.array(S) @ l) for S in group}
+            images |= {tuple(-x for x in v) for v in images}
+            assert size == len(images) and images <= set(cls.vectors)
+        counts.append(len(orbits))
+    assert counts == [1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("table", ["_identity_orbits", "_group_orbits"])
+def test_an_orbit_weight_off_by_one_fails_the_partition_check(monkeypatch, m3, table):
+    original = getattr(orc, table)
+
+    def off_by_one(*args):
+        orbits = dict(original(*args))
+        first = next(iter(orbits))
+        orbits[first] += 1
+        return orbits
+
+    monkeypatch.setattr(orc, table, off_by_one)
+    cls = orc.enumerate_classes(m3, 2)[1]
+    with pytest.raises(ArithmeticError, match=f"cover {len(cls) + 1} of its {len(cls)} modes"):
+        orc.invariant_dimension_bruteforce(m3, cls, "H")
