@@ -57,10 +57,10 @@ def _radius_sq(value, name):
     return radius
 
 
-def _check_lattice_count(vol, radius_sq):
+def _check_lattice_count(frame, radius_sq):
     """Raise ConfigError if |l|^2_g <= radius_sq holds more than about
-    MAX_LATTICE_VECTORS vectors l of Z^7, estimated by the ellipsoid's volume
-    vol = det F."""
+    MAX_LATTICE_VECTORS vectors l of Z^7, estimated by the ellipsoid's volume."""
+    vol = linalg.det(frame) if frame is not None else 1
     if vol <= 0:
         return  # building the structure rejects the frame
     try:
@@ -86,11 +86,7 @@ def _seed(value, name):
 
 
 def parse_config(raw):
-    """Validate and normalise a config dict; unknown fields are rejected.
-
-    The frame is cleared to a pair (N, d) once, here, and its determinant
-    taken once: `vol`, 1 without a frame, serves the lattice-count estimate
-    and the metric's volume alike."""
+    """Validate and normalise a config dict; unknown fields are rejected."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - _CONFIG_FIELDS
@@ -118,7 +114,7 @@ def parse_config(raw):
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"generator {k}: bad rational in translation: {exc}")
         generators.append((rows, trans))
-    frame, vol = raw.get("frame"), 1
+    frame = raw.get("frame")
     if frame is not None:
         if not isinstance(frame, list) or len(frame) != 7 \
                 or any(not isinstance(r, list) or len(r) != 7 for r in frame):
@@ -127,12 +123,10 @@ def parse_config(raw):
             frame = linalg.clear_denominators([[str(x) for x in row] for row in frame])
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad rational in frame: {exc}")
-        vol = linalg.det(frame)
     return {
         "name": raw["name"],
         "generators": generators,
         "frame": frame,
-        "vol": vol,
         "oracle_radius_sq": _radius_sq(raw.get("oracle_radius_sq", 9), "oracle_radius_sq"),
         "trials": _trials(raw.get("trials", 100), "trials"),
         "seed": _seed(raw.get("seed", 0), "seed"),
@@ -142,7 +136,7 @@ def parse_config(raw):
 def build_orbifold(config):
     gens = [AffineElement(rows, trans) for rows, trans in config["generators"]]
     group = generate(gens)
-    return validate_joyce(group, config["frame"], config["vol"])
+    return validate_joyce(group, config["frame"])
 
 
 def _generator_dict(matrix, translation):
@@ -383,7 +377,7 @@ def run(argv=None):
             raw = json.load(fh)
         config = parse_config(raw)
         if args.command == "spectrum":
-            _check_lattice_count(config["vol"], _spectrum_radius(config, args))
+            _check_lattice_count(config["frame"], _spectrum_radius(config, args))
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "detail": str(exc)}}),
               file=sys.stderr)

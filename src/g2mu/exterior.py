@@ -267,19 +267,16 @@ def hodge_star(a, metric):
     return ExteriorForm(DIM - a.grade, out)
 
 
-def metric_from_frame(frame, vol=None):
+def metric_from_frame(frame):
     """Metric induced by pulling the Euclidean metric back along F = (B, d).
 
     Convention (F*w)(u_1,..,u_p) = w(F u_1,..,F u_p), so the Gram matrix is
     F^T F = (B^T B, d^2) and the volume factor is det F (must be positive).
-    A caller that has det F already passes it as vol; Metric7 checks that
-    vol^2 = det(F^T F) from the elimination it runs anyway.
     """
     B, d = frame
     if len(B) != DIM or any(len(row) != DIM for row in B):
         raise ValueError("frame must be 7x7")
-    if vol is None:
-        vol = linalg.det(frame)
+    vol = linalg.det(frame)
     if vol == 0:
         raise ValueError("frame is singular")
     if vol < 0:

@@ -325,17 +325,16 @@ class G2Structure:
 
     The frame F is a rational matrix, the pair (N, d) of
     `linalg.clear_denominators`, or None for the identity; a float in N
-    raises TypeError.  vol is det F, if the caller has it (the config parser
-    takes it once).  Everything derived from the structure is kept in its
+    raises TypeError.  Everything derived from the structure is kept in its
     Memo, `memo`.
     """
 
     __slots__ = ("frame", "phi", "psi", "metric", "memo", "_phi_int")
 
-    def __init__(self, frame=None, vol=None):
+    def __init__(self, frame=None):
         if frame is None:
             frame = IDENTITY
-        metric = metric_from_frame(frame, vol)
+        metric = metric_from_frame(frame)
         phi = pullback(frame, standard_phi0())
         psi = hodge_star(phi, metric)
         object.__setattr__(self, "frame", frame)

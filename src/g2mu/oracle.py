@@ -19,10 +19,11 @@ the character.  This module computes that dimension two independent ways:
     per orbit of the lattice matrices that fix phi (`g2.symmetry_generators`
     with the group's matrix parts and -1): such a matrix carries one fibre
     onto another.  The other terms are summed by Burnside's lemma over the
-    group: only the fixed pairs (g, l) whose mode l represents its group
-    orbit are read, each weighted by the orbit's size, since conjugation
-    moves a fixed pair to another with the same trace and phase.  Each
-    partition is checked to add up to its class.  Bases, pullback matrices
+    group where the Gram is integral: only the fixed pairs (g, l) whose
+    mode l represents its group orbit are read, each weighted by the
+    orbit's size, since conjugation then moves a fixed pair to another
+    with the same trace and phase; under another Gram every fixed pair is
+    read with weight 1.  Each partition is checked to add up to its class.  Bases, pullback matrices
     and the integer part N of the metric's Lambda-Gram pair (N, d) are
     integer rows, so each trace is computed in Python ints with one
     division at the end, once per matrix part and fibre (l and -l share
@@ -235,13 +236,13 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
         group's matrix parts and -1, since such a matrix carries one fibre
         onto another;
       * the other terms by Burnside over the group: conjugating a fixed pair
-        by an element h moves l to A_h l and keeps its trace and phase, so
-        the pairs at one group orbit of modes sum to |O_l| times those at
-        its representative l.  Only the pairs of `_fixed_vectors` whose mode
-        is a representative are read, weighted by its orbit size.  (The
-        phase g(l, t) is kept when G l is integral for every mode, as under
-        an integer Gram; under another Gram with translations it need not
-        be, and a phase sum that is not real raises NonIntegerDimension.)
+        by an element h moves l to A_h l and keeps its trace, and it keeps
+        the phase g(l, t) when G l is integral, since the conjugate's
+        translation is reduced mod Z^7.  Under an integer Gram, then, the
+        pairs at one group orbit of modes sum to |O_l| times those at its
+        representative l, and only the pairs of `_fixed_vectors` whose mode
+        is a representative are read, weighted by its orbit size.  Under
+        another Gram every mode has weight 1: each fixed pair is read.
 
     The orbit sizes of each partition are checked to add up to the class.
     Nothing here reads tr8 or tr12: the fibres are kernels, the traces
@@ -255,7 +256,11 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
     orbits = _checked_orbits(structure, _identity_orbits, symmetries, cls)
     acc.add(Fraction(0), sum(size * len(typed_contraction_kernel(structure, l, grade, component))
                              for l, size in orbits.items()))
-    weights = _checked_orbits(structure, _group_orbits, parts, cls)
+    N, d = structure.metric.gram
+    if all(x % d == 0 for row in N for x in row):
+        weights = _checked_orbits(structure, _group_orbits, parts, cls)
+    else:
+        weights = dict.fromkeys(cls.vectors, 1)
     for element in orbifold.group:
         if element.is_identity():
             continue

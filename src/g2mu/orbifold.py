@@ -207,16 +207,15 @@ class JoyceOrbifold:
         return len(self.group)
 
 
-def validate_joyce(group, frame=None, vol=None):
+def validate_joyce(group, frame=None):
     """Check F A F^-1 in G2 for every element; assemble the orbifold.
 
     The membership test is the pullback condition A*(F*phi0) = F*phi0, in
     exact integer arithmetic; the frame is a pair (N, d) as in `linalg`, or
-    None for the identity (a float in N raises TypeError), and vol its
-    determinant if the caller has it.  Raises NotG2Compatible naming the
-    first failing element.
+    None for the identity (a float in N raises TypeError).  Raises
+    NotG2Compatible naming the first failing element.
     """
-    structure = G2Structure(frame, vol)
+    structure = G2Structure(frame)
     for elem in group:
         if not structure.is_g2_element((elem.matrix, 1)):
             raise NotG2Compatible(elem)

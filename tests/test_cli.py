@@ -245,9 +245,9 @@ def test_spectrum_refuses_radii_with_too_many_lattice_vectors(capsys, tmp_path, 
 
 def test_spectrum_allows_m3_at_radius_16():
     # about 77k lattice vectors, the oracle's largest planned radius
-    cli._check_lattice_count(1, Fraction(16))
+    cli._check_lattice_count(None, Fraction(16))
     with pytest.raises(cli.ConfigError):
-        cli._check_lattice_count(1, Fraction(34))
+        cli._check_lattice_count(None, Fraction(34))
 
 
 def test_bad_config_values_rejected_as_malformed_input(capsys, tmp_path):
@@ -336,21 +336,21 @@ def test_spectrum_call_counts(capsys, monkeypatch):
     7x7 determinant only for elements built from outside."""
     calls = spectrum_calls(capsys, monkeypatch, str(CONFIG_DIR / "m3.json"), "4")
     # 6 of the 7x7 determinants check det = 1 for the 3 generators and their
-    # inverses; the other 2 are the metric's one elimination (positive
+    # inverses; the other 3 are the metric's one elimination (positive
     # definiteness and det G) and the identity element's shell enumeration
     assert calls == {"clear_denominators": 20, "type_space_basis": 210,
-                     "7x7 determinants": 8}
+                     "7x7 determinants": 9}
 
 
 def test_spectrum_call_counts_framed(capsys, monkeypatch, tmp_path):
     """The same counts for m3 under diag(2, 1, 1, 1, 1, 3, 1) at radius 2: the
     frame is cleared once, by the config parser, and enters through its
-    determinant and pullback matrices only.  Its determinant is taken once,
-    by the parser, for both the lattice-count estimate and the metric's
-    volume."""
+    determinant and pullback matrices only.  Its determinant is taken twice:
+    once for the lattice-count estimate before anything is built, once for
+    the metric's volume."""
     config = framed_config(tmp_path, "m3", F23_FRAME)
     assert spectrum_calls(capsys, monkeypatch, config, "2") == {
-        "clear_denominators": 21, "type_space_basis": 62, "7x7 determinants": 9}
+        "clear_denominators": 21, "type_space_basis": 62, "7x7 determinants": 10}
 
 
 @pytest.mark.parametrize("stem", ["t7", "m3"])

@@ -325,40 +325,45 @@ def _g24():
                           [Fraction(1, 3), 0, 0, 0, 0, 0, 0])]
 
 
-@pytest.mark.parametrize("frame", [None, diag(2, 1, 1, 1, 1, 3, 1)], ids=["identity", "diag23"])
-def test_orbit_route_matches_the_per_vector_sum(frame):
+_M2, _M3 = [ALPHA, BETA], [ALPHA, BETA, GAMMA]
+
+
+@pytest.mark.parametrize("frame, cases", [
+    (None, [([], 4), ([ALPHA], 4), (_M3, 4), (_g24(), 2)]),
+    (diag(2, 1, 1, 1, 1, 3, 1), [([], 4), ([ALPHA], 4), (_M3, 4)]),
+    (diag(1, 1, 1, 1, 1, 1, Fraction(1, 2)), [(_M2, 1), (_M3, 1)]),
+    (diag(1, 1, 1, 1, 1, 1, Fraction(1, 3)), [(_M3, 1)]),
+], ids=["identity", "diag23", "diag-half", "diag-third"])
+def test_orbit_route_matches_the_per_vector_sum(frame, cases):
     """The orbit and Burnside sums of `invariant_dimension_bruteforce` equal the
     per-vector group average on t7, m1 and m3 at radius 4, and under the
-    identity frame on a group with translations of 1/2 and 1/3 at radius 2."""
+    identity frame on a group with translations of 1/2 and 1/3 at radius 2.
+    Under the last two frames the Gram is not integral, and conjugating a
+    fixed pair of m2 or m3 by an element with a translation can change its
+    phase; their class 1 is compared (the classes 1/4, 1/9 and 4/9 below it
+    have phases whose cosine is irrational, which neither route evaluates)."""
     structure = G2Structure(frame_pair(frame))
-    cases = [([], 4), ([ALPHA], 4), ([ALPHA, BETA, GAMMA], 4)]
-    if frame is None:
-        cases.append((_g24(), 2))
     for gens, radius_sq in cases:
         group = validate_joyce(generate(gens), frame_pair(frame)).group
         orb = JoyceOrbifold(group, structure)
         for cls in orc.enumerate_classes(orb, radius_sq):
+            if cls.norm_sq.denominator != 1:
+                continue
             for kind in orc.KINDS:
                 assert orc.invariant_dimension_bruteforce(orb, cls, kind) == \
                     _per_vector_dimension(orb, cls, kind), (len(group), cls.norm_sq, kind)
 
 
-def test_identity_orbits_are_orbits_of_the_whole_symmetry_group(torus):
+def test_identity_orbits_are_orbits_of_the_whole_symmetry_group(torus, phi0_symmetry_group):
     """Under the identity frame each identity orbit of a class is {+-S l} over all
-    1,344 signed permutations S that fix phi0, here the closure of the
-    generators: 1, 1, 2 and 3 orbits in the classes 1 to 4."""
+    signed permutations S that fix phi0, here the closure of the generators:
+    1, 1, 2 and 3 orbits in the classes 1 to 4."""
     generators = g2.symmetry_generators(torus.structure)
-    group = {tuple(map(tuple, np.eye(7, dtype=int).tolist()))}
-    frontier = list(group)
-    while frontier:
-        frontier = [y for x in frontier for y in (linalg.int_matmul(x, g) for g in generators)
-                    if y not in group and not group.add(y)]
-    assert len(group) == 1344
     counts = []
     for cls in orc.enumerate_classes(torus, 4):
         orbits = torus.structure.memo(orc._identity_orbits, generators, cls)
         for l, size in orbits.items():
-            images = {tuple(int(x) for x in np.array(S) @ l) for S in group}
+            images = {tuple(int(x) for x in np.array(S) @ l) for S in phi0_symmetry_group}
             images |= {tuple(-x for x in v) for v in images}
             assert size == len(images) and images <= set(cls.vectors)
         counts.append(len(orbits))
