@@ -199,21 +199,15 @@ class Metric7:
 
     __slots__ = ("gram", "vol", "_inverse", "_lambda_gram")
 
-    def __init__(self, gram, vol=None):
+    def __init__(self, gram):
         N, d = gram
         if len(N) != DIM or any(len(row) != DIM for row in N):
             raise ValueError("metric needs a 7x7 Gram matrix")
         # symmetry, positive definiteness and det from one elimination
         _, minors = linalg.positive_definite(gram)
-        det = Fraction(minors[DIM], d ** DIM)
+        vol = linalg.rational_sqrt(Fraction(minors[DIM], d ** DIM))
         if vol is None:
-            vol = linalg.rational_sqrt(det)
-            if vol is None:
-                raise ValueError("det(gram) is not a rational square; pass vol explicitly")
-        else:
-            vol = linalg.frac(vol)
-            if vol * vol != det or vol <= 0:
-                raise ValueError("vol must equal sqrt(det gram)")
+            raise ValueError("det(gram) is not a rational square")
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "vol", vol)
         object.__setattr__(self, "_inverse", None)
@@ -224,7 +218,7 @@ class Metric7:
 
     @classmethod
     def euclidean(cls):
-        return cls(IDENTITY, vol=1)
+        return cls(IDENTITY)
 
     def inverse_gram(self):
         """The inverse Gram matrix as a pair (A, D): g^-1 = A / D."""
@@ -276,12 +270,9 @@ def metric_from_frame(frame):
     B, d = frame
     if len(B) != DIM or any(len(row) != DIM for row in B):
         raise ValueError("frame must be 7x7")
-    vol = linalg.det(frame)
-    if vol == 0:
-        raise ValueError("frame is singular")
-    if vol < 0:
-        raise ValueError("frame must be orientation preserving (det > 0)")
-    return Metric7((linalg.int_matmul(linalg.transpose(B), B), d * d), vol=vol)
+    if linalg.det(frame) <= 0:
+        raise ValueError("frame must be nonsingular and orientation preserving (det > 0)")
+    return Metric7((linalg.int_matmul(linalg.transpose(B), B), d * d))
 
 
 def pullback(frame, a):

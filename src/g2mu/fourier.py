@@ -43,7 +43,7 @@ from math import comb
 import numpy as np
 
 from .exterior import DIM, ExteriorForm, interior_table, wedge_matrix, wedge_table
-from .g2 import typed_contraction_kernel
+from .g2 import HESSIAN_WEIGHTS, typed_contraction_kernel
 
 TWO_PI = 2.0 * np.pi
 
@@ -635,7 +635,7 @@ def hessian_blocks(kind, f):
     if kind == "E":
         gamma = blocks["coexact_14"]
         proj = lambda grade, component: projector_float(structure, grade, component)
-        symbol_I = 4 / 3 * proj(3, 1) + proj(3, 7) - proj(3, 27)
+        symbol_I = sum(float(w) * proj(3, c) for c, w in HESSIAN_WEIGHTS[3].items())
         lhs = coexterior_d(_apply(exterior_d(gamma), symbol_I, 3))
         rhs = -coexterior_d(exterior_d(gamma))
         checks = {"dstar_I_d_equals_minus_dstar_d": residual(lhs, rhs)}

@@ -36,9 +36,11 @@ The mode fibres of the oracle, {u in Lambda^grade_component : l -| u = 0},
 are exact kernels here as well (`typed_contraction_kernel`): iota_{e_a} B
 is kept per structure as sparse integer entries, so each mode solves one
 small integer system.  `symmetry_generators` gives a few integer matrices
-that fix the structure's phi, the signed permutations fixing phi0 built
-from its own cross product and moved into lattice coordinates; the oracle
-takes one fibre per orbit of the modes under them.
+that fix the structure's phi: five signed permutations fixing phi0, kept as
+a constant table and moved into lattice coordinates; the oracle takes one
+fibre per orbit of the modes under them.  HESSIAN_WEIGHTS holds the weights
+of the Hessian symbols I and J on the type components, which `apply_I`,
+`apply_J` and `fourier.hessian_blocks` read.
 
 A G2Structure owns every cache that depends on it: one memo keyed by the
 producing function and its arguments, which also holds what `fourier` and
@@ -60,6 +62,13 @@ PHI0_TERMS = {
 }
 
 VALID_COMPONENTS = {2: (7, 14), 3: (1, 7, 27), 4: (1, 7, 27), 5: (7, 14)}
+
+# {grade: {component: w}}: the Hessian symbols I (grade 3) and J (grade 4) of
+# the 3- and 4-form functionals are sum_c w pi_c
+HESSIAN_WEIGHTS = {
+    3: {1: Fraction(4, 3), 7: Fraction(1), 27: Fraction(-1)},
+    4: {1: Fraction(3, 4), 7: Fraction(1), 27: Fraction(-1)},
+}
 
 
 def standard_phi0():
@@ -170,44 +179,15 @@ def _projector(structure, grade, component):
 
 # -- symmetries ------------------------------------------------------------------
 
-# Cayley triples: the images of (e1, e2, e4) under a few signed permutations,
-# as signed 1-based axes.  Rotating the triple and moving its third vector
-# already generate all 1,344 signed permutations that fix phi0; the three sign
-# changes (one vector of the triple negated) are kept too because, unlike
-# those two, they stay integral in the lattice coordinates of a diagonal frame.
-_CAYLEY_TRIPLES = ((2, 4, 1), (1, 2, 5), (-1, 2, 4), (1, -2, 4), (1, 2, -4))
-
-
-@lru_cache(maxsize=None)
-def _phi0_symmetries():
-    """The linear maps S with S e1, S e2, S e4 the vectors of each Cayley triple,
-    as integer matrices.  phi0 = sum c_abc theta^abc defines the cross product
-    e_a x e_b = c_abc e_c (and cyclically), so e3 = e1 x e2, e5 = e1 x e4,
-    e6 = e2 x e4 and e7 = e1 x e6, and each remaining image is the cross
-    product of two known ones.  Only a Cayley triple gives a symmetry of phi0;
-    `symmetry_generators` checks each."""
-    cross = {}
-    for (a, b, c), x in PHI0_TERMS.items():
-        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-            cross[i, j] = (k, x)
-            cross[j, i] = (k, -x)
-
-    def times(u, v):
-        out = [0] * DIM
-        for (i, j), (k, x) in cross.items():
-            out[k - 1] += x * u[i - 1] * v[j - 1]
-        return out
-
-    out = []
-    for triple in _CAYLEY_TRIPLES:
-        image = {axis: [(abs(s) == a) * (1 if s > 0 else -1) for a in range(1, DIM + 1)]
-                 for axis, s in zip((1, 2, 4), triple)}
-        while len(image) < DIM:
-            for (i, j), (k, x) in cross.items():
-                if i in image and j in image and k not in image:
-                    image[k] = [x * y for y in times(image[i], image[j])]
-        out.append(tuple(tuple(image[j][i] for j in range(1, DIM + 1)) for i in range(DIM)))
-    return tuple(out)
+# Five signed permutations that fix phi0, as the signed 1-based images of
+# e1..e7.  The first two already generate all 1,344 signed permutations that
+# fix phi0; the three sign changes are kept too because, unlike those two,
+# they stay integral in the lattice coordinates of a diagonal frame.
+_PHI0_SYMMETRIES = tuple(
+    tuple(tuple((s > 0) - (s < 0) if abs(s) == i else 0 for s in images)
+          for i in range(1, DIM + 1))
+    for images in ((2, 4, 6, 1, -3, -5, 7), (1, 2, 3, 5, -4, -7, 6), (-1, 2, -3, 4, -5, 6, -7),
+                   (1, -2, -3, 4, 5, -6, -7), (1, 2, 3, -4, -5, -6, -7)))
 
 
 def symmetry_generators(structure):
@@ -223,7 +203,7 @@ def _symmetry_generators(structure):
     N, d = structure.frame
     M, e = structure.memo(_inverse_frame)
     out = []
-    for S in _phi0_symmetries():
+    for S in _PHI0_SYMMETRIES:
         A = linalg.int_matmul(linalg.int_matmul(M, S), N)
         if all(x % (d * e) == 0 for row in A for x in row):
             A = tuple(tuple(x // (d * e) for x in row) for row in A)
@@ -246,7 +226,7 @@ def typed_contraction_kernel(structure, l, grade, component):
     Memoised per (l, grade, component) on the structure; l and -l share a
     basis.
     """
-    return structure.memo(_kernel_basis, _canonical_sign(l), grade, component)
+    return structure.memo(_kernel_basis, linalg.canonical_sign(l), grade, component)
 
 
 def _kernel_basis(structure, lc, grade, component):
@@ -279,15 +259,6 @@ def _axis_contractions(structure, grade, component):
                  for col, v in enumerate(B) if v[pos_in])
 
 
-def _canonical_sign(l):
-    """The integer mode l or -l, whichever has its first nonzero entry positive."""
-    l = tuple(int(x) for x in l)
-    for x in l:
-        if x != 0:
-            return l if x > 0 else tuple(-y for y in l)
-    return l
-
-
 class Memo:
     """The one cache of a G2Structure: memo(fn, *args) is fn(structure, *args),
     computed once per structure and kept under the key (fn, args).
@@ -297,8 +268,8 @@ class Memo:
     stacks of the Fourier operators), plus a fixed number per orbit
     representative, Fourier mode or group element that a command visits
     (fibre kernels, pullback matrices of group elements), plus one per
-    group element and oracle radius (its fixed modes) and two per oracle
-    class (its orbit tables).
+    group element and oracle radius (its fixed modes) and one per oracle
+    class (its two orbit tables, from one walk).
     Nothing is evicted; a CLI command builds one structure.
 
     A callable object rather than a method, so that the time fn takes is
@@ -382,22 +353,19 @@ class G2Structure:
 
     def apply_I(self, a):
         """(4/3) pi_1 + pi_7 - pi_27 on 3-forms (Hessian symbol of the 3-form functional)."""
-        if a.grade != 3:
-            raise ValueError("apply_I needs a 3-form")
-        return self._combo(a, 3, {1: Fraction(4, 3), 7: Fraction(1), 27: Fraction(-1)})
+        return self._hessian_symbol(3, a)
 
     def apply_J(self, a):
         """(3/4) pi_1 + pi_7 - pi_27 on 4-forms (Hessian symbol of the 4-form functional)."""
-        if a.grade != 4:
-            raise ValueError("apply_J needs a 4-form")
-        return self._combo(a, 4, {1: Fraction(3, 4), 7: Fraction(1), 27: Fraction(-1)})
+        return self._hessian_symbol(4, a)
 
-    def _combo(self, a, grade, weights):
-        out = None
-        for comp, w in weights.items():
-            piece = self.apply_projector(grade, comp, a).scale(w)
-            out = piece if out is None else out + piece
-        return out
+    def _hessian_symbol(self, grade, a):
+        """sum_c w pi_c (a) over the weights HESSIAN_WEIGHTS[grade], a of that grade."""
+        if a.grade != grade:
+            raise ValueError(f"the Hessian symbol on grade {grade} needs a {grade}-form")
+        pieces = [self.apply_projector(grade, c, a).scale(w)
+                  for c, w in HESSIAN_WEIGHTS[grade].items()]
+        return sum(pieces[1:], pieces[0])
 
     def is_g2_element(self, A):
         """Whether A preserves this structure's 3-form: A*(F*phi0) = F*phi0.

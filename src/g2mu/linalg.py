@@ -18,7 +18,8 @@ shell with its exact value, so no float or tolerance enters it.
 Minors come from Laplace expansion of each minor into minors one size
 smaller, products from integer matmul.  Integer matrices also get a
 Hermite-style kernel routine, whose bases are saturated, so that lattice
-computations never leave Z.
+computations never leave Z; `canonical_sign` orients its vectors and the
+modes l, -l that share a fibre.
 """
 
 from fractions import Fraction
@@ -287,13 +288,17 @@ def integer_kernel(a):
                 break
         if any(work[i][c] != 0 for i in range(r, n)):
             r += 1
-    basis = [tuple(row[m:]) for row in work[r:] if all(x == 0 for x in row[:m])]
-    # orient deterministically: first nonzero entry positive
-    out = []
-    for v in basis:
-        lead = next((x for x in v if x != 0), 1)
-        out.append(tuple(-x for x in v) if lead < 0 else v)
-    return out
+    # oriented deterministically: first nonzero entry positive
+    return [canonical_sign(row[m:]) for row in work[r:] if all(x == 0 for x in row[:m])]
+
+
+def canonical_sign(v):
+    """The integer vector v or -v, whichever has its first nonzero entry positive."""
+    v = tuple(int(x) for x in v)
+    for x in v:
+        if x != 0:
+            return v if x > 0 else tuple(-y for y in v)
+    return v
 
 
 def primitive_integer(vec):

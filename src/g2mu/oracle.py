@@ -14,20 +14,15 @@ the character.  This module computes that dimension two independent ways:
   * brute force: explicit bases of the fibres (`fiber_basis`, a
     `g2.typed_contraction_kernel` checked against the dimension in KINDS),
     explicit pullback matrices, exact restricted traces and exact
-    root-of-unity phases, summed one symmetry orbit of modes at a time.
-    The identity's term, the sum of the fibre dimensions, takes one kernel
-    per orbit of the lattice matrices that fix phi (`g2.symmetry_generators`
-    with the group's matrix parts and -1): such a matrix carries one fibre
-    onto another.  The other terms are summed by Burnside's lemma over the
-    group where the Gram is integral: only the fixed pairs (g, l) whose
-    mode l represents its group orbit are read, each weighted by the
-    orbit's size, since conjugation then moves a fixed pair to another
-    with the same trace and phase; under another Gram every fixed pair is
-    read with weight 1.  Each partition is checked to add up to its class.  Bases, pullback matrices
-    and the integer part N of the metric's Lambda-Gram pair (N, d) are
-    integer rows, so each trace is computed in Python ints with one
-    division at the end, once per matrix part and fibre (l and -l share
-    one);
+    root-of-unity phases, summed one symmetry orbit of modes at a time:
+    one walk per class (`_orbits`) gives the orbits of the group's matrix
+    parts, for a Burnside sum over the group, and joins them into the
+    orbits under the lattice matrices that fix phi, for the identity's
+    term (`invariant_dimension_bruteforce` says why each regrouping holds
+    and where).  Bases, pullback matrices and the integer part N of the
+    metric's Lambda-Gram pair (N, d) are integer rows, so each trace is
+    computed in Python ints with one division at the end, once per matrix
+    part and fibre (l and -l share one);
   * closed form: the tr8/tr12 trace polynomials weighted by the same phases
     over all fixed vectors of each element, once per element and phase.
 
@@ -53,8 +48,8 @@ from operator import mul
 
 from . import g2, linalg
 from .epstein import fixed_lattice_cached, twisted_shells
-from .exterior import DIM
-from .g2 import _canonical_sign, typed_contraction_kernel
+from .exterior import pullback_matrix
+from .g2 import typed_contraction_kernel
 from .invariants import tr8_su3, tr12_su3
 from .orbifold import AffineElement
 
@@ -231,34 +226,35 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
     pairs (g, l), A_g l = l.  The sum is taken one symmetry orbit at a time:
 
       * the identity's term, the sum of the fibre dimensions over the class,
-        is |O| dim F_rep summed over the orbits O of the class under the
+        is |O| dim F_l summed over the orbits O of the class under the
         lattice matrices that fix phi (`g2.symmetry_generators`), the
-        group's matrix parts and -1, since such a matrix carries one fibre
-        onto another;
+        group's matrix parts and -1, each keyed by a mode l of O, since such
+        a matrix carries one fibre onto another;
       * the other terms by Burnside over the group: conjugating a fixed pair
         by an element h moves l to A_h l and keeps its trace, and it keeps
         the phase g(l, t) when G l is integral, since the conjugate's
         translation is reduced mod Z^7.  Under an integer Gram, then, the
         pairs at one group orbit of modes sum to |O_l| times those at its
-        representative l, and only the pairs of `_fixed_vectors` whose mode
-        is a representative are read, weighted by its orbit size.  Under
-        another Gram every mode has weight 1: each fixed pair is read.
+        key l, and only the pairs of `_fixed_vectors` whose mode is a key
+        are read, weighted by its orbit size.  Under another Gram every mode
+        has weight 1: each fixed pair is read.
 
-    The orbit sizes of each partition are checked to add up to the class.
+    Both partitions come from one walk, `_orbits`, and the orbit sizes of
+    each are checked to add up to the class.
     Nothing here reads tr8 or tr12: the fibres are kernels, the traces
     restricted traces of explicit pullback matrices.
     """
     structure = orbifold.structure
     grade, component, _ = KINDS[kind]
     parts = tuple(dict.fromkeys(element.matrix for element in orbifold.group))
-    symmetries = tuple(dict.fromkeys(g2.symmetry_generators(structure) + parts[1:]))
+    group_orbits, orbits = _checked_orbits(structure, parts, g2.symmetry_generators(structure),
+                                           cls)
     acc = _PhaseSum()
-    orbits = _checked_orbits(structure, _identity_orbits, symmetries, cls)
     acc.add(Fraction(0), sum(size * len(typed_contraction_kernel(structure, l, grade, component))
                              for l, size in orbits.items()))
     N, d = structure.metric.gram
     if all(x % d == 0 for row in N for x in row):
-        weights = _checked_orbits(structure, _group_orbits, parts, cls)
+        weights = group_orbits
     else:
         weights = dict.fromkeys(cls.vectors, 1)
     for element in orbifold.group:
@@ -268,61 +264,55 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
             size = weights.get(l)
             if size:
                 acc.add(q, size * structure.memo(_fixed_trace, element.matrix,
-                                                 _canonical_sign(l), kind))
+                                                 linalg.canonical_sign(l), kind))
     return _integer_average(acc, len(orbifold.group))
 
 
-def _mode_image(matrix, l):
-    """The mode A l: a matrix part acts on modes as in `epstein.fixed_lattice`,
-    whose fixed modes are the l with A l = l."""
-    return tuple(sum(map(mul, row, l)) for row in matrix)
+def _checked_orbits(structure, parts, symmetries, cls):
+    """The two tables of `_orbits`, each checked to partition the class: its
+    orbit sizes must add up to the number of the class's modes."""
+    tables = structure.memo(_orbits, parts, symmetries, cls)
+    for orbits in tables:
+        if sum(orbits.values()) != len(cls):
+            raise ArithmeticError(f"orbits of class {cls.norm_sq} cover {sum(orbits.values())} "
+                                  f"of its {len(cls)} modes")
+    return tables
 
 
-def _checked_orbits(structure, table, matrices, cls):
-    """{representative: orbit size} of the class from `table`, checked to
-    partition it: the sizes must add up to the number of its modes."""
-    orbits = structure.memo(table, matrices, cls)
-    if sum(orbits.values()) != len(cls):
-        raise ArithmeticError(f"orbits of class {cls.norm_sq} cover {sum(orbits.values())} "
-                              f"of its {len(cls)} modes")
-    return orbits
+def _orbits(structure, parts, symmetries, cls):
+    """({l: |Gamma l|}, {l: |O|}): the orbits of the class's modes under the
+    group's matrix parts `parts` (a group), each keyed by its first mode in
+    the class, and their unions O, the orbits under the group that
+    `symmetries`, `parts` and -1 generate, each keyed by the first key of
+    its Gamma-orbits.
 
-
-def _identity_orbits(structure, generators, cls):
-    """{l: |O|}: one mode l per orbit O of the class under the group that the
-    matrices `generators` and -1 generate, l the first of O in the class
-    with its sign made canonical.  Walks each pair {l, -l} of the orbit once."""
-    modes = set(cls.vectors)
-    seen, out = set(), {}
+    A mode l moves as A l, the action of `epstein.fixed_lattice`, whose fixed
+    modes are the l with A l = l.  The Gamma-orbits are joined by a walk over
+    their keys: each symmetry that is not a matrix part moves every member of
+    a Gamma-orbit, while -1, which commutes with Gamma, moves the orbit
+    Gamma l onto Gamma(-l), so it moves the key alone.
+    """
+    members, key = {}, {}
     for v in cls.vectors:
-        v = _canonical_sign(v)
-        if v in seen:
-            continue
-        seen.add(v)
-        orbit = [v]
-        for w in orbit:
-            for A in generators:
-                u = _mode_image(A, w)
-                if u not in modes:
-                    raise ArithmeticError(f"a symmetry moves mode {w} off its class")
-                u = _canonical_sign(u)
-                if u not in seen:
-                    seen.add(u)
-                    orbit.append(u)
-        out[v] = 2 * len(orbit)
-    return out
-
-
-def _group_orbits(structure, parts, cls):
-    """{l: |O_l|}: one mode per orbit of the class under the group's matrix
-    parts `parts` (a group, identity first), the first of it in the class."""
+        if v not in key:
+            members[v] = {linalg.matvec(A, v) for A in parts}
+            key.update(dict.fromkeys(members[v], v))
+    movers = [S for S in symmetries if S not in parts]
     seen, out = set(), {}
-    for v in cls.vectors:
+    for v in members:
         if v not in seen:
-            orbit = {_mode_image(A, v) for A in parts}
-            seen.update(orbit)
-            out[v] = len(orbit)
-    return out
+            seen.add(v)
+            walk = [v]
+            for w in walk:
+                images = [linalg.matvec(S, u) for S in movers for u in members[w]]
+                for u in images + [tuple(-x for x in w)]:
+                    if u not in key:
+                        raise ArithmeticError(f"a symmetry moves mode {u} off its class")
+                    if key[u] not in seen:
+                        seen.add(key[u])
+                        walk.append(key[u])
+            out[v] = sum(len(members[w]) for w in walk)
+    return {v: len(orbit) for v, orbit in members.items()}, out
 
 
 def _fixed_trace(structure, matrix, l, kind):
@@ -353,7 +343,7 @@ def _integer_average(acc, order):
 
 def _element_pullback_matrix(structure, matrix, grade):
     """Pullback matrix of the matrix part (transposed compound), in Python ints."""
-    return linalg.transpose(linalg.int_compound(matrix, grade))
+    return pullback_matrix((matrix, 1), grade)[0]
 
 
 def su3_trace_check(orbifold, element, l):
@@ -367,9 +357,10 @@ def su3_trace_check(orbifold, element, l):
     A = element.matrix
     if all(x == 0 for x in l):
         raise NotFixed("l must be nonzero")
-    if any(sum(A[i][j] * l[j] for j in range(DIM)) != l[i] for i in range(DIM)):
+    if linalg.matvec(A, l) != tuple(l):
         raise NotFixed(f"{l} is not fixed by the element")
-    return tuple(abs(orbifold.structure.memo(_fixed_trace, A, _canonical_sign(l), kind) - poly(A))
+    return tuple(abs(orbifold.structure.memo(_fixed_trace, A, linalg.canonical_sign(l), kind)
+                     - poly(A))
                  for kind, poly in (("H", tr8_su3), ("Hprime", tr12_su3)))
 
 

@@ -201,7 +201,7 @@ def test_metric_rejects_bad_frames():
     swapped = [[int(i == j) if i > 3 else int(i ^ 1 == j) for j in range(7)] for i in range(7)]
     assert linalg.det((swapped, 1)) == 1
     with pytest.raises(ValueError):
-        Metric7((swapped, 1), vol=1)
+        Metric7((swapped, 1))
 
 
 def test_pullback_is_compound_functorial():

@@ -364,3 +364,16 @@ def test_every_float_view_rounds_its_exact_pair():
                   for grade, comps in VALID_COMPONENTS.items() for comp in comps]
         for view, pair in views:
             assert view.tolist() == _as_floats(pair)
+
+
+def test_a_flipped_hessian_weight_fails_apply_I_and_the_E_check(s, rng, monkeypatch):
+    """apply_I and the check d* I d = -d* d of the E blocks read their weights
+    from the one table g2.HESSIAN_WEIGHTS: with the grade-3 weight of
+    Lambda^3_27 flipped from -1 to +1, both fail."""
+    f = fr.random_fourier(s, 2, rng, n_modes=3)
+    a27 = s.apply_projector(3, 27, ExteriorForm(3, range(35)))
+    check = "dstar_I_d_equals_minus_dstar_d"
+    assert s.apply_I(a27) == -a27 and fr.hessian_blocks("E", f).checks[check] < 1e-9
+    monkeypatch.setitem(g2.HESSIAN_WEIGHTS[3], 27, Fraction(1))
+    assert s.apply_I(a27) != -a27
+    assert fr.hessian_blocks("E", f).checks[check] > 0.5

@@ -496,7 +496,7 @@ def test_framed_symmetry_generators_are_the_integral_conjugates(frame, kept):
     structure = G2Structure((frame, 1))
     Finv = linalg.inverse((frame, 1))
     conjugates = [linalg.int_matmul(linalg.int_matmul(Finv[0], S), frame)
-                  for S in g2._phi0_symmetries()]
+                  for S in g2._PHI0_SYMMETRIES]
     integral = [tuple(tuple(x // Finv[1] for x in row) for row in A) for A in conjugates
                 if all(x % Finv[1] == 0 for row in A for x in row)]
     generators = g2.symmetry_generators(structure)
@@ -508,10 +508,10 @@ def test_symmetry_candidates_that_do_not_fix_phi_are_dropped(monkeypatch):
     """A candidate that is integral in lattice coordinates but moves phi (the
     transposition of axes 1 and 2, and a signed permutation of determinant 1
     that maps no line of phi0 to a line) is dropped; the symmetries stay."""
-    symmetries = g2._phi0_symmetries()
+    symmetries = g2._PHI0_SYMMETRIES
     swap = tuple(tuple(int(j == (1, 0, 2, 3, 4, 5, 6)[i]) for j in range(7)) for i in range(7))
     shift = tuple(tuple(int(j == (i + 1) % 7) for j in range(7)) for i in range(7))
-    monkeypatch.setattr(g2, "_phi0_symmetries", lambda: (swap,) + symmetries + (shift,))
+    monkeypatch.setattr(g2, "_PHI0_SYMMETRIES", (swap,) + symmetries + (shift,))
     structure = G2Structure()
     assert not _fixes_phi(structure, swap) and not _fixes_phi(structure, shift)
     assert g2.symmetry_generators(structure) == symmetries

@@ -354,14 +354,21 @@ def test_orbit_route_matches_the_per_vector_sum(frame, cases):
                     _per_vector_dimension(orb, cls, kind), (len(group), cls.norm_sq, kind)
 
 
+def _walk_tables(orbifold, cls):
+    """The two orbit tables of `orc._orbits` for the class, from the group's
+    matrix parts and the structure's symmetry generators."""
+    parts = tuple(dict.fromkeys(element.matrix for element in orbifold.group))
+    return orc._orbits(orbifold.structure, parts, g2.symmetry_generators(orbifold.structure),
+                       cls)
+
+
 def test_identity_orbits_are_orbits_of_the_whole_symmetry_group(torus, phi0_symmetry_group):
     """Under the identity frame each identity orbit of a class is {+-S l} over all
     signed permutations S that fix phi0, here the closure of the generators:
     1, 1, 2 and 3 orbits in the classes 1 to 4."""
-    generators = g2.symmetry_generators(torus.structure)
     counts = []
     for cls in orc.enumerate_classes(torus, 4):
-        orbits = torus.structure.memo(orc._identity_orbits, generators, cls)
+        _, orbits = _walk_tables(torus, cls)
         for l, size in orbits.items():
             images = {tuple(int(x) for x in np.array(S) @ l) for S in phi0_symmetry_group}
             images |= {tuple(-x for x in v) for v in images}
@@ -370,17 +377,63 @@ def test_identity_orbits_are_orbits_of_the_whole_symmetry_group(torus, phi0_symm
     assert counts == [1, 1, 2, 3]
 
 
-@pytest.mark.parametrize("table", ["_identity_orbits", "_group_orbits"])
+def _closure(start, generators, act):
+    """The orbit of start under the finite group that the integer matrices
+    `generators` generate, acting by act(x, g): a matrix or a mode."""
+    orbit, frontier = {start}, [start]
+    while frontier:
+        frontier = [y for x in frontier for y in (act(x, g) for g in generators)
+                    if y not in orbit and not orbit.add(y)]
+    return frozenset(orbit)
+
+
+@pytest.mark.parametrize("gens, frame, radius_sq", [
+    ([_g24()[1]], diag(1, 2, 1, 2, 1, 2, 1), 6),
+    (_g24(), None, 4),
+], ids=["z3-f246", "g24"])
+def test_identity_orbits_are_orbits_of_the_generated_group(gens, frame, radius_sq):
+    """The walk's identity orbits are the orbits of the class under the group
+    generated by the symmetry generators, the matrix parts and -1, closed here
+    by moving each mode by every generator, and each is the union of the
+    Gamma-orbits keyed inside it.  Under f246 = diag(1, 2, 1, 2, 1, 2, 1) only the three sign changes survive
+    as symmetry generators, and the z3 cycle (2 4 6)(3 5 7) is not in the group
+    they generate, so the walk must move whole Gamma-orbits to join them; and
+    from class 6 on (the mode e1 + e2 + e3) some modes l are joined to -l
+    by -1 alone."""
+    orb = validate_joyce(generate(gens), frame_pair(frame))
+    parts = tuple(dict.fromkeys(element.matrix for element in orb.group))
+    symmetries = g2.symmetry_generators(orb.structure)
+    identity, minus = (tuple(tuple(s * int(i == j) for j in range(7)) for i in range(7))
+                       for s in (1, -1))
+    if frame is not None:
+        assert len(symmetries) == 3
+        assert parts[1] not in _closure(identity, symmetries, linalg.int_matmul)
+    generators = symmetries + parts + (minus,)
+    for cls in orc.enumerate_classes(orb, radius_sq):
+        group_orbits, orbits = _walk_tables(orb, cls)
+        for l, size in group_orbits.items():
+            assert size == len({linalg.matvec(A, l) for A in parts})
+        expected = []
+        for l in cls.vectors:
+            if not any(l in O for O in expected):
+                expected.append(_closure(l, generators, lambda x, g: linalg.matvec(g, x)))
+        found = [next(O for O in expected if l in O) for l in orbits]
+        assert len(set(found)) == len(expected), cls.norm_sq
+        for O, size in zip(found, orbits.values()):
+            assert size == len(O) == sum(s for l, s in group_orbits.items() if l in O)
+
+
+@pytest.mark.parametrize("table", [0, 1], ids=["group", "identity"])
 def test_an_orbit_weight_off_by_one_fails_the_partition_check(monkeypatch, m3, table):
-    original = getattr(orc, table)
+    original = orc._orbits
 
     def off_by_one(*args):
-        orbits = dict(original(*args))
-        first = next(iter(orbits))
-        orbits[first] += 1
-        return orbits
+        tables = [dict(orbits) for orbits in original(*args)]
+        first = next(iter(tables[table]))
+        tables[table][first] += 1
+        return tuple(tables)
 
-    monkeypatch.setattr(orc, table, off_by_one)
+    monkeypatch.setattr(orc, "_orbits", off_by_one)
     cls = orc.enumerate_classes(m3, 2)[1]
     with pytest.raises(ArithmeticError, match=f"cover {len(cls) + 1} of its {len(cls)} modes"):
         orc.invariant_dimension_bruteforce(m3, cls, "H")
