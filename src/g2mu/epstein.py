@@ -33,7 +33,7 @@ command that needs no other value, runs without it.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -48,13 +48,12 @@ class PoleEncountered(ValueError):
     """Evaluation requested at the pole s = rank/2 of an untwisted lattice."""
 
 
-@dataclass(frozen=True)
-class TwistedLattice:
-    """A sublattice of Z^7 with induced Gram matrix and rational phase twist."""
-    rank: int
-    basis: tuple          # rank integer vectors in Z^7 (rows)
-    gram: tuple           # rank x rank rational matrix, the pair (N, d)
-    twist: tuple          # rank rational exponents; phase of x is e(sum w_i x_i)
+class TwistedLattice(namedtuple("TwistedLattice", "rank basis gram twist")):
+    """A sublattice of Z^7 with induced Gram matrix and rational phase twist:
+    `basis` holds rank integer vectors in Z^7 (rows), `gram` the rank x rank
+    rational Gram as the pair (N, d), and `twist` rank rational exponents,
+    the phase of x being e(sum w_i x_i)."""
+    __slots__ = ()
 
     def is_twist_trivial(self):
         return all(w == 0 for w in self.twist)

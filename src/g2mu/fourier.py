@@ -35,7 +35,7 @@ The exact mode fibres that the Hessian blocks project onto are `g2`'s
 `typed_contraction_kernel`.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -334,13 +334,10 @@ def project_type(f, grade, component):
 
 # -- refined operators ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class RefinedOp:
-    """One of the ten refined derivative operators."""
-    name: str
-    domain: tuple      # (grade, component or None)
-    codomain: tuple
-    adjoint_of: str = None
+class RefinedOp(namedtuple("RefinedOp", "name domain codomain adjoint_of", defaults=(None,))):
+    """One of the ten refined derivative operators; `domain` and `codomain`
+    are (grade, component or None)."""
+    __slots__ = ()
 
 
 REFINED_OPS = {
@@ -569,13 +566,12 @@ def split_S4(f):
     return project_type(f, 3, 1) + corr, gamma - corr
 
 
-@dataclass(frozen=True)
-class HessianReport:
-    """Block decomposition of a Hessian-type operator applied to one form."""
-    kind: str
-    blocks: dict       # label -> component FourierForm
-    applied: dict      # label -> operator applied to that component
-    checks: dict       # label -> residual of the block's defining identity
+class HessianReport(namedtuple("HessianReport", "kind blocks applied checks")):
+    """Block decomposition of a Hessian-type operator applied to one form:
+    `blocks`, `applied` and `checks` map each block label to its component
+    FourierForm, the operator applied to it and the residual of the block's
+    defining identity."""
+    __slots__ = ()
 
 
 # the factor of the Laplacian each block's Hessian acts by (None: identity)

@@ -268,7 +268,8 @@ class Memo:
     stacks of the Fourier operators), plus a fixed number per orbit
     representative, Fourier mode or group element that a command visits
     (fibre kernels, pullback matrices of group elements), plus one per
-    group element and oracle radius (its fixed modes) and one per oracle
+    group element and oracle radius (its fixed modes), one per group element
+    and oracle class (its fixed modes counted per phase) and one per oracle
     class (its two orbit tables, from one walk).
     Nothing is evicted; a CLI command builds one structure.
 

@@ -14,7 +14,7 @@ pieces of Lambda^2_14 and Lambda^3_27 cut out by a fixed unit direction;
 see the spectral oracle module for the direct verification of that fact.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -43,10 +43,7 @@ def tr12_su3(A):
     return Fraction(tr ** 3 + 2 * tr3 - 3 * tr2 * tr, 6) - Fraction(tr * tr - tr2, 2) - 2
 
 
-@dataclass(frozen=True)
-class InvariantPair:
-    mu3: Fraction
-    mu4: Fraction
+InvariantPair = namedtuple("InvariantPair", "mu3 mu4")
 
 
 def mu_invariants(orbifold):

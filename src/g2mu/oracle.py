@@ -41,8 +41,7 @@ The module is plain Python, like the exact core it reads; mpmath is
 imported only for a phase whose cosine is irrational.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -76,23 +75,13 @@ class NotFixed(ValueError):
     """The lattice vector is not fixed by the element's matrix part."""
 
 
-@dataclass(frozen=True)
-class EigenClass:
+class EigenClass(namedtuple("EigenClass", "norm_sq vectors radius_sq")):
     """All lattice vectors sharing one exact squared length, within radius_sq."""
-    norm_sq: Fraction
-    vectors: tuple
-    radius_sq: Fraction
-
-    def __len__(self):
-        return len(self.vectors)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    norm_sq: Fraction
-    kind: str
-    dim_bruteforce: int
-    dim_formula: int
+class SpectralReport(namedtuple("SpectralReport", "norm_sq kind dim_bruteforce dim_formula")):
+    __slots__ = ()
 
     @property
     def match(self):
@@ -273,9 +262,9 @@ def _checked_orbits(structure, parts, symmetries, cls):
     orbit sizes must add up to the number of the class's modes."""
     tables = structure.memo(_orbits, parts, symmetries, cls)
     for orbits in tables:
-        if sum(orbits.values()) != len(cls):
+        if sum(orbits.values()) != len(cls.vectors):
             raise ArithmeticError(f"orbits of class {cls.norm_sq} cover {sum(orbits.values())} "
-                                  f"of its {len(cls)} modes")
+                                  f"of its {len(cls.vectors)} modes")
     return tables
 
 
@@ -323,15 +312,22 @@ def _fixed_trace(structure, matrix, l, kind):
 
 
 def invariant_dimension_formula(orbifold, cls, kind):
-    """Same dimension via the closed-form character: phases times tr8/tr12."""
+    """Same dimension via the closed-form character: phases times tr8/tr12,
+    each phase weighted by the number of the element's fixed modes in the
+    class that carry it, counted once for both kinds."""
     poly = tr8_su3 if kind == "H" else tr12_su3
     acc = _PhaseSum()
     for element in orbifold.group:
         value = poly(element.matrix)
-        fixed = _fixed_vectors(element, cls, orbifold.structure)
-        for q, count in Counter(q for _, q in fixed).items():
+        counts = orbifold.structure.memo(_phase_counts, element, cls.radius_sq, cls.norm_sq)
+        for q, count in counts.items():
             acc.add(q, count * value)
     return _integer_average(acc, len(orbifold.group))
+
+
+def _phase_counts(structure, element, radius_sq, norm_sq):
+    """{q: n}: the n fixed modes with |l|^2 = norm_sq of `_mode_shells` whose phase is q."""
+    return Counter(q for _, q in structure.memo(_mode_shells, element, radius_sq).get(norm_sq, ()))
 
 
 def _integer_average(acc, order):

@@ -114,13 +114,6 @@ def compose(a, b):
     return AffineElement._trusted(linalg.int_matmul(a.matrix, b.matrix), trans)
 
 
-def inverse(a):
-    """(A, t)^-1 = (A^-1, -A^-1 t); A^-1 is integral since det A = 1."""
-    mat, _ = linalg.inverse((a.matrix, 1))
-    trans = tuple(-sum(x * t for x, t in zip(row, a.translation)) for row in mat)
-    return AffineElement(mat, trans)
-
-
 class OrbifoldGroup:
     """A finite subgroup of SL(7,Z) x T^7 as `generate` closes it, identity first."""
 
@@ -155,14 +148,15 @@ def _has_finite_order(matrix):
 
 
 def generate(generators, cap=DEFAULT_CAP):
-    """Closure of the generators under composition and inverse.
+    """The group the generators generate, closed under composition alone.
 
     Raises NonFinite at once if a generator's linear part A has no A^k = I
-    with k <= 30, the largest finite order in GL(7,Z) (MAX_FINITE_ORDER);
-    rational translations then keep every element of finite order.  Raises
-    NonFinite if the closure would exceed `cap` elements and NonUnimodular
-    if any generator is outside SL(7,Z) (checked on construction of the
-    AffineElements themselves).
+    with k <= 30, the largest finite order in GL(7,Z) (MAX_FINITE_ORDER).
+    With rational translations each generator then has finite order, so its
+    inverse is one of its powers and the products of generators already make
+    up the whole group: no inverse is taken.  Raises NonFinite if the closure
+    would exceed `cap` elements and NonUnimodular if any generator is outside
+    SL(7,Z) (checked on construction of the AffineElements themselves).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -173,15 +167,11 @@ def generate(generators, cap=DEFAULT_CAP):
                             f"k <= {MAX_FINITE_ORDER}")
     seen = {AffineElement.identity()}
     frontier = list(seen)
-    gens_and_inverses = []
-    for gen in gens:
-        gens_and_inverses.append(gen)
-        gens_and_inverses.append(inverse(gen))
     while frontier:
         nxt = []
         for x in frontier:
-            for gch in gens_and_inverses:
-                y = compose(x, gch)
+            for gen in gens:
+                y = compose(x, gen)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)

@@ -335,11 +335,12 @@ def test_spectrum_call_counts(capsys, monkeypatch):
     representatives that need one rather than for every mode, and takes a
     7x7 determinant only for elements built from outside."""
     calls = spectrum_calls(capsys, monkeypatch, str(CONFIG_DIR / "m3.json"), "4")
-    # 6 of the 7x7 determinants check det = 1 for the 3 generators and their
-    # inverses; the other 3 are the metric's one elimination (positive
-    # definiteness and det G) and the identity element's shell enumeration
+    # 3 of the 7x7 determinants check det = 1 for the 3 generators (the
+    # closure takes no inverses); the other 3 are the metric's one elimination
+    # (positive definiteness and det G) and the identity element's shell
+    # enumeration
     assert calls == {"clear_denominators": 20, "type_space_basis": 210,
-                     "7x7 determinants": 9}
+                     "7x7 determinants": 6}
 
 
 def test_spectrum_call_counts_framed(capsys, monkeypatch, tmp_path):
@@ -350,7 +351,7 @@ def test_spectrum_call_counts_framed(capsys, monkeypatch, tmp_path):
     the metric's volume."""
     config = framed_config(tmp_path, "m3", F23_FRAME)
     assert spectrum_calls(capsys, monkeypatch, config, "2") == {
-        "clear_denominators": 21, "type_space_basis": 62, "7x7 determinants": 10}
+        "clear_denominators": 21, "type_space_basis": 62, "7x7 determinants": 7}
 
 
 @pytest.mark.parametrize("stem", ["t7", "m3"])

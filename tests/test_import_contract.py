@@ -1,8 +1,10 @@
-"""The exact commands run on the standard library alone.
+"""The exact commands run on the standard library alone, and start cold.
 
 `check`, `invariants --crosscheck`, `zeta` and `spectrum` must import
 neither numpy nor mpmath, and give the same reports as a process that has
 both; mpmath is still reached, lazily, by an Epstein value away from s = 0.
+They must not import `dataclasses` or `inspect` either, whose import chain
+costs every process more than most commands' own math.
 """
 
 import json
@@ -20,11 +22,12 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 COMMANDS = (["check"], ["invariants", "--crosscheck"], ["zeta"])
 
-# numpy and mpmath made unimportable: `import numpy` raises ImportError
+# numpy, mpmath, dataclasses and inspect made unimportable: `import numpy`
+# raises ImportError
 BLOCKED_RUNS = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = None
-sys.modules["mpmath"] = None
+for name in ("numpy", "mpmath", "dataclasses", "inspect"):
+    sys.modules[name] = None
 from g2mu import cli
 out = []
 for argv in json.loads(sys.argv[1]):
@@ -51,14 +54,22 @@ def _masked(stdout):
     return report
 
 
+def _assert_import_loads_none_of(module, names):
+    _python(f"import {module}, sys; loaded = [n for n in {names!r} if n in sys.modules]; "
+            "assert not loaded, loaded")
+
+
 def test_import_of_the_cli_loads_neither_numpy_nor_mpmath():
-    _python("import g2mu.cli, sys; "
-            "assert 'numpy' not in sys.modules and 'mpmath' not in sys.modules")
+    _assert_import_loads_none_of("g2mu.cli", ("numpy", "mpmath", "dataclasses", "inspect"))
 
 
 def test_import_of_the_oracle_loads_neither_numpy_nor_mpmath():
-    _python("import g2mu.oracle, sys; "
-            "assert 'numpy' not in sys.modules and 'mpmath' not in sys.modules")
+    _assert_import_loads_none_of("g2mu.oracle", ("numpy", "mpmath", "dataclasses", "inspect"))
+
+
+def test_import_of_fourier_loads_no_dataclasses():
+    # numpy imports inspect itself, so only dataclasses is asked about here
+    _assert_import_loads_none_of("g2mu.fourier", ("dataclasses",))
 
 
 def _configs(tmp_path):
@@ -74,8 +85,8 @@ def _configs(tmp_path):
 
 
 def _assert_blocked_runs_match(runs, capsys):
-    """Each run exits 0 with numpy and mpmath blocked, and its report equals
-    the same run's in this process, wall_time_s masked."""
+    """Each run exits 0 with numpy, mpmath, dataclasses and inspect blocked,
+    and its report equals the same run's in this process, wall_time_s masked."""
     blocked = json.loads(_python(BLOCKED_RUNS, json.dumps(runs)))
     assert len(blocked) == len(runs)
     for argv, (code, stdout) in zip(runs, blocked):

@@ -48,9 +48,9 @@ def m3():
 
 def test_enumerate_classes_counts(torus):
     classes = orc.enumerate_classes(torus, 1)
-    assert len(classes) == 1 and len(classes[0]) == 14
+    assert len(classes) == 1 and len(classes[0].vectors) == 14
     classes2 = orc.enumerate_classes(torus, 2)
-    assert [(c.norm_sq, len(c)) for c in classes2] == [(1, 14), (2, 84)]
+    assert [(c.norm_sq, len(c.vectors)) for c in classes2] == [(1, 14), (2, 84)]
     assert orc.enumerate_classes(torus, 0) == []
 
 
@@ -110,6 +110,32 @@ def test_restricted_traces_are_shared_by_matrix_part_and_fibre(monkeypatch):
                 for e in orb.group if not e.is_identity()
                 for cls in orc.enumerate_classes(orb, 1))
     assert 2 * fixed == 164
+
+
+def test_formula_counts_phases_once_and_reads_no_fibre(monkeypatch, m3):
+    """The formula route counts the phases of each (element, class) once, for
+    both kinds, and reads no fibre kernel and no restricted trace."""
+    expected = [orc.invariant_dimension_bruteforce(m3, cls, kind)
+                for cls in orc.enumerate_classes(m3, 4) for kind in orc.KINDS]
+
+    def refuse(*args):
+        raise AssertionError("the formula route read a fibre or a trace")
+
+    for name in ("fiber_basis", "typed_contraction_kernel", "_restricted_trace", "_fixed_trace"):
+        monkeypatch.setattr(orc, name, refuse)
+    calls = []
+    phase_counts = orc._phase_counts
+
+    def counting(*args):
+        calls.append(args[1:])
+        return phase_counts(*args)
+
+    monkeypatch.setattr(orc, "_phase_counts", counting)
+    orb = validate_joyce(generate([ALPHA, BETA, GAMMA]))
+    classes = orc.enumerate_classes(orb, 4)
+    assert [orc.invariant_dimension_formula(orb, cls, kind)
+            for cls in classes for kind in orc.KINDS] == expected
+    assert len(calls) == len(set(calls)) == len(orb.group) * len(classes)
 
 
 def test_classes_come_in_opposite_pairs(torus):
@@ -435,5 +461,6 @@ def test_an_orbit_weight_off_by_one_fails_the_partition_check(monkeypatch, m3, t
 
     monkeypatch.setattr(orc, "_orbits", off_by_one)
     cls = orc.enumerate_classes(m3, 2)[1]
-    with pytest.raises(ArithmeticError, match=f"cover {len(cls) + 1} of its {len(cls)} modes"):
+    n = len(cls.vectors)
+    with pytest.raises(ArithmeticError, match=f"cover {n + 1} of its {n} modes"):
         orc.invariant_dimension_bruteforce(m3, cls, "H")

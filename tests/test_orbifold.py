@@ -7,8 +7,7 @@ import pytest
 from g2mu import linalg
 from g2mu.exterior import pullback
 from g2mu.orbifold import (AffineElement, NonFinite, NonUnimodular,
-                           NotG2Compatible, compose, generate, inverse,
-                           validate_joyce)
+                           NotG2Compatible, compose, generate, validate_joyce)
 
 
 def diag(*entries):
@@ -39,13 +38,31 @@ def test_non_integer_matrix_entries_rejected():
             AffineElement(m)
 
 
+def _g24_generators():
+    """alpha with translation 1/2 and the 3-cycle (2 4 6)(3 5 7) with
+    translation 1/3, both along axis 1."""
+    perm = (0, 3, 4, 5, 6, 1, 2)
+    return [AffineElement(ALPHA.matrix, [Fraction(1, 2), 0, 0, 0, 0, 0, 0]),
+            AffineElement([[int(i == perm[j]) for j in range(7)] for i in range(7)],
+                          [Fraction(1, 3), 0, 0, 0, 0, 0, 0])]
+
+
+def _power(g, k):
+    p = AffineElement.identity()
+    for _ in range(k):
+        p = compose(p, g)
+    return p
+
+
 def test_compose_unit_and_inverse():
     e = AffineElement.identity()
-    for g in (ALPHA, BETA, GAMMA):
+    for g in (ALPHA, BETA, GAMMA, _g24_generators()[1]):
         assert compose(e, g) == g
         assert compose(g, e) == g
-        assert compose(g, inverse(g)) == e
-        assert compose(inverse(g), g) == e
+        # an element of order k has the inverse g^(k-1)
+        k = next(k for k in range(1, 31) if _power(g, k) == e)
+        assert compose(g, _power(g, k - 1)) == e
+        assert compose(_power(g, k - 1), g) == e
 
 
 def test_compose_alpha_beta_matches_hand_computation():
@@ -75,6 +92,11 @@ def test_generate_orders():
     assert len(generate([ALPHA])) == 2
     assert len(generate([ALPHA, BETA])) == 4
     assert len(generate([ALPHA, BETA, GAMMA])) == 8
+    # closed under the generators alone, the group still holds every inverse
+    g24 = set(generate(_g24_generators()))
+    assert len(g24) == 24
+    e = AffineElement.identity()
+    assert all(any(compose(g, h) == e for h in g24) for g in g24)
 
 
 def test_generate_cap():
