@@ -26,8 +26,6 @@ import time
 from fractions import Fraction
 
 from . import linalg
-from .epstein import closed_form_mu, fixed_lattice_cached, value_at_zero
-from .invariants import mu_invariants
 from .orbifold import (AffineElement, NonFinite, NonUnimodular, NotG2Compatible,
                        generate, validate_joyce)
 
@@ -179,6 +177,8 @@ def cmd_check(config, args):
 
 
 def cmd_invariants(config, args):
+    from .epstein import closed_form_mu
+    from .invariants import mu_invariants
     orbifold = build_orbifold(config)
     pair = mu_invariants(orbifold)
     results = {
@@ -271,6 +271,8 @@ def cmd_identities(config, args):
 
 
 def cmd_zeta(config, args):
+    from .epstein import closed_form_mu, fixed_lattice_cached, value_at_zero
+    from .invariants import mu_invariants
     orbifold = build_orbifold(config)
     tol = args.tolerance if args.tolerance is not None else 1e-6
     rows = []
@@ -373,12 +375,13 @@ def run(argv=None):
             _seed(args.seed, "--seed")
         if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
             raise ConfigError("--tolerance must be a finite nonnegative number")
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         config = parse_config(raw)
         if args.command == "spectrum":
             _check_lattice_count(config["frame"], _spectrum_radius(config, args))
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    # ValueError: bad JSON, UTF-8 or config; RecursionError: JSON nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "detail": str(exc)}}),
               file=sys.stderr)
         return 2

@@ -2,8 +2,9 @@
 
 Forms are stored densely: a grade-p form is a tuple of C(7,p) Fraction
 coefficients, indexed by the lexicographically ordered strictly increasing
-multi-indices with entries in 1..7.  Forms are exact only and never
-mutated after construction; a float coefficient raises TypeError.
+multi-indices with entries in 1..7.  Forms and metrics are immutable
+named tuples; a float coefficient raises TypeError.  A metric's inverse
+and Lambda-Grams are cached per Gram pair, as the integer tables are.
 Floating values (random Fourier coefficients) live in `fourier`, which
 acts on them through matrices built from the integer tables here: the
 sparse tables of `e^a ^ .` and `e_a -| .`, and the matrix of `. ^ c` for
@@ -19,6 +20,7 @@ Sign conventions are pinned by a single rule: the Hodge star satisfies
 a ^ star(b) = <a, b>_g vol_g with vol_g = sqrt(det g) * theta^{1...7}.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -95,23 +97,18 @@ def _cleared(form):
     return c, d
 
 
-class ExteriorForm:
+class ExteriorForm(namedtuple("ExteriorForm", "grade coeffs")):
     """A constant-coefficient alternating form on R^7 with exact coefficients."""
+    __slots__ = ()
 
-    __slots__ = ("grade", "coeffs")
-
-    def __init__(self, grade, coeffs):
+    def __new__(cls, grade, coeffs):
         if not 0 <= grade <= DIM:
             raise ValueError(f"grade must lie in 0..{DIM}, got {grade}")
         coeffs = linalg.frac_vector(coeffs)
         if len(coeffs) != comb(DIM, grade):
             raise ValueError(
                 f"grade-{grade} form needs {comb(DIM, grade)} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "grade", grade)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ExteriorForm is immutable")
+        return super().__new__(cls, grade, coeffs)
 
     @classmethod
     def from_terms(cls, grade, terms):
@@ -152,11 +149,6 @@ class ExteriorForm:
     def is_zero(self):
         return not any(self.coeffs)
 
-    def __eq__(self, other):
-        if not isinstance(other, ExteriorForm) or self.grade != other.grade:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def __repr__(self):
         terms = [f"{c}*" + ("theta^" + "".join(map(str, idx)) if idx else "1")
                  for c, idx in zip(self.coeffs, INDICES[self.grade]) if c]
@@ -192,14 +184,13 @@ def interior(v, a):
 IDENTITY = (tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM)), 1)
 
 
-class Metric7:
+class Metric7(namedtuple("Metric7", "gram vol")):
     """Flat metric on R^7: its Gram matrix, a pair (N, d), plus the volume
-    factor sqrt(det); its inverse and Lambda-Grams are pairs as well, each
-    built on first use."""
+    factor sqrt(det); its inverse and Lambda-Grams are pairs as well, cached
+    per Gram pair."""
+    __slots__ = ()
 
-    __slots__ = ("gram", "vol", "_inverse", "_lambda_gram")
-
-    def __init__(self, gram):
+    def __new__(cls, gram):
         N, d = gram
         if len(N) != DIM or any(len(row) != DIM for row in N):
             raise ValueError("metric needs a 7x7 Gram matrix")
@@ -208,13 +199,7 @@ class Metric7:
         vol = linalg.rational_sqrt(Fraction(minors[DIM], d ** DIM))
         if vol is None:
             raise ValueError("det(gram) is not a rational square")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "vol", vol)
-        object.__setattr__(self, "_inverse", None)
-        object.__setattr__(self, "_lambda_gram", {})
-
-    def __setattr__(self, *_):
-        raise AttributeError("Metric7 is immutable")
+        return super().__new__(cls, (tuple(map(tuple, N)), d), vol)
 
     @classmethod
     def euclidean(cls):
@@ -222,17 +207,23 @@ class Metric7:
 
     def inverse_gram(self):
         """The inverse Gram matrix as a pair (A, D): g^-1 = A / D."""
-        if self._inverse is None:
-            object.__setattr__(self, "_inverse", linalg.inverse(self.gram))
-        return self._inverse
+        return _inverse_gram(self.gram)
 
     def lambda_gram(self, p):
         """Gram matrix of <theta^I, theta^J>_g on grade p, as a pair (N, d): entry
         (I, J) is the minor det(g^-1)[I, J], from the exact minor kernel."""
-        if p not in self._lambda_gram:
-            A, D = self.inverse_gram()
-            self._lambda_gram[p] = linalg.int_compound(A, p), D ** p
-        return self._lambda_gram[p]
+        return _lambda_gram(self.gram, p)
+
+
+@lru_cache(maxsize=None)
+def _inverse_gram(gram):
+    return linalg.inverse(gram)
+
+
+@lru_cache(maxsize=None)
+def _lambda_gram(gram, p):
+    A, D = _inverse_gram(gram)
+    return linalg.int_compound(A, p), D ** p
 
 
 def inner(a, b, metric):

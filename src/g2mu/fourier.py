@@ -121,7 +121,7 @@ def star_matrix_float(structure, p):
 
 class FourierForm:
     """Finitely supported map Z^7 -> Lambda^p (complex), one array row per mode."""
-
+    # not a tuple: tuple equality would compare the numpy array elementwise and raise
     __slots__ = ("structure", "grade", "modes", "coeffs")
 
     def __init__(self, structure, grade, modes, coeffs):

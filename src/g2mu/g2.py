@@ -44,7 +44,8 @@ of the Hessian symbols I and J on the type components, which `apply_I`,
 
 A G2Structure owns every cache that depends on it: one memo keyed by the
 producing function and its arguments, which also holds what `fourier` and
-`oracle` derive from it (float views, mode stacks, fibre traces).
+`oracle` derive from it (float views, mode stacks, fibre traces).  Its
+metric's inverse and Lambda-Grams are cached per Gram pair in `exterior`.
 """
 
 from fractions import Fraction
@@ -300,7 +301,7 @@ class G2Structure:
     raises TypeError.  Everything derived from the structure is kept in its
     Memo, `memo`.
     """
-
+    # not a tuple like the other values: it owns the Memo, a mutable cache
     __slots__ = ("frame", "phi", "psi", "metric", "memo", "_phi_int")
 
     def __init__(self, frame=None):

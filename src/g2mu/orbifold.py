@@ -6,6 +6,7 @@ so that the characters and twist phases computed downstream are exact
 roots of unity.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import index
@@ -49,12 +50,11 @@ _IDENTITY = tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM))
 _ZERO = _reduce_mod1((0,) * DIM)
 
 
-class AffineElement:
+class AffineElement(namedtuple("AffineElement", "matrix translation")):
     """An element (A, t) of SL(7,Z) x T^7, acting by x -> A x + t."""
+    __slots__ = ()
 
-    __slots__ = ("matrix", "translation")
-
-    def __init__(self, matrix, translation=None):
+    def __new__(cls, matrix, translation=None):
         mat = tuple(tuple(index(x) for x in row) for row in matrix)
         if len(mat) != DIM or any(len(r) != DIM for r in mat):
             raise ValueError("matrix must be 7x7")
@@ -65,33 +65,14 @@ class AffineElement:
         trans = _reduce_mod1(translation)
         if len(trans) != DIM:
             raise ValueError("translation must have 7 entries")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "translation", trans)
-
-    def __setattr__(self, *_):
-        raise AttributeError("AffineElement is immutable")
-
-    @classmethod
-    def _trusted(cls, matrix, translation):
-        """An element from a matrix tuple already in SL(7,Z) and a reduced translation."""
-        element = object.__new__(cls)
-        object.__setattr__(element, "matrix", matrix)
-        object.__setattr__(element, "translation", translation)
-        return element
+        return super().__new__(cls, mat, trans)
 
     @classmethod
     def identity(cls):
-        return cls._trusted(_IDENTITY, _ZERO)
+        return cls._make((_IDENTITY, _ZERO))
 
     def is_identity(self):
         return self.matrix == _IDENTITY and self.translation == _ZERO
-
-    def __eq__(self, other):
-        return isinstance(other, AffineElement) and self.matrix == other.matrix \
-            and self.translation == other.translation
-
-    def __hash__(self):
-        return hash((self.matrix, self.translation))
 
     def __repr__(self):
         diag = all(self.matrix[i][j] == 0 for i in range(DIM) for j in range(DIM) if i != j)
@@ -111,30 +92,20 @@ def compose(a, b):
     trans = tuple(Fraction((sum(m * x for m, x in zip(row, t2))
                             + s.numerator * (d // s.denominator)) % d, d)
                   for row, s in zip(a.matrix, a.translation))
-    return AffineElement._trusted(linalg.int_matmul(a.matrix, b.matrix), trans)
+    return AffineElement._make((linalg.int_matmul(a.matrix, b.matrix), trans))
 
 
-class OrbifoldGroup:
-    """A finite subgroup of SL(7,Z) x T^7 as `generate` closes it, identity first."""
+class OrbifoldGroup(tuple):
+    """A finite subgroup of SL(7,Z) x T^7 as `generate` closes it: the tuple
+    of its elements, identity first."""
+    __slots__ = ()
 
-    __slots__ = ("elements",)
-
-    def __init__(self, elements):
+    def __new__(cls, elements):
         elems = list(elements)
         ident = AffineElement.identity()
         if ident not in elems:
             raise ValueError("group must contain the identity")
-        elems = [ident] + sorted((e for e in elems if e != ident), key=repr)
-        object.__setattr__(self, "elements", tuple(elems))
-
-    def __setattr__(self, *_):
-        raise AttributeError("OrbifoldGroup is immutable")
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
+        return super().__new__(cls, [ident] + sorted((e for e in elems if e != ident), key=repr))
 
 
 def _has_finite_order(matrix):
@@ -181,20 +152,9 @@ def generate(generators, cap=DEFAULT_CAP):
     return OrbifoldGroup(seen)
 
 
-class JoyceOrbifold:
+class JoyceOrbifold(namedtuple("JoyceOrbifold", "group structure")):
     """A finite group together with a G2-structure that every element preserves."""
-
-    __slots__ = ("group", "structure")
-
-    def __init__(self, group, structure):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "structure", structure)
-
-    def __setattr__(self, *_):
-        raise AttributeError("JoyceOrbifold is immutable")
-
-    def __len__(self):
-        return len(self.group)
+    __slots__ = ()
 
 
 def validate_joyce(group, frame=None):

@@ -174,6 +174,18 @@ def test_malformed_json_rejected(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content,error", [
+    (b"\xff\xfe{}", "UnicodeDecodeError"),
+    (b"[" * 100000, "RecursionError"),
+], ids=["not-utf8", "nested-too-deep"])
+def test_undecodable_config_rejected_as_malformed_input(capsys, tmp_path, content, error):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    code, out, err = run_cli(capsys, "check", "--config", str(p))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == error
+
+
 def test_missing_file_rejected(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", "--config", str(tmp_path / "nope.json"))
     assert code == 2

@@ -182,6 +182,14 @@ def test_metric_from_frame():
     assert m3.vol == linalg.det((F.tolist(), 1))
     U, minors = linalg.positive_definite(m3.gram)
     assert all(D > 0 for D in minors) and Fraction(minors[-1], m3.gram[1] ** 7) == m3.vol ** 2
+    # an immutable value with no field but gram and vol; its inverse is cached per
+    # Gram pair, so an equal metric shares it
+    for field in ("gram", "vol"):
+        with pytest.raises(AttributeError):
+            setattr(m3, field, None)
+    assert m3._fields == ("gram", "vol") and not hasattr(m3, "__dict__")
+    again = Metric7(m3.gram)
+    assert again == m3 and again.inverse_gram() is m3.inverse_gram()
 
 
 def test_metric_rejects_bad_frames():
@@ -220,7 +228,12 @@ def test_exact_serialisation_roundtrip():
     a = rand_form(rng, 3)
     encoded = [str(x) for x in a.coeffs]
     decoded = ExteriorForm(3, [Fraction(s) for s in encoded])
-    assert decoded == a
+    assert decoded == a and len({decoded, a}) == 1
+    for field in ("grade", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    with pytest.raises(ValueError, match="needs 35 coefficients, got 34"):
+        ExteriorForm(3, a.coeffs[1:])
 
 
 # -- the integer kernels against the Fraction formulas they replaced ----------------

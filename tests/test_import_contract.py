@@ -11,7 +11,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -20,6 +19,7 @@ from g2mu import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
+DATA_DIR = ROOT / "tests" / "data"
 COMMANDS = (["check"], ["invariants", "--crosscheck"], ["zeta"])
 
 # numpy, mpmath, dataclasses and inspect made unimportable: `import numpy`
@@ -63,6 +63,11 @@ def test_import_of_the_cli_loads_neither_numpy_nor_mpmath():
     _assert_import_loads_none_of("g2mu.cli", ("numpy", "mpmath", "dataclasses", "inspect"))
 
 
+def test_import_of_the_cli_leaves_the_command_modules_unloaded():
+    # `check` runs neither; `invariants` and `zeta` import them when they run
+    _assert_import_loads_none_of("g2mu.cli", ("g2mu.epstein", "g2mu.invariants"))
+
+
 def test_import_of_the_oracle_loads_neither_numpy_nor_mpmath():
     _assert_import_loads_none_of("g2mu.oracle", ("numpy", "mpmath", "dataclasses", "inspect"))
 
@@ -72,16 +77,11 @@ def test_import_of_fourier_loads_no_dataclasses():
     _assert_import_loads_none_of("g2mu.fourier", ("dataclasses",))
 
 
-def _configs(tmp_path):
-    """The four shipped configs, and m1 under a frame with a non-integer Gram,
-    diag(1, ..., 1, 1/4)."""
-    framed = json.loads((CONFIG_DIR / "m1.json").read_text())
-    framed.update(name="m1-half", frame=[[str(Fraction(1, 2) if i == j == 6 else int(i == j))
-                                          for j in range(7)] for i in range(7)])
-    framed_path = tmp_path / "m1-half.json"
-    framed_path.write_text(json.dumps(framed))
+def _configs():
+    """The four shipped configs and the two framed ones in tests/data: m1 under
+    diag(1, ..., 1, 1/2), whose Gram is not integral, and t7 under I + E_11 + (1/3) E_12."""
     return [str(CONFIG_DIR / f"{stem}.json") for stem in ("t7", "m1", "m2", "m3")] + \
-        [str(framed_path)]
+        sorted(str(path) for path in DATA_DIR.glob("*.json"))
 
 
 def _assert_blocked_runs_match(runs, capsys):
@@ -95,14 +95,14 @@ def _assert_blocked_runs_match(runs, capsys):
         assert _masked(stdout) == _masked(capsys.readouterr().out), argv
 
 
-def test_closed_form_commands_run_without_numpy_and_mpmath(tmp_path, capsys):
-    _assert_blocked_runs_match([cmd + ["--config", path] for path in _configs(tmp_path)
+def test_closed_form_commands_run_without_numpy_and_mpmath(capsys):
+    _assert_blocked_runs_match([cmd + ["--config", path] for path in _configs()
                                 for cmd in COMMANDS], capsys)
 
 
-def test_spectrum_runs_without_numpy_and_mpmath(tmp_path, capsys):
+def test_spectrum_runs_without_numpy_and_mpmath(capsys):
     _assert_blocked_runs_match([["spectrum", "--config", path, "--radius-sq", "2"]
-                                for path in _configs(tmp_path)], capsys)
+                                for path in _configs()], capsys)
 
 
 def test_epstein_value_off_zero_imports_mpmath_lazily():

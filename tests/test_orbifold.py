@@ -69,6 +69,9 @@ def test_compose_alpha_beta_matches_hand_computation():
     ab = compose(ALPHA, BETA)
     assert ab.matrix == tuple(map(tuple, diag(1, -1, -1, -1, -1, 1, 1)))
     assert ab.translation == (0, 0, 0, 0, 0, 0, Fraction(1, 2))
+    # a product is the same value, and the same set member, as the element built directly
+    built = AffineElement(diag(1, -1, -1, -1, -1, 1, 1), [0, 0, 0, 0, 0, 0, Fraction(1, 2)])
+    assert ab == built and len({ab, built}) == 1
 
 
 def test_compose_associative():
@@ -136,14 +139,18 @@ def test_order_30_generator_is_accepted():
 
 def test_generate_idempotent():
     g = generate([ALPHA, BETA])
-    again = generate(list(g.elements))
-    assert set(again.elements) == set(g.elements)
+    again = generate(list(g))
+    assert set(again) == set(g)
 
 
 def test_validate_joyce_examples():
-    assert len(validate_joyce(generate([]))) == 1
+    assert len(validate_joyce(generate([])).group) == 1
     orb = validate_joyce(generate([ALPHA, BETA, GAMMA]))
-    assert len(orb) == 8
+    assert len(orb.group) == 8
+    for value, field in ((ALPHA, "matrix"), (ALPHA, "translation"), (orb.group, "elements"),
+                         (orb, "group"), (orb, "structure")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
 
 
 def test_validate_joyce_rejects_non_g2():
