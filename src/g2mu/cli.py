@@ -55,17 +55,24 @@ def _radius_sq(value, name):
     return radius
 
 
+def _log(q):
+    """log of a positive rational; math.log takes ints of any size, not only floats."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
 def _check_lattice_count(frame, radius_sq):
     """Raise ConfigError if |l|^2_g <= radius_sq holds more than about
-    MAX_LATTICE_VECTORS vectors l of Z^7, estimated by the ellipsoid's volume."""
+    MAX_LATTICE_VECTORS vectors l of Z^7, estimated by the ellipsoid's volume
+    in logarithms, so that neither a huge radius nor a huge frame overflows."""
     vol = linalg.det(frame) if frame is not None else 1
-    if vol <= 0:
-        return  # building the structure rejects the frame
-    try:
-        estimate = 16 * math.pi ** 3 / 105 * float(radius_sq) ** 3.5 / float(vol)
-    except (OverflowError, ZeroDivisionError):
-        estimate = math.inf
-    if estimate > MAX_LATTICE_VECTORS:
+    if vol <= 0 or radius_sq == 0:
+        return  # building the structure rejects the frame; a zero radius holds one vector
+    log_estimate = math.log(16 * math.pi ** 3 / 105) + 3.5 * _log(radius_sq) - _log(vol)
+    if log_estimate > math.log(MAX_LATTICE_VECTORS):
+        try:
+            estimate = math.exp(log_estimate)
+        except OverflowError:
+            estimate = math.inf
         raise ConfigError(f"radius_sq {radius_sq} holds about {estimate:.3g} lattice vectors, "
                           f"more than spectrum enumerates ({MAX_LATTICE_VECTORS})")
 
@@ -219,53 +226,23 @@ def cmd_spectrum(config, args):
 
 
 def cmd_identities(config, args):
-    import numpy as np
-    from .fourier import (coexterior_d, exterior_d, hessian_blocks, l2_inner, l2_norm,
-                          project_type, random_fourier, residual, split_S4, verify_appendix)
-    orbifold = build_orbifold(config)
-    structure = orbifold.structure
+    from .fourier import verify_appendix, verify_hessian
+    structure = build_orbifold(config).structure
     trials = args.trials if args.trials is not None else config["trials"]
     seed = args.seed if args.seed is not None else config["seed"]
     tol = args.tolerance if args.tolerance is not None else 1e-9
-    report = verify_appendix(structure, trials=trials, seed=seed,
-                             strict=args.strict_types)
-
-    # property suites for the Hessian block structure, seeded separately
-    rng = np.random.default_rng(seed + 1)
-    split_checks = {"pi27_d_plus": 0.0, "pi7_d_minus": 0.0,
-                    "plus_minus_inner": 0.0, "split_reassembles": 0.0}
-    hessian_checks = {"dstar_I_d_equals_minus_dstar_d": 0.0}
-    for _ in range(max(1, trials // 10)):
-        eta = random_fourier(structure, 4, rng, n_modes=3)
-        pre = coexterior_d(eta)
-        blocks = hessian_blocks("F", pre)
-        omega = blocks.blocks["S_plus"] + blocks.blocks["S_minus"]
-        if omega.is_zero(1e-14):
-            continue
-        plus, minus = split_S4(omega)
-        for name, value in (
-                ("pi27_d_plus", l2_norm(project_type(exterior_d(plus), 4, 27))),
-                ("pi7_d_minus", l2_norm(project_type(exterior_d(minus), 4, 7))),
-                ("plus_minus_inner", abs(l2_inner(plus, minus))),
-                ("split_reassembles", residual(plus + minus, omega))):
-            split_checks[name] = max(split_checks[name], value)
-        two = random_fourier(structure, 2, rng, n_modes=3)
-        e_blocks = hessian_blocks("E", two)
-        hessian_checks["dstar_I_d_equals_minus_dstar_d"] = max(
-            hessian_checks["dstar_I_d_equals_minus_dstar_d"],
-            e_blocks.checks["dstar_I_d_equals_minus_dstar_d"])
-
+    identities = verify_appendix(structure, trials=trials, seed=seed)["identities"]
+    hessian = verify_hessian(structure, trials=trials, seed=seed)
     failures = sorted(
-        [name for name, v in report["identities"].items() if v > tol]
-        + [f"split:{k}" for k, v in split_checks.items() if v > tol]
-        + [f"hessian:{k}" for k, v in hessian_checks.items() if v > tol])
+        [name for name, v in identities.items() if v > tol]
+        + [f"split:{k}" for k, v in hessian["split_checks"].items() if v > tol]
+        + [f"hessian:{k}" for k, v in hessian["hessian_checks"].items() if v > tol])
     return (1 if failures else 0), {
         "seed": seed,
         "trials": trials,
         "tolerance": tol,
-        "identities": report["identities"],
-        "split_checks": split_checks,
-        "hessian_checks": hessian_checks,
+        "identities": identities,
+        **hessian,
         "failures": failures,
     }
 
@@ -360,8 +337,6 @@ def run(argv=None):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--tolerance", type=float, default=None)
     parser.add_argument("--output", choices=["json", "csv"], default="json")
-    parser.add_argument("--strict-types", dest="strict_types", action="store_true",
-                        help="reject inputs outside a refined operator's domain type")
     parser.add_argument("--crosscheck", action="store_true",
                         help="invariants: also run the zeta-function consistency bridge")
     args = parser.parse_args(argv)

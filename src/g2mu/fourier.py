@@ -385,12 +385,9 @@ def _refined_stack(structure, name):
     return read_only(K)
 
 
-def refined(name, f, strict=False):
-    """Apply a refined derivative operator mode-wise.
-
-    Inputs are first projected onto the operator's domain type; with
-    strict=True a component outside the domain type raises instead.
-    """
+def refined(name, f):
+    """Apply a refined derivative operator mode-wise; inputs are first
+    projected onto the operator's domain type."""
     if name not in REFINED_OPS:
         raise ValueError(f"unknown refined operator {name!r}")
     op = REFINED_OPS[name]
@@ -398,11 +395,7 @@ def refined(name, f, strict=False):
     if f.grade != dom_grade:
         raise ValueError(f"{name} needs a grade-{dom_grade} input, got grade {f.grade}")
     if dom_comp is not None:
-        projected = project_type(f, dom_grade, dom_comp)
-        if strict and residual(projected, f) > _TOL * max(1.0, l2_norm(f)):
-            raise PreconditionFailed(
-                f"input to {name} has a component outside Lambda^{dom_grade}_{dom_comp}")
-        f = projected
+        f = project_type(f, dom_grade, dom_comp)
     return _apply_stack(f, f.structure.memo(_refined_stack, name), op.codomain[0])
 
 
@@ -429,96 +422,101 @@ def random_fourier(structure, grade, rng, n_modes=3, component=None,
 
 # -- the appendix identity suite --------------------------------------------------
 
-def _identity_suite(structure, strict=False):
+def _identity_suite():
     """List of (name, input kind, lhs builder, rhs builder)."""
-    def R(name, f):
-        return refined(name, f, strict=strict)
-
     suite = [
         # scalar block
-        ("om0_d", 0, lambda f: exterior_d(f), lambda f: R("d1_7", f)),
+        ("om0_d", 0, lambda f: exterior_d(f), lambda f: refined("d1_7", f)),
         ("om0_d_fphi", 0, lambda f: exterior_d(wedge_const(f, "phi")),
-         lambda f: wedge_const(R("d1_7", f), "phi")),
+         lambda f: wedge_const(refined("d1_7", f), "phi")),
         ("om0_d_fpsi", 0, lambda f: exterior_d(wedge_const(f, "psi")),
-         lambda f: wedge_const(R("d1_7", f), "psi")),
+         lambda f: wedge_const(refined("d1_7", f), "psi")),
         # one-form block
         ("om1_d", 1, lambda a: exterior_d(a),
-         lambda a: star(wedge_const(R("d7_7", a), "psi")).scale(Fraction(1, 3))
-         + R("d7_14", a)),
+         lambda a: star(wedge_const(refined("d7_7", a), "psi")).scale(Fraction(1, 3))
+         + refined("d7_14", a)),
         ("om1_d_wedge_phi", 1, lambda a: exterior_d(wedge_const(a, "phi")),
-         lambda a: wedge_const(R("d7_7", a), "psi").scale(Fraction(2, 3))
-         - star(R("d7_14", a))),
+         lambda a: wedge_const(refined("d7_7", a), "psi").scale(Fraction(2, 3))
+         - star(refined("d7_14", a))),
         ("om1_d_star_wedge_phi", 1, lambda a: exterior_d(star(wedge_const(a, "phi"))),
-         lambda a: wedge_const(R("d7_1", a), "psi").scale(Fraction(4, 7))
-         + wedge_const(R("d7_7", a), "phi").scale(Fraction(1, 2))
-         + star(R("d7_27", a))),
+         lambda a: wedge_const(refined("d7_1", a), "psi").scale(Fraction(4, 7))
+         + wedge_const(refined("d7_7", a), "phi").scale(Fraction(1, 2))
+         + star(refined("d7_27", a))),
         ("om1_d_star_wedge_psi", 1, lambda a: exterior_d(star(wedge_const(a, "psi"))),
-         lambda a: wedge_const(R("d7_1", a), "phi").scale(Fraction(-3, 7))
-         - star(wedge_const(R("d7_7", a), "phi")).scale(Fraction(1, 2))
-         + R("d7_27", a)),
+         lambda a: wedge_const(refined("d7_1", a), "phi").scale(Fraction(-3, 7))
+         - star(wedge_const(refined("d7_7", a), "phi")).scale(Fraction(1, 2))
+         + refined("d7_27", a)),
         ("om1_d_wedge_psi", 1, lambda a: exterior_d(wedge_const(a, "psi")),
-         lambda a: star(R("d7_7", a))),
+         lambda a: star(refined("d7_7", a))),
         ("om1_d_star", 1, lambda a: exterior_d(star(a)),
-         lambda a: wedge_const(R("d7_1", a), "vol").scale(-1)),
+         lambda a: wedge_const(refined("d7_1", a), "vol").scale(-1)),
         # two-form (14-type) block
         ("om2_14_d", (2, 14), lambda b: exterior_d(b),
-         lambda b: star(wedge_const(R("d14_7", b), "phi")).scale(Fraction(1, 4))
-         + R("d14_27", b)),
+         lambda b: star(wedge_const(refined("d14_7", b), "phi")).scale(Fraction(1, 4))
+         + refined("d14_27", b)),
         ("om2_14_dstar", (2, 14), lambda b: coexterior_d(b),
-         lambda b: R("d14_7", b)),
+         lambda b: refined("d14_7", b)),
         # three-form (27-type) block
         ("om3_27_d", (3, 27), lambda c: exterior_d(c),
-         lambda c: wedge_const(R("d27_7", c), "phi").scale(Fraction(1, 4))
-         + star(R("d27_27", c))),
+         lambda c: wedge_const(refined("d27_7", c), "phi").scale(Fraction(1, 4))
+         + star(refined("d27_27", c))),
         # second term printed with a spurious star upstream (grade bookkeeping
         # forces a 2-form; the adjoint-defined operator already produces one)
         ("om3_27_dstar", (3, 27), lambda c: coexterior_d(c),
-         lambda c: star(wedge_const(R("d27_7", c), "psi")).scale(Fraction(1, 3))
-         + R("d27_14", c)),
+         lambda c: star(wedge_const(refined("d27_7", c), "psi")).scale(Fraction(1, 3))
+         + refined("d27_14", c)),
         # the 14 quadratic identities equivalent to d^2 = 0
-        ("d2_01_d77_d17", 0, lambda f: R("d7_7", R("d1_7", f)), None),
-        ("d2_02_d714_d17", 0, lambda f: R("d7_14", R("d1_7", f)), None),
-        ("d2_03_d71_d77", 1, lambda a: R("d7_1", R("d7_7", a)), None),
-        ("d2_04_d147_d714", 1, lambda a: R("d14_7", R("d7_14", a)),
-         lambda a: R("d7_7", R("d7_7", a)).scale(Fraction(2, 3))),
-        ("d2_05_d277_d727", 1, lambda a: R("d27_7", R("d7_27", a)),
-         lambda a: R("d7_7", R("d7_7", a))
-         + R("d1_7", R("d7_1", a)).scale(Fraction(12, 7))),
+        ("d2_01_d77_d17", 0, lambda f: refined("d7_7", refined("d1_7", f)), None),
+        ("d2_02_d714_d17", 0, lambda f: refined("d7_14", refined("d1_7", f)), None),
+        ("d2_03_d71_d77", 1, lambda a: refined("d7_1", refined("d7_7", a)), None),
+        ("d2_04_d147_d714", 1, lambda a: refined("d14_7", refined("d7_14", a)),
+         lambda a: refined("d7_7", refined("d7_7", a)).scale(Fraction(2, 3))),
+        ("d2_05_d277_d727", 1, lambda a: refined("d27_7", refined("d7_27", a)),
+         lambda a: refined("d7_7", refined("d7_7", a))
+         + refined("d1_7", refined("d7_1", a)).scale(Fraction(12, 7))),
         ("d2_06_d714_d77", 1,
-         lambda a: R("d7_14", R("d7_7", a)) + R("d27_14", R("d7_27", a)).scale(2), None),
+         lambda a: refined("d7_14", refined("d7_7", a))
+         + refined("d27_14", refined("d7_27", a)).scale(2), None),
         ("d2_07_d1427_d714", 1,
-         lambda a: R("d14_27", R("d7_14", a)).scale(3) + R("d7_27", R("d7_7", a)), None),
+         lambda a: refined("d14_27", refined("d7_14", a)).scale(3)
+         + refined("d7_27", refined("d7_7", a)), None),
         ("d2_08_d2727_d727", 1,
-         lambda a: R("d27_27", R("d7_27", a)).scale(2) - R("d7_27", R("d7_7", a)), None),
-        ("d2_09_d71_d147", (2, 14), lambda b: R("d7_1", R("d14_7", b)), None),
+         lambda a: refined("d27_27", refined("d7_27", a)).scale(2)
+         - refined("d7_27", refined("d7_7", a)), None),
+        ("d2_09_d71_d147", (2, 14), lambda b: refined("d7_1", refined("d14_7", b)), None),
         ("d2_10_d77_d147", (2, 14),
-         lambda b: R("d7_7", R("d14_7", b)) + R("d27_7", R("d14_27", b)).scale(2), None),
+         lambda b: refined("d7_7", refined("d14_7", b))
+         + refined("d27_7", refined("d14_27", b)).scale(2), None),
         ("d2_11_d727_d147", (2, 14),
-         lambda b: R("d7_27", R("d14_7", b)) + R("d27_27", R("d14_27", b)).scale(4), None),
+         lambda b: refined("d7_27", refined("d14_7", b))
+         + refined("d27_27", refined("d14_27", b)).scale(4), None),
         ("d2_12_d147_d2714", (3, 27),
-         lambda c: R("d14_7", R("d27_14", c)).scale(3) + R("d7_7", R("d27_7", c)), None),
+         lambda c: refined("d14_7", refined("d27_14", c)).scale(3)
+         + refined("d7_7", refined("d27_7", c)), None),
         ("d2_13_d277_d2727", (3, 27),
-         lambda c: R("d27_7", R("d27_27", c)).scale(2) - R("d7_7", R("d27_7", c)), None),
+         lambda c: refined("d27_7", refined("d27_27", c)).scale(2)
+         - refined("d7_7", refined("d27_7", c)), None),
         ("d2_14_d714_d277", (3, 27),
-         lambda c: R("d7_14", R("d27_7", c)) + R("d27_14", R("d27_27", c)).scale(4), None),
+         lambda c: refined("d7_14", refined("d27_7", c))
+         + refined("d27_14", refined("d27_27", c)).scale(4), None),
         # Laplacians
         ("lap_0", 0, lambda f: coexterior_d(exterior_d(f)),
-         lambda f: R("d7_1", R("d1_7", f))),
+         lambda f: refined("d7_1", refined("d1_7", f))),
         ("lap_1", 1, lambda a: exterior_d(coexterior_d(a)) + coexterior_d(exterior_d(a)),
-         lambda a: R("d7_7", R("d7_7", a)) + R("d1_7", R("d7_1", a))),
+         lambda a: refined("d7_7", refined("d7_7", a)) + refined("d1_7", refined("d7_1", a))),
         ("lap_2_14", (2, 14),
          lambda b: exterior_d(coexterior_d(b)) + coexterior_d(exterior_d(b)),
-         lambda b: R("d7_14", R("d14_7", b)).scale(Fraction(5, 4))
-         + R("d27_14", R("d14_27", b))),
+         lambda b: refined("d7_14", refined("d14_7", b)).scale(Fraction(5, 4))
+         + refined("d27_14", refined("d14_27", b))),
         ("lap_3_27", (3, 27),
          lambda c: exterior_d(coexterior_d(c)) + coexterior_d(exterior_d(c)),
-         lambda c: R("d7_27", R("d27_7", c)).scale(Fraction(7, 12))
-         + R("d14_27", R("d27_14", c)) + R("d27_27", R("d27_27", c))),
+         lambda c: refined("d7_27", refined("d27_7", c)).scale(Fraction(7, 12))
+         + refined("d14_27", refined("d27_14", c)) + refined("d27_27", refined("d27_27", c))),
     ]
     return suite
 
 
-def verify_appendix(structure, trials=100, seed=0, strict=False):
+def verify_appendix(structure, trials=100, seed=0):
     """Check every refined-derivative identity on seeded random forms.
 
     Returns {"seed", "trials", "identities": {name: max residual}}.
@@ -527,7 +525,7 @@ def verify_appendix(structure, trials=100, seed=0, strict=False):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    suite = _identity_suite(structure, strict=strict)
+    suite = _identity_suite()
     maxres = {name: 0.0 for name, *_ in suite}
     for _ in range(trials):
         inputs = {
@@ -566,18 +564,16 @@ def split_S4(f):
     return project_type(f, 3, 1) + corr, gamma - corr
 
 
-class HessianReport(namedtuple("HessianReport", "kind blocks applied checks")):
-    """Block decomposition of a Hessian-type operator applied to one form:
-    `blocks`, `applied` and `checks` map each block label to its component
-    FourierForm, the operator applied to it and the residual of the block's
-    defining identity."""
+class HessianReport(namedtuple("HessianReport", "kind blocks checks")):
+    """One form split into the diagonal blocks of a Hessian-type operator:
+    `blocks` maps each block label to its component FourierForm, `checks`
+    each block identity's name to its residual."""
     __slots__ = ()
 
 
-# the factor of the Laplacian each block's Hessian acts by (None: identity)
-_BLOCK_ACTIONS = {
-    "E": {"harmonic": None, "exact": 1.0, "coexact_7": 1.0, "coexact_14": -1.0},
-    "F": {"harmonic": None, "exact": 1.0, "coexact_7": 1.0, "S_plus": 3.0, "S_minus": -1.0},
+_BLOCK_LABELS = {
+    "E": ("harmonic", "exact", "coexact_7", "coexact_14"),
+    "F": ("harmonic", "exact", "coexact_7", "S_plus", "S_minus"),
 }
 
 
@@ -590,7 +586,7 @@ def hessian_blocks(kind, f):
     S4^+ / S4^- blocks with actions Id, Delta, Delta, 3 Delta, -Delta;
     verifies pi_27 d = 0 on S4^+ and pi_7 d = 0 on S4^-.
     """
-    if kind not in _BLOCK_ACTIONS:
+    if kind not in _BLOCK_LABELS:
         raise ValueError("kind must be 'E' or 'F'")
     grade = 2 if kind == "E" else 3
     if f.grade != grade:
@@ -605,7 +601,7 @@ def hessian_blocks(kind, f):
         _at_modes(structure.memo(_d_stack, grade), f.modes)
     basis7 = np.array(structure.type_space_basis(grade, 7), dtype=float).T
 
-    rows = {label: np.zeros_like(f.coeffs) for label in _BLOCK_ACTIONS[kind]}
+    rows = {label: np.zeros_like(f.coeffs) for label in _BLOCK_LABELS[kind]}
     for m, (l, c) in enumerate(zip(f.modes, f.coeffs)):
         if l == ZERO_MODE:
             rows["harmonic"][m] = c
@@ -624,9 +620,6 @@ def hessian_blocks(kind, f):
             rows["S_plus"][m] = rest - rows["S_minus"][m]
 
     blocks = {label: f._like(r) for label, r in rows.items()}
-    applied = {label: comp if _BLOCK_ACTIONS[kind][label] is None
-               else laplacian(comp).scale(_BLOCK_ACTIONS[kind][label])
-               for label, comp in blocks.items()}
 
     if kind == "E":
         gamma = blocks["coexact_14"]
@@ -642,10 +635,37 @@ def hessian_blocks(kind, f):
             "pi7_d_Sminus": l2_norm(project_type(exterior_d(minus), 4, 7)),
             "Splus_Sminus_orthogonal": abs(l2_inner(plus, minus)),
         }
-    return HessianReport(kind=kind, blocks=blocks, applied=applied, checks=checks)
+    return HessianReport(kind=kind, blocks=blocks, checks=checks)
 
 
 def _span_projector(B, gram):
     """The gram-orthogonal projector onto the span of the real columns of B."""
     BtG = B.T @ gram
     return B @ np.linalg.inv(BtG @ B) @ BtG
+
+
+def verify_hessian(structure, trials=100, seed=0):
+    """Check the Hessian block structure on seeded random forms.
+
+    Each of max(1, trials // 10) draws, seeded by seed + 1, takes the S4
+    blocks of d* of a random 4-form and splits their sum again with
+    split_S4, then takes the E blocks of a random 2-form (3 modes each).
+    Returns {"split_checks", "hessian_checks"}, each {name: max residual};
+    as in verify_appendix, failures show in the residuals, never raise.
+    """
+    rng = np.random.default_rng(seed + 1)
+    split_checks, hessian_checks = {}, {}
+    for _ in range(max(1, trials // 10)):
+        # the F blocks' own checks stay out: absolute norms, they pass 1e-9 on framed structures
+        blocks = hessian_blocks("F", coexterior_d(random_fourier(structure, 4, rng))).blocks
+        omega = blocks["S_plus"] + blocks["S_minus"]
+        plus, minus = split_S4(omega)
+        for name, value in (
+                ("pi27_d_plus", l2_norm(project_type(exterior_d(plus), 4, 27))),
+                ("pi7_d_minus", l2_norm(project_type(exterior_d(minus), 4, 7))),
+                ("plus_minus_inner", abs(l2_inner(plus, minus))),
+                ("split_reassembles", residual(plus + minus, omega))):
+            split_checks[name] = max(split_checks.get(name, 0.0), value)
+        for name, value in hessian_blocks("E", random_fourier(structure, 2, rng)).checks.items():
+            hessian_checks[name] = max(hessian_checks.get(name, 0.0), value)
+    return {"split_checks": split_checks, "hessian_checks": hessian_checks}

@@ -80,8 +80,9 @@ def test_spectrum_zero_radius(capsys):
     assert json.loads(out)["results"]["reports"] == []
 
 
-def test_identities_reproducible(capsys):
-    args = ("identities", "--config", str(CONFIG_DIR / "t7.json"),
+@pytest.mark.parametrize("stem", ["t7", "m3"])
+def test_identities_reproducible(capsys, stem):
+    args = ("identities", "--config", str(CONFIG_DIR / f"{stem}.json"),
             "--trials", "2", "--seed", "7")
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
@@ -90,6 +91,25 @@ def test_identities_reproducible(capsys):
     r1.pop("wall_time_s"), r2.pop("wall_time_s")
     assert r1 == r2
     assert r1["results"]["failures"] == []
+
+
+def test_identities_fails_on_a_wrong_S4_split(capsys, monkeypatch):
+    """Splitting by type alone, (pi_1 f, pi_27 f) without the Green-operator
+    correction, leaves pi_7 d omega_minus far from 0: identities exits 1."""
+    from g2mu import fourier
+    monkeypatch.setattr(fourier, "split_S4", lambda f: (fourier.project_type(f, 3, 1),
+                                                        fourier.project_type(f, 3, 27)))
+    code, out, _ = run_cli(capsys, "identities", "--config", str(CONFIG_DIR / "t7.json"),
+                           "--trials", "2")
+    results = json.loads(out)["results"]
+    assert code == 1 and "split:pi7_d_minus" in results["failures"]
+    assert results["split_checks"]["pi7_d_minus"] > 1.0
+
+
+def test_strict_types_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["identities", "--config", str(CONFIG_DIR / "t7.json"), "--strict-types"])
+    assert exc.value.code == 2
 
 
 def test_zeta_command(capsys):
@@ -255,6 +275,17 @@ def test_spectrum_refuses_radii_with_too_many_lattice_vectors(capsys, tmp_path, 
     assert error["type"] == "ConfigError" and f"about {estimate} lattice vectors" in error["detail"]
 
 
+def test_spectrum_accepts_a_huge_frame(capsys, tmp_path):
+    """Under 10^200 I (det 10^1400, past float range) the unit ball holds
+    only the zero vector: the estimate is about 0, not an overflow."""
+    payload = json.loads((CONFIG_DIR / "t7.json").read_text())
+    payload["frame"] = [["1" + "0" * 200 if i == j else "0" for j in range(7)]
+                        for i in range(7)]
+    code, out, _ = run_cli(capsys, "spectrum", "--config", write_config(tmp_path, payload),
+                           "--radius-sq", "1")
+    assert code == 0 and json.loads(out)["results"]["reports"] == []
+
+
 def test_spectrum_allows_m3_at_radius_16():
     # about 77k lattice vectors, the oracle's largest planned radius
     cli._check_lattice_count(None, Fraction(16))
@@ -364,15 +395,6 @@ def test_spectrum_call_counts_framed(capsys, monkeypatch, tmp_path):
     config = framed_config(tmp_path, "m3", F23_FRAME)
     assert spectrum_calls(capsys, monkeypatch, config, "2") == {
         "clear_denominators": 21, "type_space_basis": 62, "7x7 determinants": 7}
-
-
-@pytest.mark.parametrize("stem", ["t7", "m3"])
-def test_identities_strict_types_changes_nothing_on_typed_input(capsys, stem):
-    args = ("identities", "--config", str(CONFIG_DIR / f"{stem}.json"), "--trials", "2")
-    code, out, _ = run_cli(capsys, *args)
-    strict_code, strict_out, _ = run_cli(capsys, *args, "--strict-types")
-    assert code == strict_code == 0
-    assert json.loads(strict_out)["results"] == json.loads(out)["results"]
 
 
 # sha256 of each report (json.dumps(sort_keys=True), without wall_time_s)
