@@ -266,12 +266,17 @@ class Memo:
 
     It grows by a fixed number of entries per grade and component (bases,
     projectors, star and pullback matrices, their float views, the mode
-    stacks of the Fourier operators), plus a fixed number per orbit
-    representative, Fourier mode or group element that a command visits
-    (fibre kernels, pullback matrices of group elements), plus one per
-    group element and oracle radius (its fixed modes), one per group element
-    and oracle class (its fixed modes counted per phase) and one per oracle
-    class (its two orbit tables, from one walk).
+    stacks of the Fourier operators), plus a fixed number per Fourier mode
+    and per oracle orbit key that a command visits (fibre kernels, and the
+    trace data of the keys that a non-identity element fixes), one inverse
+    per matrix part or symmetry generator that a walk uses, one per step
+    X^-1 A X of a transport's conjugation and one per restricted trace, a
+    (conjugate, key, kind), with the pullback matrix of each conjugate;
+    then one per group element and oracle radius (its fixed modes), one per
+    group element and oracle class (its fixed modes counted per phase) and
+    one per oracle class (its orbit tables and transports, from one walk).
+    m3's spectrum at radius 9 keeps 48 kernels, 12 trace data, 9 inverses,
+    30 conjugation steps and 30 traces.
     Nothing is evicted; a CLI command builds one structure.
 
     A callable object rather than a method, so that the time fn takes is

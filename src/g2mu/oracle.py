@@ -18,11 +18,16 @@ the character.  This module computes that dimension two independent ways:
     one walk per class (`_orbits`) gives the orbits of the group's matrix
     parts, for a Burnside sum over the group, and joins them into the
     orbits under the lattice matrices that fix phi, for the identity's
-    term (`invariant_dimension_bruteforce` says why each regrouping holds
-    and where).  Bases, pullback matrices and the integer part N of the
-    metric's Lambda-Gram pair (N, d) are integer rows, so each trace is
-    computed in Python ints with one division at the end, once per matrix
-    part and fibre (l and -l share one);
+    term.  The same walk gives each fixed mode l a transport T, a product
+    of those matrices with T r = +-l for the key r of l's orbit, and each
+    fixed pair (A, l) reads its trace at r: tr(A* | F_l) equals
+    tr((T^-1 A T)* | F_r), since T* carries F_l onto F_r.  So fibre
+    kernels and their trace data are built once per orbit and kind
+    (`invariant_dimension_bruteforce` says why each step holds and where).
+    Bases, pullback matrices and the integer part N of the metric's
+    Lambda-Gram pair (N, d) are integer rows, so each trace is computed in
+    Python ints with one division at the end, once per conjugate T^-1 A T
+    and orbit key;
   * closed form: the tr8/tr12 trace polynomials weighted by the same phases
     over all fixed vectors of each element, once per element and phase.
 
@@ -228,16 +233,24 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
         are read, weighted by its orbit size.  Under another Gram every mode
         has weight 1: each fixed pair is read.
 
-    Both partitions come from one walk, `_orbits`, and the orbit sizes of
-    each are checked to add up to the class.
+    Each trace read is moved to the key r of its mode's orbit O: the walk
+    gives every fixed mode l a transport T, a product of those matrices
+    with T r = +-l, and tr(A* | F_l) = tr((T^-1 A T)* | F_r).  T fixes phi
+    and the metric, so its pullback T* carries F_{T r} = F_l onto F_r and
+    intertwines A* there with (T^-1 A T)* = T* A* (T^-1)*; -1 commutes with
+    every A and F_l = F_{-l}, so it drops out.  This is the conjugation that
+    the Burnside weights rest on too, and it builds one kernel and one
+    trace-data inverse per orbit and kind, whichever modes the group fixes.
+
+    Both partitions and the transports come from one walk, `_orbits`, and
+    the orbit sizes of each partition are checked to add up to the class.
     Nothing here reads tr8 or tr12: the fibres are kernels, the traces
     restricted traces of explicit pullback matrices.
     """
     structure = orbifold.structure
     grade, component, _ = KINDS[kind]
-    parts = tuple(dict.fromkeys(element.matrix for element in orbifold.group))
-    group_orbits, orbits = _checked_orbits(structure, parts, g2.symmetry_generators(structure),
-                                           cls)
+    group_orbits, orbits, transports = _checked_orbits(
+        structure, orbifold.group, g2.symmetry_generators(structure), cls)
     acc = _PhaseSum()
     acc.add(Fraction(0), sum(size * len(typed_contraction_kernel(structure, l, grade, component))
                              for l, size in orbits.items()))
@@ -252,61 +265,110 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
         for l, q in _fixed_vectors(element, cls, structure):
             size = weights.get(l)
             if size:
-                acc.add(q, size * structure.memo(_fixed_trace, element.matrix,
-                                                 linalg.canonical_sign(l), kind))
+                r, word = transports[l]
+                moved = _conjugate(structure, element.matrix, word)
+                acc.add(q, size * structure.memo(_fixed_trace, moved, r, kind))
     return _integer_average(acc, len(orbifold.group))
 
 
-def _checked_orbits(structure, parts, symmetries, cls):
-    """The two tables of `_orbits`, each checked to partition the class: its
-    orbit sizes must add up to the number of the class's modes."""
-    tables = structure.memo(_orbits, parts, symmetries, cls)
-    for orbits in tables:
+def _checked_orbits(structure, group, symmetries, cls):
+    """The tables of `_orbits`, the first two each checked to partition the
+    class: its orbit sizes must add up to the number of the class's modes."""
+    tables = structure.memo(_orbits, group, symmetries, cls)
+    for orbits in tables[:2]:
         if sum(orbits.values()) != len(cls.vectors):
             raise ArithmeticError(f"orbits of class {cls.norm_sq} cover {sum(orbits.values())} "
                                   f"of its {len(cls.vectors)} modes")
     return tables
 
 
-def _orbits(structure, parts, symmetries, cls):
-    """({l: |Gamma l|}, {l: |O|}): the orbits of the class's modes under the
-    group's matrix parts `parts` (a group), each keyed by its first mode in
-    the class, and their unions O, the orbits under the group that
-    `symmetries`, `parts` and -1 generate, each keyed by the first key of
-    its Gamma-orbits.
+def _orbits(structure, group, symmetries, cls):
+    """({l: |Gamma l|}, {r: |O|}, {l: (r, word)}) for the class's modes.
+
+    The first table holds the orbits of the modes under the group's matrix
+    parts Gamma, each keyed by its first mode in the class; the second their
+    unions O, the orbits under the group that `symmetries`, Gamma and -1
+    generate, each keyed by the first key r of its Gamma-orbits; the third
+    a transport of each mode l that a non-identity element fixes: the key
+    r of its orbit, with +-sign made canonical, and a word X_1 .. X_n of
+    Gamma and `symmetries` whose product T = X_1 .. X_n has T r = +-l.
 
     A mode l moves as A l, the action of `epstein.fixed_lattice`, whose fixed
     modes are the l with A l = l.  The Gamma-orbits are joined by a walk over
-    their keys: each symmetry that is not a matrix part moves every member of
-    a Gamma-orbit, while -1, which commutes with Gamma, moves the orbit
-    Gamma l onto Gamma(-l), so it moves the key alone.
+    their keys: each symmetry S that is not a matrix part moves every member
+    P w of a Gamma-orbit, while -1, which commutes with Gamma, moves the orbit
+    Gamma w onto Gamma(-w), so it moves the key w alone.  When the image
+    x = S P w, or -w, is Q k for the key k it first reaches, k = Q^-1 S P w:
+    the walk records the word (Q^-1, S, P) + word(w) for k (identities and
+    -1 left out) and (P,) + word(k) for each member P k.  The modes that a
+    non-identity element fixes are those with a nontrivial stabiliser in
+    Gamma, or every mode when an element other than the identity has the
+    identity matrix part.
     """
+    parts = tuple(dict.fromkeys(element.matrix for element in group))
+    one = parts[0]
     members, key = {}, {}
     for v in cls.vectors:
         if v not in key:
-            members[v] = {linalg.matvec(A, v) for A in parts}
+            members[v] = {linalg.matvec(A, v): A for A in reversed(parts)}
             key.update(dict.fromkeys(members[v], v))
     movers = [S for S in symmetries if S not in parts]
-    seen, out = set(), {}
+    everywhere = len(group) > len(parts)
+    seen, out, transports = set(), {}, {}
     for v in members:
         if v not in seen:
             seen.add(v)
-            walk = [v]
+            walk, words = [v], {v: ()}
             for w in walk:
-                images = [linalg.matvec(S, u) for S in movers for u in members[w]]
-                for u in images + [tuple(-x for x in w)]:
-                    if u not in key:
-                        raise ArithmeticError(f"a symmetry moves mode {u} off its class")
-                    if key[u] not in seen:
-                        seen.add(key[u])
-                        walk.append(key[u])
+                # -1 first: its step drops out, so l and -l share a transport
+                images = [(tuple(-y for y in w), ())] + [
+                    (linalg.matvec(S, u), (S, P)) for S in movers for u, P in members[w].items()]
+                for x, step in images:
+                    k = key.get(x)
+                    if k is None:
+                        raise ArithmeticError(f"a symmetry moves mode {x} off its class")
+                    if k not in seen:
+                        seen.add(k)
+                        walk.append(k)
+                        Q = members[k][x]
+                        inverse = () if Q == one else (structure.memo(_unimodular_inverse, Q),)
+                        words[k] = inverse + _word(step, one) + words[w]
             out[v] = sum(len(members[w]) for w in walk)
-    return {v: len(orbit) for v, orbit in members.items()}, out
+            r = linalg.canonical_sign(v)
+            for w in walk:
+                if everywhere or len(members[w]) < len(parts):
+                    for u, P in members[w].items():
+                        transports[u] = r, _word((P,), one) + words[w]
+    return {v: len(orbit) for v, orbit in members.items()}, out, transports
+
+
+def _word(letters, one):
+    """The letters other than the identity matrix `one`."""
+    return tuple(X for X in letters if X != one)
+
+
+def _unimodular_inverse(structure, A):
+    """A^-1 for an integer matrix of determinant +-1, as integer rows."""
+    inv, _ = linalg.inverse((A, 1))
+    return inv
+
+
+def _conjugate(structure, A, word):
+    """T^-1 A T for the product T = X_1 .. X_n of the word, one letter at a time
+    from X_1, each step X^-1 A X kept per (X, A) on the structure."""
+    for X in word:
+        A = structure.memo(_conjugate_by, X, A)
+    return A
+
+
+def _conjugate_by(structure, X, A):
+    return linalg.int_matmul(linalg.int_matmul(structure.memo(_unimodular_inverse, X), A), X)
 
 
 def _fixed_trace(structure, matrix, l, kind):
-    """tr(A* | F_l) for the matrix part A: it depends on A and the fibre
-    F_l = F_{-l} only, so elements sharing A (and modes l, -l) share it."""
+    """tr(A* | F_l) for an integer matrix A that fixes phi and l, a matrix part
+    or its conjugate by a transport: it depends on A and the fibre
+    F_l = F_{-l} only, so the fixed pairs that move to one (A, +-l) share it."""
     mat = structure.memo(_element_pullback_matrix, matrix, KINDS[kind][0])
     return _restricted_trace(structure, mat, fiber_basis(structure, l, kind))
 
@@ -338,7 +400,8 @@ def _integer_average(acc, order):
 
 
 def _element_pullback_matrix(structure, matrix, grade):
-    """Pullback matrix of the matrix part (transposed compound), in Python ints."""
+    """Pullback matrix (transposed compound) of a matrix part or of its conjugate
+    by a transport, in Python ints."""
     return pullback_matrix((matrix, 1), grade)[0]
 
 

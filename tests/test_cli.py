@@ -374,15 +374,15 @@ def spectrum_calls(capsys, monkeypatch, config, radius_sq):
 def test_spectrum_call_counts(capsys, monkeypatch):
     """spectrum on m3 at radius 4 clears denominators only of forms and twist
     vectors (every matrix is an integer pair from the start), asks for a
-    type-space basis twice per fibre kernel, built for the 104 orbit
-    representatives that need one rather than for every mode, and takes a
-    7x7 determinant only for elements built from outside."""
+    type-space basis twice per fibre kernel, built once per kind at the keys
+    of the 7 symmetry orbits (104 kernels when each fixed pair took its
+    trace at its own mode), and takes a 7x7 determinant only for elements built from outside."""
     calls = spectrum_calls(capsys, monkeypatch, str(CONFIG_DIR / "m3.json"), "4")
     # 3 of the 7x7 determinants check det = 1 for the 3 generators (the
     # closure takes no inverses); the other 3 are the metric's one elimination
     # (positive definiteness and det G) and the identity element's shell
     # enumeration
-    assert calls == {"clear_denominators": 20, "type_space_basis": 210,
+    assert calls == {"clear_denominators": 20, "type_space_basis": 30,
                      "7x7 determinants": 6}
 
 
@@ -391,7 +391,10 @@ def test_spectrum_call_counts_framed(capsys, monkeypatch, tmp_path):
     frame is cleared once, by the config parser, and enters through its
     determinant and pullback matrices only.  Its determinant is taken twice:
     once for the lattice-count estimate before anything is built, once for
-    the metric's volume."""
+    the metric's volume.  Only the three sign changes stay integral symmetries
+    under this frame, and all three are matrix parts of m3, so each symmetry
+    orbit is a group orbit and its negative and every fixed key is already
+    the key of its orbit: moving traces to the orbit keys saves no kernel."""
     config = framed_config(tmp_path, "m3", F23_FRAME)
     assert spectrum_calls(capsys, monkeypatch, config, "2") == {
         "clear_denominators": 21, "type_space_basis": 62, "7x7 determinants": 7}
@@ -433,6 +436,9 @@ PINNED_REPORTS = {
         # 12,434 modes in 9 classes, 24 orbits of the signed permutations fixing phi0
         "spectrum --radius-sq 9":
             "1dbf5dd712e822f5efdc035d7d073134bcefd42383350e8d801ab436eb2ac1f8",
+        # 88,272 modes in 16 classes, the oracle's largest planned radius
+        "spectrum --radius-sq 16":
+            "6a87ce8fdd67cca53863df04cc52d06538ea67de604b3002eb66637a2fda3ecd",
     },
 }
 

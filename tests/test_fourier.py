@@ -263,6 +263,25 @@ def test_hessian_blocks_F(s, rng):
     assert rep.checks["Splus_Sminus_orthogonal"] < 1e-9
 
 
+def test_hessian_F_checks_are_relative_to_the_form():
+    """The F checks are residuals relative to max(|f|, 1), the scale of
+    split_S4's preconditions, so they stay below 1e-9 on 200 coexact draws of
+    the kind verify_hessian takes, under the frame diag(2, 1, 1, 1, 1, 3, 1)
+    of m3's framed configs, where the residuals without the scale pass 1e-8."""
+    frame = [[(2, 1, 1, 1, 1, 3, 1)[i] * int(i == j) for j in range(DIM)] for i in range(DIM)]
+    structure = G2Structure((frame, 1))
+    rng = np.random.default_rng(1)
+    worst = unscaled = 0.0
+    for _ in range(200):
+        f = fr.coexterior_d(fr.random_fourier(structure, 4, rng))
+        checks = fr.hessian_blocks("F", f).checks
+        scale = max(fr.l2_norm(f), 1.0)
+        worst = max(worst, *checks.values())
+        unscaled = max(unscaled, checks["pi27_d_Splus"] * scale, checks["pi7_d_Sminus"] * scale,
+                       checks["Splus_Sminus_orthogonal"] * scale ** 2)
+    assert worst < 1e-9 < 1e-8 < unscaled
+
+
 def test_hessian_kind_validation(s):
     with pytest.raises(ValueError):
         fr.hessian_blocks("G", fr.FourierForm.zero(s, 2))

@@ -1,10 +1,13 @@
+import json
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from g2mu import cli, g2, linalg
 from g2mu import fourier as fr
-from g2mu import g2, linalg
 from g2mu import oracle as orc
 from g2mu.g2 import G2Structure, typed_contraction_kernel
 from g2mu.orbifold import AffineElement, JoyceOrbifold, generate, validate_joyce
@@ -29,6 +32,8 @@ ALPHA = AffineElement(diag(1, 1, 1, -1, -1, -1, -1))
 BETA = AffineElement(diag(1, -1, -1, 1, 1, -1, -1), [0, 0, 0, 0, 0, 0, Fraction(1, 2)])
 GAMMA = AffineElement(diag(-1, 1, -1, 1, -1, 1, -1),
                       [0, 0, Fraction(1, 2), 0, 0, 0, Fraction(1, 2)])
+# a pure translation: with it every element fixes every mode
+TRANSLATION = AffineElement(diag(1, 1, 1, 1, 1, 1, 1), [0, 0, 0, 0, 0, 0, Fraction(1, 2)])
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +89,13 @@ def test_spectral_reports_enumerate_each_fixed_lattice_once(monkeypatch):
 
 
 def test_restricted_traces_are_shared_by_matrix_part_and_fibre(monkeypatch):
-    """tr(A* | F_l) depends only on the matrix part A and the fibre F_l = F_{-l}:
+    """tr(A* | F_l) depends only on the matrix part A and the fibre F_l = F_{-l},
+    and is read at the key r of l's symmetry orbit as tr((T^-1 A T)* | F_r):
     the order-24 group of alpha with translation 1/2 and the order-3 cycle with
     translation 1/3 has 12 matrix parts, and at radius 1 its 164 fixed
-    (non-identity element, mode) pairs of both kinds need 32 traces, those of
-    the pairs whose mode represents its group orbit (48 over all modes)."""
+    (non-identity element, mode) pairs of both kinds need 24 traces (32 when
+    each pair whose mode keys its group orbit took the trace at that mode,
+    48 over all modes)."""
     calls = []
     restricted_trace = orc._restricted_trace
 
@@ -105,7 +112,7 @@ def test_restricted_traces_are_shared_by_matrix_part_and_fibre(monkeypatch):
     reports = orc.spectral_reports(orb, 1)
     assert len(orb.group) == 24 and len({e.matrix for e in orb.group}) == 12
     assert reports and all(r.match for r in reports)
-    assert len(calls) == 32
+    assert len(calls) == 24
     fixed = sum(len(orc._fixed_vectors(e, cls, orb.structure))
                 for e in orb.group if not e.is_identity()
                 for cls in orc.enumerate_classes(orb, 1))
@@ -355,7 +362,7 @@ _M2, _M3 = [ALPHA, BETA], [ALPHA, BETA, GAMMA]
 
 
 @pytest.mark.parametrize("frame, cases", [
-    (None, [([], 4), ([ALPHA], 4), (_M3, 4), (_g24(), 2)]),
+    (None, [([], 4), ([ALPHA], 4), (_M3, 4), (_g24(), 2), ([ALPHA, TRANSLATION], 2)]),
     (diag(2, 1, 1, 1, 1, 3, 1), [([], 4), ([ALPHA], 4), (_M3, 4)]),
     (diag(1, 1, 1, 1, 1, 1, Fraction(1, 2)), [(_M2, 1), (_M3, 1)]),
     (diag(1, 1, 1, 1, 1, 1, Fraction(1, 3)), [(_M3, 1)]),
@@ -363,7 +370,8 @@ _M2, _M3 = [ALPHA, BETA], [ALPHA, BETA, GAMMA]
 def test_orbit_route_matches_the_per_vector_sum(frame, cases):
     """The orbit and Burnside sums of `invariant_dimension_bruteforce` equal the
     per-vector group average on t7, m1 and m3 at radius 4, and under the
-    identity frame on a group with translations of 1/2 and 1/3 at radius 2.
+    identity frame on a group with translations of 1/2 and 1/3 and on m1 with
+    a pure translation, which fixes every mode, at radius 2.
     Under the last two frames the Gram is not integral, and conjugating a
     fixed pair of m2 or m3 by an element with a translation can change its
     phase; their class 1 is compared (the classes 1/4, 1/9 and 4/9 below it
@@ -381,11 +389,10 @@ def test_orbit_route_matches_the_per_vector_sum(frame, cases):
 
 
 def _walk_tables(orbifold, cls):
-    """The two orbit tables of `orc._orbits` for the class, from the group's
-    matrix parts and the structure's symmetry generators."""
-    parts = tuple(dict.fromkeys(element.matrix for element in orbifold.group))
-    return orc._orbits(orbifold.structure, parts, g2.symmetry_generators(orbifold.structure),
-                       cls)
+    """The two orbit tables and the transports of `orc._orbits` for the class,
+    from the group and the structure's symmetry generators."""
+    return orc._orbits(orbifold.structure, orbifold.group,
+                       g2.symmetry_generators(orbifold.structure), cls)
 
 
 def test_identity_orbits_are_orbits_of_the_whole_symmetry_group(torus, phi0_symmetry_group):
@@ -394,7 +401,7 @@ def test_identity_orbits_are_orbits_of_the_whole_symmetry_group(torus, phi0_symm
     1, 1, 2 and 3 orbits in the classes 1 to 4."""
     counts = []
     for cls in orc.enumerate_classes(torus, 4):
-        _, orbits = _walk_tables(torus, cls)
+        _, orbits, _ = _walk_tables(torus, cls)
         for l, size in orbits.items():
             images = {tuple(int(x) for x in np.array(S) @ l) for S in phi0_symmetry_group}
             images |= {tuple(-x for x in v) for v in images}
@@ -436,7 +443,7 @@ def test_identity_orbits_are_orbits_of_the_generated_group(gens, frame, radius_s
         assert parts[1] not in _closure(identity, symmetries, linalg.int_matmul)
     generators = symmetries + parts + (minus,)
     for cls in orc.enumerate_classes(orb, radius_sq):
-        group_orbits, orbits = _walk_tables(orb, cls)
+        group_orbits, orbits, _ = _walk_tables(orb, cls)
         for l, size in group_orbits.items():
             assert size == len({linalg.matvec(A, l) for A in parts})
         expected = []
@@ -464,3 +471,107 @@ def test_an_orbit_weight_off_by_one_fails_the_partition_check(monkeypatch, m3, t
     n = len(cls.vectors)
     with pytest.raises(ArithmeticError, match=f"cover {n + 1} of its {n} modes"):
         orc.invariant_dimension_bruteforce(m3, cls, "H")
+
+
+def _m1_framed():
+    """The k3 involution under diag(1, 1, 1, 1, 1, 1, 1/2), from tests/data: a
+    non-integer Gram, so every fixed pair is read, at every mode."""
+    raw = json.loads((Path(__file__).parent / "data" / "m1-framed.json").read_text())
+    return cli.build_orbifold(cli.parse_config(raw))
+
+# (orbifold, radius_sq): the fixed pairs whose traces the oracle moves
+_MOVED_CASES = {
+    "m3": (lambda: validate_joyce(generate(_M3)), 4),
+    "g24": (lambda: validate_joyce(generate(_g24())), 2),
+    "z3-f246": (lambda: validate_joyce(generate([_g24()[1]]),
+                                       frame_pair(diag(1, 2, 1, 2, 1, 2, 1))), 3),
+    "m1-framed": (_m1_framed, 2),
+    "m1-translated": (lambda: validate_joyce(generate([ALPHA, TRANSLATION])), 2),
+}
+
+
+def _product(matrices):
+    product = tuple(tuple(int(i == j) for j in range(7)) for i in range(7))
+    for X in reversed(matrices):
+        product = linalg.int_matmul(X, product)
+    return product
+
+
+def _moved_trace_mismatches(orbifold, radius_sq):
+    """(pairs, mismatches) over the fixed (element != 1, mode l) pairs of every
+    class and both kinds: the trace the oracle reads at the key r of l's
+    orbit, tr((T^-1 A T)* | F_r), against tr(A* | F_l) taken at l itself.
+    Each transport is checked to be one: the product T of its word moves r
+    to +-l, and r keys l's orbit."""
+    structure = orbifold.structure
+    pairs = mismatches = 0
+    for cls in orc.enumerate_classes(orbifold, radius_sq):
+        _, orbits, transports = _walk_tables(orbifold, cls)
+        keys = {linalg.canonical_sign(r) for r in orbits}
+        fixed = set()
+        for element in orbifold.group[1:]:
+            for l, _ in orc._fixed_vectors(element, cls, structure):
+                fixed.add(l)
+                r, word = transports[l]
+                assert r in keys and linalg.canonical_sign(linalg.matvec(_product(word), r)) \
+                    == linalg.canonical_sign(l)
+                moved = orc._conjugate(structure, element.matrix, word)
+                for kind in orc.KINDS:
+                    pairs += 1
+                    mismatches += orc._fixed_trace(structure, moved, r, kind) != \
+                        orc._fixed_trace(structure, element.matrix, linalg.canonical_sign(l),
+                                         kind)
+        assert set(transports) == fixed, cls.norm_sq
+    return pairs, mismatches
+
+
+@pytest.mark.parametrize("case, pairs", [("m3", 448), ("g24", 476), ("z3-f246", 16),
+                                         ("m1-framed", 36), ("m1-translated", 268)])
+def test_moved_traces_equal_the_traces_at_each_mode(case, pairs):
+    """tr(A* | F_l) = tr((T^-1 A T)* | F_r) for every fixed pair: on m3 and the
+    order-24 group under the identity frame, where the symmetries are signed
+    permutations, on the z3 cycle under diag(1, 2, 1, 2, 1, 2, 1), where only
+    the sign changes are, on m1 under a frame with a non-integer Gram, and on
+    m1 with a pure translation, which fixes every mode."""
+    build, radius_sq = _MOVED_CASES[case]
+    assert _moved_trace_mismatches(build(), radius_sq) == (pairs, 0)
+
+
+@pytest.mark.parametrize("case", ["m3", "g24", "m1-framed"])
+def test_conjugating_by_T_in_place_of_T_inverse_fails_the_cross_check(monkeypatch, case):
+    """The mutation X A X^-1 for X^-1 A X, in every letter of every transport."""
+    def swapped(structure, X, A):
+        return linalg.int_matmul(linalg.int_matmul(X, A),
+                                 structure.memo(orc._unimodular_inverse, X))
+
+    monkeypatch.setattr(orc, "_conjugate_by", swapped)
+    build, radius_sq = _MOVED_CASES[case]
+    pairs, mismatches = _moved_trace_mismatches(build(), radius_sq)
+    assert 0 < mismatches < pairs
+
+
+def test_m3_at_radius_9_builds_one_kernel_per_orbit_and_kind(monkeypatch):
+    """m3 at radius 9 has 12,434 modes in 9 classes and 24 symmetry orbits: the
+    oracle builds 48 fibre kernels, one per orbit and kind (436 when each
+    fixed pair took its trace at its own mode), inverts the trace data of 12
+    fibres, those at the 6 orbit keys that a non-identity element fixes, and
+    takes 30 restricted traces."""
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(g2, "_kernel_basis")
+    counting(orc, "_fibre_trace_data")
+    counting(orc, "_restricted_trace")
+    orb = validate_joyce(generate(_M3))
+    reports = orc.spectral_reports(orb, 9)
+    assert len(reports) == 18 and all(r.match for r in reports)
+    assert sum(len(cls.vectors) for cls in orc.enumerate_classes(orb, 9)) == 12434
+    assert sum(len(_walk_tables(orb, cls)[1]) for cls in orc.enumerate_classes(orb, 9)) == 24
+    assert calls == {"_kernel_basis": 48, "_fibre_trace_data": 12, "_restricted_trace": 30}
