@@ -43,13 +43,33 @@ class ConfigError(ValueError):
     pass
 
 
+def _rational(value, name):
+    """The rational that a config entry or flag spells, as str(value) reads:
+    '3/4', '-2', '1.5e-3'.  Raises ConfigError naming `name` if it is
+    malformed, or if its numerator or denominator has more digits than
+    Python prints (sys.get_int_max_str_digits()).  An exponent past that
+    bound is refused before Fraction builds its power of ten, which for
+    '1e-999999999' would not finish."""
+    text = str(value)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        # the mantissa's digits bound what cancels against 10^|exponent|
+        huge = bool(exponent) and abs(int(exponent)) > limit + len(mantissa)
+        q = None if huge else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"bad {name}") from None
+    # below 8^limit an integer has at most `limit` digits
+    if q is None or any(n.bit_length() > 3 * limit and n >= 10 ** limit
+                        for n in (abs(q.numerator), q.denominator)):
+        raise ConfigError(f"{name} has more than {limit} digits")
+    return q
+
+
 # one validator per field, for the config key and the flag that overrides it;
 # `name` is the key or the flag, as the message gives it
 def _radius_sq(value, name):
-    try:
-        radius = Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"bad {name}") from None
+    radius = _rational(value, name)
     if radius < 0:
         raise ConfigError(f"{name} must be nonnegative")
     return radius
@@ -114,20 +134,14 @@ def parse_config(raw):
         trans_raw = g.get("translation", ["0"] * 7)
         if not isinstance(trans_raw, list) or len(trans_raw) != 7:
             raise ConfigError(f"generator {k}: 'translation' must have 7 entries")
-        try:
-            trans = [Fraction(str(x)) for x in trans_raw]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"generator {k}: bad rational in translation: {exc}")
-        generators.append((rows, trans))
+        generators.append((rows, [_rational(x, f"generator {k} translation") for x in trans_raw]))
     frame = raw.get("frame")
     if frame is not None:
         if not isinstance(frame, list) or len(frame) != 7 \
                 or any(not isinstance(r, list) or len(r) != 7 for r in frame):
             raise ConfigError("'frame' must be a 7x7 matrix (list of 7 rows)")
-        try:
-            frame = linalg.clear_denominators([[str(x) for x in row] for row in frame])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad rational in frame: {exc}")
+        frame = linalg.clear_denominators([[_rational(x, "frame entry") for x in row]
+                                           for row in frame])
     return {
         "name": raw["name"],
         "generators": generators,

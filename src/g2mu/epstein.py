@@ -22,11 +22,11 @@ s = 0 without enumerating anything.  The sums are what make the formula
 correct away from 0, and they are cross-checked against direct summation
 and classical closed forms in the test suite.  Both run over the exact
 lattice shells of `linalg.enumerate_ellipsoid`, on Q rescaled to
-determinant about 1, each point with its twist residue (`twisted_shells`).
+determinant about 1, each point with its twist residue (`_shell_sums`).
 Gram matrices are integer pairs (N, d) meaning N / d, as in `linalg`;
 twists stay Fraction vectors.
-An element's twisted fixed lattice (`fixed_lattice`) and those shells are
-also the spectral oracle's source for the modes it fixes and their phases.
+An element's twisted fixed lattice (`fixed_lattice`) is also the spectral
+oracle's source for the modes it fixes and their phases.
 mpmath is imported only past the s = 0 return, so the value at 0, and every
 command that needs no other value, runs without it.
 """
@@ -35,6 +35,7 @@ import cmath
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from . import linalg
@@ -65,19 +66,26 @@ def fixed_lattice(element, metric):
     The one source for which modes l = x B an element fixes and their phases
     e(q(x)): B is an integer-kernel basis, and with the metric's Gram
     G = (N, d) the Gram B G B^T = (B N B^T, d) and the twist B G t mod 1,
-    with q(x) = g(x B, t) mod 1, are integer products.  A zero-rank kernel
-    cannot occur in a finite group and is rejected.
+    with q(x) = g(x B, t) mod 1, are integer products.  B, B N and the
+    Gram depend on the matrix part and the metric alone and are built once
+    per pair (`_fixed_sublattice`); only the twist is the element's own.
+    A zero-rank kernel cannot occur in a finite group and is rejected.
     """
-    A = element.matrix
+    basis, BN, gram = _fixed_sublattice(element.matrix, metric.gram)
+    twist = tuple(Fraction(x, gram[1]) % 1 for x in linalg.matvec(BN, element.translation))
+    return TwistedLattice(rank=len(basis), basis=basis, gram=gram, twist=twist)
+
+
+@lru_cache(maxsize=None)
+def _fixed_sublattice(A, gram):
+    """(B, B N, (B N B^T, d)) for the kernel basis B of A - I and the Gram G = (N, d)."""
     m = [[A[i][j] - (1 if i == j else 0) for j in range(DIM)] for i in range(DIM)]
-    kernel = linalg.integer_kernel(m)
+    kernel = tuple(linalg.integer_kernel(m))
     if not kernel:
         raise ValueError("fixed lattice is zero; element is not a valid input")
-    N, d = metric.gram
+    N, d = gram
     BN = linalg.int_matmul(kernel, N)
-    gram = linalg.int_matmul(BN, linalg.transpose(kernel)), d
-    twist = tuple(Fraction(x, d) % 1 for x in linalg.matvec(BN, element.translation))
-    return TwistedLattice(rank=len(kernel), basis=tuple(kernel), gram=gram, twist=twist)
+    return kernel, BN, (linalg.int_matmul(BN, linalg.transpose(kernel)), d)
 
 
 def fixed_lattice_cached(structure, element):
@@ -89,32 +97,23 @@ def _structure_fixed_lattice(structure, element):
     return fixed_lattice(element, structure.metric)
 
 
-def twisted_shells(gram, bound, twist=None, shift=None):
-    """(f, {exact Q: [(x, k), ...]}): the nonzero shells with each point's twist residue.
-
-    The shells are those of `linalg.enumerate_ellipsoid`, the points x
-    (with Q taken at x + shift) ascending in Q; the shell Q = 0 (the
-    origin, or the coset point x + shift = 0) is dropped.  The twist is
-    cleared once to T / f (none means 0), and the phase of x is e(k / f)
-    for its residue k = T . x mod f.
-    """
+def _shell_sums(gram, bound, twist=None, shift=None):
+    """{exact Q: complex phase sum} over the nonzero shells of
+    `linalg.enumerate_ellipsoid`, with Q taken at x + shift; the shell Q = 0
+    (the origin, or the coset point x + shift = 0) is dropped.  The twist is
+    cleared once to T / f (none means 0), and each shell counts its points
+    per residue k = T . x mod f and takes one phase e(k / f) per residue,
+    exact at 1 and -1."""
     shells = linalg.enumerate_ellipsoid(gram, bound, shift=shift)
     shells.pop(Fraction(0), None)
     (T,), f = linalg.clear_denominators([twist if twist is not None else [0] * len(gram[0])])
-    return f, {Q: [(x, sum(map(mul, T, x)) % f) for x in pts] for Q, pts in shells.items()}
-
-
-def _shell_sums(gram, bound, twist=None, shift=None):
-    """{exact Q: complex phase sum} over `twisted_shells`: each shell counts its
-    points per residue and takes one phase per residue, exact at 1 and -1."""
-    f, shells = twisted_shells(gram, bound, twist, shift)
     phases = [1.0 + 0j if k == 0 else -1.0 + 0j if 2 * k == f
               else cmath.exp(2j * math.pi * (k / f)) for k in range(f)]
     out = {}
     for q, pts in shells.items():
         counts = [0] * f
-        for _, k in pts:
-            counts[k] += 1
+        for x in pts:
+            counts[sum(map(mul, T, x)) % f] += 1
         out[q] = sum(c * phases[k] for k, c in enumerate(counts) if c)
     return out
 

@@ -12,16 +12,29 @@ matrix parts, evaluated in integer arithmetic:
 tr8(A) and tr12(A) are the traces of A acting on the 8- and 12-dimensional
 pieces of Lambda^2_14 and Lambda^3_27 cut out by a fixed unit direction;
 see the spectral oracle module for the direct verification of that fact.
+By Newton's identities Tr Lambda^2 A = (Tr(A)^2 - Tr(A^2))/2 and
+Tr Lambda^3 A = (Tr(A)^3 + 2 Tr(A^3) - 3 Tr(A^2) Tr(A))/6, so
+
+    tr8(A)  = Tr Lambda^2 A - 2 Tr A + 1,
+    tr12(A) = Tr Lambda^3 A - Tr Lambda^2 A - 2.
+
+The traces Tr A, Tr A^2, Tr A^3 are taken once per distinct matrix.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 
 
 def _traces(A):
-    mat = [[int(x) for x in row] for row in A]
+    """(Tr A, Tr A^2, Tr A^3), taken once per distinct matrix in a process."""
+    return _integer_traces(tuple(tuple(int(x) for x in row) for row in A))
+
+
+@lru_cache(maxsize=None)
+def _integer_traces(mat):
     n = len(mat)
     A2 = linalg.int_matmul(mat, mat)
     A3 = linalg.int_matmul(A2, mat)

@@ -27,7 +27,11 @@ the character.  This module computes that dimension two independent ways:
     Bases, pullback matrices and the integer part N of the metric's
     Lambda-Gram pair (N, d) are integer rows, so each trace is computed in
     Python ints with one division at the end, once per conjugate T^-1 A T
-    and orbit key;
+    and orbit key.  Under the identity frame every matrix part, symmetry
+    and conjugate is a signed permutation, recognised once per matrix
+    (`_signed_permutation`): it moves modes, conjugates, inverts and gives
+    its pullback matrix by index; any other matrix takes the general
+    kernels (`linalg.matvec`, `int_matmul`, `inverse`, `pullback_matrix`);
   * closed form: the tr8/tr12 trace polynomials weighted by the same phases
     over all fixed vectors of each element, once per element and phase.
 
@@ -35,12 +39,13 @@ The orbits only regroup the terms of the brute-force sum; every term is
 still a kernel or a restricted trace, so that route reads no trace
 polynomial and stays independent of the closed form.  Both read an
 element's fixed vectors and phases from the shells of its twisted fixed
-lattice (`epstein.fixed_lattice`), walked once per element and radius by
-`epstein.twisted_shells`, the walk the zeta sums also take, so what they
-check against each other is the trace.  The classes themselves are the
-nonzero shells of the identity element's lattice: Z^7 with Gram G and zero
-twist.  Agreement of the two routes on every class is the oracle for the
-character formula behind the mu-invariants.
+lattice (`epstein.fixed_lattice`): the lattice's shells are enumerated once
+per lattice and radius, shared by the elements with one matrix part, and
+each element's twist gives its phases, so what the routes check against
+each other is the trace.  The classes themselves are the nonzero shells of
+the identity element's lattice: Z^7 with Gram G and zero twist, whose
+points are the modes.  Agreement of the two routes on every class is the
+oracle for the character formula behind the mu-invariants.
 
 The module is plain Python, like the exact core it reads; mpmath is
 imported only for a phase whose cosine is irrational.
@@ -48,11 +53,14 @@ imported only for a phase whose cosine is irrational.
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from operator import mul
+from functools import partial
+from itertools import chain, combinations, repeat
+from math import prod
+from operator import itemgetter, mul, neg
 
 from . import g2, linalg
-from .epstein import fixed_lattice_cached, twisted_shells
-from .exterior import pullback_matrix
+from .epstein import fixed_lattice_cached
+from .exterior import IDENTITY, INDICES, POSITION, pullback_matrix
 from .g2 import typed_contraction_kernel
 from .invariants import tr8_su3, tr12_su3
 from .orbifold import AffineElement
@@ -112,7 +120,7 @@ def enumerate_classes(orbifold, radius_sq):
     if radius_sq < 0:
         raise ValueError("radius_sq must be nonnegative")
     shells = orbifold.structure.memo(_mode_shells, AffineElement.identity(), radius_sq)
-    return [EigenClass(norm_sq=q, vectors=tuple(l for l, _ in pairs), radius_sq=radius_sq)
+    return [EigenClass(norm_sq=q, vectors=tuple(map(itemgetter(0), pairs)), radius_sq=radius_sq)
             for q, pairs in shells.items()]
 
 
@@ -134,22 +142,23 @@ def _restricted_trace(structure, mat_pullback, basis):
     tr((B^T G B)^-1 B^T G M B).  When the fibre is invariant (fixed modes)
     the projection is a no-op.  G may be any integer multiple of the
     Lambda-Gram matrix, since the scalar cancels; with (B^T G B)^-1 = A / D
-    the trace is tr(P M B) / D for the integer matrix P = A B^T G, kept per
-    fibre, so each trace is one integer product M B and one division.
+    the trace is tr(W M) / D for the integer matrix W = B A B^T G, kept per
+    fibre, so each trace is one product per entry of M and one division.
     """
-    B, P, D = structure.memo(_fibre_trace_data, tuple(map(tuple, basis)))
-    MB = linalg.int_matmul(mat_pullback, B)
-    return Fraction(sum(sum(map(mul, row, col)) for row, col in zip(P, zip(*MB))), D)
+    W, D = structure.memo(_fibre_trace_data, tuple(map(tuple, basis)))
+    return Fraction(sum(map(mul, W, chain.from_iterable(mat_pullback))), D)
 
 
 def _fibre_trace_data(structure, basis):
-    """(B, A B^T G, D) for an integer fibre basis (the rows of B^T), with
-    G the integer part of the Lambda-Gram pair and (B^T G B)^-1 = A / D."""
+    """(W, D) for an integer fibre basis (the rows of B^T): W the entries of
+    (B A B^T G)^T row by row, with G the integer part of the Lambda-Gram
+    pair and (B^T G B)^-1 = A / D."""
     G, _ = structure.metric.lambda_gram({21: 2, 35: 3}[len(basis[0])])
     B = linalg.transpose(basis)
     BtG = linalg.int_matmul(basis, G)
     A, D = linalg.inverse((linalg.int_matmul(BtG, B), 1))
-    return B, linalg.int_matmul(A, BtG), D
+    W = linalg.int_matmul(B, linalg.int_matmul(A, BtG))
+    return tuple(chain.from_iterable(zip(*W))), D
 
 
 class _PhaseSum:
@@ -200,15 +209,34 @@ def _fixed_vectors(element, cls, structure):
 def _mode_shells(structure, element, radius_sq):
     """{Q: ((l, q), ...)}: the element's fixed modes with 0 < |l|^2 = Q <= radius_sq.
 
-    Each point x of the element's fixed lattice, enumerated once, gives
-    l = x B and the phase q = k / f from its twist residue k.
+    The points x of the element's fixed lattice and their modes l = x B come
+    from `_lattice_modes`, one enumeration per lattice and radius, which the
+    elements with one matrix part share; only the phase is the element's
+    own: q = k / f for the residue k = T . x mod f of the twist T / f.  An
+    untwisted lattice (f = 1), the identity's among them, gives every mode
+    one shared phase 0.
     """
     lat = fixed_lattice_cached(structure, element)
-    f, shells = twisted_shells(lat.gram, radius_sq, lat.twist)
-    columns = list(zip(*lat.basis))
-    return {Q: tuple((tuple(sum(map(mul, x, col)) for col in columns), Fraction(k, f))
-                     for x, k in pts)
-            for Q, pts in shells.items()}
+    shells = structure.memo(_lattice_modes, lat.basis, lat.gram, radius_sq)
+    (T,), f = linalg.clear_denominators([lat.twist])
+    if f == 1:
+        zero = Fraction(0)
+        return {Q: tuple(zip(modes, repeat(zero))) for Q, (_, modes) in shells.items()}
+    return {Q: tuple((l, Fraction(sum(map(mul, T, x)) % f, f)) for x, l in zip(points, modes))
+            for Q, (points, modes) in shells.items()}
+
+
+def _lattice_modes(structure, basis, gram, radius_sq):
+    """{Q: (points, modes)}: the nonzero shells Q <= radius_sq of the lattice
+    with this Gram, each point x with its mode l = x B, which is x itself
+    when the basis B is the unit matrix (the identity's lattice, Z^7)."""
+    shells = linalg.enumerate_ellipsoid(gram, radius_sq)
+    shells.pop(Fraction(0), None)
+    if basis == IDENTITY[0]:
+        return {Q: (points, points) for Q, points in shells.items()}
+    columns = list(zip(*basis))
+    return {Q: (points, [tuple(sum(map(mul, x, col)) for col in columns) for x in points])
+            for Q, points in shells.items()}
 
 
 def invariant_dimension_bruteforce(orbifold, cls, kind):
@@ -294,7 +322,8 @@ def _orbits(structure, group, symmetries, cls):
     Gamma and `symmetries` whose product T = X_1 .. X_n has T r = +-l.
 
     A mode l moves as A l, the action of `epstein.fixed_lattice`, whose fixed
-    modes are the l with A l = l.  The Gamma-orbits are joined by a walk over
+    modes are the l with A l = l; a signed permutation moves it by index
+    (`_mode_map`).  The Gamma-orbits are joined by a walk over
     their keys: each symmetry S that is not a matrix part moves every member
     P w of a Gamma-orbit, while -1, which commutes with Gamma, moves the orbit
     Gamma w onto Gamma(-w), so it moves the key w alone.  When the image
@@ -307,12 +336,13 @@ def _orbits(structure, group, symmetries, cls):
     """
     parts = tuple(dict.fromkeys(element.matrix for element in group))
     one = parts[0]
+    part_moves = [(structure.memo(_mode_map, A), A) for A in reversed(parts)]
     members, key = {}, {}
     for v in cls.vectors:
         if v not in key:
-            members[v] = {linalg.matvec(A, v): A for A in reversed(parts)}
+            members[v] = {move(v): A for move, A in part_moves}
             key.update(dict.fromkeys(members[v], v))
-    movers = [S for S in symmetries if S not in parts]
+    movers = [(structure.memo(_mode_map, S), S) for S in symmetries if S not in parts]
     everywhere = len(group) > len(parts)
     seen, out, transports = set(), {}, {}
     for v in members:
@@ -321,12 +351,17 @@ def _orbits(structure, group, symmetries, cls):
             walk, words = [v], {v: ()}
             for w in walk:
                 # -1 first: its step drops out, so l and -l share a transport
-                images = [(tuple(-y for y in w), ())] + [
-                    (linalg.matvec(S, u), (S, P)) for S in movers for u, P in members[w].items()]
-                for x, step in images:
-                    k = key.get(x)
-                    if k is None:
-                        raise ArithmeticError(f"a symmetry moves mode {x} off its class")
+                images = [tuple(map(neg, w))]
+                for move, _ in movers:
+                    images += map(move, members[w])
+                keys = list(map(key.get, images))
+                if None in keys:
+                    raise ArithmeticError(
+                        f"a symmetry moves mode {images[keys.index(None)]} off its class")
+                if seen.issuperset(keys):
+                    continue
+                steps = [()] + [(S, P) for _, S in movers for P in members[w].values()]
+                for x, k, step in zip(images, keys, steps):
                     if k not in seen:
                         seen.add(k)
                         walk.append(k)
@@ -347,8 +382,35 @@ def _word(letters, one):
     return tuple(X for X in letters if X != one)
 
 
+def _signed_permutation(structure, A):
+    """(perm, signs) when the integer matrix A is a signed permutation,
+    A[i][perm[i]] = signs[i] = +-1 and every other entry 0, else None: a
+    matrix part, symmetry or conjugate, each of them one under the identity
+    frame, recognised once per matrix."""
+    perm, signs = [], []
+    for row in A:
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
+            return None
+        perm.append(nonzero[0][0])
+        signs.append(nonzero[0][1])
+    return (tuple(perm), tuple(signs)) if sorted(perm) == list(range(len(A))) else None
+
+
+def _mode_map(structure, A):
+    """The map l -> A l: by index for a signed permutation, else `linalg.matvec`."""
+    signed = structure.memo(_signed_permutation, A)
+    if signed is None:
+        return partial(linalg.matvec, A)
+    pick, signs = itemgetter(*signed[0]), signed[1]
+    return lambda l: tuple(map(mul, signs, pick(l)))
+
+
 def _unimodular_inverse(structure, A):
-    """A^-1 for an integer matrix of determinant +-1, as integer rows."""
+    """A^-1 for an integer matrix of determinant +-1, as integer rows: the
+    transpose of a signed permutation."""
+    if structure.memo(_signed_permutation, A) is not None:
+        return linalg.transpose(A)
     inv, _ = linalg.inverse((A, 1))
     return inv
 
@@ -362,7 +424,16 @@ def _conjugate(structure, A, word):
 
 
 def _conjugate_by(structure, X, A):
-    return linalg.int_matmul(linalg.int_matmul(structure.memo(_unimodular_inverse, X), A), X)
+    """X^-1 A X.  For a signed permutation X, by index: X^-1 = X^T has the
+    entry t_i = signs[q_i] at (i, q_i), q the inverse of perm, so entry
+    (i, j) is t_i t_j A[q_i][q_j]."""
+    signed = structure.memo(_signed_permutation, X)
+    if signed is None:
+        return linalg.int_matmul(linalg.int_matmul(structure.memo(_unimodular_inverse, X), A), X)
+    perm, signs = signed
+    q = sorted(range(len(perm)), key=perm.__getitem__)
+    t = [signs[k] for k in q]
+    return tuple(tuple(ti * tj * A[qi][qj] for qj, tj in zip(q, t)) for qi, ti in zip(q, t))
 
 
 def _fixed_trace(structure, matrix, l, kind):
@@ -388,8 +459,12 @@ def invariant_dimension_formula(orbifold, cls, kind):
 
 
 def _phase_counts(structure, element, radius_sq, norm_sq):
-    """{q: n}: the n fixed modes with |l|^2 = norm_sq of `_mode_shells` whose phase is q."""
-    return Counter(q for _, q in structure.memo(_mode_shells, element, radius_sq).get(norm_sq, ()))
+    """{q: n}: the n fixed modes with |l|^2 = norm_sq of `_mode_shells` whose
+    phase is q; all of them at q = 0 when the element's lattice is untwisted."""
+    pairs = structure.memo(_mode_shells, element, radius_sq).get(norm_sq, ())
+    if pairs and fixed_lattice_cached(structure, element).is_twist_trivial():
+        return {pairs[0][1]: len(pairs)}
+    return Counter(map(itemgetter(1), pairs))
 
 
 def _integer_average(acc, order):
@@ -401,8 +476,22 @@ def _integer_average(acc, order):
 
 def _element_pullback_matrix(structure, matrix, grade):
     """Pullback matrix (transposed compound) of a matrix part or of its conjugate
-    by a transport, in Python ints."""
-    return pullback_matrix((matrix, 1), grade)[0]
+    by a transport, in Python ints.  A signed permutation's is one too, of
+    index sets, taken by index: its minor det A[I, J] is nonzero only at
+    J = sorted(perm[I]), where it is the product of signs[I] times the sign
+    of sorting perm[I], the parity of its inversions."""
+    signed = structure.memo(_signed_permutation, matrix)
+    if signed is None:
+        return pullback_matrix((matrix, 1), grade)[0]
+    perm, signs = signed
+    n = len(INDICES[grade])
+    rows = [[0] * n for _ in range(n)]
+    for c, I in enumerate(INDICES[grade]):
+        image = [perm[i - 1] + 1 for i in I]
+        odd = sum(u > v for u, v in combinations(image, 2)) % 2
+        rows[POSITION[grade][tuple(sorted(image))]][c] = \
+            prod([signs[i - 1] for i in I]) * (-1 if odd else 1)
+    return tuple(map(tuple, rows))
 
 
 def su3_trace_check(orbifold, element, l):

@@ -161,12 +161,16 @@ def validate_joyce(group, frame=None):
     """Check F A F^-1 in G2 for every element; assemble the orbifold.
 
     The membership test is the pullback condition A*(F*phi0) = F*phi0, in
-    exact integer arithmetic; the frame is a pair (N, d) as in `linalg`, or
-    None for the identity (a float in N raises TypeError).  Raises
-    NotG2Compatible naming the first failing element.
+    exact integer arithmetic, once per distinct matrix part; the frame is a
+    pair (N, d) as in `linalg`, or None for the identity (a float in N raises
+    TypeError).  Raises NotG2Compatible naming the first failing element in
+    the group's order.
     """
     structure = G2Structure(frame)
+    passed = set()
     for elem in group:
-        if not structure.is_g2_element((elem.matrix, 1)):
-            raise NotG2Compatible(elem)
+        if elem.matrix not in passed:
+            if not structure.is_g2_element((elem.matrix, 1)):
+                raise NotG2Compatible(elem)
+            passed.add(elem.matrix)
     return JoyceOrbifold(group, structure)

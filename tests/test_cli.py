@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -293,6 +294,56 @@ def test_spectrum_allows_m3_at_radius_16():
         cli._check_lattice_count(None, Fraction(34))
 
 
+# a rational whose denominator is 10^999999999: Fraction would build it digit by digit
+HUGE_EXPONENT = "1e-999999999"
+
+
+@pytest.mark.parametrize("field, name", [
+    ("translation", "generator 0 translation"),
+    ("frame", "frame entry"),
+    ("oracle_radius_sq", "oracle_radius_sq"),
+    ("--radius-sq", "--radius-sq"),
+])
+@pytest.mark.parametrize("value", [HUGE_EXPONENT, "1e-5000"])
+def test_rationals_past_the_digit_limit_are_malformed_input(capsys, tmp_path, field, name, value):
+    """Each field that reads a rational refuses one whose numerator or
+    denominator has more digits than Python prints, at once: exit 2 and a
+    JSON error naming the field, before anything is built."""
+    payload = json.loads((CONFIG_DIR / "m1.json").read_text())
+    argv = []
+    if field == "translation":
+        payload["generators"][0]["translation"][6] = value
+    elif field == "frame":
+        payload["frame"] = [[value if i == j == 6 else str(int(i == j)) for j in range(7)]
+                            for i in range(7)]
+    elif field == "oracle_radius_sq":
+        payload[field] = value
+    else:
+        argv = [field, value]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "spectrum", "--config", write_config(tmp_path, payload),
+                             *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(err) == {"error": {"type": "ConfigError",
+                                         "detail": f"{name} has more than {limit} digits"}}
+
+
+def test_rationals_are_refused_exactly_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert cli._rational(f"1e-{limit - 1}", "x") == Fraction(1, 10 ** (limit - 1))
+    assert cli._rational(f"-3e{limit - 1}", "x") == -3 * 10 ** (limit - 1)
+    assert cli._rational("1" * limit + "/7", "x").denominator == 7
+    for value in (f"1e-{limit}", f"1e{limit}", f"0.1e-{limit - 1}"):
+        with pytest.raises(cli.ConfigError, match=f"x has more than {limit} digits"):
+            cli._rational(value, "x")
+    # int() itself refuses a longer digit string
+    for value in ("1/0", "1" * (limit + 1)):
+        with pytest.raises(cli.ConfigError, match="bad x"):
+            cli._rational(value, "x")
+
+
 def test_bad_config_values_rejected_as_malformed_input(capsys, tmp_path):
     for field, value in [("oracle_radius_sq", "-1"), ("trials", 0), ("trials", -3),
                          ("seed", -3)]:
@@ -462,6 +513,20 @@ def test_framed_spectrum_reports_are_pinned(capsys, tmp_path, stem, frame):
     code, out, _ = run_cli(capsys, "spectrum", "--config", framed_config(tmp_path, stem, frame),
                            "--radius-sq", "2")
     assert (code, report_digest(out)) == (0, PINNED_FRAMED_REPORTS[stem, frame])
+
+
+# m1's generator conjugated by U = I + E_14, under the frame U: its matrix
+# part and four of the five symmetry generators are not signed permutations,
+# so the oracle moves modes, conjugates and pulls back by the general kernels
+SHEARED_PARTS_DIGEST = "1239da7c4019f49cdecaafb2e9024f62cf29ae4287b61c8b8ac9fbcc42efe61a"
+
+
+def test_sheared_parts_spectrum_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--config",
+                           str(CONFIG_DIR.parent / "tests" / "data" / "m1-sheared-parts.json"),
+                           "--radius-sq", "4")
+    assert (code, report_digest(out)) == (0, SHEARED_PARTS_DIGEST)
+    assert json.loads(out)["results"]["mismatches"] == 0
 
 
 @pytest.mark.parametrize("stem", sorted(PINNED_REPORTS))

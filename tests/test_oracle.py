@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from g2mu import cli, g2, linalg
 from g2mu import fourier as fr
 from g2mu import oracle as orc
+from g2mu.exterior import pullback_matrix
 from g2mu.g2 import G2Structure, typed_contraction_kernel
 from g2mu.orbifold import AffineElement, JoyceOrbifold, generate, validate_joyce
 
@@ -575,3 +577,76 @@ def test_m3_at_radius_9_builds_one_kernel_per_orbit_and_kind(monkeypatch):
     assert sum(len(cls.vectors) for cls in orc.enumerate_classes(orb, 9)) == 12434
     assert sum(len(_walk_tables(orb, cls)[1]) for cls in orc.enumerate_classes(orb, 9)) == 24
     assert calls == {"_kernel_basis": 48, "_fibre_trace_data": 12, "_restricted_trace": 30}
+
+
+def _sheared_parts():
+    """m1's generator conjugated by U = I + E_14 under the frame U, from tests/data."""
+    raw = json.loads((Path(__file__).parent / "data" / "m1-sheared-parts.json").read_text())
+    return cli.build_orbifold(cli.parse_config(raw))
+
+
+def test_signed_permutations_act_by_index_as_the_general_kernels(phi0_symmetry_group):
+    """For each of the 1,344 signed permutations X that fix phi0, the oracle's
+    index paths equal the general kernels: the pullback matrices at grades 2
+    and 3 (`pullback_matrix`), the inverse (`linalg.inverse`), the conjugates
+    X^-1 A X of a signed permutation and of a sheared matrix part
+    (`int_matmul`) and the moves of modes (`matvec`).  Both parities of
+    sorting the image of a 2- or 3-subset occur, so the compound's sign of
+    sorting is tested; a matrix that is no signed permutation is recognised
+    as none."""
+    structure = G2Structure()
+    sheared = _sheared_parts().group[1].matrix
+    assert len(phi0_symmetry_group) == 1344
+    assert structure.memo(orc._signed_permutation, sheared) is None
+    others = (ALPHA.matrix, sheared)
+    modes = [(1, 2, 0, -1, 3, 0, 5), (0, 0, 1, 1, -2, 0, 0)]
+    parities = set()
+    for X in sorted(phi0_symmetry_group):
+        perm, signs = structure.memo(orc._signed_permutation, X)
+        for grade in (2, 3):
+            assert structure.memo(orc._element_pullback_matrix, X, grade) == \
+                pullback_matrix((X, 1), grade)[0]
+            parities.update(sum(u > v for u, v in combinations([perm[i] for i in I], 2)) % 2
+                            for I in combinations(range(7), grade))
+        inverse, _ = linalg.inverse((X, 1))
+        assert structure.memo(orc._unimodular_inverse, X) == inverse
+        for A in others:
+            assert structure.memo(orc._conjugate_by, X, A) == \
+                linalg.int_matmul(linalg.int_matmul(inverse, A), X)
+        move = structure.memo(orc._mode_map, X)
+        assert [move(l) for l in modes] == [linalg.matvec(X, l) for l in modes]
+    assert parities == {0, 1}
+
+
+def test_matrix_part_work_is_done_once_per_matrix_part(monkeypatch):
+    """The order-24 group of alpha with translation 1/2 and the order-3 cycle
+    with translation 1/3 has 12 matrix parts: validating it tests 12 of them
+    for G2, and its spectrum at radius 4 builds 12 fixed-lattice bases and
+    Grams and takes Tr A, Tr A^2, Tr A^3 of 12 matrices, one each per matrix
+    part, not per element, and enumerates the shells of each of the 8
+    distinct fixed lattices once (a part and its inverse fix one lattice)."""
+    from g2mu import epstein, invariants
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(g2.G2Structure, "is_g2_element")
+    group = generate(_g24())
+    orb = validate_joyce(group)
+    assert (len(group), len({e.matrix for e in group}), calls["is_g2_element"]) == (24, 12, 12)
+    counting(linalg, "enumerate_ellipsoid")
+    # process-wide caches: emptied, so that each miss is one build
+    caches = (epstein._fixed_sublattice, invariants._integer_traces)
+    for cache in caches:
+        cache.cache_clear()
+    reports = orc.spectral_reports(orb, 4)
+    assert reports and all(r.match for r in reports)
+    assert [cache.cache_info().misses for cache in caches] == [12, 12]
+    lattices = {epstein.fixed_lattice_cached(orb.structure, e).basis for e in group}
+    assert calls["enumerate_ellipsoid"] == len(lattices) == 8
