@@ -97,16 +97,10 @@ def _check_lattice_count(frame, radius_sq):
                           f"more than spectrum enumerates ({MAX_LATTICE_VECTORS})")
 
 
-def _trials(value, name):
+def _integer(value, name, low):
     # type(), not isinstance(): JSON true and false are bools, a subclass of int
-    if type(value) is not int or value < 1:
-        raise ConfigError(f"{name} must be a positive integer")
-    return value
-
-
-def _seed(value, name):
-    if type(value) is not int or value < 0:
-        raise ConfigError(f"{name} must be a nonnegative integer")
+    if type(value) is not int or value < low:
+        raise ConfigError(f"{name} must be a {'positive' if low else 'nonnegative'} integer")
     return value
 
 
@@ -147,8 +141,8 @@ def parse_config(raw):
         "generators": generators,
         "frame": frame,
         "oracle_radius_sq": _radius_sq(raw.get("oracle_radius_sq", 9), "oracle_radius_sq"),
-        "trials": _trials(raw.get("trials", 100), "trials"),
-        "seed": _seed(raw.get("seed", 0), "seed"),
+        "trials": _integer(raw.get("trials", 100), "trials", 1),
+        "seed": _integer(raw.get("seed", 0), "seed", 0),
     }
 
 
@@ -197,8 +191,15 @@ def cmd_check(config, args):
     return 0, {"valid": True, "order": len(orbifold.group), "elements": elements}
 
 
-def cmd_invariants(config, args):
+def _mu_bridge(orbifold, pair):
+    """(bridge, deviation): the closed-form mu of the zeta values at 0, and the
+    larger of its distances from the exact pair's mu3 and mu4."""
     from .epstein import closed_form_mu
+    bridge = closed_form_mu(orbifold)
+    return bridge, max(abs(bridge.mu3 - float(pair.mu3)), abs(bridge.mu4 - float(pair.mu4)))
+
+
+def cmd_invariants(config, args):
     from .invariants import mu_invariants
     orbifold = build_orbifold(config)
     pair = mu_invariants(orbifold)
@@ -209,9 +210,8 @@ def cmd_invariants(config, args):
     code = 0
     if args.crosscheck:
         tol = args.tolerance if args.tolerance is not None else 1e-6
-        bridge = closed_form_mu(orbifold)
-        within = (abs(bridge.mu3 - float(pair.mu3)) <= tol
-                  and abs(bridge.mu4 - float(pair.mu4)) <= tol)
+        bridge, deviation = _mu_bridge(orbifold, pair)
+        within = deviation <= tol
         results["zeta_crosscheck"] = {
             "mu3": bridge.mu3, "mu4": bridge.mu4,
             "tolerance": tol, "within_tolerance": within,
@@ -262,7 +262,7 @@ def cmd_identities(config, args):
 
 
 def cmd_zeta(config, args):
-    from .epstein import closed_form_mu, fixed_lattice_cached, value_at_zero
+    from .epstein import fixed_lattice_cached, value_at_zero
     from .invariants import mu_invariants
     orbifold = build_orbifold(config)
     tol = args.tolerance if args.tolerance is not None else 1e-6
@@ -281,8 +281,7 @@ def cmd_zeta(config, args):
             "deviation_from_minus_1": deviation,
         })
     pair = mu_invariants(orbifold)
-    bridge = closed_form_mu(orbifold)
-    bridge_dev = max(abs(bridge.mu3 - float(pair.mu3)), abs(bridge.mu4 - float(pair.mu4)))
+    bridge, bridge_dev = _mu_bridge(orbifold, pair)
     code = 1 if (worst > tol or bridge_dev > tol) else 0
     return code, {
         "tolerance": tol,
@@ -311,8 +310,10 @@ def _csv_rows(command, results):
     import io
     if command == "check":
         header = ["matrix", "translation", "g2_compatible"]
+        # a failing check's one row is the element that is not in G2
+        elements = results["elements"] if results["valid"] else [results["error"]["element"]]
         rows = [[" ".join(map(str, e["matrix"])), " ".join(e["translation"]),
-                 e.get("g2_compatible", False)] for e in results.get("elements", [])]
+                 e.get("g2_compatible", False)] for e in elements]
     elif command == "invariants":
         header = ["invariant", "exact", "decimal"]
         rows = [["mu3", results["mu3"], results["mu3_decimal"]],
@@ -359,9 +360,9 @@ def run(argv=None):
         if args.radius_sq is not None:
             args.radius_sq = _radius_sq(args.radius_sq, "--radius-sq")
         if args.trials is not None:
-            _trials(args.trials, "--trials")
+            _integer(args.trials, "--trials", 1)
         if args.seed is not None:
-            _seed(args.seed, "--seed")
+            _integer(args.seed, "--seed", 0)
         if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
             raise ConfigError("--tolerance must be a finite nonnegative number")
         with open(args.config, encoding="utf-8") as fh:
@@ -376,28 +377,15 @@ def run(argv=None):
         return 2
 
     t0 = time.perf_counter()
+    report = {"tool_version": TOOL_VERSION, "command": args.command,
+              "config": _echo_config(config)}
     try:
-        code, results = COMMANDS[args.command](config, args)
+        code, report["results"] = COMMANDS[args.command](config, args)
     except (NonUnimodular, NonFinite, NotG2Compatible, ValueError, ArithmeticError) as exc:
-        report = {
-            "tool_version": TOOL_VERSION,
-            "command": args.command,
-            "config": _echo_config(config),
-            "error": {"type": type(exc).__name__, "detail": str(exc)},
-            "wall_time_s": round(time.perf_counter() - t0, 6),
-        }
-        print(json.dumps(report, sort_keys=True))
-        return 1
-
-    report = {
-        "tool_version": TOOL_VERSION,
-        "command": args.command,
-        "config": _echo_config(config),
-        "results": results,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
-    }
-    if args.output == "csv":
-        sys.stdout.write(_csv_rows(args.command, results))
+        code, report["error"] = 1, {"type": type(exc).__name__, "detail": str(exc)}
+    report["wall_time_s"] = round(time.perf_counter() - t0, 6)
+    if args.output == "csv" and "results" in report:
+        sys.stdout.write(_csv_rows(args.command, report["results"]))
     else:
         print(json.dumps(report, sort_keys=True))
     return code

@@ -267,22 +267,9 @@ class Memo:
     """The one cache of a G2Structure: memo(fn, *args) is fn(structure, *args),
     computed once per structure and kept under the key (fn, args).
 
-    It grows by a fixed number of entries per grade and component (bases,
-    projectors, star and pullback matrices, their float views, the mode
-    stacks of the Fourier operators), plus a fixed number per Fourier mode
-    and per oracle orbit key that a command visits (fibre kernels, and the
-    trace data of the keys that a non-identity element fixes), one
-    signed-permutation test per matrix that the oracle moves, conjugates by,
-    inverts or pulls back, one mode map per matrix part or symmetry
-    generator that a walk uses, one inverse per matrix part that a
-    transport's word inverts, one per step X^-1 A X of a transport's
-    conjugation and one per restricted trace, a (conjugate, key, kind), with
-    the pullback matrix of each conjugate; then one per fixed lattice and
-    oracle radius (its shells), one per group element and oracle radius (its
-    fixed modes), one per group element and oracle class (its fixed modes
-    counted per phase) and one per oracle class (its orbit tables and
-    transports, from one walk).  m3's spectrum at radius 9 keeps 48
-    kernels, 12 trace data, 7 inverses, 30 conjugation steps and 30 traces.
+    It grows by the entries its callers ask for: a fixed number per grade
+    and component, per Fourier mode and per oracle class and radius that a
+    command visits; the modules that cache on it list theirs (`oracle`).
     Nothing is evicted; a CLI command builds one structure.
 
     A callable object rather than a method, so that the time fn takes is

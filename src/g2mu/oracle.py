@@ -47,8 +47,21 @@ the identity element's lattice: Z^7 with Gram G and zero twist, whose
 points are the modes.  Agreement of the two routes on every class is the
 oracle for the character formula behind the mu-invariants.
 
-The module is plain Python, like the exact core it reads; mpmath is
-imported only for a phase whose cosine is irrational.
+The oracle keeps what it derives on the structure's `g2.Memo`: per orbit
+key and kind, a fibre kernel, and trace data at a key that a non-identity
+element fixes; per matrix that it moves, conjugates by, inverts or pulls
+back, a signed-permutation test, a mode map, an inverse, a pullback
+matrix; per step X^-1 A X of a transport, its conjugate; per (conjugate,
+key, kind), a restricted trace; per fixed lattice and radius, its shells;
+per element and radius, its fixed modes; per element and class, their
+phase counts; per class, its orbit tables and transports.  m3's spectrum
+at radius 9 keeps 48 kernels, 12 trace data, 7 inverses, 30 conjugation
+steps and 30 traces.
+
+The module is plain Python, like the exact core it reads.  mpmath is
+imported only for a phase whose cosine is irrational, and gives it no
+value: `Fraction` refuses an mpmath number with a TypeError, so such a
+phase ends the command in a traceback (ROADMAP item 3).
 """
 
 from collections import Counter, namedtuple
@@ -161,39 +174,13 @@ def _fibre_trace_data(structure, basis):
     return tuple(chain.from_iterable(zip(*W))), D
 
 
-class _PhaseSum:
-    """Exact accumulator for sums of coeff * exp(2 pi i q).
-
-    Each phase q is a reduced Fraction in [0, 1), as `_mode_shells` gives
-    it; each coeff an int or a Fraction.
-    """
-
-    def __init__(self):
-        self.terms = {}
-
-    def add(self, q, coeff):
-        self.terms[q] = self.terms.get(q, 0) + coeff
-
-    def value(self):
-        """The exact rational value; requires conjugation symmetry."""
-        total = Fraction(0)
-        for q, c in self.terms.items():
-            q_conj = (1 - q) % 1
-            c_conj = self.terms.get(q_conj, Fraction(0))
-            if c != c_conj:
-                raise NonIntegerDimension(
-                    f"phase sum is not real: coeff({q}) = {c}, coeff({q_conj}) = {c_conj}")
-            total += c * _cos_2pi(q)
-        return total
-
-
 def _cos_2pi(q):
     if q in _RATIONAL_COS:
         return _RATIONAL_COS[q]
-    # cos(2 pi q) is irrational for other rational q (Niven); such phases can
-    # only arise from user groups outside the shipped examples, where the
-    # final average is still an integer -- evaluate with enough precision to
-    # recover it and let the integrality check below be the arbiter.
+    # cos(2 pi q) is irrational for other rational q (Niven); only a user
+    # group outside the shipped examples gives such a phase.  No value comes
+    # back: Fraction() refuses every mpmath.mpf, even mpf('0.5'), so the
+    # phase ends here in a TypeError (ROADMAP item 3)
     import mpmath
     with mpmath.workdps(50):
         val = mpmath.cos(2 * mpmath.pi * mpmath.mpf(q.numerator) / q.denominator)
@@ -279,9 +266,9 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
     grade, component, _ = KINDS[kind]
     group_orbits, orbits, transports = _checked_orbits(
         structure, orbifold.group, g2.symmetry_generators(structure), cls)
-    acc = _PhaseSum()
-    acc.add(Fraction(0), sum(size * len(typed_contraction_kernel(structure, l, grade, component))
-                             for l, size in orbits.items()))
+    acc = Counter()
+    acc[Fraction(0)] += sum(size * len(typed_contraction_kernel(structure, l, grade, component))
+                            for l, size in orbits.items())
     N, d = structure.metric.gram
     if all(x % d == 0 for row in N for x in row):
         weights = group_orbits
@@ -295,7 +282,7 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
             if size:
                 r, word = transports[l]
                 moved = _conjugate(structure, element.matrix, word)
-                acc.add(q, size * structure.memo(_fixed_trace, moved, r, kind))
+                acc[q] += size * structure.memo(_fixed_trace, moved, r, kind)
     return _integer_average(acc, len(orbifold.group))
 
 
@@ -449,12 +436,12 @@ def invariant_dimension_formula(orbifold, cls, kind):
     each phase weighted by the number of the element's fixed modes in the
     class that carry it, counted once for both kinds."""
     poly = tr8_su3 if kind == "H" else tr12_su3
-    acc = _PhaseSum()
+    acc = Counter()
     for element in orbifold.group:
         value = poly(element.matrix)
         counts = orbifold.structure.memo(_phase_counts, element, cls.radius_sq, cls.norm_sq)
         for q, count in counts.items():
-            acc.add(q, count * value)
+            acc[q] += count * value
     return _integer_average(acc, len(orbifold.group))
 
 
@@ -468,7 +455,17 @@ def _phase_counts(structure, element, radius_sq, norm_sq):
 
 
 def _integer_average(acc, order):
-    total = acc.value() / order
+    """The real part of sum coeff exp(2 pi i q) / order for a Counter {q: coeff} of
+    reduced phases q in [0, 1), checked to be conjugation symmetric and then a
+    nonnegative integer."""
+    total = Fraction(0)
+    for q, c in acc.items():
+        q_conj = (1 - q) % 1
+        if c != acc[q_conj]:
+            raise NonIntegerDimension(
+                f"phase sum is not real: coeff({q}) = {c}, coeff({q_conj}) = {acc[q_conj]}")
+        total += c * _cos_2pi(q)
+    total /= order
     if total.denominator != 1 or total < 0:
         raise NonIntegerDimension(f"averaged character {total} is not a nonnegative integer")
     return int(total)

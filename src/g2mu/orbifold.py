@@ -12,7 +12,7 @@ from math import lcm
 from operator import index
 
 from . import linalg
-from .exterior import DIM
+from .exterior import DIM, IDENTITY
 from .g2 import G2Structure
 
 
@@ -46,7 +46,6 @@ def _reduce_mod1(t):
     return tuple(linalg.frac(x) % 1 for x in t)
 
 
-_IDENTITY = tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM))
 _ZERO = _reduce_mod1((0,) * DIM)
 
 
@@ -69,10 +68,10 @@ class AffineElement(namedtuple("AffineElement", "matrix translation")):
 
     @classmethod
     def identity(cls):
-        return cls._make((_IDENTITY, _ZERO))
+        return cls._make((IDENTITY[0], _ZERO))
 
     def is_identity(self):
-        return self.matrix == _IDENTITY and self.translation == _ZERO
+        return self.matrix == IDENTITY[0] and self.translation == _ZERO
 
     def __repr__(self):
         diag = all(self.matrix[i][j] == 0 for i in range(DIM) for j in range(DIM) if i != j)
@@ -112,7 +111,7 @@ def _has_finite_order(matrix):
     """Whether A^k = I for some k <= MAX_FINITE_ORDER, for an integer 7x7 A."""
     power = matrix
     for _ in range(MAX_FINITE_ORDER):
-        if power == _IDENTITY:
+        if power == IDENTITY[0]:
             return True
         power = linalg.int_matmul(power, matrix)
     return False

@@ -163,6 +163,51 @@ def test_non_g2_generator_reports_element(capsys, tmp_path):
     assert report["results"]["error"]["type"] == "NotG2Compatible"
 
 
+# e1 <-> e2 with e3 negated: unimodular and of order 2, but not in G2
+SWAP_NEGATE = [0, 1, 0, 0, 0, 0, 0,
+               1, 0, 0, 0, 0, 0, 0,
+               0, 0, -1, 0, 0, 0, 0,
+               0, 0, 0, 1, 0, 0, 0,
+               0, 0, 0, 0, 1, 0, 0,
+               0, 0, 0, 0, 0, 1, 0,
+               0, 0, 0, 0, 0, 0, 1]
+
+
+def _is_not_g2_error_report(out):
+    report = json.loads(out)
+    return report["error"]["type"] == "NotG2Compatible" and "results" not in report
+
+
+def _is_header_and_failing_row(out):
+    return out.splitlines() == ["matrix,translation,g2_compatible",
+                                " ".join(map(str, SWAP_NEGATE)) + ",0 0 0 0 0 0 0,False"]
+
+
+def _is_within_zero_tolerance(out):
+    crosscheck = json.loads(out)["results"]["zeta_crosscheck"]
+    return crosscheck["tolerance"] == 0 and crosscheck["within_tolerance"] is True
+
+
+@pytest.mark.parametrize("argv, expected_code, expected", [
+    (["spectrum", "--output", "csv"], 1, _is_not_g2_error_report),
+    (["check", "--output", "csv"], 1, _is_header_and_failing_row),
+    (["invariants", "--crosscheck", "--tolerance", "0"], 0, _is_within_zero_tolerance),
+], ids=["spectrum-csv-error", "check-csv-failing-element", "crosscheck-zero-tolerance"])
+def test_report_edges(capsys, tmp_path, argv, expected_code, expected):
+    """A command that raises prints the JSON error report even under --output
+    csv; a failing check's CSV names the element that is not in G2, as its
+    JSON report does; and a zero tolerance holds when the bridge is exact
+    (m3's closed form gives mu3 = -1.0 and mu4 = -5.0)."""
+    if argv[0] == "invariants":
+        config = str(CONFIG_DIR / "m3.json")
+    else:
+        config = write_config(tmp_path, {"name": "swap-negate", "generators": [
+            {"matrix": SWAP_NEGATE, "translation": ["0"] * 7}]})
+    code, out, _ = run_cli(capsys, *argv, "--config", config)
+    assert code == expected_code
+    assert expected(out), out
+
+
 def test_infinite_order_generator_fails_with_code_1(capsys, tmp_path):
     shear = [1 if i == j else 0 for i in range(7) for j in range(7)]
     shear[1] = 1
