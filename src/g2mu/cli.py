@@ -262,14 +262,14 @@ def cmd_identities(config, args):
 
 
 def cmd_zeta(config, args):
-    from .epstein import fixed_lattice_cached, value_at_zero
+    from .epstein import fixed_lattice, value_at_zero
     from .invariants import mu_invariants
     orbifold = build_orbifold(config)
     tol = args.tolerance if args.tolerance is not None else 1e-6
     rows = []
     worst = 0.0
     for e in orbifold.group:
-        lat = fixed_lattice_cached(orbifold.structure, e)
+        lat = fixed_lattice(e, orbifold.structure.metric)
         v0 = value_at_zero(lat)
         deviation = abs(v0 + 1.0)
         worst = max(worst, deviation)

@@ -88,15 +88,6 @@ def _fixed_sublattice(A, gram):
     return kernel, BN, (linalg.int_matmul(BN, linalg.transpose(kernel)), d)
 
 
-def fixed_lattice_cached(structure, element):
-    """`fixed_lattice` of an element under the structure's metric, built once."""
-    return structure.memo(_structure_fixed_lattice, element)
-
-
-def _structure_fixed_lattice(structure, element):
-    return fixed_lattice(element, structure.metric)
-
-
 def _shell_sums(gram, bound, twist=None, shift=None):
     """{exact Q: complex phase sum} over the nonzero shells of
     `linalg.enumerate_ellipsoid`, with Q taken at x + shift; the shell Q = 0
@@ -201,7 +192,7 @@ def closed_form_mu(orbifold):
     n = len(orbifold.group)
     total3 = total4 = 0.0
     for element in orbifold.group:
-        z0 = value_at_zero(fixed_lattice_cached(orbifold.structure, element))
+        z0 = value_at_zero(fixed_lattice(element, orbifold.structure.metric))
         total3 += float(tr8_su3(element.matrix)) * z0
         total4 += float(tr12_su3(element.matrix)) * z0
     return InvariantPair(mu3=total3 / n, mu4=total4 / n)

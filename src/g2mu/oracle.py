@@ -14,9 +14,8 @@ the character.  This module computes that dimension two independent ways:
   * brute force: explicit bases of the fibres (`fiber_basis`, a
     `g2.typed_contraction_kernel` checked against the dimension in KINDS),
     explicit pullback matrices, exact restricted traces and exact
-    root-of-unity phases, summed one symmetry orbit of modes at a time:
-    one walk per class (`_orbits`) gives the orbits of the group's matrix
-    parts, for a Burnside sum over the group, and joins them into the
+    root-of-unity phases over every fixed pair: one walk per class
+    (`_orbits`) joins the orbits of the group's matrix parts into the
     orbits under the lattice matrices that fix phi, for the identity's
     term.  The same walk gives each fixed mode l a transport T, a product
     of those matrices with T r = +-l for the key r of l's orbit, and each
@@ -53,10 +52,9 @@ element fixes; per matrix that it moves, conjugates by, inverts or pulls
 back, a signed-permutation test, a mode map, an inverse, a pullback
 matrix; per step X^-1 A X of a transport, its conjugate; per (conjugate,
 key, kind), a restricted trace; per fixed lattice and radius, its shells;
-per element and radius, its fixed modes; per element and class, their
-phase counts; per class, its orbit tables and transports.  m3's spectrum
-at radius 9 keeps 48 kernels, 12 trace data, 7 inverses, 30 conjugation
-steps and 30 traces.
+per element and radius, its fixed modes and their phase counts; per
+class, its orbits and transports.  m3's spectrum at radius 9 keeps 48
+kernels, 12 trace data, 7 inverses, 30 conjugation steps and 30 traces.
 
 The module is plain Python, like the exact core it reads.  mpmath is
 imported only for a phase whose cosine is irrational, and gives it no
@@ -72,7 +70,7 @@ from math import prod
 from operator import itemgetter, mul, neg
 
 from . import g2, linalg
-from .epstein import fixed_lattice_cached
+from .epstein import fixed_lattice
 from .exterior import IDENTITY, INDICES, POSITION, pullback_matrix
 from .g2 import typed_contraction_kernel
 from .invariants import tr8_su3, tr12_su3
@@ -134,7 +132,7 @@ def enumerate_classes(orbifold, radius_sq):
         raise ValueError("radius_sq must be nonnegative")
     shells = orbifold.structure.memo(_mode_shells, AffineElement.identity(), radius_sq)
     return [EigenClass(norm_sq=q, vectors=tuple(map(itemgetter(0), pairs)), radius_sq=radius_sq)
-            for q, pairs in shells.items()]
+            for q, (pairs, _) in shells.items()]
 
 
 def fiber_basis(structure, l, kind):
@@ -190,11 +188,13 @@ def _cos_2pi(q):
 
 def _fixed_vectors(element, cls, structure):
     """((l, q), ...): the class's modes fixed by the element, with their phases."""
-    return structure.memo(_mode_shells, element, cls.radius_sq).get(cls.norm_sq, ())
+    return structure.memo(_mode_shells, element, cls.radius_sq).get(cls.norm_sq, ((), {}))[0]
 
 
 def _mode_shells(structure, element, radius_sq):
-    """{Q: ((l, q), ...)}: the element's fixed modes with 0 < |l|^2 = Q <= radius_sq.
+    """{Q: (((l, q), ...), {q: n})}: the element's fixed modes with
+    0 < |l|^2 = Q <= radius_sq and their phases, and the number n of them
+    that carry each phase q.
 
     The points x of the element's fixed lattice and their modes l = x B come
     from `_lattice_modes`, one enumeration per lattice and radius, which the
@@ -203,14 +203,18 @@ def _mode_shells(structure, element, radius_sq):
     untwisted lattice (f = 1), the identity's among them, gives every mode
     one shared phase 0.
     """
-    lat = fixed_lattice_cached(structure, element)
+    lat = fixed_lattice(element, structure.metric)
     shells = structure.memo(_lattice_modes, lat.basis, lat.gram, radius_sq)
     (T,), f = linalg.clear_denominators([lat.twist])
     if f == 1:
         zero = Fraction(0)
-        return {Q: tuple(zip(modes, repeat(zero))) for Q, (_, modes) in shells.items()}
-    return {Q: tuple((l, Fraction(sum(map(mul, T, x)) % f, f)) for x, l in zip(points, modes))
-            for Q, (points, modes) in shells.items()}
+        return {Q: (tuple(zip(modes, repeat(zero))), {zero: len(modes)})
+                for Q, (_, modes) in shells.items()}
+    out = {}
+    for Q, (points, modes) in shells.items():
+        pairs = tuple((l, Fraction(sum(map(mul, T, x)) % f, f)) for x, l in zip(points, modes))
+        out[Q] = pairs, Counter(map(itemgetter(1), pairs))
+    return out
 
 
 def _lattice_modes(structure, basis, gram, radius_sq):
@@ -232,81 +236,57 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
     Builds the block matrix of each element in the explicit fibre bases;
     off-diagonal blocks (modes moved elsewhere) contribute no trace, so the
     average is the phase-weighted sum of restricted traces over the fixed
-    pairs (g, l), A_g l = l.  The sum is taken one symmetry orbit at a time:
+    pairs (g, l), A_g l = l, each read once with its own phase.  The
+    identity's term, the sum of the fibre dimensions over the class, is
+    |O| dim F_l summed over the orbits O of the class under the lattice
+    matrices that fix phi (`g2.symmetry_generators`), the group's matrix
+    parts and -1, each keyed by a mode l of O, since such a matrix carries
+    one fibre onto another.
 
-      * the identity's term, the sum of the fibre dimensions over the class,
-        is |O| dim F_l summed over the orbits O of the class under the
-        lattice matrices that fix phi (`g2.symmetry_generators`), the
-        group's matrix parts and -1, each keyed by a mode l of O, since such
-        a matrix carries one fibre onto another;
-      * the other terms by Burnside over the group: conjugating a fixed pair
-        by an element h moves l to A_h l and keeps its trace, and it keeps
-        the phase g(l, t) when G l is integral, since the conjugate's
-        translation is reduced mod Z^7.  Under an integer Gram, then, the
-        pairs at one group orbit of modes sum to |O_l| times those at its
-        key l, and only the pairs of `_fixed_vectors` whose mode is a key
-        are read, weighted by its orbit size.  Under another Gram every mode
-        has weight 1: each fixed pair is read.
-
-    Each trace read is moved to the key r of its mode's orbit O: the walk
-    gives every fixed mode l a transport T, a product of those matrices
+    Each other pair's trace is moved to the key r of its mode's orbit O: the
+    walk gives every fixed mode l a transport T, a product of those matrices
     with T r = +-l, and tr(A* | F_l) = tr((T^-1 A T)* | F_r).  T fixes phi
     and the metric, so its pullback T* carries F_{T r} = F_l onto F_r and
     intertwines A* there with (T^-1 A T)* = T* A* (T^-1)*; -1 commutes with
-    every A and F_l = F_{-l}, so it drops out.  This is the conjugation that
-    the Burnside weights rest on too, and it builds one kernel and one
-    trace-data inverse per orbit and kind, whichever modes the group fixes.
+    every A and F_l = F_{-l}, so it drops out.  So one kernel and one
+    trace-data inverse are built per orbit and kind, whichever modes the
+    group fixes.
 
-    Both partitions and the transports come from one walk, `_orbits`, and
-    the orbit sizes of each partition are checked to add up to the class.
-    Nothing here reads tr8 or tr12: the fibres are kernels, the traces
-    restricted traces of explicit pullback matrices.
+    The orbits and the transports come from one walk, `_orbits`, and the
+    orbit sizes are checked to add up to the class.  Nothing here reads tr8
+    or tr12: the fibres are kernels, the traces restricted traces of
+    explicit pullback matrices.
     """
     structure = orbifold.structure
-    grade, component, _ = KINDS[kind]
-    group_orbits, orbits, transports = _checked_orbits(
-        structure, orbifold.group, g2.symmetry_generators(structure), cls)
+    orbits, transports = structure.memo(_orbits, orbifold.group,
+                                        g2.symmetry_generators(structure), cls)
+    if sum(orbits.values()) != len(cls.vectors):
+        raise ArithmeticError(f"orbits of class {cls.norm_sq} cover {sum(orbits.values())} "
+                              f"of its {len(cls.vectors)} modes")
     acc = Counter()
-    acc[Fraction(0)] += sum(size * len(typed_contraction_kernel(structure, l, grade, component))
+    acc[Fraction(0)] += sum(size * len(fiber_basis(structure, l, kind))
                             for l, size in orbits.items())
-    N, d = structure.metric.gram
-    if all(x % d == 0 for row in N for x in row):
-        weights = group_orbits
-    else:
-        weights = dict.fromkeys(cls.vectors, 1)
     for element in orbifold.group:
         if element.is_identity():
             continue
         for l, q in _fixed_vectors(element, cls, structure):
-            size = weights.get(l)
-            if size:
-                r, word = transports[l]
-                moved = _conjugate(structure, element.matrix, word)
-                acc[q] += size * structure.memo(_fixed_trace, moved, r, kind)
+            r, word = transports[l]
+            moved = _conjugate(structure, element.matrix, word)
+            acc[q] += structure.memo(_fixed_trace, moved, r, kind)
     return _integer_average(acc, len(orbifold.group))
 
 
-def _checked_orbits(structure, group, symmetries, cls):
-    """The tables of `_orbits`, the first two each checked to partition the
-    class: its orbit sizes must add up to the number of the class's modes."""
-    tables = structure.memo(_orbits, group, symmetries, cls)
-    for orbits in tables[:2]:
-        if sum(orbits.values()) != len(cls.vectors):
-            raise ArithmeticError(f"orbits of class {cls.norm_sq} cover {sum(orbits.values())} "
-                                  f"of its {len(cls.vectors)} modes")
-    return tables
-
-
 def _orbits(structure, group, symmetries, cls):
-    """({l: |Gamma l|}, {r: |O|}, {l: (r, word)}) for the class's modes.
+    """({r: |O|}, {l: (r, word)}) for the class's modes.
 
-    The first table holds the orbits of the modes under the group's matrix
-    parts Gamma, each keyed by its first mode in the class; the second their
-    unions O, the orbits under the group that `symmetries`, Gamma and -1
-    generate, each keyed by the first key r of its Gamma-orbits; the third
-    a transport of each mode l that a non-identity element fixes: the key
-    r of its orbit, with +-sign made canonical, and a word X_1 .. X_n of
-    Gamma and `symmetries` whose product T = X_1 .. X_n has T r = +-l.
+    The walk finds the orbits of the modes under the group's matrix parts
+    Gamma, each keyed by its first mode in the class, and joins them into
+    the first table: the orbits O under the group that `symmetries`, Gamma
+    and -1 generate, each keyed by the first key r of its Gamma-orbits.  The
+    second holds a transport of each mode l that a non-identity element
+    fixes: the key r of its orbit, with +-sign made canonical, and a word
+    X_1 .. X_n of Gamma and `symmetries` whose product T = X_1 .. X_n has
+    T r = +-l.
 
     A mode l moves as A l, the action of `epstein.fixed_lattice`, whose fixed
     modes are the l with A l = l; a signed permutation moves it by index
@@ -361,7 +341,7 @@ def _orbits(structure, group, symmetries, cls):
                 if everywhere or len(members[w]) < len(parts):
                     for u, P in members[w].items():
                         transports[u] = r, _word((P,), one) + words[w]
-    return {v: len(orbit) for v, orbit in members.items()}, out, transports
+    return out, transports
 
 
 def _word(letters, one):
@@ -434,24 +414,15 @@ def _fixed_trace(structure, matrix, l, kind):
 def invariant_dimension_formula(orbifold, cls, kind):
     """Same dimension via the closed-form character: phases times tr8/tr12,
     each phase weighted by the number of the element's fixed modes in the
-    class that carry it, counted once for both kinds."""
+    class that carry it, counted once with its shells (`_mode_shells`)."""
     poly = tr8_su3 if kind == "H" else tr12_su3
     acc = Counter()
     for element in orbifold.group:
         value = poly(element.matrix)
-        counts = orbifold.structure.memo(_phase_counts, element, cls.radius_sq, cls.norm_sq)
-        for q, count in counts.items():
+        shells = orbifold.structure.memo(_mode_shells, element, cls.radius_sq)
+        for q, count in shells.get(cls.norm_sq, ((), {}))[1].items():
             acc[q] += count * value
     return _integer_average(acc, len(orbifold.group))
-
-
-def _phase_counts(structure, element, radius_sq, norm_sq):
-    """{q: n}: the n fixed modes with |l|^2 = norm_sq of `_mode_shells` whose
-    phase is q; all of them at q = 0 when the element's lattice is untwisted."""
-    pairs = structure.memo(_mode_shells, element, radius_sq).get(norm_sq, ())
-    if pairs and fixed_lattice_cached(structure, element).is_twist_trivial():
-        return {pairs[0][1]: len(pairs)}
-    return Counter(map(itemgetter(1), pairs))
 
 
 def _integer_average(acc, order):

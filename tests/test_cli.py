@@ -407,23 +407,22 @@ def test_json_booleans_rejected_where_integers_are_required(capsys, tmp_path):
         assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
-def test_zeta_builds_each_fixed_lattice_once(capsys, tmp_path, monkeypatch):
+def test_zeta_builds_each_fixed_lattice_once(capsys, tmp_path):
+    """zeta and its mu bridge (`epstein.closed_form_mu`) each read the fixed
+    lattice of every element; its basis and Gram are built once per matrix
+    part and metric (`epstein._fixed_sublattice`), the bridge's reads hit
+    that cache, and only the twist is the element's own."""
     from g2mu import epstein
-    built = []
-    fixed_lattice = epstein.fixed_lattice
-
-    def counting(element, metric):
-        built.append(element)
-        return fixed_lattice(element, metric)
-
-    monkeypatch.setattr(epstein, "fixed_lattice", counting)
-    # a frame no other test uses, so that no shared structure has the lattices yet
+    # a frame no other test uses, so that the process-wide cache has none of
+    # its lattices yet
     frame = [[5 if i == j == 6 else int(i == j) for j in range(7)] for i in range(7)]
     payload = json.loads((CONFIG_DIR / "m3.json").read_text())
+    before = epstein._fixed_sublattice.cache_info()
     code, out, _ = run_cli(capsys, "zeta", "--config",
                            write_config(tmp_path, dict(payload, frame=frame)))
-    assert code == 0
-    assert len(json.loads(out)["results"]["elements"]) == len(built) == len(set(built)) == 8
+    after = epstein._fixed_sublattice.cache_info()
+    assert code == 0 and len(json.loads(out)["results"]["elements"]) == 8
+    assert (after.misses - before.misses, after.hits - before.hits) == (8, 8)
 
 
 def framed_config(tmp_path, stem, diagonal):
@@ -539,11 +538,18 @@ PINNED_REPORTS = {
 }
 
 
-# the same digests for spectrum under rational frames, computed before the
-# exterior kernels and the metric's matrices moved to integer pairs
+# the same digests for spectrum under rational frames, per --radius-sq: those
+# at 2 computed before the exterior kernels and the metric's matrices moved
+# to integer pairs, m3's at 4 (its integer Gram diag(4, 1, 1, 1, 1, 9, 1)
+# and four classes) before the oracle read every fixed pair under every Gram
 PINNED_FRAMED_REPORTS = {
-    ("m1", HALF_FRAME): "434eda39837fa9f7f6d6894ae5c073877b64ea3515e1ca79415eeac3987e2b49",
-    ("m3", F23_FRAME): "cf0e53dc6969d8f813c4d407a665cd885e5b2bad9f684bf110c4c4ddfc485597",
+    ("m1", HALF_FRAME): {
+        "2": "434eda39837fa9f7f6d6894ae5c073877b64ea3515e1ca79415eeac3987e2b49",
+    },
+    ("m3", F23_FRAME): {
+        "2": "cf0e53dc6969d8f813c4d407a665cd885e5b2bad9f684bf110c4c4ddfc485597",
+        "4": "3df993a3fd9b1487599c9ccec8b587ed5f19f4997fc7fe5057e26c0585319416",
+    },
 }
 
 
@@ -555,9 +561,10 @@ def report_digest(out):
 
 @pytest.mark.parametrize("stem, frame", sorted(PINNED_FRAMED_REPORTS))
 def test_framed_spectrum_reports_are_pinned(capsys, tmp_path, stem, frame):
-    code, out, _ = run_cli(capsys, "spectrum", "--config", framed_config(tmp_path, stem, frame),
-                           "--radius-sq", "2")
-    assert (code, report_digest(out)) == (0, PINNED_FRAMED_REPORTS[stem, frame])
+    config = framed_config(tmp_path, stem, frame)
+    for radius_sq, expected in PINNED_FRAMED_REPORTS[stem, frame].items():
+        code, out, _ = run_cli(capsys, "spectrum", "--config", config, "--radius-sq", radius_sq)
+        assert (code, report_digest(out)) == (0, expected), radius_sq
 
 
 # m1's generator conjugated by U = I + E_14, under the frame U: its matrix

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -95,9 +96,8 @@ def test_restricted_traces_are_shared_by_matrix_part_and_fibre(monkeypatch):
     and is read at the key r of l's symmetry orbit as tr((T^-1 A T)* | F_r):
     the order-24 group of alpha with translation 1/2 and the order-3 cycle with
     translation 1/3 has 12 matrix parts, and at radius 1 its 164 fixed
-    (non-identity element, mode) pairs of both kinds need 24 traces (32 when
-    each pair whose mode keys its group orbit took the trace at that mode,
-    48 over all modes)."""
+    (non-identity element, mode) pairs of both kinds need 24 traces (48 when
+    each pair took its trace at its own mode)."""
     calls = []
     restricted_trace = orc._restricted_trace
 
@@ -122,8 +122,9 @@ def test_restricted_traces_are_shared_by_matrix_part_and_fibre(monkeypatch):
 
 
 def test_formula_counts_phases_once_and_reads_no_fibre(monkeypatch, m3):
-    """The formula route counts the phases of each (element, class) once, for
-    both kinds, and reads no fibre kernel and no restricted trace."""
+    """The formula route reads the phase counts that each element's shells
+    carry, built once per (element, radius) for every class and both kinds,
+    and reads no fibre kernel and no restricted trace."""
     expected = [orc.invariant_dimension_bruteforce(m3, cls, kind)
                 for cls in orc.enumerate_classes(m3, 4) for kind in orc.KINDS]
 
@@ -133,18 +134,18 @@ def test_formula_counts_phases_once_and_reads_no_fibre(monkeypatch, m3):
     for name in ("fiber_basis", "typed_contraction_kernel", "_restricted_trace", "_fixed_trace"):
         monkeypatch.setattr(orc, name, refuse)
     calls = []
-    phase_counts = orc._phase_counts
+    mode_shells = orc._mode_shells
 
     def counting(*args):
         calls.append(args[1:])
-        return phase_counts(*args)
+        return mode_shells(*args)
 
-    monkeypatch.setattr(orc, "_phase_counts", counting)
+    monkeypatch.setattr(orc, "_mode_shells", counting)
     orb = validate_joyce(generate([ALPHA, BETA, GAMMA]))
     classes = orc.enumerate_classes(orb, 4)
     assert [orc.invariant_dimension_formula(orb, cls, kind)
             for cls in classes for kind in orc.KINDS] == expected
-    assert len(calls) == len(set(calls)) == len(orb.group) * len(classes)
+    assert len(classes) > 1 and len(calls) == len(set(calls)) == len(orb.group)
 
 
 def test_classes_come_in_opposite_pairs(torus):
@@ -368,16 +369,19 @@ _M2, _M3 = [ALPHA, BETA], [ALPHA, BETA, GAMMA]
     (diag(2, 1, 1, 1, 1, 3, 1), [([], 4), ([ALPHA], 4), (_M3, 4)]),
     (diag(1, 1, 1, 1, 1, 1, Fraction(1, 2)), [(_M2, 1), (_M3, 1)]),
     (diag(1, 1, 1, 1, 1, 1, Fraction(1, 3)), [(_M3, 1)]),
-], ids=["identity", "diag23", "diag-half", "diag-third"])
+    (diag(1, 2, 1, 2, 1, 2, 1), [([_g24()[1]], 3), (_g24(), 2)]),
+], ids=["identity", "diag23", "diag-half", "diag-third", "f246"])
 def test_orbit_route_matches_the_per_vector_sum(frame, cases):
-    """The orbit and Burnside sums of `invariant_dimension_bruteforce` equal the
-    per-vector group average on t7, m1 and m3 at radius 4, and under the
-    identity frame on a group with translations of 1/2 and 1/3 and on m1 with
-    a pure translation, which fixes every mode, at radius 2.
-    Under the last two frames the Gram is not integral, and conjugating a
-    fixed pair of m2 or m3 by an element with a translation can change its
-    phase; their class 1 is compared (the classes 1/4, 1/9 and 4/9 below it
-    have phases whose cosine is irrational, which neither route evaluates)."""
+    """The orbit sum and the moved traces of `invariant_dimension_bruteforce`
+    equal the per-vector group average on t7, m1 and m3 at radius 4, under
+    the identity frame on a group with translations of 1/2 and 1/3 and on m1
+    with a pure translation, which fixes every mode, at radius 2, and under
+    f246 = diag(1, 2, 1, 2, 1, 2, 1) on the z3 cycle with translation 1/3 and
+    on that group.  Under diag-half and diag-third the Gram is not integral,
+    and conjugating a fixed pair of m2 or m3 by an element with a
+    translation can change its phase; their class 1 is compared (the classes
+    1/4, 1/9 and 4/9 below it have phases whose cosine is irrational, which
+    neither route evaluates)."""
     structure = G2Structure(frame_pair(frame))
     for gens, radius_sq in cases:
         group = validate_joyce(generate(gens), frame_pair(frame)).group
@@ -391,8 +395,8 @@ def test_orbit_route_matches_the_per_vector_sum(frame, cases):
 
 
 def _walk_tables(orbifold, cls):
-    """The two orbit tables and the transports of `orc._orbits` for the class,
-    from the group and the structure's symmetry generators."""
+    """The orbits and the transports of `orc._orbits` for the class, from the
+    group and the structure's symmetry generators."""
     return orc._orbits(orbifold.structure, orbifold.group,
                        g2.symmetry_generators(orbifold.structure), cls)
 
@@ -403,7 +407,7 @@ def test_identity_orbits_are_orbits_of_the_whole_symmetry_group(torus, phi0_symm
     1, 1, 2 and 3 orbits in the classes 1 to 4."""
     counts = []
     for cls in orc.enumerate_classes(torus, 4):
-        _, orbits, _ = _walk_tables(torus, cls)
+        orbits, _ = _walk_tables(torus, cls)
         for l, size in orbits.items():
             images = {tuple(int(x) for x in np.array(S) @ l) for S in phi0_symmetry_group}
             images |= {tuple(-x for x in v) for v in images}
@@ -429,12 +433,11 @@ def _closure(start, generators, act):
 def test_identity_orbits_are_orbits_of_the_generated_group(gens, frame, radius_sq):
     """The walk's identity orbits are the orbits of the class under the group
     generated by the symmetry generators, the matrix parts and -1, closed here
-    by moving each mode by every generator, and each is the union of the
-    Gamma-orbits keyed inside it.  Under f246 = diag(1, 2, 1, 2, 1, 2, 1) only the three sign changes survive
-    as symmetry generators, and the z3 cycle (2 4 6)(3 5 7) is not in the group
-    they generate, so the walk must move whole Gamma-orbits to join them; and
-    from class 6 on (the mode e1 + e2 + e3) some modes l are joined to -l
-    by -1 alone."""
+    by moving each mode by every generator.  Under f246 = diag(1, 2, 1, 2,
+    1, 2, 1) only the three sign changes survive as symmetry generators, and
+    the z3 cycle (2 4 6)(3 5 7) is not in the group they generate, so the
+    walk must move whole Gamma-orbits to join them; and from class 6 on (the
+    mode e1 + e2 + e3) some modes l are joined to -l by -1 alone."""
     orb = validate_joyce(generate(gens), frame_pair(frame))
     parts = tuple(dict.fromkeys(element.matrix for element in orb.group))
     symmetries = g2.symmetry_generators(orb.structure)
@@ -445,9 +448,7 @@ def test_identity_orbits_are_orbits_of_the_generated_group(gens, frame, radius_s
         assert parts[1] not in _closure(identity, symmetries, linalg.int_matmul)
     generators = symmetries + parts + (minus,)
     for cls in orc.enumerate_classes(orb, radius_sq):
-        group_orbits, orbits, _ = _walk_tables(orb, cls)
-        for l, size in group_orbits.items():
-            assert size == len({linalg.matvec(A, l) for A in parts})
+        orbits, _ = _walk_tables(orb, cls)
         expected = []
         for l in cls.vectors:
             if not any(l in O for O in expected):
@@ -455,18 +456,17 @@ def test_identity_orbits_are_orbits_of_the_generated_group(gens, frame, radius_s
         found = [next(O for O in expected if l in O) for l in orbits]
         assert len(set(found)) == len(expected), cls.norm_sq
         for O, size in zip(found, orbits.values()):
-            assert size == len(O) == sum(s for l, s in group_orbits.items() if l in O)
+            assert size == len(O)
 
 
-@pytest.mark.parametrize("table", [0, 1], ids=["group", "identity"])
-def test_an_orbit_weight_off_by_one_fails_the_partition_check(monkeypatch, m3, table):
+def test_an_orbit_weight_off_by_one_fails_the_partition_check(monkeypatch, m3):
     original = orc._orbits
 
     def off_by_one(*args):
-        tables = [dict(orbits) for orbits in original(*args)]
-        first = next(iter(tables[table]))
-        tables[table][first] += 1
-        return tuple(tables)
+        orbits, transports = original(*args)
+        orbits = dict(orbits)
+        orbits[next(iter(orbits))] += 1
+        return orbits, transports
 
     monkeypatch.setattr(orc, "_orbits", off_by_one)
     cls = orc.enumerate_classes(m3, 2)[1]
@@ -475,9 +475,32 @@ def test_an_orbit_weight_off_by_one_fails_the_partition_check(monkeypatch, m3, t
         orc.invariant_dimension_bruteforce(m3, cls, "H")
 
 
+def test_a_short_fibre_at_an_orbit_key_is_named(monkeypatch):
+    """The mutation: one kernel vector dropped at m3's orbit key (-1, -1, 0,
+    -1, 0, 0, 0) of class 3, whose 224 modes no non-identity element fixes,
+    so no trace is read there.  The identity's term takes its kernels
+    through `fiber_basis`, which names the mode; summed without the check,
+    the short fibre would only shift the class's dimension by 28."""
+    key = (-1, -1, 0, -1, 0, 0, 0)
+    kernel = orc.typed_contraction_kernel
+
+    def short(structure, l, grade, component):
+        basis = kernel(structure, l, grade, component)
+        return basis[:-1] if l == key else basis
+
+    monkeypatch.setattr(orc, "typed_contraction_kernel", short)
+    orb = validate_joyce(generate(_M3))
+    cls = orc.enumerate_classes(orb, 3)[2]
+    orbits, transports = _walk_tables(orb, cls)
+    assert orbits[key] == 224 and linalg.canonical_sign(key) not in dict(transports.values())
+    with pytest.raises(orc.NonIntegerDimension,
+                       match=re.escape(f"fibre at {key} has dimension 7, expected 8")):
+        orc.invariant_dimension_bruteforce(orb, cls, "H")
+
+
 def _m1_framed():
     """The k3 involution under diag(1, 1, 1, 1, 1, 1, 1/2), from tests/data: a
-    non-integer Gram, so every fixed pair is read, at every mode."""
+    non-integer Gram."""
     raw = json.loads((Path(__file__).parent / "data" / "m1-framed.json").read_text())
     return cli.build_orbifold(cli.parse_config(raw))
 
@@ -508,7 +531,7 @@ def _moved_trace_mismatches(orbifold, radius_sq):
     structure = orbifold.structure
     pairs = mismatches = 0
     for cls in orc.enumerate_classes(orbifold, radius_sq):
-        _, orbits, transports = _walk_tables(orbifold, cls)
+        orbits, transports = _walk_tables(orbifold, cls)
         keys = {linalg.canonical_sign(r) for r in orbits}
         fixed = set()
         for element in orbifold.group[1:]:
@@ -575,7 +598,7 @@ def test_m3_at_radius_9_builds_one_kernel_per_orbit_and_kind(monkeypatch):
     reports = orc.spectral_reports(orb, 9)
     assert len(reports) == 18 and all(r.match for r in reports)
     assert sum(len(cls.vectors) for cls in orc.enumerate_classes(orb, 9)) == 12434
-    assert sum(len(_walk_tables(orb, cls)[1]) for cls in orc.enumerate_classes(orb, 9)) == 24
+    assert sum(len(_walk_tables(orb, cls)[0]) for cls in orc.enumerate_classes(orb, 9)) == 24
     assert calls == {"_kernel_basis": 48, "_fibre_trace_data": 12, "_restricted_trace": 30}
 
 
@@ -648,5 +671,5 @@ def test_matrix_part_work_is_done_once_per_matrix_part(monkeypatch):
     reports = orc.spectral_reports(orb, 4)
     assert reports and all(r.match for r in reports)
     assert [cache.cache_info().misses for cache in caches] == [12, 12]
-    lattices = {epstein.fixed_lattice_cached(orb.structure, e).basis for e in group}
+    lattices = {epstein.fixed_lattice(e, orb.structure.metric).basis for e in group}
     assert calls["enumerate_ellipsoid"] == len(lattices) == 8
