@@ -15,21 +15,22 @@ the character.  This module computes that dimension two independent ways:
     `g2.typed_contraction_kernel` checked against the dimension in KINDS),
     explicit pullback matrices, exact restricted traces and exact
     root-of-unity phases over every fixed pair: one walk per class
-    (`_orbits`) joins the orbits of the group's matrix parts into the
-    orbits under the lattice matrices that fix phi, for the identity's
-    term.  The same walk gives each fixed mode l a transport T, a product
-    of those matrices with T r = +-l for the key r of l's orbit, and each
-    fixed pair (A, l) reads its trace at r: tr(A* | F_l) equals
-    tr((T^-1 A T)* | F_r), since T* carries F_l onto F_r.  So fibre
-    kernels and their trace data are built once per orbit and kind
-    (`invariant_dimension_bruteforce` says why each step holds and where).
+    (`_orbits`) joins the orbits of the group's matrix parts, each keyed
+    at the first mode the walk reaches, into the orbits under the lattice
+    matrices that fix phi, for the identity's term.  The same walk gives
+    each fixed mode l a transport T, a product of those matrices with
+    T r = +-l for the key r of l's orbit, and each fixed pair (A, l) reads
+    its trace at r: tr(A* | F_l) equals tr((T^-1 A T)* | F_r), since T*
+    carries F_l onto F_r.  So fibre kernels and their trace data are built
+    once per orbit and kind (`invariant_dimension_bruteforce` says why
+    each step holds and where).
     Bases, pullback matrices and the integer part N of the metric's
     Lambda-Gram pair (N, d) are integer rows, so each trace is computed in
     Python ints with one division at the end, once per conjugate T^-1 A T
     and orbit key.  Under the identity frame every matrix part, symmetry
     and conjugate is a signed permutation, recognised once per matrix
-    (`_signed_permutation`): it moves modes, conjugates, inverts and gives
-    its pullback matrix by index; any other matrix takes the general
+    (`_signed_permutation`): it moves modes, conjugates and gives its
+    pullback matrix by index; any other matrix takes the general
     kernels (`linalg.matvec`, `int_matmul`, `inverse`, `pullback_matrix`);
   * closed form: the tr8/tr12 trace polynomials weighted by the same phases
     over all fixed vectors of each element, once per element and phase.
@@ -48,13 +49,14 @@ oracle for the character formula behind the mu-invariants.
 
 The oracle keeps what it derives on the structure's `g2.Memo`: per orbit
 key and kind, a fibre kernel, and trace data at a key that a non-identity
-element fixes; per matrix that it moves, conjugates by, inverts or pulls
-back, a signed-permutation test, a mode map, an inverse, a pullback
-matrix; per step X^-1 A X of a transport, its conjugate; per (conjugate,
-key, kind), a restricted trace; per fixed lattice and radius, its shells;
-per element and radius, its fixed modes and their phase counts; per
-class, its orbits and transports.  m3's spectrum at radius 9 keeps 48
-kernels, 12 trace data, 7 inverses, 30 conjugation steps and 30 traces.
+element fixes; per matrix that it moves, conjugates by or pulls back, a
+signed-permutation test, a mode map, a pullback matrix, an inverse if it
+is no signed permutation; per step X^-1 A X of a transport, its
+conjugate; per (conjugate, key, kind), a restricted trace; per fixed
+lattice and radius, its shells; per element and radius, its fixed modes,
+phases and phase counts; per class, its orbits and transports.  m3's
+spectrum at radius 9 keeps 48 kernels, 12 trace data, 34 conjugation
+steps and 30 traces, and no inverse.
 
 The module is plain Python, like the exact core it reads.  mpmath is
 imported only for a phase whose cosine is irrational, and gives it no
@@ -65,7 +67,7 @@ phase ends the command in a traceback (ROADMAP item 3).
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from math import prod
 from operator import itemgetter, mul, neg
 
@@ -131,8 +133,8 @@ def enumerate_classes(orbifold, radius_sq):
     if radius_sq < 0:
         raise ValueError("radius_sq must be nonnegative")
     shells = orbifold.structure.memo(_mode_shells, AffineElement.identity(), radius_sq)
-    return [EigenClass(norm_sq=q, vectors=tuple(map(itemgetter(0), pairs)), radius_sq=radius_sq)
-            for q, (pairs, _) in shells.items()]
+    return [EigenClass(norm_sq=q, vectors=modes, radius_sq=radius_sq)
+            for q, (modes, _, _) in shells.items()]
 
 
 def fiber_basis(structure, l, kind):
@@ -188,45 +190,48 @@ def _cos_2pi(q):
 
 def _fixed_vectors(element, cls, structure):
     """((l, q), ...): the class's modes fixed by the element, with their phases."""
-    return structure.memo(_mode_shells, element, cls.radius_sq).get(cls.norm_sq, ((), {}))[0]
+    modes, phases, _ = structure.memo(_mode_shells, element, cls.radius_sq).get(
+        cls.norm_sq, ((), (), {}))
+    return tuple(zip(modes, phases))
 
 
 def _mode_shells(structure, element, radius_sq):
-    """{Q: (((l, q), ...), {q: n})}: the element's fixed modes with
-    0 < |l|^2 = Q <= radius_sq and their phases, and the number n of them
-    that carry each phase q.
+    """{Q: (modes, phases, {q: n})}: the element's fixed modes l with
+    0 < |l|^2 = Q <= radius_sq, their phases in the same order, and the
+    number n of them that carry each phase q.
 
     The points x of the element's fixed lattice and their modes l = x B come
     from `_lattice_modes`, one enumeration per lattice and radius, which the
     elements with one matrix part share; only the phase is the element's
     own: q = k / f for the residue k = T . x mod f of the twist T / f.  An
-    untwisted lattice (f = 1), the identity's among them, gives every mode
-    one shared phase 0.
+    untwisted lattice (f = 1), the identity's among them, gives each shell
+    one tuple of the shared phase 0.
     """
     lat = fixed_lattice(element, structure.metric)
     shells = structure.memo(_lattice_modes, lat.basis, lat.gram, radius_sq)
     (T,), f = linalg.clear_denominators([lat.twist])
     if f == 1:
         zero = Fraction(0)
-        return {Q: (tuple(zip(modes, repeat(zero))), {zero: len(modes)})
+        return {Q: (modes, (zero,) * len(modes), {zero: len(modes)})
                 for Q, (_, modes) in shells.items()}
     out = {}
     for Q, (points, modes) in shells.items():
-        pairs = tuple((l, Fraction(sum(map(mul, T, x)) % f, f)) for x, l in zip(points, modes))
-        out[Q] = pairs, Counter(map(itemgetter(1), pairs))
+        phases = tuple(Fraction(sum(map(mul, T, x)) % f, f) for x in points)
+        out[Q] = modes, phases, Counter(phases)
     return out
 
 
 def _lattice_modes(structure, basis, gram, radius_sq):
     """{Q: (points, modes)}: the nonzero shells Q <= radius_sq of the lattice
     with this Gram, each point x with its mode l = x B, which is x itself
-    when the basis B is the unit matrix (the identity's lattice, Z^7)."""
+    when the basis B is the unit matrix (the identity's lattice, Z^7).  The
+    modes are a tuple, hashable as the vectors of a class."""
     shells = linalg.enumerate_ellipsoid(gram, radius_sq)
     shells.pop(Fraction(0), None)
     if basis == IDENTITY[0]:
-        return {Q: (points, points) for Q, points in shells.items()}
+        return {Q: (tuple(points),) * 2 for Q, points in shells.items()}
     columns = list(zip(*basis))
-    return {Q: (points, [tuple(sum(map(mul, x, col)) for col in columns) for x in points])
+    return {Q: (points, tuple(tuple(sum(map(mul, x, col)) for col in columns) for x in points))
             for Q, points in shells.items()}
 
 
@@ -277,70 +282,67 @@ def invariant_dimension_bruteforce(orbifold, cls, kind):
 
 
 def _orbits(structure, group, symmetries, cls):
-    """({r: |O|}, {l: (r, word)}) for the class's modes.
+    """({v: |O|}, {l: (r, word)}) for the class's modes.
 
-    The walk finds the orbits of the modes under the group's matrix parts
-    Gamma, each keyed by its first mode in the class, and joins them into
-    the first table: the orbits O under the group that `symmetries`, Gamma
-    and -1 generate, each keyed by the first key r of its Gamma-orbits.  The
-    second holds a transport of each mode l that a non-identity element
-    fixes: the key r of its orbit, with +-sign made canonical, and a word
-    X_1 .. X_n of Gamma and `symmetries` whose product T = X_1 .. X_n has
-    T r = +-l.
+    The walk keys each orbit of the modes under the group's matrix parts
+    Gamma at the first of its modes that it reaches, and joins these
+    Gamma-orbits into the first table: the orbits O under the group that
+    `symmetries`, Gamma and -1 generate, each keyed by its first mode v in
+    the class.  The second holds a transport of each mode l that a
+    non-identity element fixes: the key r of its orbit, v with +-sign made
+    canonical, and a word X_1 .. X_n of Gamma and `symmetries` whose
+    product T = X_1 .. X_n has T r = +-l.
 
     A mode l moves as A l, the action of `epstein.fixed_lattice`, whose fixed
     modes are the l with A l = l; a signed permutation moves it by index
-    (`_mode_map`).  The Gamma-orbits are joined by a walk over
-    their keys: each symmetry S that is not a matrix part moves every member
-    P w of a Gamma-orbit, while -1, which commutes with Gamma, moves the orbit
-    Gamma w onto Gamma(-w), so it moves the key w alone.  When the image
-    x = S P w, or -w, is Q k for the key k it first reaches, k = Q^-1 S P w:
-    the walk records the word (Q^-1, S, P) + word(w) for k (identities and
-    -1 left out) and (P,) + word(k) for each member P k.  The modes that a
-    non-identity element fixes are those with a nontrivial stabiliser in
-    Gamma, or every mode when an element other than the identity has the
-    identity matrix part.
+    (`_mode_map`).  Each symmetry S that is not a matrix part moves every
+    member P w of a walked Gamma-orbit Gamma w, while -1, which commutes with
+    Gamma, moves Gamma w onto Gamma(-w), so it moves the key w alone.  An
+    image x = S P w, or -w, in no Gamma-orbit reached so far keys its own,
+    Gamma x = {Q x}, with the word (S, P) + word(w) (identities and -1 left
+    out), and each member P x gets (P,) + word(x).  An image off the class
+    ends the walk, which would otherwise not end under a shear.  The modes
+    that a non-identity element fixes are those of the Gamma-orbits smaller
+    than the group: those with a nontrivial stabiliser in Gamma, or all
+    when an element other than the identity has the identity matrix part.
     """
     parts = tuple(dict.fromkeys(element.matrix for element in group))
     one = parts[0]
     part_moves = [(structure.memo(_mode_map, A), A) for A in reversed(parts)]
-    members, key = {}, {}
-    for v in cls.vectors:
-        if v not in key:
-            members[v] = {move(v): A for move, A in part_moves}
-            key.update(dict.fromkeys(members[v], v))
     movers = [(structure.memo(_mode_map, S), S) for S in symmetries if S not in parts]
-    everywhere = len(group) > len(parts)
-    seen, out, transports = set(), {}, {}
-    for v in members:
-        if v not in seen:
-            seen.add(v)
-            walk, words = [v], {v: ()}
-            for w in walk:
-                # -1 first: its step drops out, so l and -l share a transport
-                images = [tuple(map(neg, w))]
-                for move, _ in movers:
-                    images += map(move, members[w])
-                keys = list(map(key.get, images))
-                if None in keys:
-                    raise ArithmeticError(
-                        f"a symmetry moves mode {images[keys.index(None)]} off its class")
-                if seen.issuperset(keys):
-                    continue
-                steps = [()] + [(S, P) for _, S in movers for P in members[w].values()]
-                for x, k, step in zip(images, keys, steps):
-                    if k not in seen:
-                        seen.add(k)
-                        walk.append(k)
-                        Q = members[k][x]
-                        inverse = () if Q == one else (structure.memo(_unimodular_inverse, Q),)
-                        words[k] = inverse + _word(step, one) + words[w]
-            out[v] = sum(len(members[w]) for w in walk)
-            r = linalg.canonical_sign(v)
-            for w in walk:
-                if everywhere or len(members[w]) < len(parts):
-                    for u, P in members[w].items():
-                        transports[u] = r, _word((P,), one) + words[w]
+    modes, seen, out, transports = set(cls.vectors), set(), {}, {}
+
+    def gamma_orbit(x):
+        """{P x: P}, each member marked seen."""
+        orbit = {move(x): A for move, A in part_moves}
+        seen.update(orbit)
+        return orbit
+
+    for v in cls.vectors:
+        if v in seen:
+            continue
+        walk, members, words = [v], {v: gamma_orbit(v)}, {v: ()}
+        for w in walk:
+            # -1 first: its step drops out, so l and -l share a transport
+            images = [tuple(map(neg, w))]
+            for move, _ in movers:
+                images += map(move, members[w])
+            if seen.issuperset(images):
+                continue
+            steps = [()] + [(S, P) for _, S in movers for P in members[w].values()]
+            for x, step in zip(images, steps):
+                if x not in seen:
+                    if x not in modes:
+                        raise ArithmeticError(f"a symmetry moves mode {x} off its class")
+                    walk.append(x)
+                    members[x] = gamma_orbit(x)
+                    words[x] = _word(step, one) + words[w]
+        out[v] = sum(map(len, members.values()))
+        r = linalg.canonical_sign(v)
+        for w, orbit in members.items():
+            if len(orbit) < len(group):
+                for u, P in orbit.items():
+                    transports[u] = r, _word((P,), one) + words[w]
     return out, transports
 
 
@@ -374,10 +376,7 @@ def _mode_map(structure, A):
 
 
 def _unimodular_inverse(structure, A):
-    """A^-1 for an integer matrix of determinant +-1, as integer rows: the
-    transpose of a signed permutation."""
-    if structure.memo(_signed_permutation, A) is not None:
-        return linalg.transpose(A)
+    """A^-1 for an integer matrix of determinant +-1, as integer rows."""
     inv, _ = linalg.inverse((A, 1))
     return inv
 
@@ -420,7 +419,7 @@ def invariant_dimension_formula(orbifold, cls, kind):
     for element in orbifold.group:
         value = poly(element.matrix)
         shells = orbifold.structure.memo(_mode_shells, element, cls.radius_sq)
-        for q, count in shells.get(cls.norm_sq, ((), {}))[1].items():
+        for q, count in shells.get(cls.norm_sq, ((), (), {}))[2].items():
             acc[q] += count * value
     return _integer_average(acc, len(orbifold.group))
 

@@ -1,5 +1,6 @@
 import json
 import re
+import signal
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -475,6 +476,31 @@ def test_an_orbit_weight_off_by_one_fails_the_partition_check(monkeypatch, m3):
         orc.invariant_dimension_bruteforce(m3, cls, "H")
 
 
+def test_a_symmetry_that_leaves_the_class_ends_the_walk(monkeypatch, m1):
+    """The mutation: the shear I + E_12, which keeps no norm, given as the one
+    symmetry generator.  It moves m1's mode -e2 of class 1 to -e1 - e2, of
+    norm 2, and the walk names that image at once; without its check it
+    would walk the sheared images without end, so a timer stops it after
+    1 s."""
+    def timeout(signum, frame):
+        raise TimeoutError
+
+    shear = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(7)) for i in range(7))
+    monkeypatch.setattr(g2, "symmetry_generators", lambda structure: (shear,))
+    cls = orc.enumerate_classes(m1, 1)[0]
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "a symmetry moves mode (-1, -1, 0, 0, 0, 0, 0) off its class")):
+            orc.invariant_dimension_bruteforce(m1, cls, "H")
+    except TimeoutError:
+        pytest.fail("the walk did not end in 1 s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_a_short_fibre_at_an_orbit_key_is_named(monkeypatch):
     """The mutation: one kernel vector dropped at m3's orbit key (-1, -1, 0,
     -1, 0, 0, 0) of class 3, whose 224 modes no non-identity element fixes,
@@ -579,8 +605,10 @@ def test_m3_at_radius_9_builds_one_kernel_per_orbit_and_kind(monkeypatch):
     """m3 at radius 9 has 12,434 modes in 9 classes and 24 symmetry orbits: the
     oracle builds 48 fibre kernels, one per orbit and kind (436 when each
     fixed pair took its trace at its own mode), inverts the trace data of 12
-    fibres, those at the 6 orbit keys that a non-identity element fixes, and
-    takes 30 restricted traces."""
+    fibres, those at the 6 orbit keys that a non-identity element fixes,
+    takes 30 restricted traces and 34 conjugation steps X^-1 A X, and
+    takes no `_unimodular_inverse`: every letter of a transport is a signed
+    permutation, which conjugates by index."""
     calls = Counter()
 
     def counting(module, name):
@@ -592,14 +620,15 @@ def test_m3_at_radius_9_builds_one_kernel_per_orbit_and_kind(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     counting(g2, "_kernel_basis")
-    counting(orc, "_fibre_trace_data")
-    counting(orc, "_restricted_trace")
+    for name in ("_fibre_trace_data", "_restricted_trace", "_conjugate_by", "_unimodular_inverse"):
+        counting(orc, name)
     orb = validate_joyce(generate(_M3))
     reports = orc.spectral_reports(orb, 9)
     assert len(reports) == 18 and all(r.match for r in reports)
     assert sum(len(cls.vectors) for cls in orc.enumerate_classes(orb, 9)) == 12434
     assert sum(len(_walk_tables(orb, cls)[0]) for cls in orc.enumerate_classes(orb, 9)) == 24
-    assert calls == {"_kernel_basis": 48, "_fibre_trace_data": 12, "_restricted_trace": 30}
+    assert calls == {"_kernel_basis": 48, "_fibre_trace_data": 12, "_restricted_trace": 30,
+                     "_conjugate_by": 34}
 
 
 def _sheared_parts():
@@ -611,9 +640,9 @@ def _sheared_parts():
 def test_signed_permutations_act_by_index_as_the_general_kernels(phi0_symmetry_group):
     """For each of the 1,344 signed permutations X that fix phi0, the oracle's
     index paths equal the general kernels: the pullback matrices at grades 2
-    and 3 (`pullback_matrix`), the inverse (`linalg.inverse`), the conjugates
-    X^-1 A X of a signed permutation and of a sheared matrix part
-    (`int_matmul`) and the moves of modes (`matvec`).  Both parities of
+    and 3 (`pullback_matrix`), the conjugates X^-1 A X of a signed
+    permutation and of a sheared matrix part (`int_matmul`, with
+    `linalg.inverse`) and the moves of modes (`matvec`).  Both parities of
     sorting the image of a 2- or 3-subset occur, so the compound's sign of
     sorting is tested; a matrix that is no signed permutation is recognised
     as none."""
@@ -632,7 +661,6 @@ def test_signed_permutations_act_by_index_as_the_general_kernels(phi0_symmetry_g
             parities.update(sum(u > v for u, v in combinations([perm[i] for i in I], 2)) % 2
                             for I in combinations(range(7), grade))
         inverse, _ = linalg.inverse((X, 1))
-        assert structure.memo(orc._unimodular_inverse, X) == inverse
         for A in others:
             assert structure.memo(orc._conjugate_by, X, A) == \
                 linalg.int_matmul(linalg.int_matmul(inverse, A), X)
