@@ -13,6 +13,11 @@ Exit codes: 0 success, 1 mathematical mismatch or validation failure,
 Reports are JSON (or CSV) on stdout and deterministic for a fixed config
 and seed up to the wall_time_s field.
 
+`run` returns the exit code and never ends the process (argparse's
+SystemExit on a usage error aside), so tests and the benchmark's tracer
+call it in process; `main` flushes stdout and stderr after it and ends the
+process with os._exit, skipping the interpreter's teardown.
+
 check, invariants, zeta and spectrum run on the exact core alone, with
 neither numpy nor mpmath; `identities` imports the Fourier layer, and with
 it numpy.
@@ -21,6 +26,7 @@ it numpy.
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -392,7 +398,17 @@ def run(argv=None):
 
 
 def main():
-    raise SystemExit(run())
+    """The `g2mu` console script and `python -m g2mu.cli`.  An exception
+    that escapes run, such as argparse's SystemExit, takes the normal exit
+    path; a reader that has closed stdout ends the process with exit 1 and
+    no traceback."""
+    try:
+        code = run()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

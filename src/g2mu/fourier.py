@@ -5,7 +5,9 @@ exp(2 pi i g(l, x)), l in Z^7 and each a_l a constant complex form.  It is
 stored as one read-only complex array of the actual coefficients: one row
 per mode, modes sorted, C(7,p) columns.  The coefficients are floats
 because they really are floating (seeded random draws); the exact algebra
-stays in `exterior` and `g2`.
+stays in `exterior` and `g2`.  The draws come from the standard library's
+seeded generator, random.Random, so numpy.random is never imported; numpy
+holds the arrays and does the linear algebra.
 
 Every operator acts on each mode chi_l a through one matrix:
 
@@ -35,6 +37,7 @@ The exact mode fibres that the Hessian blocks project onto are `g2`'s
 `typed_contraction_kernel`.
 """
 
+import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -403,17 +406,20 @@ def refined(name, f):
 
 def random_fourier(structure, grade, rng, n_modes=3, component=None,
                    include_constant=False):
-    """Seeded random FourierForm; coefficients uniform in [-1,1] per re/im part."""
+    """Seeded random FourierForm drawn from `rng`, a standard-library
+    random.Random: each mode's entries uniform in [-_LINF, _LINF], each
+    coefficient's real and imaginary parts uniform in [-1, 1]."""
     n = comb(DIM, grade)
     keys = set()
     while len(keys) < n_modes:
-        l = tuple(int(x) for x in rng.integers(-_LINF, _LINF + 1, size=DIM))
+        l = tuple(rng.randint(-_LINF, _LINF) for _ in range(DIM))
         if l != ZERO_MODE:
             keys.add(l)
     if include_constant:
         keys.add(ZERO_MODE)
     modes = sorted(keys)
-    coeffs = [rng.uniform(-1, 1, size=n) + 1j * rng.uniform(-1, 1, size=n) for _ in modes]
+    coeffs = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+              for _ in modes]
     f = FourierForm(structure, grade, modes, coeffs)
     if component is not None:
         f = project_type(f, grade, component)
@@ -517,14 +523,15 @@ def _identity_suite():
 
 
 def verify_appendix(structure, trials=100, seed=0):
-    """Check every refined-derivative identity on seeded random forms.
+    """Check every refined-derivative identity on random forms drawn from
+    random.Random(seed).
 
     Returns {"seed", "trials", "identities": {name: max residual}}.
     Failures are reported through the residuals, never raised.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     suite = _identity_suite()
     maxres = {name: 0.0 for name, *_ in suite}
     for _ in range(trials):
@@ -650,13 +657,13 @@ def _span_projector(B, gram):
 def verify_hessian(structure, trials=100, seed=0):
     """Check the Hessian block structure on seeded random forms.
 
-    Each of max(1, trials // 10) draws, seeded by seed + 1, takes the S4
-    blocks of d* of a random 4-form and splits their sum again with
+    Each of max(1, trials // 10) draws from random.Random(seed + 1) takes
+    the S4 blocks of d* of a random 4-form and splits their sum again with
     split_S4, then takes the E blocks of a random 2-form (3 modes each).
     Returns {"split_checks", "hessian_checks"}, each {name: max residual};
     as in verify_appendix, failures show in the residuals, never raise.
     """
-    rng = np.random.default_rng(seed + 1)
+    rng = random.Random(seed + 1)
     split_checks, hessian_checks = {}, {}
     for _ in range(max(1, trials // 10)):
         # the F blocks' own checks stay out, so that the report keeps its keys

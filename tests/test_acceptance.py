@@ -5,6 +5,7 @@ checklist when run with `pytest -s tests/test_acceptance.py`.
 """
 
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -127,7 +128,7 @@ def test_criterion_5_appendix_identity_suite(structure):
 
 
 def test_criterion_6_hessian_structure(structure):
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     worst_e = worst_plus = worst_minus = worst_inner = 0.0
     for _ in range(10):
         two = fr.random_fourier(structure, 2, rng, n_modes=3)
@@ -186,7 +187,7 @@ def test_criterion_8_type_decomposition(structure):
          for grade, comp in [(2, 7), (2, 14), (3, 1), (3, 7), (3, 27)]}
     complete2 = np.equal(P[2, 7] + P[2, 14], np.eye(21, dtype=int)).all()
     complete3 = np.equal(P[3, 1] + P[3, 7] + P[3, 27], np.eye(35, dtype=int)).all()
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     worst = 0.0
     for grade, comp in [(2, 7), (2, 14), (3, 1), (3, 7), (3, 27)]:
         f = fr.random_fourier(s, grade, rng, n_modes=3)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -589,3 +591,69 @@ def test_exact_reports_are_pinned(capsys, stem):
         code, out, _ = run_cli(capsys, name, "--config", str(CONFIG_DIR / f"{stem}.json"),
                                *flags)
         assert (code, report_digest(out)) == (0, expected), command
+
+
+# -- the command-line process ---------------------------------------------------
+
+SRC_DIR = CONFIG_DIR.parent / "src"
+
+
+def run_process(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """`python -m g2mu.cli argv` in a child process.  Unless `unbuffered`,
+    PYTHONUNBUFFERED is taken out of the child's environment, so that its
+    stdout is block-buffered, as in any pipe or file, and a report that the
+    process did not flush before it ended would be lost."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "g2mu.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=300)
+
+
+def _without_wall_time(out):
+    """A JSON report without wall_time_s; CSV or empty output as it is."""
+    if not out.startswith("{"):
+        return out
+    report = json.loads(out)
+    report.pop("wall_time_s")
+    return report
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["check", "--config", "m3"], 0),
+    (["check", "--config", "not-g2"], 1),
+    (["check", "--config", "missing"], 2),
+    (["check", "--config", "m3", "--output", "csv"], 0),
+], ids=["exit-0", "exit-1", "exit-2", "csv"])
+def test_a_cli_process_prints_what_run_prints(capsys, tmp_path, argv, expected_code):
+    """The process ends by os._exit, which flushes nothing: its stdout, stderr
+    and exit code are still run's, for each exit code and for a CSV report."""
+    not_g2 = [1 if i == j else 0 for i in range(7) for j in range(7)]
+    not_g2[0] = not_g2[8] = -1  # diag(-1, -1, 1, 1, 1, 1, 1)
+    configs = {
+        "m3": str(CONFIG_DIR / "m3.json"),
+        "not-g2": write_config(tmp_path, {"name": "notg2", "generators": [
+            {"matrix": not_g2, "translation": ["0"] * 7}]}),
+        "missing": str(tmp_path / "missing.json"),
+    }
+    argv = [configs.get(arg, arg) for arg in argv]
+    done = run_process(argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert done.returncode == code == expected_code
+    assert (_without_wall_time(done.stdout), done.stderr) == (_without_wall_time(out), err)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_the_process_with_exit_1_and_no_traceback(unbuffered):
+    """Its reader gone, writing the report raises BrokenPipeError: in main's
+    flush when stdout is buffered, in run's print when it is not."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_process(["check", "--config", str(CONFIG_DIR / "m3.json")],
+                           stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")

@@ -4,7 +4,9 @@
 neither numpy nor mpmath, and give the same reports as a process that has
 both; mpmath is still reached, lazily, by an Epstein value away from s = 0.
 They must not import `dataclasses` or `inspect` either, whose import chain
-costs every process more than most commands' own math.
+costs every process more than most commands' own math.  `identities` uses
+numpy for its arrays and linear algebra, but draws its random forms from the
+standard library's generator, and never imports numpy.random.
 """
 
 import json
@@ -75,6 +77,15 @@ def test_import_of_the_oracle_loads_neither_numpy_nor_mpmath():
 def test_import_of_fourier_loads_no_dataclasses():
     # numpy imports inspect itself, so only dataclasses is asked about here
     _assert_import_loads_none_of("g2mu.fourier", ("dataclasses",))
+
+
+def test_identities_loads_no_numpy_random():
+    _python("""
+import sys
+from g2mu import cli
+assert cli.run(sys.argv[1:]) == 0
+assert "numpy" in sys.modules and "numpy.random" not in sys.modules
+""", "identities", "--config", str(CONFIG_DIR / "m3.json"), "--trials", "2")
 
 
 def _configs():
