@@ -7,9 +7,10 @@ the derivation: type decompositions, refined derivative identities,
 eigenspace multiplicities (explicit averaging vs character formula) and
 the zeta-regularisation constant -1.  Import the submodules directly:
 `g2mu.cli`, the exact core (`linalg`, `exterior`, `g2`, `orbifold`,
-`invariants`, `epstein`) and `oracle` import only the standard library;
-`fourier` uses numpy.  mpmath is imported lazily: by `epstein` for values
-away from s = 0 and by `oracle` for a phase whose cosine is irrational.
+`invariants`, `epstein`), `oracle` and the float Fourier layer `fourier`
+import only the standard library.  mpmath is imported lazily: by `epstein`
+for values away from s = 0 and by `oracle` for a phase whose cosine is
+irrational.
 """
 
 __version__ = "0.1.0"

@@ -18,9 +18,9 @@ SystemExit on a usage error aside), so tests and the benchmark's tracer
 call it in process; `main` flushes stdout and stderr after it and ends the
 process with os._exit, skipping the interpreter's teardown.
 
-check, invariants, zeta and spectrum run on the exact core alone, with
-neither numpy nor mpmath; `identities` imports the Fourier layer, and with
-it numpy.
+Every command runs on the standard library alone, with neither numpy nor
+mpmath: check, invariants, zeta and spectrum on the exact core, and
+`identities` on the Fourier layer, whose floats are Python complex numbers.
 """
 
 import argparse

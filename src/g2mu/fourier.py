@@ -2,16 +2,15 @@
 
 A FourierForm is a finite sum  sum_l chi_l a_l  with chi_l(x) =
 exp(2 pi i g(l, x)), l in Z^7 and each a_l a constant complex form.  It is
-stored as one read-only complex array of the actual coefficients: one row
-per mode, modes sorted, C(7,p) columns.  The coefficients are floats
-because they really are floating (seeded random draws); the exact algebra
-stays in `exterior` and `g2`.  The draws come from the standard library's
-seeded generator, random.Random, so numpy.random is never imported; numpy
-holds the arrays and does the linear algebra.
+an immutable named tuple of the actual coefficients: the modes sorted, and
+one tuple of C(7,p) Python complex numbers per mode.  The coefficients are
+floats because they really are floating (seeded random draws from the
+standard library's random.Random); the exact algebra stays in `exterior`
+and `g2`.  The module imports only the standard library.
 
 Every operator acts on each mode chi_l a through one matrix:
 
-    star, wedge with phi / psi / vol,   a constant float matrix each
+    star, wedge with phi / psi / vol,   a constant matrix each
     type projections
     d, d* and the ten refined           2 pi i M(l) with M(l) = sum_a l_a K[a],
     operators                           K a per-structure stack of 7 matrices
@@ -19,36 +18,44 @@ Every operator acts on each mode chi_l a through one matrix:
 
 so every mode matrix is linear in l (or |l|^2 times a constant), and all of
 them vanish on the constant mode.  For d, K[a] = sum_b g_ab (e^b ^ .), so
-M(l) a = lflat ^ a; for d*, K[a] = -(e_a -| .).
+M(l) a = lflat ^ a; for d*, K[a] = -(e_a -| .).  A stack is kept as one
+matrix [K[0] ... K[6]] applied to the 7 C(7,p) products l_a a_j, so M(l)
+itself is never formed.
 
 The ten refined operators split d and its adjoint along the G2-type
 decomposition; the six with first-order formulas are built from the
 printed compositions of d, the Hodge star, wedging with phi/psi and type
 projections, and the four adjoint-named ones are the formal adjoints
--G_dom^-1 K[a]^T G_cod of their primals' stacks.
+-G_dom^-1 K[a]^T G_cod of their primals' stacks, G_dom^-1 being the exact
+inverse of the Lambda-Gram (the compound of g).  The stack of an operator
+on a typed domain ends with that type's projection, so it projects its
+input itself.
 
-The float matrices are views of the structure's exact ones (`gram_float`,
-`lambda_gram_float`, `projector_float`, `star_matrix_float`): each exact
-matrix is an integer pair (N, d), converted once by `pair_to_float`, entry
-by entry as n / d, and kept read-only in the structure's memo; the integer
-stacks of `e^a ^ .` and `e_a -| .` are built once from the tables in
-`exterior`.
-The exact mode fibres that the Hessian blocks project onto are `g2`'s
-`typed_contraction_kernel`.
+Every matrix is sparse: a tuple of rows, each a tuple of (column, float)
+over the row's nonzero entries.  The d and d* stacks come from the integer
+tables of `e^a ^ .` and `e_a -| .` in `exterior`; the refined stacks are
+composed exactly, in integers over the structure's pairs (N, d), and like
+the views of the star, the wedges, the projectors and the Lambda-Grams
+(`star_matrix_float`, `projector_float`, `lambda_gram_float`) each is
+rounded once, entry by entry as n / d, into the structure's memo.  The
+exact mode fibres that the Hessian blocks project onto are `g2`'s
+`typed_contraction_kernel`; those projections solve their small Gram
+systems by Cholesky factorisation.
 """
 
+import math
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
-
-import numpy as np
+from operator import add, mul, sub
 
 from .exterior import DIM, ExteriorForm, interior_table, wedge_matrix, wedge_table
 from .g2 import HESSIAN_WEIGHTS, typed_contraction_kernel
+from .linalg import int_compound
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 _TOL = 1e-9  # relative tolerance of the float precondition checks
 _LINF = 3    # random modes have entries in [-_LINF, _LINF]
@@ -64,47 +71,59 @@ def _mode_key(l):
     return tuple(int(x) for x in l)
 
 
-def read_only(arr):
-    """Mark a cached array read-only and return it."""
-    arr.flags.writeable = False
-    return arr
+# -- sparse matrices -----------------------------------------------------------
+#
+# An exact matrix is a pair (rows, d) meaning rows / d, each row a dict
+# {column: int} of its nonzero entries; a float matrix is a tuple of rows of
+# (column, float) pairs.
+
+def _sparse(pair):
+    """A dense integer pair (N, d) as an exact sparse matrix."""
+    N, d = pair
+    return [{j: x for j, x in enumerate(row) if x} for row in N], d
 
 
-def pair_to_float(N, d):
-    """A float array of N / d: each n / d is correctly rounded, as float(Fraction(n, d))."""
-    return np.array([[n / d for n in row] for row in N], dtype=float)
+def _matmul(A, B):
+    """The product of two exact sparse matrices."""
+    (a, d), (b, e) = A, B
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: z for j, z in acc.items() if z})
+    return out, d * e
 
 
-@lru_cache(maxsize=None)
-def covector_wedge_stack(p):
-    """E with E[a] the integer matrix of v -> e^(a+1) ^ v on grade-p vectors."""
-    E = np.zeros((DIM, comb(DIM, p + 1), comb(DIM, p)), dtype=np.int64)
-    for i, j, k, sign in wedge_table(1, p):
-        E[i, k, j] = sign
-    return read_only(E)
+def _on_axes(A, p):
+    """I_7 (x) A for A on grade p: A on each of a stack's 7 column blocks."""
+    rows, d = A
+    n = comb(DIM, p)
+    return [{a * n + j: x for j, x in row.items()} for a in range(DIM) for row in rows], d
 
 
-@lru_cache(maxsize=None)
-def interior_stack(p):
-    """I with I[a] the integer matrix of v -> e_(a+1) -| v on grade-p vectors."""
-    I = np.zeros((DIM, comb(DIM, p - 1), comb(DIM, p)), dtype=np.int64)
-    for axis, pos_in, pos_out, sign in interior_table(p):
-        I[axis, pos_out, pos_in] = sign
-    return read_only(I)
+def _rounded(A):
+    """An exact sparse matrix as float rows, each entry n / d correctly rounded."""
+    rows, d = A
+    return tuple(tuple((j, x / d) for j, x in sorted(row.items())) for row in rows)
 
+
+def _matvec(M, v):
+    """A float sparse matrix times a vector, as a tuple of complex numbers."""
+    return tuple([sum([x * v[j] for j, x in row], 0j) for row in M])
+
+
+def _at_mode(K, l, c):
+    """sum_a l_a K[a] c: the stack K on the products l_a c_j."""
+    return _matvec(K, [x * y for x in l for y in c])
+
+
+# -- float views -----------------------------------------------------------------
 
 def _float_view(structure, exact, *args):
-    """The pair exact(*args), a method of the structure or of its metric, as floats."""
-    return read_only(pair_to_float(*exact(*args)))
-
-
-def _gram_float(structure):
-    return read_only(pair_to_float(*structure.metric.gram))
-
-
-def gram_float(structure):
-    """Float view of the metric's Gram matrix, converted once per structure."""
-    return structure.memo(_gram_float)
+    """The pair exact(*args), a method of the structure or of its metric, as float rows."""
+    return _rounded(_sparse(exact(*args)))
 
 
 def lambda_gram_float(structure, p):
@@ -122,22 +141,21 @@ def star_matrix_float(structure, p):
     return structure.memo(_float_view, structure.star_matrix, p)
 
 
-class FourierForm:
-    """Finitely supported map Z^7 -> Lambda^p (complex), one array row per mode."""
-    # not a tuple: tuple equality would compare the numpy array elementwise and raise
-    __slots__ = ("structure", "grade", "modes", "coeffs")
+class FourierForm(namedtuple("FourierForm", "structure grade modes coeffs")):
+    """Finitely supported map Z^7 -> Lambda^p (complex): `modes` sorted, and
+    one tuple of C(7,p) complex coefficients per mode in `coeffs`."""
+    __slots__ = ()
 
-    def __init__(self, structure, grade, modes, coeffs):
+    def __new__(cls, structure, grade, modes, coeffs):
         keys = [_mode_key(l) for l in modes]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        modes = tuple(keys[k] for k in order)
-        if len(set(modes)) != len(modes):
+        if len(set(keys)) != len(keys):
             raise ValueError("modes must be distinct")
-        arr = np.array(coeffs, dtype=complex).reshape(len(modes), comb(DIM, grade))[order]
-        _set_fields(self, structure, grade, modes, arr)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FourierForm is immutable")
+        rows = [tuple(map(complex, row)) for row in coeffs]
+        if len(rows) != len(keys) or any(len(row) != comb(DIM, grade) for row in rows):
+            raise ValueError(f"need one row of {comb(DIM, grade)} coefficients per mode")
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return super().__new__(cls, structure, grade, tuple(keys[k] for k in order),
+                               tuple(rows[k] for k in order))
 
     @classmethod
     def constant(cls, structure, form):
@@ -149,60 +167,57 @@ class FourierForm:
 
     def _like(self, coeffs, grade=None):
         """A form on the same modes with the given complex coefficient rows."""
-        return _form(self.structure, self.grade if grade is None else grade, self.modes,
-                     coeffs)
+        return FourierForm._make((self.structure, self.grade if grade is None else grade,
+                                  self.modes, tuple(coeffs)))
 
     def mode(self, l):
         """The coefficient row of mode l (zero if l is absent)."""
         l = _mode_key(l)
         if l in self.modes:
             return self.coeffs[self.modes.index(l)]
-        return np.zeros(comb(DIM, self.grade), dtype=complex)
+        return (0j,) * comb(DIM, self.grade)
 
     def is_zero(self, tol=0.0):
-        return bool(np.max(np.abs(self.coeffs), initial=0.0) <= tol)
+        return all(abs(x) <= tol for row in self.coeffs for x in row)
 
     def __add__(self, other):
-        modes, a, b = _aligned(self, other)
-        return _form(self.structure, self.grade, modes, a + b)
+        return _combined(self, other, add)
 
     def __sub__(self, other):
-        modes, a, b = _aligned(self, other)
-        return _form(self.structure, self.grade, modes, a - b)
+        return _combined(self, other, sub)
 
     def __neg__(self):
-        return self._like(-self.coeffs)
+        return self._like(tuple(-x for x in row) for row in self.coeffs)
 
     def scale(self, c):
-        return self._like(self.coeffs * complex(c))
+        c = complex(c)
+        return self._like(tuple(c * x for x in row) for row in self.coeffs)
 
     __mul__ = scale
     __rmul__ = scale
 
     def harmonic_part(self):
-        return self._like(self.coeffs * _constant_mask(self)[:, None])
+        return _constant_part(self, True)
 
     def nonharmonic_part(self):
-        return self._like(self.coeffs * ~_constant_mask(self)[:, None])
+        return _constant_part(self, False)
 
     def __repr__(self):
         return f"FourierForm(grade={self.grade}, modes={len(self.modes)})"
 
 
-def _set_fields(f, structure, grade, modes, coeffs):
-    for name, value in zip(FourierForm.__slots__, (structure, grade, modes, read_only(coeffs))):
-        object.__setattr__(f, name, value)
+def _constant_part(f, constant):
+    """f's rows on the constant mode (constant=True) or on every other mode; zero elsewhere."""
+    zero = (0j,) * comb(DIM, f.grade)
+    return f._like(row if (l == ZERO_MODE) == constant else zero
+                   for l, row in zip(f.modes, f.coeffs))
 
 
-def _form(structure, grade, modes, coeffs):
-    """A FourierForm from sorted distinct mode tuples and a fresh complex array."""
-    f = object.__new__(FourierForm)
-    _set_fields(f, structure, grade, modes, coeffs)
-    return f
-
-
-def _constant_mask(f):
-    return np.array([l == ZERO_MODE for l in f.modes], dtype=bool)
+def _combined(f1, f2, op):
+    """The form with rows op(row of f1, row of f2) over the union of their modes."""
+    modes, a, b = _aligned(f1, f2)
+    return FourierForm._make((f1.structure, f1.grade, modes,
+                              tuple(tuple(map(op, x, y)) for x, y in zip(a, b))))
 
 
 def _aligned(f1, f2):
@@ -214,13 +229,9 @@ def _aligned(f1, f2):
     if f1.modes == f2.modes:
         return f1.modes, f1.coeffs, f2.coeffs
     modes = tuple(sorted(set(f1.modes) | set(f2.modes)))
-    position = {l: k for k, l in enumerate(modes)}
-    rows = []
-    for f in (f1, f2):
-        out = np.zeros((len(modes), f.coeffs.shape[1]), dtype=complex)
-        out[[position[l] for l in f.modes]] = f.coeffs
-        rows.append(out)
-    return modes, rows[0], rows[1]
+    zero = (0j,) * comb(DIM, f1.grade)
+    rows = [dict(zip(f.modes, f.coeffs)) for f in (f1, f2)]
+    return modes, *(tuple(r.get(l, zero) for l in modes) for r in rows)
 
 
 # -- L^2 pairing ------------------------------------------------------------
@@ -233,12 +244,13 @@ def l2_inner(f1, f2):
     """
     _, a, b = _aligned(f1, f2)
     gram = lambda_gram_float(f1.structure, f1.grade)
-    return complex(np.sum((a @ gram) * np.conj(b)))
+    return sum((sum(map(mul, _matvec(gram, x), map(complex.conjugate, y)), 0j)
+                for x, y in zip(a, b)), 0j)
 
 
 def l2_norm(f):
     val = l2_inner(f, f)
-    return float(np.sqrt(max(val.real, 0.0)))
+    return math.sqrt(max(val.real, 0.0))
 
 
 def residual(f1, f2):
@@ -250,35 +262,53 @@ def residual(f1, f2):
 
 def _apply(f, matrix, grade):
     """Apply one constant matrix to every mode."""
-    return f._like(f.coeffs @ matrix.T, grade)
-
-
-def _at_modes(K, modes):
-    """The mode matrices M(l) = sum_a l_a K[a] of a stack K, one per mode."""
-    L = np.array(modes, dtype=float).reshape(-1, DIM)
-    return (L @ K.reshape(DIM, -1)).reshape(len(L), *K.shape[1:])
+    return f._like((_matvec(matrix, c) for c in f.coeffs), grade)
 
 
 def _apply_stack(f, K, grade):
     """chi_l a -> 2 pi i chi_l M(l) a, with M(l) = sum_a l_a K[a]."""
-    M = _at_modes(K, f.modes)
-    return f._like(2j * np.pi * np.einsum("mij,mj->mi", M, f.coeffs), grade)
+    return f._like((_at_mode(K, [2j * math.pi * x for x in l], c)
+                    for l, c in zip(f.modes, f.coeffs)), grade)
 
 
-def _norm_sq(f):
-    """|l|^2_g for every mode of f, as floats."""
-    L = np.array(f.modes, dtype=float).reshape(-1, DIM)
-    return np.einsum("ma,ab,mb->m", L, gram_float(f.structure), L)
+def _norm_sq(structure, l):
+    """|l|^2_g, rounded once from the exact Gram pair."""
+    N, d = structure.metric.gram
+    return sum(x * sum(map(mul, row, l)) for x, row in zip(l, N) if x) / d
+
+
+def _scaled(f, factor):
+    """chi_l a -> factor(|l|^2_g) chi_l a."""
+    rows = []
+    for l, c in zip(f.modes, f.coeffs):
+        s = factor(_norm_sq(f.structure, l))
+        rows.append(tuple(s * x for x in c))
+    return f._like(rows)
+
+
+def _exact_d(structure, p):
+    """The d stack on grade p, K[a] = sum_b g_ab (e^b ^ .), as an exact matrix."""
+    N, d = structure.metric.gram
+    n = comb(DIM, p)
+    rows = [{} for _ in range(comb(DIM, p + 1))]
+    for b, j, k, sign in wedge_table(1, p):
+        for a in range(DIM):
+            if N[a][b]:
+                rows[k][a * n + j] = sign * N[a][b]
+    return rows, d
 
 
 def _d_stack(structure, p):
-    """K[a] = sum_b g_ab (e^b ^ .) on grade p, so that M(l) a = lflat ^ a."""
-    return read_only(np.tensordot(gram_float(structure), covector_wedge_stack(p), axes=1))
+    return _rounded(_exact_d(structure, p))
 
 
 def _dstar_stack(structure, p):
-    """K[a] = -(e_a -| .) on grade p."""
-    return read_only(-interior_stack(p).astype(float))
+    """The d* stack on grade p, K[a] = -(e_a -| .)."""
+    n = comb(DIM, p)
+    rows = [{} for _ in range(comb(DIM, p - 1))]
+    for axis, pos_in, pos_out, sign in interior_table(p):
+        rows[pos_out][axis * n + pos_in] = -sign
+    return _rounded((rows, 1))
 
 
 def exterior_d(f):
@@ -297,14 +327,12 @@ def coexterior_d(f):
 
 def laplacian(f):
     """Hodge Laplacian: multiplication by 4 pi^2 |l|^2_g on each mode."""
-    return f._like(f.coeffs * (4 * np.pi ** 2 * _norm_sq(f))[:, None])
+    return _scaled(f, lambda n2: 4 * math.pi ** 2 * n2)
 
 
 def green(f):
     """Green's operator: inverts the Laplacian off the constant modes."""
-    n2 = 4 * np.pi ** 2 * _norm_sq(f)
-    factor = np.divide(1.0, n2, out=np.zeros_like(n2), where=n2 > 0)
-    return f._like(f.coeffs * factor[:, None])
+    return _scaled(f, lambda n2: 1.0 / (4 * math.pi ** 2 * n2) if n2 > 0 else 0.0)
 
 
 _CONSTANT_GRADES = {"phi": 3, "psi": 4, "vol": 7}
@@ -314,7 +342,7 @@ def _wedge_float(structure, name, p):
     """Float matrix of v -> v ^ c on grade p, for c = phi, psi or vol_g."""
     form = ExteriorForm(7, [structure.metric.vol]) if name == "vol" else \
         getattr(structure, name)
-    return read_only(pair_to_float(*wedge_matrix(form, p)))
+    return _rounded(_sparse(wedge_matrix(form, p)))
 
 
 def wedge_const(f, name):
@@ -357,48 +385,59 @@ REFINED_OPS = {
 }
 
 
-def _refined_stack(structure, name):
-    """The stack K of a refined operator: it acts on chi_l a by 2 pi i M(l)."""
+def _exact_refined(structure, name):
+    """The stack of a refined operator as an exact matrix; it acts on chi_l a
+    by 2 pi i M(l)."""
     op = REFINED_OPS[name]
     if op.adjoint_of is not None:
         primal = REFINED_OPS[op.adjoint_of]
-        K = structure.memo(_refined_stack, op.adjoint_of)
-        g_dom = lambda_gram_float(structure, primal.domain[0])
-        g_cod = lambda_gram_float(structure, primal.codomain[0])
-        return read_only(-(np.linalg.inv(g_dom) @ K.transpose(0, 2, 1) @ g_cod))
-    star_m = lambda p: star_matrix_float(structure, p)
-    proj = lambda grade, component: projector_float(structure, grade, component)
-    d = lambda p: structure.memo(_d_stack, p)
-    psi = structure.memo(_wedge_float, "psi", 1)
+        dom, cod = primal.domain[0], primal.codomain[0]
+        K, d = structure.memo(_exact_refined, op.adjoint_of)
+        # -K[a]^T, block by block
+        minus_kt = [{} for _ in range(comb(DIM, dom))]
+        for i, row in enumerate(K):
+            for col, x in row.items():
+                a, j = divmod(col, comb(DIM, dom))
+                minus_kt[j][a * comb(DIM, cod) + i] = -x
+        # lambda_gram(p) is the compound of g^-1, so its inverse is the compound of g
+        N, e = structure.metric.gram
+        g_dom_inverse = _sparse((int_compound(N, dom), e ** dom))
+        g_cod = _on_axes(_sparse(structure.metric.lambda_gram(cod)), cod)
+        return reduce(_matmul, (g_dom_inverse, (minus_kt, d), g_cod))
+    star_m = lambda p: _sparse(structure.star_matrix(p))
+    proj = lambda grade, component: _sparse(structure.projector(grade, component))
+    d = lambda p: _exact_d(structure, p)
+    psi = lambda: _sparse(wedge_matrix(structure.psi, 1))
     if name == "d1_7":
-        K = d(0)
+        chain = [d(0)]
     elif name == "d7_7":
         # alpha -> star d(alpha ^ psi)
-        K = star_m(6) @ d(5) @ psi
+        chain = [star_m(6), d(5), _on_axes(psi(), 1)]
     elif name == "d7_14":
-        K = proj(2, 14) @ d(1)
+        chain = [proj(2, 14), d(1)]
     elif name == "d7_27":
         # alpha -> pi_27 d star(alpha ^ psi)
-        K = proj(3, 27) @ d(2) @ star_m(5) @ psi
+        chain = [proj(3, 27), d(2), _on_axes(_matmul(star_m(5), psi()), 1)]
     elif name == "d14_27":
-        K = proj(3, 27) @ d(2) @ proj(2, 14)
+        chain = [proj(3, 27), d(2), _on_axes(proj(2, 14), 2)]
     else:
         # gamma -> star pi_27(d gamma)
-        K = star_m(4) @ proj(4, 27) @ d(3) @ proj(3, 27)
-    return read_only(K)
+        chain = [star_m(4), proj(4, 27), d(3), _on_axes(proj(3, 27), 3)]
+    return reduce(_matmul, chain)
+
+
+def _refined_stack(structure, name):
+    return _rounded(structure.memo(_exact_refined, name))
 
 
 def refined(name, f):
-    """Apply a refined derivative operator mode-wise; inputs are first
-    projected onto the operator's domain type."""
+    """Apply a refined derivative operator mode-wise; inputs are projected onto
+    the operator's domain type first, by the projection that ends its stack."""
     if name not in REFINED_OPS:
         raise ValueError(f"unknown refined operator {name!r}")
     op = REFINED_OPS[name]
-    dom_grade, dom_comp = op.domain
-    if f.grade != dom_grade:
-        raise ValueError(f"{name} needs a grade-{dom_grade} input, got grade {f.grade}")
-    if dom_comp is not None:
-        f = project_type(f, dom_grade, dom_comp)
+    if f.grade != op.domain[0]:
+        raise ValueError(f"{name} needs a grade-{op.domain[0]} input, got grade {f.grade}")
     return _apply_stack(f, f.structure.memo(_refined_stack, name), op.codomain[0])
 
 
@@ -428,8 +467,9 @@ def random_fourier(structure, grade, rng, n_modes=3, component=None,
 
 # -- the appendix identity suite --------------------------------------------------
 
-def _identity_suite():
-    """List of (name, input kind, lhs builder, rhs builder)."""
+def _identity_suite(refined):
+    """List of (name, input kind, lhs builder, rhs builder), the builders
+    applying the refined operators through `refined(name, form)`."""
     suite = [
         # scalar block
         ("om0_d", 0, lambda f: exterior_d(f), lambda f: refined("d1_7", f)),
@@ -524,7 +564,8 @@ def _identity_suite():
 
 def verify_appendix(structure, trials=100, seed=0):
     """Check every refined-derivative identity on random forms drawn from
-    random.Random(seed).
+    random.Random(seed).  The identities share terms, so a trial applies each
+    refined operator to each form once.
 
     Returns {"seed", "trials", "identities": {name: max residual}}.
     Failures are reported through the residuals, never raised.
@@ -532,9 +573,9 @@ def verify_appendix(structure, trials=100, seed=0):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    suite = _identity_suite()
-    maxres = {name: 0.0 for name, *_ in suite}
+    maxres = {name: 0.0 for name, *_ in _identity_suite(refined)}
     for _ in range(trials):
+        suite = _identity_suite(lru_cache(maxsize=None)(refined))
         inputs = {
             0: random_fourier(structure, 0, rng),
             1: random_fourier(structure, 1, rng),
@@ -602,40 +643,41 @@ def hessian_blocks(kind, f):
         raise ValueError(f"kind {kind} needs a grade-{grade} form")
     structure = f.structure
     gram = lambda_gram_float(structure, grade)
-    n2 = _norm_sq(f)
-    # lflat ^ (l -| .) on grade p, and l -| (lflat ^ .) on grade p
-    exact_part = _at_modes(structure.memo(_d_stack, grade - 1), f.modes) @ \
-        _at_modes(interior_stack(grade), f.modes)
-    wrap = _at_modes(interior_stack(grade + 1), f.modes) @ \
-        _at_modes(structure.memo(_d_stack, grade), f.modes)
-    basis7 = np.array(structure.type_space_basis(grade, 7), dtype=float).T
+    d_in, d_out = (structure.memo(_d_stack, p) for p in (grade - 1, grade))
+    dstar_in, dstar_out = (structure.memo(_dstar_stack, p) for p in (grade, grade + 1))
+    basis7 = structure.type_space_basis(grade, 7)
+    zero = (0j,) * comb(DIM, grade)
 
-    rows = {label: np.zeros_like(f.coeffs) for label in _BLOCK_LABELS[kind]}
-    for m, (l, c) in enumerate(zip(f.modes, f.coeffs)):
+    rows = {label: [] for label in _BLOCK_LABELS[kind]}
+    for l, c in zip(f.modes, f.coeffs):
         if l == ZERO_MODE:
-            rows["harmonic"][m] = c
-            continue
-        c_ex = exact_part[m] @ c / n2[m]
-        c_co = c - c_ex
-        c_co7 = _span_projector(wrap[m] @ basis7, gram) @ c_co
-        rest = c_co - c_co7
-        rows["exact"][m] = c_ex
-        rows["coexact_7"][m] = c_co7
-        if kind == "E":
-            rows["coexact_14"][m] = rest
+            parts = {"harmonic": c}
         else:
-            kernel = np.array(typed_contraction_kernel(structure, l, 3, 27), dtype=float).T
-            rows["S_minus"][m] = _span_projector(kernel, gram) @ rest
-            rows["S_plus"][m] = rest - rows["S_minus"][m]
+            # lflat ^ (l -| c) / |l|^2, with l -| . = -K_d*(l)
+            n2 = _norm_sq(structure, l)
+            exact = tuple(-x / n2 for x in _at_mode(d_in, l, _at_mode(dstar_in, l, c)))
+            coexact = tuple(map(sub, c, exact))
+            # the span of l -| (lflat ^ v) over v in Lambda^grade_7, up to sign
+            wrap = [_at_mode(dstar_out, l, _at_mode(d_out, l, v)) for v in basis7]
+            parts = {"exact": exact, "coexact_7": _span_projection(wrap, gram, coexact)}
+            rest = tuple(map(sub, coexact, parts["coexact_7"]))
+            if kind == "E":
+                parts["coexact_14"] = rest
+            else:
+                kernel = typed_contraction_kernel(structure, l, 3, 27)
+                parts["S_minus"] = _span_projection(kernel, gram, rest)
+                parts["S_plus"] = tuple(map(sub, rest, parts["S_minus"]))
+        for label, out in rows.items():
+            out.append(parts.get(label, zero))
 
     blocks = {label: f._like(r) for label, r in rows.items()}
 
     if kind == "E":
-        gamma = blocks["coexact_14"]
-        proj = lambda grade, component: projector_float(structure, grade, component)
-        symbol_I = sum(float(w) * proj(3, c) for c, w in HESSIAN_WEIGHTS[3].items())
-        lhs = coexterior_d(_apply(exterior_d(gamma), symbol_I, 3))
-        rhs = -coexterior_d(exterior_d(gamma))
+        dgamma = exterior_d(blocks["coexact_14"])
+        # the Hessian symbol I = sum_c w_c pi_c on 3-forms
+        terms = [project_type(dgamma, 3, c).scale(w) for c, w in HESSIAN_WEIGHTS[3].items()]
+        lhs = coexterior_d(sum(terms[1:], terms[0]))
+        rhs = -coexterior_d(dgamma)
         checks = {"dstar_I_d_equals_minus_dstar_d": residual(lhs, rhs)}
     else:
         plus, minus = blocks["S_plus"], blocks["S_minus"]
@@ -648,10 +690,30 @@ def hessian_blocks(kind, f):
     return HessianReport(kind=kind, blocks=blocks, checks=checks)
 
 
-def _span_projector(B, gram):
-    """The gram-orthogonal projector onto the span of the real columns of B."""
-    BtG = B.T @ gram
-    return B @ np.linalg.inv(BtG @ B) @ BtG
+def _span_projection(columns, gram, c):
+    """The gram-orthogonal projection of c onto the span of the real vectors
+    `columns`: sum_k x_k b_k with (B^T G B) x = B^T G c."""
+    weighted = [_matvec(gram, b) for b in columns]
+    A = [[sum(map(mul, w, b), 0j).real for b in columns] for w in weighted]
+    x = _cholesky_solve(A, [sum(map(mul, w, c), 0j) for w in weighted])
+    return tuple(sum([xk * b[j] for xk, b in zip(x, columns)], 0j) for j in range(len(c)))
+
+
+def _cholesky_solve(A, b):
+    """x with A x = b, for a symmetric positive definite float matrix A."""
+    n = len(A)
+    L = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = A[i][j] - sum([L[i][k] * L[j][k] for k in range(j)], 0.0)
+            L[i][j] = math.sqrt(s) if i == j else s / L[j][j]
+    y = []
+    for i in range(n):
+        y.append((b[i] - sum([L[i][k] * y[k] for k in range(i)], 0j)) / L[i][i])
+    x = [0j] * n
+    for i in reversed(range(n)):
+        x[i] = (y[i] - sum([L[k][i] * x[k] for k in range(i + 1, n)], 0j)) / L[i][i]
+    return x
 
 
 def verify_hessian(structure, trials=100, seed=0):

@@ -536,6 +536,11 @@ PINNED_REPORTS = {
         # 88,272 modes in 16 classes, the oracle's largest planned radius
         "spectrum --radius-sq 16":
             "6a87ce8fdd67cca53863df04cc52d06538ea67de604b3002eb66637a2fda3ecd",
+        # float residuals in the interpreter's own arithmetic, with no BLAS: the
+        # same bytes on every machine, for one Python version (CI's 3.11; the
+        # compensated float sum() of 3.12 changes last digits)
+        "identities --trials 2 --seed 0":
+            "45d2ac96b4e057f84ccd1b4590380e75146e3cd0b64dafea58479fcd1bda8ac0",
     },
 }
 
@@ -585,7 +590,7 @@ def test_sheared_parts_spectrum_is_pinned(capsys):
 
 @pytest.mark.parametrize("stem", sorted(PINNED_REPORTS))
 def test_exact_reports_are_pinned(capsys, stem):
-    """Every field but wall_time_s of the exact commands' reports, pinned by digest."""
+    """Every field but wall_time_s of the commands' reports, pinned by digest."""
     for command, expected in PINNED_REPORTS[stem].items():
         name, *flags = command.split()
         code, out, _ = run_cli(capsys, name, "--config", str(CONFIG_DIR / f"{stem}.json"),
