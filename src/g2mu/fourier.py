@@ -720,17 +720,17 @@ def verify_hessian(structure, trials=100, seed=0):
     """Check the Hessian block structure on seeded random forms.
 
     Each of max(1, trials // 10) draws from random.Random(seed + 1) takes
-    the S4 blocks of d* of a random 4-form and splits their sum again with
-    split_S4, then takes the E blocks of a random 2-form (3 modes each).
-    Returns {"split_checks", "hessian_checks"}, each {name: max residual};
-    as in verify_appendix, failures show in the residuals, never raise.
+    the F blocks of d* of a random 4-form and splits the sum of their S4
+    blocks again with split_S4, then takes the E blocks of a random 2-form
+    (3 modes each).  Returns {"split_checks", "hessian_checks"}, each
+    {name: max residual}, the F and E blocks' own checks in the second; as
+    in verify_appendix, failures show in the residuals, never raise.
     """
     rng = random.Random(seed + 1)
     split_checks, hessian_checks = {}, {}
     for _ in range(max(1, trials // 10)):
-        # the F blocks' own checks stay out, so that the report keeps its keys
-        blocks = hessian_blocks("F", coexterior_d(random_fourier(structure, 4, rng))).blocks
-        omega = blocks["S_plus"] + blocks["S_minus"]
+        F = hessian_blocks("F", coexterior_d(random_fourier(structure, 4, rng)))
+        omega = F.blocks["S_plus"] + F.blocks["S_minus"]
         plus, minus = split_S4(omega)
         for name, value in (
                 ("pi27_d_plus", l2_norm(project_type(exterior_d(plus), 4, 27))),
@@ -738,6 +738,7 @@ def verify_hessian(structure, trials=100, seed=0):
                 ("plus_minus_inner", abs(l2_inner(plus, minus))),
                 ("split_reassembles", residual(plus + minus, omega))):
             split_checks[name] = max(split_checks.get(name, 0.0), value)
-        for name, value in hessian_blocks("E", random_fourier(structure, 2, rng)).checks.items():
+        E = hessian_blocks("E", random_fourier(structure, 2, rng))
+        for name, value in {**F.checks, **E.checks}.items():
             hessian_checks[name] = max(hessian_checks.get(name, 0.0), value)
     return {"split_checks": split_checks, "hessian_checks": hessian_checks}

@@ -27,11 +27,11 @@ the character.  This module computes that dimension two independent ways:
     Bases, pullback matrices and the integer part N of the metric's
     Lambda-Gram pair (N, d) are integer rows, so each trace is computed in
     Python ints with one division at the end, once per conjugate T^-1 A T
-    and orbit key.  Under the identity frame every matrix part, symmetry
-    and conjugate is a signed permutation, recognised once per matrix
-    (`_signed_permutation`): it moves modes, conjugates and gives its
-    pullback matrix by index; any other matrix takes the general
-    kernels (`linalg.matvec`, `int_matmul`, `inverse`, `pullback_matrix`);
+    and orbit key.  A mode moves by index under a signed permutation,
+    which every matrix part, symmetry and conjugate is under the identity
+    frame (`_mode_map`), and by `linalg.matvec` under any other matrix;
+    conjugation and pullback matrices take the general kernels
+    (`int_matmul`, `inverse`, `pullback_matrix`) for every matrix;
   * closed form: the tr8/tr12 trace polynomials weighted by the same phases
     over all fixed vectors of each element, once per element and phase.
 
@@ -50,13 +50,12 @@ oracle for the character formula behind the mu-invariants.
 The oracle keeps what it derives on the structure's `g2.Memo`: per orbit
 key and kind, a fibre kernel, and trace data at a key that a non-identity
 element fixes; per matrix that it moves, conjugates by or pulls back, a
-signed-permutation test, a mode map, a pullback matrix, an inverse if it
-is no signed permutation; per step X^-1 A X of a transport, its
-conjugate; per (conjugate, key, kind), a restricted trace; per fixed
-lattice and radius, its shells; per element and radius, its fixed modes,
-phases and phase counts; per class, its orbits and transports.  m3's
-spectrum at radius 9 keeps 48 kernels, 12 trace data, 34 conjugation
-steps and 30 traces, and no inverse.
+mode map, an inverse or a pullback matrix; per step X^-1 A X of a
+transport, its conjugate; per (conjugate, key, kind), a restricted trace;
+per fixed lattice and radius, its shells; per element and radius, its
+fixed modes, phases and phase counts; per class, its orbits and
+transports.  m3's spectrum at radius 9 keeps 48 kernels, 12 trace data,
+34 conjugation steps, 30 traces and 8 inverses.
 
 The module is plain Python, like the exact core it reads.  mpmath is
 imported only for a phase whose cosine is irrational, and gives it no
@@ -67,13 +66,12 @@ phase ends the command in a traceback (ROADMAP item 3).
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations
-from math import prod
+from itertools import chain
 from operator import itemgetter, mul, neg
 
 from . import g2, linalg
 from .epstein import fixed_lattice
-from .exterior import IDENTITY, INDICES, POSITION, pullback_matrix
+from .exterior import IDENTITY, pullback_matrix
 from .g2 import typed_contraction_kernel
 from .invariants import tr8_su3, tr12_su3
 from .orbifold import AffineElement
@@ -351,27 +349,16 @@ def _word(letters, one):
     return tuple(X for X in letters if X != one)
 
 
-def _signed_permutation(structure, A):
-    """(perm, signs) when the integer matrix A is a signed permutation,
-    A[i][perm[i]] = signs[i] = +-1 and every other entry 0, else None: a
-    matrix part, symmetry or conjugate, each of them one under the identity
-    frame, recognised once per matrix."""
-    perm, signs = [], []
-    for row in A:
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
-        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
-            return None
-        perm.append(nonzero[0][0])
-        signs.append(nonzero[0][1])
-    return (tuple(perm), tuple(signs)) if sorted(perm) == list(range(len(A))) else None
-
-
 def _mode_map(structure, A):
-    """The map l -> A l: by index for a signed permutation, else `linalg.matvec`."""
-    signed = structure.memo(_signed_permutation, A)
-    if signed is None:
+    """The map l -> A l: by index when each row i of A has one nonzero entry,
+    A[i][perm[i]] = signs[i] = +-1, so that A l = signs * l[perm], else
+    `linalg.matvec`.  Under the identity frame every matrix part, symmetry
+    and conjugate is a signed permutation, so the walk's moves go by index."""
+    entries = [[(j, x) for j, x in enumerate(row) if x] for row in A]
+    if any(len(row) != 1 or row[0][1] not in (1, -1) for row in entries):
         return partial(linalg.matvec, A)
-    pick, signs = itemgetter(*signed[0]), signed[1]
+    perm, signs = zip(*(row[0] for row in entries))
+    pick = itemgetter(*perm)
     return lambda l: tuple(map(mul, signs, pick(l)))
 
 
@@ -390,16 +377,8 @@ def _conjugate(structure, A, word):
 
 
 def _conjugate_by(structure, X, A):
-    """X^-1 A X.  For a signed permutation X, by index: X^-1 = X^T has the
-    entry t_i = signs[q_i] at (i, q_i), q the inverse of perm, so entry
-    (i, j) is t_i t_j A[q_i][q_j]."""
-    signed = structure.memo(_signed_permutation, X)
-    if signed is None:
-        return linalg.int_matmul(linalg.int_matmul(structure.memo(_unimodular_inverse, X), A), X)
-    perm, signs = signed
-    q = sorted(range(len(perm)), key=perm.__getitem__)
-    t = [signs[k] for k in q]
-    return tuple(tuple(ti * tj * A[qi][qj] for qj, tj in zip(q, t)) for qi, ti in zip(q, t))
+    """X^-1 A X, with X^-1 kept per X on the structure."""
+    return linalg.int_matmul(linalg.int_matmul(structure.memo(_unimodular_inverse, X), A), X)
 
 
 def _fixed_trace(structure, matrix, l, kind):
@@ -443,22 +422,8 @@ def _integer_average(acc, order):
 
 def _element_pullback_matrix(structure, matrix, grade):
     """Pullback matrix (transposed compound) of a matrix part or of its conjugate
-    by a transport, in Python ints.  A signed permutation's is one too, of
-    index sets, taken by index: its minor det A[I, J] is nonzero only at
-    J = sorted(perm[I]), where it is the product of signs[I] times the sign
-    of sorting perm[I], the parity of its inversions."""
-    signed = structure.memo(_signed_permutation, matrix)
-    if signed is None:
-        return pullback_matrix((matrix, 1), grade)[0]
-    perm, signs = signed
-    n = len(INDICES[grade])
-    rows = [[0] * n for _ in range(n)]
-    for c, I in enumerate(INDICES[grade]):
-        image = [perm[i - 1] + 1 for i in I]
-        odd = sum(u > v for u, v in combinations(image, 2)) % 2
-        rows[POSITION[grade][tuple(sorted(image))]][c] = \
-            prod([signs[i - 1] for i in I]) * (-1 if odd else 1)
-    return tuple(map(tuple, rows))
+    by a transport, in Python ints, kept per (matrix, grade) on the structure."""
+    return pullback_matrix((matrix, 1), grade)[0]
 
 
 def su3_trace_check(orbifold, element, l):

@@ -3,7 +3,6 @@ import re
 import signal
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 from g2mu import cli, g2, linalg
 from g2mu import fourier as fr
 from g2mu import oracle as orc
-from g2mu.exterior import pullback_matrix
 from g2mu.g2 import G2Structure, typed_contraction_kernel
 from g2mu.orbifold import AffineElement, JoyceOrbifold, generate, validate_joyce
 
@@ -607,8 +605,7 @@ def test_m3_at_radius_9_builds_one_kernel_per_orbit_and_kind(monkeypatch):
     fixed pair took its trace at its own mode), inverts the trace data of 12
     fibres, those at the 6 orbit keys that a non-identity element fixes,
     takes 30 restricted traces and 34 conjugation steps X^-1 A X, and
-    takes no `_unimodular_inverse`: every letter of a transport is a signed
-    permutation, which conjugates by index."""
+    inverts 8 matrices, one per distinct letter X of the transports."""
     calls = Counter()
 
     def counting(module, name):
@@ -628,7 +625,7 @@ def test_m3_at_radius_9_builds_one_kernel_per_orbit_and_kind(monkeypatch):
     assert sum(len(cls.vectors) for cls in orc.enumerate_classes(orb, 9)) == 12434
     assert sum(len(_walk_tables(orb, cls)[0]) for cls in orc.enumerate_classes(orb, 9)) == 24
     assert calls == {"_kernel_basis": 48, "_fibre_trace_data": 12, "_restricted_trace": 30,
-                     "_conjugate_by": 34}
+                     "_conjugate_by": 34, "_unimodular_inverse": 8}
 
 
 def _sheared_parts():
@@ -638,35 +635,16 @@ def _sheared_parts():
 
 
 def test_signed_permutations_act_by_index_as_the_general_kernels(phi0_symmetry_group):
-    """For each of the 1,344 signed permutations X that fix phi0, the oracle's
-    index paths equal the general kernels: the pullback matrices at grades 2
-    and 3 (`pullback_matrix`), the conjugates X^-1 A X of a signed
-    permutation and of a sheared matrix part (`int_matmul`, with
-    `linalg.inverse`) and the moves of modes (`matvec`).  Both parities of
-    sorting the image of a 2- or 3-subset occur, so the compound's sign of
-    sorting is tested; a matrix that is no signed permutation is recognised
-    as none."""
+    """For each of the 1,344 signed permutations X that fix phi0, and for a
+    sheared matrix part, the oracle's one index path, the move of a mode
+    (`_mode_map`), equals `linalg.matvec`."""
     structure = G2Structure()
     sheared = _sheared_parts().group[1].matrix
     assert len(phi0_symmetry_group) == 1344
-    assert structure.memo(orc._signed_permutation, sheared) is None
-    others = (ALPHA.matrix, sheared)
     modes = [(1, 2, 0, -1, 3, 0, 5), (0, 0, 1, 1, -2, 0, 0)]
-    parities = set()
-    for X in sorted(phi0_symmetry_group):
-        perm, signs = structure.memo(orc._signed_permutation, X)
-        for grade in (2, 3):
-            assert structure.memo(orc._element_pullback_matrix, X, grade) == \
-                pullback_matrix((X, 1), grade)[0]
-            parities.update(sum(u > v for u, v in combinations([perm[i] for i in I], 2)) % 2
-                            for I in combinations(range(7), grade))
-        inverse, _ = linalg.inverse((X, 1))
-        for A in others:
-            assert structure.memo(orc._conjugate_by, X, A) == \
-                linalg.int_matmul(linalg.int_matmul(inverse, A), X)
+    for X in sorted(phi0_symmetry_group) + [sheared]:
         move = structure.memo(orc._mode_map, X)
         assert [move(l) for l in modes] == [linalg.matvec(X, l) for l in modes]
-    assert parities == {0, 1}
 
 
 def test_matrix_part_work_is_done_once_per_matrix_part(monkeypatch):

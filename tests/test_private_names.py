@@ -1,5 +1,6 @@
 """No module of g2mu imports, or reads as an attribute, a private name
-(one underscore, not a dunder) of a sibling module."""
+(one underscore, not a dunder) of a sibling module, and none imports a
+name that it never reads."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,33 @@ def test_the_checker_finds_imports_and_attribute_reads():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_reaches_into_a_sibling_private_name(path):
     assert private_reaches(path.read_text()) == []
+
+
+def unread_imports(source):
+    """[name, ...]: the names that the source's imports bind and that it
+    never reads (no load of the name anywhere in the module)."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_the_checker_finds_unread_imports():
+    source = ("import math, os.path\n"
+              "from itertools import chain, combinations as comb\n"
+              "from . import linalg as la\n"
+              "def f(x):\n"
+              "    import mpmath\n"
+              "    return mpmath.cos(math.pi) + la.det(chain(x))\n")
+    assert unread_imports(source) == ["os", "comb"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_that_it_never_reads(path):
+    assert unread_imports(path.read_text()) == []
