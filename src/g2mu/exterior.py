@@ -3,18 +3,24 @@
 Forms are stored densely: a grade-p form is a tuple of C(7,p) Fraction
 coefficients, indexed by the lexicographically ordered strictly increasing
 multi-indices with entries in 1..7.  Forms and metrics are immutable
-named tuples; a float coefficient raises TypeError.  A metric's inverse
-and Lambda-Grams are cached per Gram pair, as the integer tables are.
+named tuples; a float coefficient raises TypeError.  A metric's inverse,
+Lambda-Grams and star matrices are cached per Gram pair, as the integer
+tables are.
 Floating values (random Fourier coefficients) live in `fourier`, which
 acts on them through matrices built from the integer tables here: the
 sparse tables of `e^a ^ .` and `e_a -| .`, and the matrix of `. ^ c` for
 a constant form c.
 
 Every rational matrix is an integer pair (N, d) meaning N / d, as in
-`linalg`: frames, Gram matrices and their inverses, Lambda-Grams, pullback
-and wedge matrices.  Each kernel clears a form's coefficients once,
-multiplies in Python ints over nonzero entries only, and builds Fractions
-only for the coefficients of the form it returns.
+`linalg`: frames, Gram matrices and their inverses, Lambda-Grams, star,
+pullback and wedge matrices.  The star on grade p, `Metric7.star_matrix`,
+is vol times the rows of the Lambda-Gram, signed and permuted as the
+Euclidean star (`hodge_table`).  Each operation on forms applies its
+matrix: `hodge_star` the star matrix, `wedge` a `wedge_matrix`, `pullback`
+a `pullback_matrix` and `inner` a Lambda-Gram, through one helper that
+clears the form's coefficients once, multiplies in Python ints over its
+nonzero entries only, and builds Fractions only for the coefficients it
+returns.
 
 Sign conventions are pinned by a single rule: the Hodge star satisfies
 a ^ star(b) = <a, b>_g vol_g with vol_g = sqrt(det g) * theta^{1...7}.
@@ -25,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from . import linalg
 
@@ -97,6 +104,16 @@ def _cleared(form):
     return c, d
 
 
+def _apply(matrix, a, grade):
+    """The grade-`grade` form matrix * a, for a matrix pair (N, d): a's
+    coefficients cleared once, each row summed over a's nonzero entries."""
+    N, d = matrix
+    c, e = _cleared(a)
+    nonzero = [(i, x) for i, x in enumerate(c) if x]
+    return ExteriorForm(grade, [Fraction(sum(row[i] * x for i, x in nonzero), d * e)
+                                for row in N])
+
+
 class ExteriorForm(namedtuple("ExteriorForm", "grade coeffs")):
     """A constant-coefficient alternating form on R^7 with exact coefficients."""
     __slots__ = ()
@@ -159,12 +176,7 @@ def wedge(a, b):
     """Exterior product; rejects results of grade > 7."""
     if a.grade + b.grade > DIM:
         raise ValueError(f"wedge of grades {a.grade} and {b.grade} exceeds {DIM}")
-    (x, d), (y, e) = _cleared(a), _cleared(b)
-    out = [0] * comb(DIM, a.grade + b.grade)
-    for i, j, k, sign in wedge_table(a.grade, b.grade):
-        if x[i] and y[j]:
-            out[k] += sign * x[i] * y[j]
-    return ExteriorForm(a.grade + b.grade, [Fraction(n, d * e) for n in out])
+    return _apply(wedge_matrix(b, a.grade), a, a.grade + b.grade)
 
 
 def interior(v, a):
@@ -186,8 +198,8 @@ IDENTITY = (tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM)), 1
 
 class Metric7(namedtuple("Metric7", "gram vol")):
     """Flat metric on R^7: its Gram matrix, a pair (N, d), plus the volume
-    factor sqrt(det); its inverse and Lambda-Grams are pairs as well, cached
-    per Gram pair."""
+    factor sqrt(det); its inverse, Lambda-Grams and star matrices are pairs
+    as well, cached per Gram pair."""
     __slots__ = ()
 
     def __new__(cls, gram):
@@ -214,6 +226,11 @@ class Metric7(namedtuple("Metric7", "gram vol")):
         (I, J) is the minor det(g^-1)[I, J], from the exact minor kernel."""
         return _lambda_gram(self.gram, p)
 
+    def star_matrix(self, p):
+        """The Hodge star on grade-p coefficient vectors as a pair (N, d): the rows
+        of vol * lambda_gram(p), signed and permuted as the Euclidean star."""
+        return _star_matrix(self, p)
+
 
 @lru_cache(maxsize=None)
 def _inverse_gram(gram):
@@ -226,30 +243,26 @@ def _lambda_gram(gram, p):
     return linalg.int_compound(A, p), D ** p
 
 
+@lru_cache(maxsize=None)
+def _star_matrix(metric, p):
+    (weighted, d), vol = metric.lambda_gram(p), metric.vol
+    out = [None] * comb(DIM, p)
+    for pos_in, pos_out, sign in hodge_table(p):
+        s = sign * vol.numerator
+        out[pos_out] = tuple([s * x for x in weighted[pos_in]])
+    return tuple(out), d * vol.denominator
+
+
 def inner(a, b, metric):
     """<a, b>_g of two forms of equal grade, exact."""
     if a.grade != b.grade:
         raise ValueError("inner product needs equal grades")
-    (c, e), (weighted, d) = _cleared(a), _lambda_weighted(b, metric)
-    return Fraction(sum(x * y for x, y in zip(c, weighted)), d * e)
-
-
-def _lambda_weighted(a, metric):
-    """(w, d) with w / d the coefficients of a weighted by lambda_gram(a.grade)."""
-    N, d = metric.lambda_gram(a.grade)
-    c, e = _cleared(a)
-    nonzero = [(i, x) for i, x in enumerate(c) if x]
-    return [sum(row[i] * x for i, x in nonzero) for row in N], d * e
+    return sum(map(mul, a.coeffs, _apply(metric.lambda_gram(b.grade), b, b.grade).coeffs))
 
 
 def hodge_star(a, metric):
     """Hodge star fixed by a ^ star(b) = <a,b>_g vol_g."""
-    weighted, d = _lambda_weighted(a, metric)
-    vol = metric.vol
-    out = [0] * comb(DIM, DIM - a.grade)
-    for pos_in, pos_out, sign in hodge_table(a.grade):
-        out[pos_out] = Fraction(sign * weighted[pos_in] * vol.numerator, d * vol.denominator)
-    return ExteriorForm(DIM - a.grade, out)
+    return _apply(metric.star_matrix(a.grade), a, DIM - a.grade)
 
 
 def metric_from_frame(frame):
@@ -267,16 +280,8 @@ def metric_from_frame(frame):
 
 
 def pullback(frame, a):
-    """Pullback F*a with (F*a)_J = sum_I det(F[I, J]) a_I, over the I with a_I != 0,
-    for a frame F = (B, d)."""
-    if a.grade == 0 or a.is_zero():
-        return a
-    B, d = frame
-    c, e = _cleared(a)
-    rows = [tuple(i - 1 for i in I) for I, x in zip(INDICES[a.grade], c) if x]
-    minors = linalg.int_compound(B, a.grade, rows)
-    out = linalg.matvec(linalg.transpose(minors), [x for x in c if x])
-    return ExteriorForm(a.grade, [Fraction(x, d ** a.grade * e) for x in out])
+    """Pullback F*a with (F*a)_J = sum_I det(F[I, J]) a_I, for a frame F = (B, d)."""
+    return _apply(pullback_matrix(frame, a.grade), a, a.grade)
 
 
 def pullback_matrix(frame, p):

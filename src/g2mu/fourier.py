@@ -137,8 +137,8 @@ def projector_float(structure, grade, component):
 
 
 def star_matrix_float(structure, p):
-    """Float view of structure.star_matrix(p), converted once."""
-    return structure.memo(_float_view, structure.star_matrix, p)
+    """Float view of the metric's star_matrix(p), converted once per structure."""
+    return structure.memo(_float_view, structure.metric.star_matrix, p)
 
 
 class FourierForm(namedtuple("FourierForm", "structure grade modes coeffs")):
@@ -404,7 +404,7 @@ def _exact_refined(structure, name):
         g_dom_inverse = _sparse((int_compound(N, dom), e ** dom))
         g_cod = _on_axes(_sparse(structure.metric.lambda_gram(cod)), cod)
         return reduce(_matmul, (g_dom_inverse, (minus_kt, d), g_cod))
-    star_m = lambda p: _sparse(structure.star_matrix(p))
+    star_m = lambda p: _sparse(structure.metric.star_matrix(p))
     proj = lambda grade, component: _sparse(structure.projector(grade, component))
     d = lambda p: _exact_d(structure, p)
     psi = lambda: _sparse(wedge_matrix(structure.psi, 1))

@@ -27,10 +27,10 @@ A structure F*phi0 with a rational frame F (det F > 0) transports all of
 this by the exact pullback matrices M_p = N_p / d_p of F: bases are N_p v
 scaled to primitive integers, and every projector on grades 2 to 5 is
 M_p pi M_p^-1, since F* commutes with the star; the products run in
-integers.  The star matrix on grade p is vol times the rows of the
-metric's lambda_gram(p), signed and permuted as the Euclidean star.
-Bases are tuples of ints; the frame, projectors, star and pullback
-matrices are integer pairs (N, d) meaning N / d, as in `linalg`.
+integers.  The star itself is the metric's (`Metric7.star_matrix` in
+`exterior`), built once per Gram pair.  Bases are tuples of ints; the
+frame, projectors and pullback matrices are integer pairs (N, d) meaning
+N / d, as in `linalg`.
 
 The mode fibres of the oracle, {u in Lambda^grade_component : l -| u = 0},
 are exact kernels here as well (`typed_contraction_kernel`): iota_{e_a} B
@@ -45,7 +45,8 @@ of the Hessian symbols I and J on the type components, which `apply_I`,
 A G2Structure owns every cache that depends on it: one memo keyed by the
 producing function and its arguments, which also holds what `fourier` and
 `oracle` derive from it (float views, mode stacks, fibre traces).  Its
-metric's inverse and Lambda-Grams are cached per Gram pair in `exterior`.
+metric's inverse, Lambda-Grams and star matrices are cached per Gram pair
+in `exterior`.
 """
 
 from fractions import Fraction
@@ -141,15 +142,6 @@ def _standard_projectors():
             conjugated[a] = tuple(s * t * N[i][j] for _, j, t in back)
         raw[(DIM - grade, comp)] = (tuple(conjugated), k)
     return raw
-
-
-def _star_matrix(structure, p):
-    """(N, d): rows of vol * lambda_gram(p), signed and permuted as the Euclidean star."""
-    (weighted, d), vol = structure.metric.lambda_gram(p), structure.metric.vol
-    out = [None] * comb(DIM, p)
-    for pos_in, pos_out, sign in hodge_table(p):
-        out[pos_out] = tuple(sign * vol.numerator * x for x in weighted[pos_in])
-    return tuple(out), d * vol.denominator
 
 
 def _frame_pullback_matrix(structure, p, inverse):
@@ -331,10 +323,6 @@ class G2Structure:
         return self.memo(_type_space_basis, grade, component)
 
     # -- matrices ---------------------------------------------------------
-
-    def star_matrix(self, p):
-        """Exact matrix of the Hodge star on grade-p coefficient vectors, a pair."""
-        return self.memo(_star_matrix, p)
 
     def frame_pullback_matrix(self, p, inverse=False):
         return self.memo(_frame_pullback_matrix, p, inverse)

@@ -16,7 +16,8 @@ also drive the one lattice-shell enumerator, `enumerate_ellipsoid`, which
 prunes each coordinate with an integer square root and returns every
 shell with its exact value, so no float or tolerance enters it.
 Minors come from Laplace expansion of each minor into minors one size
-smaller, products from integer matmul.  Integer matrices also get a
+smaller, and products from `int_matmul`, which combines the rows of its
+right factor over the nonzero entries of both.  Integer matrices also get a
 Hermite-style kernel routine, whose bases are saturated, so that lattice
 computations never leave Z; `canonical_sign` orients its vectors and the
 modes l, -l that share a fibre.
@@ -168,25 +169,20 @@ def int_matmul(a, b):
     """Product of two integer matrices as a tuple of row tuples, in Python ints.
 
     Row i of the product is the combination of the rows of b weighted by
-    row i of a.  Where the nonzero entries of both meet in fewer than half
-    the products of a dense row (a signed permutation, a diagonal Gram, a
-    sparse basis), the row costs one product per pair of nonzero entries
-    a_ik, b_kj; otherwise it is dense dot products with the columns of b.
+    row i of a, taken over the nonzero entries of both: one product per
+    pair of nonzero entries a_ik, b_kj, so a sparse factor (a signed
+    permutation, a diagonal Gram, a sparse basis) costs only its entries.
     """
     sparse_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    columns = tuple(zip(*b))
-    dense = len(columns) * len(sparse_rows)
+    n = len(b[0]) if b else 0
     out = []
     for row in a:
-        nonzero = [(x, sparse_rows[k]) for k, x in enumerate(row) if x]
-        if 2 * sum(len(r) for _, r in nonzero) < dense:
-            acc = [0] * len(columns)
-            for x, r in nonzero:
-                for j, y in r:
+        acc = [0] * n
+        for k, x in enumerate(row):
+            if x:
+                for j, y in sparse_rows[k]:
                     acc[j] += x * y
-            out.append(tuple(acc))
-        else:
-            out.append(tuple(sum(map(mul, row, col)) for col in columns))
+        out.append(tuple(acc))
     return tuple(out)
 
 

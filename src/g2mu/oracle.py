@@ -57,10 +57,10 @@ fixed modes, phases and phase counts; per class, its orbits and
 transports.  m3's spectrum at radius 9 keeps 48 kernels, 12 trace data,
 34 conjugation steps, 30 traces and 8 inverses.
 
-The module is plain Python, like the exact core it reads.  mpmath is
-imported only for a phase whose cosine is irrational, and gives it no
-value: `Fraction` refuses an mpmath number with a TypeError, so such a
-phase ends the command in a traceback (ROADMAP item 3).
+The module is plain Python, like the exact core it reads, and imports no
+third-party package.  A phase whose cosine is irrational has no exact
+value here: it raises a TypeError that names the phase and ends the
+command in a traceback (ROADMAP item 3).
 """
 
 from collections import Counter, namedtuple
@@ -175,15 +175,10 @@ def _fibre_trace_data(structure, basis):
 def _cos_2pi(q):
     if q in _RATIONAL_COS:
         return _RATIONAL_COS[q]
-    # cos(2 pi q) is irrational for other rational q (Niven); only a user
-    # group outside the shipped examples gives such a phase.  No value comes
-    # back: Fraction() refuses every mpmath.mpf, even mpf('0.5'), so the
-    # phase ends here in a TypeError (ROADMAP item 3)
-    import mpmath
-    with mpmath.workdps(50):
-        val = mpmath.cos(2 * mpmath.pi * mpmath.mpf(q.numerator) / q.denominator)
-        approx = Fraction(val).limit_denominator(10 ** 30)
-    return approx
+    # cos(2 pi q) is irrational for every other rational q (Niven); only a user
+    # group outside the shipped examples gives such a phase, and it ends the
+    # command in this TypeError (ROADMAP item 3)
+    raise TypeError(f"cos(2 pi {q}) is irrational")
 
 
 def _fixed_vectors(element, cls, structure):

@@ -348,7 +348,7 @@ def test_float_views_match_exact_matrices_and_are_read_only(frame):
     for p in range(DIM + 1):
         view = fr.star_matrix_float(s2, p)
         assert view is fr.star_matrix_float(s2, p)
-        assert_view_rounds(view, s2.star_matrix(p))
+        assert_view_rounds(view, s2.metric.star_matrix(p))
 
 
 def test_every_float_view_rounds_its_exact_pair():
@@ -361,7 +361,7 @@ def test_every_float_view_rounds_its_exact_pair():
               else 0 for j in range(DIM)] for i in range(DIM)]
         s2 = G2Structure(linalg.clear_denominators(F))
         views = [(fr.lambda_gram_float(s2, p), s2.metric.lambda_gram(p)) for p in range(DIM + 1)]
-        views += [(fr.star_matrix_float(s2, p), s2.star_matrix(p)) for p in range(DIM + 1)]
+        views += [(fr.star_matrix_float(s2, p), s2.metric.star_matrix(p)) for p in range(DIM + 1)]
         views += [(fr.projector_float(s2, grade, comp), s2.projector(grade, comp))
                   for grade, comps in VALID_COMPONENTS.items() for comp in comps]
         for view, pair in views:
@@ -408,7 +408,7 @@ class DenseReference:
         self.s = s
         self.gram = _dense(s.metric.gram)
         self.G = [_dense(s.metric.lambda_gram(p)) for p in range(DIM + 1)]
-        self.star = [_dense(s.star_matrix(p)) for p in range(DIM + 1)]
+        self.star = [_dense(s.metric.star_matrix(p)) for p in range(DIM + 1)]
 
     def proj(self, grade, component):
         return _dense(self.s.projector(grade, component))

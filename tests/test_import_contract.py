@@ -1,14 +1,16 @@
 """Every command runs on the standard library alone, and starts cold.
 
 No command imports numpy or mpmath: each gives the same report in a
-process where neither can be imported as in one that has both.  mpmath is
-still reached, lazily, by an Epstein value away from s = 0.  No command
+process where neither can be imported as in one that has both, and a
+phase it cannot sum ends in the same error in both.  mpmath is still
+reached, lazily, by an Epstein value away from s = 0.  No command
 imports `dataclasses` or `inspect` either, whose import chain costs every
 process more than most commands' own math.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,11 +41,16 @@ print(json.dumps(out))
 """
 
 
-def _python(code, *args):
+def _child(code, *args):
+    """Run code in a child interpreter that imports g2mu from src/."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=300)
+
+
+def _python(code, *args):
+    done = _child(code, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -122,3 +129,39 @@ print(repr(value))
 """)
     # the rank-1 cubic lattice: Z(s) = 2 zeta(2s)
     assert abs(complex(value) - complex(2 * mpmath.zeta(3))) < 1e-12
+
+
+# the order-3 cycle e2 -> e4 -> e6 -> e2, e3 -> e5 -> e7 -> e3 with translation
+# 1/5 along its fixed axis e1: a group of order 15 whose phases have denominator
+# 5, where cos(2 pi q) is irrational (ROADMAP item 3)
+_CYCLE = (1, 4, 5, 6, 7, 2, 3)
+Z15 = {"name": "z15", "generators": [{
+    "matrix": [int(_CYCLE[j] == i + 1) for i in range(7) for j in range(7)],
+    "translation": ["1/5"] + ["0"] * 6}]}
+
+# the console entry point, with numpy and mpmath made unimportable when the
+# first argument is "blocked"; at exit it prints the mpmath modules loaded
+MAIN = """
+import atexit, sys
+if sys.argv.pop(1) == "blocked":
+    for name in ("numpy", "mpmath"):
+        sys.modules[name] = None
+atexit.register(lambda: print([n for n, m in sys.modules.items() if n.startswith("mpmath") and m]))
+from g2mu import cli
+cli.main()
+"""
+
+
+def test_an_irrational_phase_ends_in_the_same_type_error_without_mpmath(tmp_path):
+    config = tmp_path / "z15.json"
+    config.write_text(json.dumps(Z15))
+    errors = {}
+    for mode in ("normal", "blocked"):
+        done = _child(MAIN, mode, "spectrum", "--radius-sq", "1", "--config", str(config))
+        assert done.returncode == 1, done.stderr
+        errors[mode] = done.stderr.strip().splitlines()[-1]
+        assert re.fullmatch(r"TypeError: cos\(2 pi \d+/5\) is irrational", errors[mode]), \
+            done.stderr
+        if mode == "blocked":
+            assert done.stdout.strip() == "[]"
+    assert errors["normal"] == errors["blocked"]
