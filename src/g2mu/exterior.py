@@ -4,8 +4,9 @@ Forms are stored densely: a grade-p form is a tuple of C(7,p) Fraction
 coefficients, indexed by the lexicographically ordered strictly increasing
 multi-indices with entries in 1..7.  Forms and metrics are immutable
 named tuples; a float coefficient raises TypeError.  A metric's inverse,
-Lambda-Grams and star matrices are cached per Gram pair, as the integer
-tables are.
+Lambda-Grams and star matrices are cached per Gram pair, and pullback
+matrices per frame pair and grade, as the integer tables are; a frame's
+entries are read through operator.index before its cache is looked up.
 Floating values (random Fourier coefficients) live in `fourier`, which
 acts on them through matrices built from the integer tables here: the
 sparse tables of `e^a ^ .` and `e_a -| .`, and the matrix of `. ^ c` for
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import mul
+from operator import index, mul
 
 from . import linalg
 
@@ -289,6 +290,14 @@ def pullback_matrix(frame, p):
 
     Entry (J, I) is det F[I, J], so with F = (B, d) the matrix is the
     transpose of the p-th compound of B (linalg.int_compound) over d^p.
+    Cached per frame pair and grade, keyed on the entries read through
+    operator.index: a float frame raises TypeError before any lookup, and
+    cannot hit the entry of the integer frame that it equals.
     """
     B, d = frame
+    return _pullback_matrix(tuple(tuple(map(index, row)) for row in B), index(d), index(p))
+
+
+@lru_cache(maxsize=None)
+def _pullback_matrix(B, d, p):
     return linalg.transpose(linalg.int_compound(B, p)), d ** p

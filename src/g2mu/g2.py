@@ -23,9 +23,10 @@ Grades 4 and 5 are conjugated by the Euclidean star, a signed permutation,
 so their projectors are those of grades 3 and 2 with rows and columns
 re-indexed and signed.
 
-A structure F*phi0 with a rational frame F (det F > 0) transports all of
-this by the exact pullback matrices M_p = N_p / d_p of F: bases are N_p v
-scaled to primitive integers, and every projector on grades 2 to 5 is
+A structure F*phi0 with a rational frame F (det F > 0), the identity
+included, transports all of this by the exact pullback matrices
+M_p = N_p / d_p of F (`exterior.pullback_matrix`): bases are N_p v scaled
+to primitive integers, and every projector on grades 2 to 5 is
 M_p pi M_p^-1, since F* commutes with the star; the products run in
 integers.  The star itself is the metric's (`Metric7.star_matrix` in
 `exterior`), built once per Gram pair.  Bases are tuples of ints; the
@@ -46,7 +47,8 @@ A G2Structure owns every cache that depends on it: one memo keyed by the
 producing function and its arguments, which also holds what `fourier` and
 `oracle` derive from it (float views, mode stacks, fibre traces).  Its
 metric's inverse, Lambda-Grams and star matrices are cached per Gram pair
-in `exterior`.
+in `exterior`, and its frame's pullback matrices per frame pair and grade,
+so pulling phi0 back builds the grade-3 matrix that the bases read.
 """
 
 from fractions import Fraction
@@ -144,30 +146,22 @@ def _standard_projectors():
     return raw
 
 
-def _frame_pullback_matrix(structure, p, inverse):
-    return pullback_matrix(structure.memo(_inverse_frame) if inverse else structure.frame, p)
-
-
 def _inverse_frame(structure):
     return linalg.inverse(structure.frame)
 
 
 def _type_space_basis(structure, grade, component):
+    M, _ = pullback_matrix(structure.frame, grade)
     base = _standard_bases()[(grade, component)]
-    if linalg.is_identity(structure.frame):
-        return base
-    M, _ = structure.frame_pullback_matrix(grade)
-    return tuple(linalg.primitive_integer(linalg.matvec(M, v)) for v in base)
+    return tuple(map(linalg.primitive_integer, linalg.int_matmul(base, linalg.transpose(M))))
 
 
 def _projector(structure, grade, component):
     # F* commutes with the star when det F > 0, so every grade transports alike
     N, k = _standard_projectors()[(grade, component)]
-    if not linalg.is_identity(structure.frame):
-        M, d = structure.frame_pullback_matrix(grade)
-        Minv, e = structure.frame_pullback_matrix(grade, inverse=True)
-        N, k = linalg.int_matmul(linalg.int_matmul(M, N), Minv), d * k * e
-    return N, k
+    M, d = pullback_matrix(structure.frame, grade)
+    Minv, e = pullback_matrix(structure.memo(_inverse_frame), grade)
+    return linalg.int_matmul(linalg.int_matmul(M, N), Minv), d * k * e
 
 
 # -- symmetries ------------------------------------------------------------------
@@ -323,9 +317,6 @@ class G2Structure:
         return self.memo(_type_space_basis, grade, component)
 
     # -- matrices ---------------------------------------------------------
-
-    def frame_pullback_matrix(self, p, inverse=False):
-        return self.memo(_frame_pullback_matrix, p, inverse)
 
     def projector(self, grade, component):
         """Matrix of the orthogonal projection onto Lambda^grade_component, a pair."""

@@ -24,13 +24,16 @@ The traces Tr A, Tr A^2, Tr A^3 are taken once per distinct matrix.
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 from . import linalg
 
 
 def _traces(A):
-    """(Tr A, Tr A^2, Tr A^3), taken once per distinct matrix in a process."""
-    return _integer_traces(tuple(tuple(int(x) for x in row) for row in A))
+    """(Tr A, Tr A^2, Tr A^3), taken once per distinct matrix in a process; the
+    entries are read through operator.index, so a float or a Fraction raises
+    TypeError."""
+    return _integer_traces(tuple(tuple(map(index, row)) for row in A))
 
 
 @lru_cache(maxsize=None)

@@ -5,16 +5,17 @@ is a tuple of int row tuples and a rational matrix the integer pair (N, d),
 N such rows and d > 0, meaning N / d; scalars and vectors stay ints and
 Fractions.  `clear_denominators` makes the pair from rows of ints,
 Fractions or strings, once, where a matrix enters the program.  det,
-inverse, is_identity, positive_definite and enumerate_ellipsoid read a
-pair (an integer matrix passes as (N, 1)); rank, nullspace,
-primitive_integer and int_compound read integer rows.  Rows are read
-through operator.index, so a Fraction or a float raises TypeError rather
-than being cleared again.  One fraction-free (Bareiss) elimination,
-`_echelon`, serves det, rank, nullspace (primitive integer vectors),
-inverse and positive_definite (its leading pivots, with det); its rows
-also drive the one lattice-shell enumerator, `enumerate_ellipsoid`, which
-prunes each coordinate with an integer square root and returns every
-shell with its exact value, so no float or tolerance enters it.
+inverse, positive_definite and enumerate_ellipsoid read a pair (an
+integer matrix passes as (N, 1)); rank, nullspace, primitive_integer,
+int_compound, integer_kernel and canonical_sign read integer rows or
+vectors.  Rows are read through operator.index, so a Fraction or a float
+raises TypeError rather than being cleared again or truncated.  One
+fraction-free (Bareiss) elimination, `_echelon`, serves det, rank,
+nullspace (primitive integer vectors), inverse and positive_definite (its
+leading pivots, with det); its rows also drive the one lattice-shell
+enumerator, `enumerate_ellipsoid`, which prunes each coordinate with an
+integer square root and returns every shell with its exact value, so no
+float or tolerance enters it.
 Minors come from Laplace expansion of each minor into minors one size
 smaller, and products from `int_matmul`, which combines the rows of its
 right factor over the nonzero entries of both.  Integer matrices also get a
@@ -53,12 +54,6 @@ def transpose(a):
 def matvec(a, v):
     """The exact product a v of a matrix and a vector, as a tuple."""
     return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def is_identity(a):
-    """Whether the square rational matrix a = (N, d) is the identity matrix."""
-    N, d = a
-    return all(x == d * (i == j) for i, row in enumerate(N) for j, x in enumerate(row))
 
 
 def _echelon(rows, reduced=False):
@@ -258,7 +253,7 @@ def integer_kernel(a):
     rows of the companion matching zero rows of the echelon form are a
     basis of the kernel lattice (not merely of the rational kernel).
     """
-    mat = [[int(x) for x in row] for row in a]
+    mat = _int_rows(a)
     m = len(mat)
     n = len(mat[0]) if m else 0
     # work rows: [row of a^T | row of I_n]
@@ -290,7 +285,7 @@ def integer_kernel(a):
 
 def canonical_sign(v):
     """The integer vector v or -v, whichever has its first nonzero entry positive."""
-    v = tuple(int(x) for x in v)
+    v = tuple(map(index, v))
     for x in v:
         if x != 0:
             return v if x > 0 else tuple(-y for y in v)

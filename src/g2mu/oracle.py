@@ -49,13 +49,13 @@ oracle for the character formula behind the mu-invariants.
 
 The oracle keeps what it derives on the structure's `g2.Memo`: per orbit
 key and kind, a fibre kernel, and trace data at a key that a non-identity
-element fixes; per matrix that it moves, conjugates by or pulls back, a
-mode map, an inverse or a pullback matrix; per step X^-1 A X of a
-transport, its conjugate; per (conjugate, key, kind), a restricted trace;
-per fixed lattice and radius, its shells; per element and radius, its
-fixed modes, phases and phase counts; per class, its orbits and
-transports.  m3's spectrum at radius 9 keeps 48 kernels, 12 trace data,
-34 conjugation steps, 30 traces and 8 inverses.
+element fixes; per matrix that it moves or conjugates by, a mode map or an
+inverse (pullback matrices are `exterior`'s, cached per matrix and grade);
+per step X^-1 A X of a transport, its conjugate; per (conjugate, key,
+kind), a restricted trace; per fixed lattice and radius, its shells; per
+element and radius, its fixed modes, phases and phase counts; per class,
+its orbits and transports.  m3's spectrum at radius 9 keeps 48 kernels,
+12 trace data, 34 conjugation steps, 30 traces and 8 inverses.
 
 The module is plain Python, like the exact core it reads, and imports no
 third-party package.  A phase whose cosine is irrational has no exact
@@ -380,7 +380,7 @@ def _fixed_trace(structure, matrix, l, kind):
     """tr(A* | F_l) for an integer matrix A that fixes phi and l, a matrix part
     or its conjugate by a transport: it depends on A and the fibre
     F_l = F_{-l} only, so the fixed pairs that move to one (A, +-l) share it."""
-    mat = structure.memo(_element_pullback_matrix, matrix, KINDS[kind][0])
+    mat, _ = pullback_matrix((matrix, 1), KINDS[kind][0])
     return _restricted_trace(structure, mat, fiber_basis(structure, l, kind))
 
 
@@ -413,12 +413,6 @@ def _integer_average(acc, order):
     if total.denominator != 1 or total < 0:
         raise NonIntegerDimension(f"averaged character {total} is not a nonnegative integer")
     return int(total)
-
-
-def _element_pullback_matrix(structure, matrix, grade):
-    """Pullback matrix (transposed compound) of a matrix part or of its conjugate
-    by a transport, in Python ints, kept per (matrix, grade) on the structure."""
-    return pullback_matrix((matrix, 1), grade)[0]
 
 
 def su3_trace_check(orbifold, element, l):

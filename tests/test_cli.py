@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from g2mu import cli
+from g2mu import cli, linalg
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -441,7 +441,7 @@ F23_FRAME = ("2", "1", "1", "1", "1", "3", "1")
 def spectrum_calls(capsys, monkeypatch, config, radius_sq):
     """Calls of clear_denominators, type_space_basis and 7x7 eliminations made by
     `spectrum` on a fresh structure, with the standard bases already built."""
-    from g2mu import g2, linalg
+    from g2mu import g2
     g2._standard_bases()  # built once per process, by whichever caller comes first
     calls = {"clear_denominators": 0, "type_space_basis": 0, "7x7 determinants": 0}
 
@@ -604,13 +604,18 @@ def test_exact_reports_are_pinned(capsys, stem):
 SRC_DIR = CONFIG_DIR.parent / "src"
 
 
+def _src_env():
+    """The environment with src/ first on PYTHONPATH, for a child interpreter."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_process(argv, stdout=subprocess.PIPE, unbuffered=False):
     """`python -m g2mu.cli argv` in a child process.  Unless `unbuffered`,
     PYTHONUNBUFFERED is taken out of the child's environment, so that its
     stdout is block-buffered, as in any pipe or file, and a report that the
     process did not flush before it ended would be lost."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC_DIR)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _src_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -663,3 +668,38 @@ def test_a_closed_stdout_ends_the_process_with_exit_1_and_no_traceback(unbuffere
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+# run(argv) in a fresh interpreter, with every full compound that
+# linalg.int_compound builds recorded as [matrix rows, p]; prints
+# {"code": run's exit code, "calls": [...]} in place of the report
+_COMPOUND_CALLS = """
+import contextlib, io, json, sys
+from g2mu import cli, linalg
+compound, calls = linalg.int_compound, []
+def counted(b, p, rows=None):
+    if rows is None:
+        calls.append([[list(row) for row in b], p])
+    return compound(b, p, rows)
+linalg.int_compound = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps({"code": code, "calls": calls}))
+"""
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--radius-sq", "2"],
+                                  ["identities", "--trials", "2"]],
+                         ids=["spectrum", "identities"])
+def test_the_frames_grade_3_compound_is_built_once(argv):
+    """Under a non-identity frame, pulling phi0 back and transporting the type
+    bases read one grade-3 pullback matrix of the frame, cached in `exterior`:
+    a fresh process builds the frame's grade-3 compound once per command."""
+    config = CONFIG_DIR.parent / "tests" / "data" / "m1-framed.json"
+    frame, _ = linalg.clear_denominators(json.loads(config.read_text())["frame"])
+    done = subprocess.run([sys.executable, "-c", _COMPOUND_CALLS, *argv, "--config", str(config)],
+                          env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["code"] == 0
+    assert report["calls"].count([[list(row) for row in frame], 3]) == 1

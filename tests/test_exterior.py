@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from g2mu import linalg
-from g2mu.exterior import (DIM, INDICES, ExteriorForm, Metric7, hodge_star, inner, interior,
-                           metric_from_frame, pullback, pullback_matrix, wedge, wedge_matrix)
+from g2mu.exterior import (DIM, IDENTITY, INDICES, ExteriorForm, Metric7, hodge_star, inner,
+                           interior, metric_from_frame, pullback, pullback_matrix, wedge,
+                           wedge_matrix)
 from g2mu.fourier import FourierForm, coexterior_d, exterior_d
 from g2mu.g2 import G2Structure, standard_phi0
 
@@ -146,13 +147,19 @@ def test_star_defining_identity_exact_and_float():
         lhs = wedge(a, hodge_star(b, g))
         assert lhs.coeffs[0] == inner(a, b, g)
     gf = metric_from_frame(random_frame(rng))
-    assert gf.vol != 1 and not linalg.is_identity(gf.gram)
+    N, d = gf.gram
+    assert gf.vol != 1 and N != tuple(tuple(d * (i == j) for j in range(7)) for i in range(7))
     for p in range(8):
         a, b = rand_form(rng, p), rand_form(rng, p)
         assert wedge(a, hodge_star(b, gf)).coeffs[0] == inner(a, b, gf) * gf.vol
 
 
 def test_float_frames_and_grams_are_rejected():
+    """A float spelling of a frame or Gram raises TypeError, also once the integer
+    matrix that it equals is cached (1.0 == 1 and hash(1.0) == hash(1))."""
+    G2Structure()
+    for p in range(8):
+        pullback_matrix(IDENTITY, p)
     eye = np.eye(7)
     for bad in (eye, eye.tolist(), (2.0 * eye).tolist()):
         with pytest.raises(TypeError):

@@ -9,7 +9,7 @@ import pytest
 
 from g2mu import g2, linalg
 from g2mu.exterior import (DIM, INDICES, ExteriorForm, hodge_star, inner, interior, pullback,
-                           wedge)
+                           pullback_matrix, wedge)
 from g2mu.g2 import VALID_COMPONENTS, G2Structure, standard_phi0
 
 COMPONENTS = {2: (7, 14), 3: (1, 7, 27)}
@@ -292,7 +292,7 @@ def test_every_exact_matrix_is_an_integer_pair(name):
     for p in range(DIM + 1):
         matrices[f"lambda_gram {p}"] = s2.metric.lambda_gram(p)
         matrices[f"star {p}"] = s2.metric.star_matrix(p)
-        matrices[f"pullback {p}"] = s2.frame_pullback_matrix(p)
+        matrices[f"pullback {p}"] = pullback_matrix(s2.frame, p)
     for grade, comps in VALID_COMPONENTS.items():
         for comp in comps:
             matrices[f"projector {grade} {comp}"] = s2.projector(grade, comp)

@@ -41,6 +41,17 @@ def test_trace_polynomials_on_identity():
     assert tr12_su3(IDENTITY) == 12
 
 
+def test_trace_polynomials_reject_non_integer_entries():
+    """A float or a Fraction entry raises TypeError rather than being truncated
+    (int(1.5) == 1 would give the identity's tr8 of 8)."""
+    for x in (1.5, Fraction(3, 2)):
+        bad = diag(1, 1, 1, 1, 1, 1, 1)
+        bad[6][6] = x
+        for poly in (tr8_su3, tr12_su3):
+            with pytest.raises(TypeError):
+                poly(bad)
+
+
 def test_trace_polynomials_on_involution():
     assert tr8_su3(ALPHA_MAT) == 0
     assert tr12_su3(ALPHA_MAT) == 4

@@ -139,6 +139,22 @@ def test_integer_kernel_of_difference():
     assert basis == [(1, 0, 0)]
 
 
+def test_integer_kernel_rejects_fractions_and_floats():
+    """The kernel of [[1/2, 1]] is spanned by (2, -1); truncating 1/2 to 0 would
+    give (1, 0).  A non-integer entry raises TypeError instead."""
+    for bad in ([[Fraction(1, 2), 1]], [[0.5, 1]], [[Fraction(2), 1]]):
+        with pytest.raises(TypeError):
+            linalg.integer_kernel(bad)
+
+
+def test_canonical_sign_rejects_fractions_and_floats():
+    """canonical_sign([-0.5, 1]) would read (0, 1) if it truncated."""
+    assert linalg.canonical_sign([0, -2, 1]) == (0, 2, -1)
+    for bad in ([-0.5, 1], [Fraction(-1, 2), 1], [-1.0, 1]):
+        with pytest.raises(TypeError):
+            linalg.canonical_sign(bad)
+
+
 def test_rational_sqrt():
     assert linalg.rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert linalg.rational_sqrt(Fraction(2)) is None

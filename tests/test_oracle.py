@@ -11,6 +11,7 @@ import pytest
 from g2mu import cli, g2, linalg
 from g2mu import fourier as fr
 from g2mu import oracle as orc
+from g2mu.exterior import pullback_matrix
 from g2mu.g2 import G2Structure, typed_contraction_kernel
 from g2mu.orbifold import AffineElement, JoyceOrbifold, generate, validate_joyce
 
@@ -346,7 +347,7 @@ def _per_vector_dimension(orbifold, cls, kind):
             if element.is_identity():
                 acc[q] += len(typed_contraction_kernel(structure, l, grade, component))
             else:
-                M = structure.memo(orc._element_pullback_matrix, element.matrix, grade)
+                M, _ = pullback_matrix((element.matrix, 1), grade)
                 basis = orc.fiber_basis(structure, l, kind)
                 acc[q] += orc._restricted_trace(structure, M, basis)
     return orc._integer_average(acc, len(orbifold.group))
