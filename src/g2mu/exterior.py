@@ -8,20 +8,22 @@ Lambda-Grams and star matrices are cached per Gram pair, and pullback
 matrices per frame pair and grade, as the integer tables are; a frame's
 entries are read through operator.index before its cache is looked up.
 Floating values (random Fourier coefficients) live in `fourier`, which
-acts on them through matrices built from the integer tables here: the
-sparse tables of `e^a ^ .` and `e_a -| .`, and the matrix of `. ^ c` for
-a constant form c.
+acts on them through matrices built from the integer tables here.
+
+Every sign is read from one table, `wedge_table(p, q)`, the structure
+constants of the wedge product on basis forms: the Euclidean star is the
+wedge with the complement, `wedge_table(p, 7 - p)`, and the interior
+product `e_a -| .` is the transpose of `e^a ^ .`, `wedge_table(1, p - 1)`.
 
 Every rational matrix is an integer pair (N, d) meaning N / d, as in
 `linalg`: frames, Gram matrices and their inverses, Lambda-Grams, star,
 pullback and wedge matrices.  The star on grade p, `Metric7.star_matrix`,
 is vol times the rows of the Lambda-Gram, signed and permuted as the
-Euclidean star (`hodge_table`).  Each operation on forms applies its
-matrix: `hodge_star` the star matrix, `wedge` a `wedge_matrix`, `pullback`
-a `pullback_matrix` and `inner` a Lambda-Gram, through one helper that
-clears the form's coefficients once, multiplies in Python ints over its
-nonzero entries only, and builds Fractions only for the coefficients it
-returns.
+Euclidean star.  Each operation on forms applies its matrix: `hodge_star`
+the star matrix, `wedge` a `wedge_matrix`, `pullback` a `pullback_matrix`
+and `inner` a Lambda-Gram, through one helper that clears the form's
+coefficients once, multiplies in Python ints over its nonzero entries
+only, and builds Fractions only for the coefficients it returns.
 
 Sign conventions are pinned by a single rule: the Hodge star satisfies
 a ^ star(b) = <a, b>_g vol_g with vol_g = sqrt(det g) * theta^{1...7}.
@@ -42,51 +44,22 @@ INDICES = {p: tuple(combinations(range(1, DIM + 1), p)) for p in range(DIM + 1)}
 POSITION = {p: {idx: k for k, idx in enumerate(INDICES[p])} for p in range(DIM + 1)}
 
 
-def _merge_sign(left, right):
-    """Sign of sorting the concatenation of two disjoint sorted tuples."""
-    inversions = sum(1 for i in left for j in right if i > j)
-    return -1 if inversions % 2 else 1
-
-
 @lru_cache(maxsize=None)
 def wedge_table(p, q):
     """Sparse structure constants for Lambda^p x Lambda^q -> Lambda^(p+q).
 
     Entries (i, j, k, sign): basis form i of grade p wedged with basis form
-    j of grade q equals sign times basis form k of grade p+q.
+    j of grade q equals sign times basis form k of grade p+q, the sign of
+    sorting their concatenated indices.  Only disjoint pairs are visited: j
+    runs over the q-subsets of i's complement, in order.  The Euclidean star
+    is star e^i = sign e^j for the entries (i, j, 0, sign) of
+    wedge_table(p, 7 - p); the interior product is e_(a+1) -| e^k = sign e^j
+    for the entries (a, j, k, sign) of wedge_table(1, p - 1).
     """
-    entries = []
-    for i, left in enumerate(INDICES[p]):
-        lset = set(left)
-        for j, right in enumerate(INDICES[q]):
-            if lset & set(right):
-                continue
-            merged = tuple(sorted(left + right))
-            entries.append((i, j, POSITION[p + q][merged], _merge_sign(left, right)))
-    return tuple(entries)
-
-
-@lru_cache(maxsize=None)
-def hodge_table(p):
-    """Entries (pos_in, pos_out, sign) for the Euclidean star on grade p."""
-    entries = []
-    full = set(range(1, DIM + 1))
-    for pos_in, idx in enumerate(INDICES[p]):
-        complement = tuple(sorted(full - set(idx)))
-        entries.append((pos_in, POSITION[DIM - p][complement], _merge_sign(idx, complement)))
-    return tuple(entries)
-
-
-@lru_cache(maxsize=None)
-def interior_table(p):
-    """Entries (axis, pos_in, pos_out, sign): e_(axis+1) -| basis form pos_in
-    of grade p equals sign times basis form pos_out of grade p-1."""
-    entries = []
-    for pos_in, idx in enumerate(INDICES[p]):
-        for r, axis in enumerate(idx):
-            entries.append((axis - 1, pos_in, POSITION[p - 1][idx[:r] + idx[r + 1:]],
-                            -1 if r % 2 else 1))
-    return tuple(entries)
+    return tuple((i, POSITION[q][right], POSITION[p + q][tuple(sorted(left + right))],
+                  (-1) ** sum(x > y for x in left for y in right))
+                 for i, left in enumerate(INDICES[p])
+                 for right in combinations([x for x in range(1, DIM + 1) if x not in left], q))
 
 
 def wedge_matrix(form, p):
@@ -187,7 +160,7 @@ def interior(v, a):
     (w,), d = linalg.clear_denominators([v])
     c, e = _cleared(a)
     out = [0] * comb(DIM, a.grade - 1)
-    for axis, pos_in, pos_out, sign in interior_table(a.grade):
+    for axis, pos_out, pos_in, sign in wedge_table(1, a.grade - 1):
         if w[axis] and c[pos_in]:
             out[pos_out] += sign * w[axis] * c[pos_in]
     return ExteriorForm(a.grade - 1, [Fraction(x, d * e) for x in out])
@@ -248,7 +221,7 @@ def _lambda_gram(gram, p):
 def _star_matrix(metric, p):
     (weighted, d), vol = metric.lambda_gram(p), metric.vol
     out = [None] * comb(DIM, p)
-    for pos_in, pos_out, sign in hodge_table(p):
+    for pos_in, pos_out, _, sign in wedge_table(p, DIM - p):
         s = sign * vol.numerator
         out[pos_out] = tuple([s * x for x in weighted[pos_in]])
     return tuple(out), d * vol.denominator

@@ -32,15 +32,16 @@ on a typed domain ends with that type's projection, so it projects its
 input itself.
 
 Every matrix is sparse: a tuple of rows, each a tuple of (column, float)
-over the row's nonzero entries.  The d and d* stacks come from the integer
-tables of `e^a ^ .` and `e_a -| .` in `exterior`; the refined stacks are
-composed exactly, in integers over the structure's pairs (N, d), and like
-the views of the star, the wedges, the projectors and the Lambda-Grams
-(`star_matrix_float`, `projector_float`, `lambda_gram_float`) each is
-rounded once, entry by entry as n / d, into the structure's memo.  The
-exact mode fibres that the Hessian blocks project onto are `g2`'s
-`typed_contraction_kernel`; those projections solve their small Gram
-systems by Cholesky factorisation.
+over the row's nonzero entries.  The d and d* stacks come from the
+integer table of `e^a ^ .` in `exterior`, read transposed as `e_a -| .`
+for d*; the refined stacks are composed exactly, in integers over the
+structure's pairs (N, d), and like the views of the star, the wedges,
+the projectors and the Lambda-Grams (`star_matrix_float`,
+`projector_float`, `lambda_gram_float`) each is rounded once, entry by
+entry as n / d, into the structure's memo.  The exact mode fibres that
+the Hessian blocks project onto are `g2`'s `typed_contraction_kernel`;
+those projections solve their small Gram systems by Cholesky
+factorisation.
 """
 
 import math
@@ -51,7 +52,7 @@ from functools import lru_cache, reduce
 from math import comb
 from operator import add, mul, sub
 
-from .exterior import DIM, ExteriorForm, interior_table, wedge_matrix, wedge_table
+from .exterior import DIM, ExteriorForm, wedge_matrix, wedge_table
 from .g2 import HESSIAN_WEIGHTS, typed_contraction_kernel
 from .linalg import int_compound
 
@@ -306,7 +307,7 @@ def _dstar_stack(structure, p):
     """The d* stack on grade p, K[a] = -(e_a -| .)."""
     n = comb(DIM, p)
     rows = [{} for _ in range(comb(DIM, p - 1))]
-    for axis, pos_in, pos_out, sign in interior_table(p):
+    for axis, pos_out, pos_in, sign in wedge_table(1, p - 1):
         rows[pos_out][axis * n + pos_in] = -sign
     return _rounded((rows, 1))
 

@@ -19,9 +19,9 @@ first use, in integers and without an inverse: pi_1 = phi phi^T / 7,
 pi_7 = B B^T / k for the contraction basis B = (e_i -| phi) or
 (e_i -| psi) with B^T B = k I, and pi_14, pi_27 as complements, each
 checked to fix its kernel basis (a failed check raises ArithmeticError).
-Grades 4 and 5 are conjugated by the Euclidean star, a signed permutation,
-so their projectors are those of grades 3 and 2 with rows and columns
-re-indexed and signed.
+Grades 4 and 5 are conjugated by the Euclidean star, a signed permutation
+read from `exterior.wedge_table`, so their projectors are those of grades
+3 and 2 with rows and columns re-indexed and signed.
 
 A structure F*phi0 with a rational frame F (det F > 0), the identity
 included, transports all of this by the exact pullback matrices
@@ -56,9 +56,9 @@ from functools import lru_cache
 from math import comb, lcm
 
 from . import linalg
-from .exterior import (DIM, IDENTITY, INDICES, ExteriorForm, Metric7, hodge_star,
-                       hodge_table, interior, interior_table, metric_from_frame, pullback,
-                       pullback_matrix, wedge, wedge_matrix)
+from .exterior import (DIM, IDENTITY, INDICES, ExteriorForm, Metric7, hodge_star, interior,
+                       metric_from_frame, pullback, pullback_matrix, wedge, wedge_matrix,
+                       wedge_table)
 
 PHI0_TERMS = {
     (1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1, (2, 4, 6): 1,
@@ -118,8 +118,11 @@ def _complement(parts, B):
     n = len(B[0])
     N = [[k * (i == j) - sum(N_i[i][j] * (k // k_i) for N_i, k_i in parts)
           for j in range(n)] for i in range(n)]
-    if any(linalg.matvec(N, v) != tuple(k * x for x in v) for v in B):
-        raise ArithmeticError("complementary projector does not fix its kernel basis")
+    for v in B:
+        # N v = k v, summed over the nonzero entries of the sparse vector v
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
+        if any(sum(row[j] * x for j, x in nonzero) != k * y for row, y in zip(N, v)):
+            raise ArithmeticError("complementary projector does not fix its kernel basis")
     return tuple(map(tuple, N)), k
 
 
@@ -138,10 +141,10 @@ def _standard_projectors():
     raw[(2, 14)] = _complement([raw[(2, 7)]], B[(2, 14)])
     raw[(3, 27)] = _complement([raw[(3, 1)], raw[(3, 7)]], B[(3, 27)])
     for (grade, comp), (N, k) in list(raw.items()):
-        back = hodge_table(DIM - grade)
+        back = wedge_table(DIM - grade, grade)
         conjugated = [None] * len(N)
-        for i, a, s in hodge_table(grade):
-            conjugated[a] = tuple(s * t * N[i][j] for _, j, t in back)
+        for i, a, _, s in wedge_table(grade, DIM - grade):
+            conjugated[a] = tuple(s * t * N[i][j] for _, j, _, t in back)
         raw[(DIM - grade, comp)] = (tuple(conjugated), k)
     return raw
 
@@ -218,9 +221,9 @@ def typed_contraction_kernel(structure, l, grade, component):
 
 def _kernel_basis(structure, lc, grade, component):
     C = _contraction_on_type(structure, lc, grade, component)
-    B = linalg.transpose(structure.type_space_basis(grade, component))
-    # B and the kernel vectors are integral, so B x stays in ints
-    return tuple(linalg.primitive_integer(linalg.matvec(B, x)) for x in linalg.nullspace(C))
+    # the kernel vectors x and the basis are integral, so each x^T B stays in ints
+    return tuple(map(linalg.primitive_integer, linalg.int_matmul(
+        linalg.nullspace(C), structure.type_space_basis(grade, component))))
 
 
 def _contraction_on_type(structure, lc, grade, component):
@@ -242,7 +245,7 @@ def _axis_contractions(structure, grade, component):
     """
     B = structure.type_space_basis(grade, component)
     return tuple((pos_out, col, axis, sign * v[pos_in])
-                 for axis, pos_in, pos_out, sign in interior_table(grade)
+                 for axis, pos_out, pos_in, sign in wedge_table(1, grade - 1)
                  for col, v in enumerate(B) if v[pos_in])
 
 

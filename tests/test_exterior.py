@@ -8,7 +8,7 @@ import pytest
 from g2mu import linalg
 from g2mu.exterior import (DIM, IDENTITY, INDICES, ExteriorForm, Metric7, hodge_star, inner,
                            interior, metric_from_frame, pullback, pullback_matrix, wedge,
-                           wedge_matrix)
+                           wedge_matrix, wedge_table)
 from g2mu.fourier import FourierForm, coexterior_d, exterior_d
 from g2mu.g2 import G2Structure, standard_phi0
 
@@ -42,6 +42,20 @@ def test_wedge_basis_cases():
     t12 = ExteriorForm.from_terms(2, {(1, 2): 1})
     assert wedge(t1, t2) == t12
     assert wedge(t12, t1).is_zero()
+
+
+def test_wedge_table_visits_each_disjoint_pair_once():
+    """C(7,p) C(7-p,q) entries: every disjoint pair (i, j) once, merged into k."""
+    for p in range(DIM + 1):
+        for q in range(DIM + 1 - p):
+            table = wedge_table(p, q)
+            assert len(table) == comb(DIM, p) * comb(DIM - p, q)
+            assert len({(i, j) for i, j, _, _ in table}) == len(table)
+            for i, j, k, sign in table:
+                left, right = INDICES[p][i], INDICES[q][j]
+                assert not set(left) & set(right)
+                assert INDICES[p + q][k] == tuple(sorted(left + right))
+                assert sign in (1, -1)
 
 
 def test_wedge_phi0_squares_to_zero():

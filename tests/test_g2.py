@@ -155,6 +155,64 @@ def test_J_squares_correctly(s):
     assert inner(s.apply_J(a), b, s.metric) == inner(a, s.apply_J(b), s.metric)
 
 
+# -- Hitchin's naturality: the Hessian symbols with no weight restated ----------
+
+def _elementary(a, b):
+    """The elementary matrix E_ab of gl(7), with E_ab e_b = e_a."""
+    return [[int((i, j) == (a, b)) for j in range(DIM)] for i in range(DIM)]
+
+
+def _gl7_action(X, alpha):
+    """X.alpha = d/dt (I + tX)* alpha at t = 0 = sum_ab X_ab theta^b ^ (e_a -| alpha)."""
+    out = ExteriorForm(alpha.grade, [0] * comb(DIM, alpha.grade))
+    for a, b in itertools.product(range(DIM), repeat=2):
+        if X[a][b]:
+            theta = ExteriorForm(1, _eye(DIM)[b])
+            out = out + wedge(theta, interior(_eye(DIM)[a], alpha)).scale(X[a][b])
+    return out
+
+
+@pytest.fixture(scope="module")
+def gl7_on_phi0(s):
+    """{E_ab: (E_ab.phi0, E_ab.psi0)} over the 49 elementary matrices of gl(7)."""
+    return {(a, b): (_gl7_action(_elementary(a, b), s.phi),
+                     _gl7_action(_elementary(a, b), s.psi))
+            for a, b in itertools.product(range(DIM), repeat=2)}
+
+
+def test_gl7_action_is_the_derivative_of_the_pullback(s, gl7_on_phi0):
+    # each minor of I + t E_ab holds t at most once, so t -> (I + t E_ab)* alpha
+    # is affine, and its derivative is its value at t = 1 minus alpha
+    for (a, b), forms in gl7_on_phi0.items():
+        F = [[int(i == j) + x for j, x in enumerate(row)]
+             for i, row in enumerate(_elementary(a, b))]
+        for alpha, moved in zip((s.phi, s.psi), forms):
+            assert pullback((F, 1), alpha) - alpha == moved
+
+
+def _naturality_mismatches(s, gl7_on_phi0):
+    """How often star I (X.phi0) = X.psi0 or star J (X.psi0) = X.phi0 fails.
+
+    Theta(phi) = *_phi phi commutes with GL+(7), so its first variation
+    star I (Hitchin, arXiv:math/0010054) takes X.phi0 to X.psi0, and that of
+    its inverse, star J, takes X.psi0 back to X.phi0.
+    """
+    return sum((hodge_star(s.apply_I(x_phi), s.metric) != x_psi)
+               + (hodge_star(s.apply_J(x_psi), s.metric) != x_phi)
+               for x_phi, x_psi in gl7_on_phi0.values())
+
+
+def test_hessian_symbols_follow_from_naturality(s, gl7_on_phi0):
+    assert _naturality_mismatches(s, gl7_on_phi0) == 0
+
+
+@pytest.mark.parametrize("grade, comp, weight", [(3, 1, 1), (4, 1, 1), (3, 27, 1), (3, 7, -1)])
+def test_a_wrong_hessian_weight_breaks_naturality(s, gl7_on_phi0, monkeypatch,
+                                                  grade, comp, weight):
+    monkeypatch.setitem(g2.HESSIAN_WEIGHTS[grade], comp, Fraction(weight))
+    assert _naturality_mismatches(s, gl7_on_phi0) > 0
+
+
 def test_is_g2_element(s):
     eye = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
     assert s.is_g2_element((eye, 1))
